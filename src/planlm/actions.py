@@ -8,7 +8,7 @@ action means finding the nearest centroid in squared Euclidean distance
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -175,18 +175,16 @@ def extract_action_sequence(article: Article, action_set: ActionSet,
     return ActionSequence(article.id, assign_actions(embeddings, action_set).tolist())
 
 
-def action_sequence_from_embeddings(article_id: str, embeddings: np.ndarray,
-                                    action_set: ActionSet) -> ActionSequence:
-    return ActionSequence(article_id, assign_actions(embeddings, action_set).tolist())
-
-
 def inspect_cluster(action_id: int, articles: Sequence[Article],
                     action_set: ActionSet, top_n: int,
-                    encoder: SentenceEncoder) -> list[tuple[float, str, str, int]]:
+                    embeddings: Mapping[str, np.ndarray],
+                    ) -> list[tuple[float, str, str, int]]:
     """The top_n corpus sentences nearest a centroid.
 
-    Returns (distance, sentence text, article_id, sentence_index) tuples in
-    ascending distance; ties keep corpus order.
+    `embeddings` maps each article id to its sentence embeddings, in the
+    space the centroids were fitted in. Returns (distance, sentence text,
+    article_id, sentence_index) tuples in ascending distance; ties keep
+    corpus order.
     """
     if not 0 <= action_id < action_set.k:
         raise ValidationError(f"unknown action id {action_id} (K={action_set.k})")
@@ -194,19 +192,14 @@ def inspect_cluster(action_id: int, articles: Sequence[Article],
     scored: list[tuple[float, str, str, int]] = []
     for article in articles:
         spans = split_sentences(article.text, article.id)
-        for span in spans:
-            text = span.text(article.text)
-            z = encoder.embed_sentence(text).astype(np.float64)
-            dist = float(np.sum((z - centroid) ** 2))
-            scored.append((dist, text, article.id, span.index))
+        matrix = embeddings.get(article.id, np.zeros((0, action_set.dim)))
+        if matrix.shape != (len(spans), action_set.dim):
+            raise ValidationError(
+                f"embeddings of article {article.id!r} have shape "
+                f"{matrix.shape}; expected ({len(spans)}, {action_set.dim})")
+        for span, z in zip(spans, matrix):
+            dist = float(np.sum((z.astype(np.float64) - centroid) ** 2))
+            scored.append((dist, span.text(article.text), article.id,
+                           span.index))
     scored.sort(key=lambda item: item[0])  # sort is stable: ties keep corpus order
     return scored[:top_n]
-
-
-def cluster_sizes(sequences: Sequence[ActionSequence], k: int) -> np.ndarray:
-    """How many corpus sentences map to each action."""
-    sizes = np.zeros(k, dtype=np.int64)
-    for seq in sequences:
-        for a in seq.actions:
-            sizes[a] += 1
-    return sizes

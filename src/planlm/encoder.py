@@ -98,10 +98,6 @@ def empty_sentence_vector(dim: int) -> np.ndarray:
     return vec
 
 
-def embed_sentence(text: str, config: EncoderConfig) -> np.ndarray:
-    return SentenceEncoder(config).embed_sentence(text)
-
-
 def embed_corpus(articles: Iterable[Article], config: EncoderConfig,
                  encoder: SentenceEncoder | None = None,
                  ) -> tuple[np.ndarray, list[tuple[str, int]]]:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .actions import ActionSet, assign_action, extract_action_sequence
-from .corpus import Article, Vocabulary, detokenize, split_sentences
+from .actions import ActionSet, assign_action
+from .corpus import Vocabulary, detokenize, split_sentences
 from .encoder import SentenceEncoder
 from .errors import ValidationError
 from .lm import FIXED_ACTION_ID, ActionAdapter, BaseLM, InsertLM, Regime
@@ -71,10 +71,6 @@ class GenerationRecord:
         }
 
 
-def plan_following_rate(record: GenerationRecord) -> float | None:
-    return record.plan_following_rate()
-
-
 def sample_token(logits: np.ndarray, temperature: float, top_k: int,
                  rng: np.random.Generator) -> int:
     """Temperature + top-k sampling; temperature 0 is greedy (lowest-id ties)."""
@@ -116,11 +112,12 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
     planner context with the prefix sentences. FIXED and NONE regimes skip
     planning entirely.
     """
-    if regime.actions == "oracle":
+    source = regime.action_source(training=False)
+    if source == "oracle":
         raise ValidationError(
-            "oracle actions are undefined for free generation; "
-            "use replay_record for teacher-forced scoring")
-    uses_planner = regime.actions in ("predicted_oa", "predicted_pa")
+            "oracle actions are undefined for free generation; score oracle "
+            "regimes with `planlm evaluate`, which teacher-forces them")
+    uses_planner = source == "planner"
     if uses_planner and planner is None:
         raise ValidationError(f"regime {regime.actions} requires a planner")
     if config.mode == "unconditional":
@@ -134,7 +131,7 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
     window = base.config.context_window - 1
     rng = np.random.default_rng(config.seed)
     ids = [int(t) for t in prefix_ids]
-    conditioned = regime.actions != "none"
+    conditioned = source != "none"
 
     # action of the sentence containing each existing token
     if conditioned:
@@ -145,18 +142,13 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
     else:
         act_of_token = []
 
+    context = None
+    current_action = FIXED_ACTION_ID if conditioned else None
     if uses_planner:
-        dim = encoder.config.dim
         context = prefix_sentence_embeddings
         if context is None:
-            context = np.zeros((0, dim), dtype=np.float32)
+            context = np.zeros((0, encoder.config.dim), dtype=np.float32)
         current_action = planner.predict_next_action(context)
-    elif regime.actions == "fixed":
-        context = None
-        current_action = FIXED_ACTION_ID
-    else:
-        context = None
-        current_action = None
 
     record = GenerationRecord(article_id=article_id, prefix_len=len(ids))
     sentence_tokens: list[str] = []
@@ -197,17 +189,6 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
                 sentence_tokens = []
 
     record.text = detokenize([vocab.token_of(t) for t in record.token_ids])
-    return record
-
-
-def replay_record(article: Article, action_set: ActionSet,
-                  encoder: SentenceEncoder) -> GenerationRecord:
-    """Teacher-forced replay: every sentence planned with its oracle action."""
-    seq = extract_action_sequence(article, action_set, encoder)
-    record = GenerationRecord(article_id=article.id, prefix_len=0,
-                              text=article.text)
-    record.planned_actions = list(seq.actions)
-    record.realized_actions = list(seq.actions)
     return record
 
 

@@ -15,7 +15,6 @@ token at position p+1, because the prediction at p scores that next token.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, asdict
 from typing import Callable, Sequence
 
@@ -53,10 +52,26 @@ class Regime:
         if self.locus == "internal" and self.style != "insert":
             raise ValidationError("an internal planner requires insert style")
 
+    def action_source(self, training: bool) -> str:
+        """Where per-sentence actions come from: "none", "fixed", "oracle" or
+        "planner".
+
+        Insert style follows the locus: an internal planner learns from the
+        oracle action tokens, an external one supplies them. `predicted_oa`
+        trains on oracle actions and is evaluated on planned ones.
+        """
+        if self.style == "insert":
+            return "oracle" if self.locus == "internal" else "planner"
+        if self.actions == "predicted_oa":
+            return "oracle" if training else "planner"
+        if self.actions == "predicted_pa":
+            return "planner"
+        return self.actions
+
     @property
     def needs_planner(self) -> bool:
-        return self.actions in ("predicted_oa", "predicted_pa") or (
-            self.style == "insert" and self.locus == "external")
+        """Whether evaluating this regime calls the planner."""
+        return self.action_source(training=False) == "planner"
 
 
 @dataclass(frozen=True)
@@ -95,13 +110,6 @@ class BaseLM:
         out.update(self.ln_f.params("lm.ln_f"))
         out.update(self.out.params("lm.out"))
         return out
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.values.copy() for k, v in self.params_dict().items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for k, v in self.params_dict().items():
-            v.values = snap[k].copy()
 
     def forward(self, ids: np.ndarray, adapter: "ActionAdapter | None" = None,
                 actions: np.ndarray | None = None,
@@ -188,25 +196,10 @@ class ActionAdapter:
             out[f"lm.layer{layer}.adapter.w_a"] = self.w_a[slot]
         return out
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.values.copy() for k, v in self.params_dict().items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for k, v in self.params_dict().items():
-            v.values = snap[k].copy()
-
     def embedding_std(self) -> float:
         """Empirical std across all action-embedding entries, all layers."""
         flat = np.concatenate([t.values.ravel() for t in self.e_a])
         return float(flat.std())
-
-
-def adapter_forward(base: BaseLM, adapter: ActionAdapter | None,
-                    token_ids: np.ndarray, per_position_actions: np.ndarray | None,
-                    action_noise: np.ndarray | None = None) -> Tensor:
-    """Logits of the conditioned model; with adapter=None this is the base LM."""
-    return base.forward(token_ids, adapter=adapter, actions=per_position_actions,
-                        action_noise=action_noise)
 
 
 # -- action/position alignment ---------------------------------------------------
@@ -230,10 +223,6 @@ def per_position_actions(stream: TokenStream,
     action_arr = np.asarray(actions, dtype=np.int64)
     shifted = np.concatenate([sidx[1:], sidx[-1:]])
     return action_arr[shifted]
-
-
-def constant_actions(length: int, action_id: int = FIXED_ACTION_ID) -> np.ndarray:
-    return np.full(length, action_id, dtype=np.int64)
 
 
 # -- insert style ------------------------------------------------------------------
@@ -265,12 +254,6 @@ def insert_style_sequence(stream: TokenStream, actions: Sequence[int],
     return np.asarray(out, dtype=np.int64), np.asarray(is_action, dtype=bool)
 
 
-def strip_action_tokens(extended_ids: np.ndarray, vocab_size: int) -> np.ndarray:
-    """Inverse of the interleaving: drop ids >= V."""
-    extended_ids = np.asarray(extended_ids)
-    return extended_ids[extended_ids < vocab_size]
-
-
 @dataclass
 class InsertLM:
     """Base LM with the vocabulary extended by one token per action."""
@@ -295,7 +278,7 @@ def extend_for_insert(base: BaseLM, n_actions: int, locus: str,
                    n_layers=base.config.n_layers, n_heads=base.config.n_heads,
                    context_window=base.config.context_window)
     extended = BaseLM(cfg, np.random.default_rng(0))
-    snap = base.snapshot()
+    snap = nn.snapshot(base.params_dict())
     for name, tensor in extended.params_dict().items():
         if name == "lm.tok_emb":
             tensor.values[:v] = snap[name]
@@ -378,22 +361,20 @@ def _batch_loss(forward: Callable[[np.ndarray, np.ndarray | None], Tensor],
 
 
 def train_lm(forward: Callable[[np.ndarray, np.ndarray | None], Tensor],
-             trainable: list[Tensor], examples: list[WindowExample],
+             trainable: dict[str, Tensor], examples: list[WindowExample],
              batch_size: int = 32, lr: float = 1e-4, max_epochs: int = 4,
              patience: int = 3, seed: int = 0,
-             val_metric: Callable[[], float] | None = None,
-             snapshot: Callable[[], dict] | None = None,
-             restore: Callable[[dict], None] | None = None) -> dict:
-    """Shared LM training loop.
+             val_metric: Callable[[], float] | None = None) -> dict:
+    """Shared LM training loop over the `trainable` parameters.
 
     With `val_metric` (lower is better) the loop early-stops after `patience`
-    non-improving epoch evaluations and restores the best snapshot; without it
-    the budget is exactly `max_epochs` epochs.
+    non-improving epoch evaluations and restores the best parameters; without
+    it the budget is exactly `max_epochs` epochs.
     """
-    opt = ad.Adam(trainable, lr=lr)
+    opt = ad.Adam(list(trainable.values()), lr=lr)
     history: dict = {"train_loss": [], "val_metric": []}
     best = np.inf
-    best_snap = snapshot() if snapshot is not None else None
+    best_snap = nn.snapshot(trainable) if val_metric is not None else None
     since_best = 0
     for epoch in range(max_epochs):
         rng = np.random.default_rng((seed, epoch))
@@ -412,15 +393,14 @@ def train_lm(forward: Callable[[np.ndarray, np.ndarray | None], Tensor],
         history["val_metric"].append(score)
         if score < best - 1e-9:
             best = score
-            if snapshot is not None:
-                best_snap = snapshot()
+            best_snap = nn.snapshot(trainable)
             since_best = 0
         else:
             since_best += 1
             if since_best >= patience:
                 break
-    if val_metric is not None and restore is not None and best_snap is not None:
-        restore(best_snap)
+    if val_metric is not None:
+        nn.restore(trainable, best_snap)
         history["best_val_metric"] = float(best)
     return history
 
@@ -432,87 +412,79 @@ def pretrain_base(base: BaseLM, streams: Sequence[np.ndarray],
     examples = []
     for ids in streams:
         examples.extend(window_examples(ids, base.config.context_window))
-    params = list(base.params_dict().values())
-    nn.set_trainable({str(i): p for i, p in enumerate(params)}, True)
+    params = base.params_dict()
+    nn.set_trainable(params, True)
     return train_lm(lambda ids, _: base.forward(ids), params, examples,
                     batch_size=batch_size, lr=lr, max_epochs=max_epochs,
                     seed=seed)
 
 
+def _val_perplexity(logit_fn, val_items: Sequence[evaluation.ScoringItem],
+                    window: int) -> Callable[[], float] | None:
+    if not val_items:
+        return None
+    return lambda: evaluation.corpus_perplexity(logit_fn, val_items, window)
+
+
 def finetune_adapter(base: BaseLM, adapter: ActionAdapter,
-                     train_items: Sequence[tuple[np.ndarray, np.ndarray]],
-                     val_items: Sequence[tuple[np.ndarray, np.ndarray]],
+                     train_items: Sequence[evaluation.ScoringItem],
+                     val_items: Sequence[evaluation.ScoringItem],
                      batch_size: int = 32, lr: float = 1e-4, max_epochs: int = 6,
                      patience: int = 3, seed: int = 0) -> dict:
     """Train only the adapter; the base LM is frozen bit-for-bit.
 
-    Items are (token_ids, per_position_actions) per article; early stopping
-    follows validation perplexity.
+    Items carry each article's token ids and per-position actions; early
+    stopping follows validation perplexity.
     """
     nn.set_trainable(base.params_dict(), False)
     nn.set_trainable(adapter.params_dict(), True)
     window = base.config.context_window
     examples = []
-    for ids, acts in train_items:
-        examples.extend(window_examples(ids, window, pp_actions=acts))
+    for item in train_items:
+        examples.extend(window_examples(item.ids, window,
+                                        pp_actions=item.actions))
 
     def forward(ids, actions):
         return base.forward(ids, adapter=adapter, actions=actions)
 
-    val_metric = None
-    if val_items:
-        scoring = [evaluation.ScoringItem(ids=ids, actions=acts)
-                   for ids, acts in val_items]
-
-        def val_metric():
-            return evaluation.corpus_perplexity(
-                lambda i, a: forward(i, a).values, scoring, window)
-
+    val_metric = _val_perplexity(lambda i, a: forward(i, a).values, val_items,
+                                 window)
     try:
-        history = train_lm(forward, list(adapter.params_dict().values()),
-                           examples, batch_size=batch_size, lr=lr,
+        history = train_lm(forward, adapter.params_dict(), examples,
+                           batch_size=batch_size, lr=lr,
                            max_epochs=max_epochs, patience=patience, seed=seed,
-                           val_metric=val_metric, snapshot=adapter.snapshot,
-                           restore=adapter.restore)
+                           val_metric=val_metric)
     finally:
         nn.set_trainable(base.params_dict(), True)
     return history
 
 
 def finetune_insert(insert_lm: InsertLM,
-                    train_items: Sequence[tuple[np.ndarray, np.ndarray]],
-                    val_items: Sequence[tuple[np.ndarray, np.ndarray]],
+                    train_items: Sequence[evaluation.ScoringItem],
+                    val_items: Sequence[evaluation.ScoringItem],
                     batch_size: int = 32, lr: float = 1e-4, max_epochs: int = 6,
                     patience: int = 3, seed: int = 0) -> dict:
     """Full-parameter finetuning on interleaved sequences.
 
-    Items are (extended_ids, is_action_token) per article. With an external
-    planner the loss is masked to text-token positions (actions are inputs,
-    never targets); an internal planner learns the action tokens too.
+    Items carry each article's extended ids with `countable` marking the text
+    tokens. With an external planner the training loss is masked to text-token
+    positions (actions are inputs, never targets); an internal planner learns
+    the action tokens too. Validation perplexity counts text tokens only.
     """
     base = insert_lm.base
     window = base.config.context_window
     external = insert_lm.locus == "external"
     examples = []
-    for ext_ids, is_action in train_items:
-        countable = ~is_action if external else None
-        examples.extend(window_examples(ext_ids, window, countable=countable))
-    nn.set_trainable(base.params_dict(), True)
-
-    val_metric = None
-    if val_items:
-        scoring = [evaluation.ScoringItem(ids=ids, countable=~is_action)
-                   for ids, is_action in val_items]
-
-        def val_metric():
-            return evaluation.corpus_perplexity(
-                lambda i, a: base.forward(i).values, scoring, window)
-
-    return train_lm(lambda ids, _: base.forward(ids),
-                    list(base.params_dict().values()), examples,
+    for item in train_items:
+        examples.extend(window_examples(
+            item.ids, window, countable=item.countable if external else None))
+    params = base.params_dict()
+    nn.set_trainable(params, True)
+    return train_lm(lambda ids, _: base.forward(ids), params, examples,
                     batch_size=batch_size, lr=lr, max_epochs=max_epochs,
-                    patience=patience, seed=seed, val_metric=val_metric,
-                    snapshot=base.snapshot, restore=base.restore)
+                    patience=patience, seed=seed,
+                    val_metric=_val_perplexity(lambda i, a: base.forward(i).values,
+                                               val_items, window))
 
 
 # -- persistence --------------------------------------------------------------------
@@ -534,37 +506,28 @@ def insert_lm_meta(insert_lm: InsertLM, regime: Regime) -> dict:
             "regime": asdict(regime)}
 
 
-def base_lm_from_checkpoint(sections: dict[str, np.ndarray],
-                            meta: dict) -> BaseLM:
-    if meta.get("kind") != "base_lm":
-        raise ValidationError("checkpoint is not a base LM")
-    base = BaseLM(LmConfig(**meta["lm_config"]), np.random.default_rng(0))
-    nn.load_params(base.params_dict(), sections)
-    return base
+def lm_from_checkpoint(sections: dict[str, np.ndarray], meta: dict,
+                       ) -> tuple[BaseLM, ActionAdapter | None, Regime | None]:
+    """(network, adapter, regime) of a base, adapter or insert LM checkpoint.
 
-
-def adapter_lm_from_checkpoint(sections: dict[str, np.ndarray], meta: dict,
-                               ) -> tuple[BaseLM, ActionAdapter, Regime]:
-    if meta.get("kind") != "adapter_lm":
-        raise ValidationError("checkpoint is not an adapter LM")
+    The adapter is None unless the checkpoint holds one, and the regime is
+    None for a base LM. An insert LM's network has the extended vocabulary.
+    """
+    kind = meta.get("kind")
+    if kind not in ("base_lm", "adapter_lm", "insert_lm"):
+        raise ValidationError(f"checkpoint of kind {kind!r} is not an LM")
     lm_config = LmConfig(**meta["lm_config"])
     base = BaseLM(lm_config, np.random.default_rng(0))
-    cfg_dict = copy.deepcopy(meta["adapter_config"])
-    cfg_dict["init"] = "random"  # weights come from the checkpoint
-    adapter = ActionAdapter(AdapterConfig(**cfg_dict), lm_config,
-                            np.random.default_rng(0))
-    params = {**base.params_dict(), **adapter.params_dict()}
+    params = base.params_dict()
+    adapter = None
+    if kind == "adapter_lm":
+        # any saved action table stands in for the centroids it started from
+        table = next((v for k, v in sections.items()
+                      if k.endswith(".e_a")), None)
+        adapter = ActionAdapter(AdapterConfig(**meta["adapter_config"]),
+                                lm_config, np.random.default_rng(0),
+                                centroids=table)
+        params.update(adapter.params_dict())
     nn.load_params(params, sections)
-    adapter.config = AdapterConfig(**meta["adapter_config"])
-    return base, adapter, Regime(**meta["regime"])
-
-
-def insert_lm_from_checkpoint(sections: dict[str, np.ndarray], meta: dict,
-                              ) -> tuple[InsertLM, Regime]:
-    if meta.get("kind") != "insert_lm":
-        raise ValidationError("checkpoint is not an insert LM")
-    base = BaseLM(LmConfig(**meta["lm_config"]), np.random.default_rng(0))
-    nn.load_params(base.params_dict(), sections)
-    insert_lm = InsertLM(base, meta["n_text_tokens"], meta["n_actions"],
-                         meta["locus"])
-    return insert_lm, Regime(**meta["regime"])
+    regime = Regime(**meta["regime"]) if "regime" in meta else None
+    return base, adapter, regime

@@ -138,6 +138,17 @@ def set_trainable(params: dict[str, Tensor], trainable: bool) -> None:
             p.grad = None
 
 
+def snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Copies of the parameter values, by name."""
+    return {name: p.values.copy() for name, p in params.items()}
+
+
+def restore(params: dict[str, Tensor], snap: dict[str, np.ndarray]) -> None:
+    """Put back the values of a `snapshot` of the same parameters."""
+    for name, p in params.items():
+        p.values = snap[name].copy()
+
+
 def load_params(params: dict[str, Tensor], sections: dict[str, np.ndarray]) -> None:
     """Copy checkpoint arrays into an assembled parameter dict, by name."""
     missing = sorted(set(params) - set(sections))

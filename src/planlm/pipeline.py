@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import storage
-from .actions import (ActionSet, action_sequence_from_embeddings,
-                      cluster_sizes, inspect_cluster, kmeans_fit)
+from .actions import ActionSet, assign_actions, inspect_cluster, kmeans_fit
 from .config import RunConfig, config_digest, identity_text
 from .corpus import (Article, TokenStream, Vocabulary, build_vocabulary,
                      load_articles, split_corpus, split_sentences, tokenize)
@@ -28,12 +27,11 @@ from .evaluation import ScanItem, ScoringItem, corpus_latent_perplexity, \
     corpus_perplexity, hmm_fit, noise_scan, normalized_edit, \
     oracle_scan, rouge2_f1
 from .generation import GenerationConfig, generate
-from .lm import (ActionAdapter, AdapterConfig, BaseLM, LmConfig, Regime,
-                 adapter_lm_from_checkpoint, adapter_lm_meta,
-                 base_lm_from_checkpoint, base_lm_meta, constant_actions,
+from .lm import (FIXED_ACTION_ID, ActionAdapter, AdapterConfig, BaseLM,
+                 LmConfig, Regime, adapter_lm_meta, base_lm_meta,
                  extend_for_insert, finetune_adapter, finetune_insert,
-                 insert_lm_from_checkpoint, insert_lm_meta,
-                 insert_style_sequence, per_position_actions, pretrain_base)
+                 insert_lm_meta, insert_style_sequence, lm_from_checkpoint,
+                 per_position_actions, pretrain_base)
 from .planner import (PlannerConfig, PlannerModel, evaluate_planner,
                       planner_from_checkpoint, planner_meta,
                       predict_actions_for_article, train_planner)
@@ -52,39 +50,34 @@ PRODUCERS = {
 }
 
 
-def checkpoint_name(regime: Regime) -> str:
-    if regime.style == "insert":
-        return f"lm_insert_{regime.locus}_{regime.actions}.plmc"
-    return f"lm_{regime.actions}.plmc"
-
-
-def generations_name(regime: Regime) -> str:
-    if regime.style == "insert":
-        return f"generations_insert_{regime.locus}_{regime.actions}.jsonl"
-    return f"generations_{regime.actions}.jsonl"
-
-
 def regime_key(regime: Regime) -> str:
     if regime.style == "insert":
         return f"insert_{regime.locus}_{regime.actions}"
     return regime.actions
 
 
+def checkpoint_name(regime: Regime) -> str:
+    return f"lm_{regime_key(regime)}.plmc"
+
+
+def generations_name(regime: Regime) -> str:
+    return f"generations_{regime_key(regime)}.jsonl"
+
+
+def lm_name(regime: Regime) -> str:
+    """The checkpoint a regime is scored with: the base LM when unconditioned."""
+    if regime.action_source(training=False) == "none":
+        return "base_lm.plmc"
+    return checkpoint_name(regime)
+
+
 def _require(out_dir: Path, name: str) -> Path:
     path = Path(out_dir) / name
     if not path.exists():
-        producer = PRODUCERS.get(name)
+        producer = PRODUCERS.get(name) or (
+            "finetune" if name.startswith("lm_") else None)
         hint = f"; produce it with `planlm {producer}`" if producer else ""
         raise MissingArtifactError(f"missing artifact {path}{hint}")
-    return path
-
-
-def _require_checkpoint(out_dir: Path, regime: Regime) -> Path:
-    name = checkpoint_name(regime)
-    path = Path(out_dir) / name
-    if not path.exists():
-        raise MissingArtifactError(
-            f"missing artifact {path}; produce it with `planlm finetune`")
     return path
 
 
@@ -162,9 +155,12 @@ def load_planner(out_dir: Path) -> PlannerModel:
     return planner_from_checkpoint(sections, meta)
 
 
-def load_base_lm(out_dir: Path) -> BaseLM:
-    sections, meta = storage.read_checkpoint(_require(out_dir, "base_lm.plmc"))
-    return base_lm_from_checkpoint(sections, meta)
+def load_lm(out_dir: Path, regime: Regime,
+            ) -> tuple[BaseLM, ActionAdapter | None]:
+    """The network and adapter a regime is scored with (see `lm_name`)."""
+    base, adapter, _ = lm_from_checkpoint(
+        *storage.read_checkpoint(_require(out_dir, lm_name(regime))))
+    return base, adapter
 
 
 @dataclass
@@ -290,16 +286,15 @@ def step_actions(config: RunConfig, out_dir: Path, force: bool = False) -> dict:
     index = storage.read_matrix_index(_require(out_dir, "embeddings.idx"))
     grouped = group_rows_by_article(matrix, index)
     articles, _ = load_corpus_artifacts(out_dir)
-    sequences = {}
-    for article in articles:
-        emb = grouped.get(article.id,
-                          np.zeros((0, action_set.dim), dtype=np.float32))
-        sequences[article.id] = action_sequence_from_embeddings(
-            article.id, emb, action_set).actions
+    sequences = {
+        article.id: assign_actions(
+            grouped.get(article.id,
+                        np.zeros((0, action_set.dim), dtype=np.float32)),
+            action_set).tolist()
+        for article in articles}
     storage.write_action_sequences(out_dir / "actions.tsv", sequences)
-    sizes = cluster_sizes(
-        [type("S", (), {"actions": s})() for s in sequences.values()],
-        action_set.k)
+    sizes = np.bincount([a for seq in sequences.values() for a in seq],
+                        minlength=action_set.k)
     extra = {"sequences": len(sequences),
              "ten_largest_clusters": sizes[np.argsort(-sizes)[:10]].tolist()}
     _finish(out_dir, "actions.tsv", "actions", config,
@@ -377,48 +372,45 @@ def step_train_planner(config: RunConfig, out_dir: Path,
     return extra
 
 
-def resolve_pp_actions(regime_actions: str, prepared: PreparedArticle,
-                       planner: PlannerModel | None) -> np.ndarray | None:
-    """Per-position conditioning actions for one article under a regime."""
-    stream = prepared.stream
-    if regime_actions == "none":
+def sentence_actions(source: str, prepared: PreparedArticle,
+                     planner: PlannerModel | None) -> np.ndarray | None:
+    """One action per sentence from a `Regime.action_source`; None for "none"."""
+    if source == "none":
         return None
-    if regime_actions == "fixed":
-        return constant_actions(len(stream))
-    if regime_actions == "oracle":
-        return per_position_actions(stream, prepared.oracle)
-    if regime_actions in ("predicted_oa", "predicted_pa"):
-        if planner is None:
-            raise ValidationError(f"regime {regime_actions} requires a planner")
-        predicted = predict_actions_for_article(planner, prepared.embeddings)
-        return per_position_actions(stream, predicted)
-    raise ValidationError(f"unknown regime {regime_actions!r}")
+    if source == "fixed":
+        return np.full(len(prepared.oracle), FIXED_ACTION_ID, dtype=np.int64)
+    if source == "oracle":
+        return np.asarray(prepared.oracle, dtype=np.int64)
+    if planner is None:
+        raise ValidationError("planned actions require a planner")
+    return np.asarray(predict_actions_for_article(planner, prepared.embeddings),
+                      dtype=np.int64)
 
 
-def _adapter_train_items(data: RunData, split: str, regime_actions: str,
-                         planner: PlannerModel | None) -> list:
+def scoring_items(data: RunData, split: str, regime: Regime, training: bool,
+                  planner: PlannerModel | None) -> list[ScoringItem]:
+    """A split's articles as the regime's LM sees them, at training or eval time.
+
+    Adapter style pairs the token ids with per-position actions; insert style
+    interleaves the action tokens and counts only the text tokens.
+    """
+    source = regime.action_source(training)
     items = []
     for prepared in data.prepared(split):
         if len(prepared.oracle) == 0:
             continue
-        acts = resolve_pp_actions(regime_actions, prepared, planner)
-        items.append((prepared.stream.token_ids.astype(np.int64), acts))
-    return items
-
-
-def _insert_items(data: RunData, split: str, locus: str,
-                  planner: PlannerModel | None, vocab_size: int) -> list:
-    items = []
-    for prepared in data.prepared(split):
-        if len(prepared.oracle) == 0:
-            continue
-        if locus == "internal":
-            actions = prepared.oracle
+        acts = sentence_actions(source, prepared, planner)
+        stream, article_id = prepared.stream, prepared.article.id
+        if regime.style == "insert":
+            ids, is_action = insert_style_sequence(stream, acts, data.vocab.size)
+            items.append(ScoringItem(ids=ids, countable=~is_action,
+                                     article_id=article_id))
         else:
-            if planner is None:
-                raise ValidationError("external insert style requires a planner")
-            actions = predict_actions_for_article(planner, prepared.embeddings)
-        items.append(insert_style_sequence(prepared.stream, actions, vocab_size))
+            items.append(ScoringItem(
+                ids=stream.token_ids.astype(np.int64),
+                actions=None if acts is None
+                else per_position_actions(stream, acts),
+                article_id=article_id))
     return items
 
 
@@ -428,22 +420,25 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
         raise ValidationError(
             "regime none needs no finetuning; evaluate uses base_lm.plmc")
     ensure_run_config(out_dir, config, force)
+    uses_planner = regime.action_source(training=True) == "planner"
     needed = ["base_lm.plmc", "actions.tsv"]
-    if regime.needs_planner:
+    if uses_planner:
         needed.append("planner.plmc")
     _check_input_digests(out_dir, config, needed, force)
     started = time.time()
     out_dir = Path(out_dir)
     data = RunData(out_dir, config)
-    base = load_base_lm(out_dir)
-    planner = load_planner(out_dir) if regime.needs_planner else None
+    base, _ = load_lm(out_dir, Regime("none"))
+    planner = load_planner(out_dir) if uses_planner else None
     action_set = load_action_set(out_dir, config)
+    train = scoring_items(data, "train", regime, training=True,
+                          planner=planner)
+    val = scoring_items(data, "val", regime, training=True, planner=planner)
+    budget = dict(batch_size=config.lm_batch, lr=config.lm_lr,
+                  max_epochs=config.finetune_epochs,
+                  patience=config.finetune_patience, seed=config.seed)
 
     if regime.style == "adapter":
-        # predicted_oa trains on oracle actions and differs only at eval time
-        train_actions = {"predicted_oa": "oracle",
-                         "predicted_pa": "predicted_pa"}.get(
-                             regime.actions, regime.actions)
         adapter_config = AdapterConfig(
             n_actions=action_set.k, action_dim=action_set.dim,
             adapted_layers=config.adapted_layers, init=config.adapter_init,
@@ -451,27 +446,14 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
         adapter = ActionAdapter(adapter_config, base.config,
                                 np.random.default_rng(config.seed),
                                 centroids=action_set.centroids)
-        history = finetune_adapter(
-            base, adapter,
-            _adapter_train_items(data, "train", train_actions, planner),
-            _adapter_train_items(data, "val", train_actions, planner),
-            batch_size=config.lm_batch, lr=config.lm_lr,
-            max_epochs=config.finetune_epochs,
-            patience=config.finetune_patience, seed=config.seed)
+        history = finetune_adapter(base, adapter, train, val, **budget)
         sections = {**{k: v.values for k, v in base.params_dict().items()},
                     **{k: v.values for k, v in adapter.params_dict().items()}}
         meta = adapter_lm_meta(base, adapter, regime)
     else:
         insert_lm = extend_for_insert(base, action_set.k, regime.locus,
                                       np.random.default_rng(config.seed))
-        history = finetune_insert(
-            insert_lm,
-            _insert_items(data, "train", regime.locus, planner,
-                          data.vocab.size),
-            _insert_items(data, "val", regime.locus, planner, data.vocab.size),
-            batch_size=config.lm_batch, lr=config.lm_lr,
-            max_epochs=config.finetune_epochs,
-            patience=config.finetune_patience, seed=config.seed)
+        history = finetune_insert(insert_lm, train, val, **budget)
         sections = {k: v.values
                     for k, v in insert_lm.base.params_dict().items()}
         meta = insert_lm_meta(insert_lm, regime)
@@ -492,23 +474,6 @@ def _half_split_point(stream: TokenStream) -> tuple[int, int]:
     return h, cut
 
 
-def _prefix_token_actions(regime_actions: str, prepared: PreparedArticle,
-                          planner: PlannerModel | None,
-                          cut: int) -> np.ndarray | None:
-    """Action of each prefix token's own sentence, regime-consistent."""
-    if regime_actions in ("none",):
-        return None
-    stream = prepared.stream
-    if regime_actions == "fixed":
-        return constant_actions(cut)
-    if regime_actions in ("predicted_oa", "predicted_pa"):
-        per_sentence = predict_actions_for_article(planner, prepared.embeddings)
-    else:
-        per_sentence = prepared.oracle
-    sidx = stream.sentence_index_of_token[:cut]
-    return np.asarray(per_sentence, dtype=np.int64)[sidx]
-
-
 def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
                   force: bool = False, mode: str = "conditional",
                   split: str = "test") -> dict:
@@ -516,25 +481,17 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
     if regime.style == "insert":
         raise ValidationError(
             "generation metrics are defined for adapter-style models")
-    needed = ["centroids.plmb", "actions.tsv"]
-    needed.append("base_lm.plmc" if regime.actions == "none"
-                  else checkpoint_name(regime))
-    if regime.actions in ("predicted_oa", "predicted_pa"):
+    needed = ["centroids.plmb", "actions.tsv", lm_name(regime)]
+    if regime.needs_planner:
         needed.append("planner.plmc")
     _check_input_digests(out_dir, config, needed, force)
     started = time.time()
     out_dir = Path(out_dir)
     data = RunData(out_dir, config)
     action_set = load_action_set(out_dir, config)
-    planner = load_planner(out_dir) \
-        if regime.actions in ("predicted_oa", "predicted_pa") else None
-    if regime.actions == "none":
-        base = load_base_lm(out_dir)
-        adapter = None
-    else:
-        sections, meta = storage.read_checkpoint(
-            _require_checkpoint(out_dir, regime))
-        base, adapter, _ = adapter_lm_from_checkpoint(sections, meta)
+    planner = load_planner(out_dir) if regime.needs_planner else None
+    base, adapter = load_lm(out_dir, regime)
+    source = regime.action_source(training=False)
 
     records = []
     prepared_split = data.prepared(split)[:config.eval_articles]
@@ -546,12 +503,13 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
             if len(prepared.stream.spans) < 2:
                 continue
             h, cut = _half_split_point(prepared.stream)
+            acts = sentence_actions(source, prepared, planner)
             record = generate(
                 base, adapter, regime, data.vocab, gen_config, data.encoder,
                 action_set, planner=planner,
                 prefix_ids=prepared.stream.token_ids[:cut].astype(np.int64),
-                prefix_token_actions=_prefix_token_actions(
-                    regime.actions, prepared, planner, cut),
+                prefix_token_actions=None if acts is None else
+                acts[prepared.stream.sentence_index_of_token[:cut]],
                 prefix_sentence_embeddings=prepared.embeddings[:h]
                 if planner is not None else None,
                 article_id=prepared.article.id)
@@ -568,49 +526,6 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
     extra = {"records": len(records), "mode": mode, "split": split}
     _finish(out_dir, name, "generate", config, needed, started, extra)
     return extra
-
-
-def _regime_logit_fn(base: BaseLM, adapter: ActionAdapter | None):
-    def logit_fn(ids, actions):
-        return base.forward(ids, adapter=adapter, actions=actions).values
-    return logit_fn
-
-
-def _scoring_items(data: RunData, split: str, regime: Regime,
-                   planner: PlannerModel | None,
-                   vocab_size: int) -> list[ScoringItem]:
-    items = []
-    for prepared in data.prepared(split):
-        if len(prepared.oracle) == 0:
-            continue
-        if regime.style == "insert":
-            if regime.locus == "internal":
-                actions = prepared.oracle
-            else:
-                actions = predict_actions_for_article(planner,
-                                                      prepared.embeddings)
-            ext_ids, is_action = insert_style_sequence(prepared.stream, actions,
-                                                       vocab_size)
-            items.append(ScoringItem(ids=ext_ids, countable=~is_action,
-                                     article_id=prepared.article.id))
-        else:
-            acts = resolve_pp_actions(regime.actions, prepared, planner)
-            items.append(ScoringItem(
-                ids=prepared.stream.token_ids.astype(np.int64), actions=acts,
-                article_id=prepared.article.id))
-    return items
-
-
-def _load_regime_model(out_dir: Path, regime: Regime):
-    if regime.actions == "none" and regime.style == "adapter":
-        return load_base_lm(out_dir), None
-    sections, meta = storage.read_checkpoint(
-        _require_checkpoint(out_dir, regime))
-    if regime.style == "insert":
-        insert_lm, _ = insert_lm_from_checkpoint(sections, meta)
-        return insert_lm.base, None
-    base, adapter, _ = adapter_lm_from_checkpoint(sections, meta)
-    return base, adapter
 
 
 def _article_from_tokens(article_id: str, vocab: Vocabulary,
@@ -720,12 +635,15 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
                 f"regime {regime_key(regime)} requires planner.plmc; "
                 "produce it with `planlm train-planner`")
         entry: dict = {}
-        base, adapter = _load_regime_model(out_dir, regime)
-        items = _scoring_items(data, split, regime, planner, data.vocab.size)
+        base, adapter = load_lm(out_dir, regime)
+        items = scoring_items(data, split, regime, training=False,
+                              planner=planner)
         if regime.actions == "fixed" and planner is not None:
             planner_calls_before = planner.invocations
-        entry["ppl"] = corpus_perplexity(_regime_logit_fn(base, adapter), items,
-                                         base.config.context_window)
+        entry["ppl"] = corpus_perplexity(
+            lambda ids, actions: base.forward(ids, adapter=adapter,
+                                              actions=actions).values,
+            items, base.config.context_window)
         if regime.actions == "fixed" and planner is not None:
             entry["planner_invocations"] = planner.invocations \
                 - planner_calls_before
@@ -759,9 +677,7 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
     out_dir = Path(out_dir)
     data = RunData(out_dir, config)
     action_set = load_action_set(out_dir, config)
-    sections, meta = storage.read_checkpoint(
-        _require_checkpoint(out_dir, oracle_regime))
-    base, adapter, _ = adapter_lm_from_checkpoint(sections, meta)
+    base, adapter = load_lm(out_dir, oracle_regime)
 
     def logit_fn(ids, actions, action_noise=None):
         return base.forward(ids, adapter=adapter, actions=actions,
@@ -816,11 +732,9 @@ def step_inspect_cluster(config: RunConfig, out_dir: Path, action_id: int,
     data = RunData(out_dir, config)
     action_set = load_action_set(out_dir, config)
     hits = inspect_cluster(action_id, data.articles, action_set, top_n,
-                           data.encoder)
-    sizes = np.zeros(action_set.k, dtype=np.int64)
-    for seq in data.oracle.values():
-        for a in seq:
-            sizes[a] += 1
+                           data.embeddings)
+    sizes = np.bincount([a for seq in data.oracle.values() for a in seq],
+                        minlength=action_set.k)
     order = np.argsort(-sizes)[:10]
     return {
         "action_id": action_id,

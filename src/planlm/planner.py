@@ -10,7 +10,6 @@ single learned "begin" embedding.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, asdict
 from typing import Sequence
 
@@ -94,13 +93,6 @@ class PlannerModel:
             out.update(self.mlp1.params("planner.mlp1"))
             out.update(self.mlp2.params("planner.mlp2"))
         return out
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.values.copy() for k, v in self.params_dict().items()}
-
-    def restore(self, snap: dict[str, np.ndarray]) -> None:
-        for k, v in self.params_dict().items():
-            v.values = snap[k].copy()
 
     # -- forward -----------------------------------------------------------------
 
@@ -221,12 +213,12 @@ def train_planner(model: PlannerModel, train: Sequence[ArticlePlan],
     `patience` evaluations without improvement and the best parameters are
     restored.
     """
-    params = list(model.params_dict().values())
-    opt = ad.Adam(params, lr=lr)
+    params = model.params_dict()
+    opt = ad.Adam(list(params.values()), lr=lr)
     buckets = _length_buckets(train, model.config.context_limit)
     history: dict = {"train_loss": [], "val_loss": []}
     best_val = np.inf
-    best_snap = model.snapshot()
+    best_snap = nn.snapshot(params)
     since_best = 0
 
     for epoch in range(max_epochs):
@@ -249,14 +241,14 @@ def train_planner(model: PlannerModel, train: Sequence[ArticlePlan],
         history["val_loss"].append(val_loss)
         if val_loss < best_val - 1e-6:
             best_val = val_loss
-            best_snap = model.snapshot()
+            best_snap = nn.snapshot(params)
             since_best = 0
         else:
             since_best += 1
             if since_best >= patience:
                 break
 
-    model.restore(best_snap)
+    nn.restore(params, best_snap)
     history["best_val_loss"] = float(best_val)
     return history
 
@@ -303,10 +295,9 @@ def planner_from_checkpoint(sections: dict[str, np.ndarray],
                             meta: dict) -> PlannerModel:
     if meta.get("kind") != "planner":
         raise ValidationError("checkpoint is not a planner")
-    cfg_dict = copy.deepcopy(meta["config"])
-    cfg_dict["head_init"] = "random"  # weights come from the checkpoint
-    config = PlannerConfig(**cfg_dict)
-    model = PlannerModel(config, np.random.default_rng(0))
+    # the saved head stands in for the centroids it started from
+    model = PlannerModel(PlannerConfig(**meta["config"]),
+                         np.random.default_rng(0),
+                         centroids=sections.get("planner.w_o"))
     nn.load_params(model.params_dict(), sections)
-    model.config = PlannerConfig(**meta["config"])
     return model

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from planlm.actions import (ActionSet, assign_action, assign_actions,
-                            cluster_sizes, extract_action_sequence,
-                            inspect_cluster, kmeans_fit)
+                            extract_action_sequence, inspect_cluster,
+                            kmeans_fit)
 from planlm.corpus import Article
 from planlm.encoder import EncoderConfig, SentenceEncoder
 from planlm.errors import ValidationError
@@ -157,7 +157,8 @@ def test_inspect_cluster_sorted_and_top_hit():
     action_set = kmeans_fit(embeddings, k=3, seed=0)
     articles = [Article("a", "", " ".join(texts))]
     target = assign_action(embeddings[1], action_set)
-    hits = inspect_cluster(target, articles, action_set, top_n=3, encoder=enc)
+    hits = inspect_cluster(target, articles, action_set, top_n=3,
+                           embeddings={"a": embeddings})
     dists = [h[0] for h in hits]
     assert dists == sorted(dists)
     assert hits[0][1] == "Dd ee ff."
@@ -167,10 +168,4 @@ def test_inspect_cluster_sorted_and_top_hit():
 def test_inspect_cluster_unknown_id():
     action_set = ActionSet(np.zeros((2, 3), dtype=np.float32), 0.0, 2, 0, 300)
     with pytest.raises(ValidationError):
-        inspect_cluster(5, [], action_set, 1, SentenceEncoder(ENC_CFG))
-
-
-def test_cluster_sizes_counts_assignments():
-    from planlm.actions import ActionSequence
-    seqs = [ActionSequence("a", [0, 1, 1]), ActionSequence("b", [1])]
-    np.testing.assert_array_equal(cluster_sizes(seqs, k=3), [1, 3, 0])
+        inspect_cluster(5, [], action_set, 1, {})

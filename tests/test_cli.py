@@ -1,8 +1,11 @@
 import json
 import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from planlm import storage
 from planlm.cli import main
 from planlm.corpus import save_articles_jsonl
 from planlm.synthdata import default_grammar, generate_corpus
@@ -129,6 +132,49 @@ def test_external_embeddings_escape_hatch(corpus_file, tmp_path, run_dir):
     assert (out / "embeddings.plmb").exists()
     manifest = json.loads((out / "embeddings.plmb.manifest.json").read_text())
     assert manifest["extra"]["external"] is True
+
+
+def test_inspect_cluster_ranks_in_external_embedding_space(corpus_file, tmp_path,
+                                                          run_dir, capsys):
+    # 16-dim external embeddings under encoder_dim=32: the centroids live in
+    # the external space, so the built-in encoder must not be used to rank
+    rows = storage.read_matrix(run_dir / "embeddings.plmb").shape[0]
+    matrix = np.random.default_rng(0).normal(size=(rows, 16))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    external = tmp_path / "external16.plmb"
+    storage.write_matrix(external, matrix)
+    out = tmp_path / "ext16"
+    assert main(args(out, "ingest", "--input", str(corpus_file))) == 0
+    assert main(args(out, "embed", "--external-embeddings", str(external))) == 0
+    for command in ("cluster", "actions"):
+        assert main(args(out, command)) == 0
+    capsys.readouterr()
+    assert main(args(out, "inspect-cluster", "--action-id", "0",
+                     "--top-n", "3")) == 0
+    nearest = json.loads(capsys.readouterr().out)["nearest"]
+    centroid = storage.read_matrix(out / "centroids.plmb")[0].astype(np.float64)
+    stored = storage.read_matrix(out / "embeddings.plmb").astype(np.float64)
+    want = np.sort(((stored - centroid) ** 2).sum(axis=1))[:3]
+    np.testing.assert_allclose([h["distance"] for h in nearest], want,
+                               rtol=1e-9)
+
+
+def test_predicted_oa_finetunes_without_a_planner(corpus_file, tmp_path,
+                                                  capsys):
+    out = tmp_path / "no_planner"
+    assert main(args(out, "ingest", "--input", str(corpus_file))) == 0
+    for command in ("embed", "cluster", "actions", "pretrain-lm"):
+        assert main(args(out, command)) == 0
+    # trains on oracle actions: the planner is neither read nor recorded
+    assert main(args(out, "finetune", "--regime", "predicted_oa")) == 0
+    manifest = json.loads(
+        (out / "lm_predicted_oa.plmc.manifest.json").read_text())
+    assert "planner.plmc" not in {Path(p).name for p in manifest["inputs"]}
+    assert main(args(out, "finetune", "--regime", "predicted_pa")) == 2
+    # evaluated on planned actions: the planner is required
+    capsys.readouterr()
+    assert main(args(out, "evaluate", "--regimes", "predicted_oa")) == 1
+    assert "train-planner" in capsys.readouterr().err
 
 
 def test_scan_oracle_outputs_curves(run_dir):

@@ -5,11 +5,14 @@ from hypothesis import given, settings, strategies as st
 from planlm import storage
 from planlm.corpus import Article
 from planlm.encoder import (EncoderConfig, SentenceEncoder, embed_corpus,
-                            embed_sentence, empty_sentence_vector,
-                            group_rows_by_article)
+                            empty_sentence_vector, group_rows_by_article)
 from planlm.errors import ValidationError
 
 CFG = EncoderConfig(dim=32, hash_buckets=4096, projection_seed=11)
+
+
+def embed_sentence(text, config):
+    return SentenceEncoder(config).embed_sentence(text)
 
 
 def cosine(a, b):

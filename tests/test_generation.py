@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from planlm.actions import kmeans_fit
-from planlm.corpus import Article, Vocabulary
+from planlm.corpus import Vocabulary
 from planlm.encoder import EncoderConfig, SentenceEncoder
 from planlm.errors import ValidationError
 from planlm.generation import (GenerationConfig, GenerationRecord, generate,
-                               generate_insert_internal, plan_following_rate,
-                               replay_record, sample_token)
+                               generate_insert_internal, sample_token)
 from planlm.lm import (ActionAdapter, AdapterConfig, BaseLM, LmConfig, Regime,
                        extend_for_insert)
 from planlm.planner import PlannerConfig, PlannerModel
@@ -69,14 +68,6 @@ def test_same_seed_sampling_is_deterministic():
     b = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
     assert a.token_ids == b.token_ids
     assert a.planned_actions == b.planned_actions
-
-
-def test_oracle_replay_rate_is_one():
-    _, _, action_set, _, enc = tiny_world()
-    art = Article("a", "", "The cat ran. Big red cat.")
-    rec = replay_record(art, action_set, enc)
-    assert len(rec.planned_actions) == 2
-    assert plan_following_rate(rec) == 1.0
 
 
 def test_single_action_vocabulary_always_follows_plan():

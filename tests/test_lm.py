@@ -7,15 +7,12 @@ from planlm import autodiff as ad
 from planlm import evaluation, storage
 from planlm.corpus import TokenStream
 from planlm.errors import ValidationError
-from planlm.lm import (ActionAdapter, AdapterConfig, BaseLM, InsertLM, LmConfig,
-                       Regime, adapter_forward, adapter_lm_from_checkpoint,
-                       adapter_lm_meta, base_lm_from_checkpoint, base_lm_meta,
-                       constant_actions, extend_for_insert, finetune_adapter,
-                       finetune_insert, insert_lm_from_checkpoint,
+from planlm.lm import (ActionAdapter, AdapterConfig, BaseLM, LmConfig,
+                       REGIMES, Regime, adapter_lm_meta, base_lm_meta,
+                       extend_for_insert, finetune_adapter, finetune_insert,
                        insert_lm_meta, insert_style_sequence,
-                       per_position_actions, pretrain_base,
-                       select_action_for_position, strip_action_tokens,
-                       window_examples)
+                       lm_from_checkpoint, per_position_actions, pretrain_base,
+                       select_action_for_position, window_examples)
 
 V, D, LAYERS = 12, 16, 2
 LM_CFG = LmConfig(vocab_size=V, d_model=D, n_layers=LAYERS, n_heads=2,
@@ -63,10 +60,6 @@ def test_single_sentence_article_constant_action():
     assert per_position_actions(s, [4]).tolist() == [4, 4, 4]
 
 
-def test_constant_actions_fixed_regime():
-    assert constant_actions(4).tolist() == [0, 0, 0, 0]
-
-
 # -- adapter forward ---------------------------------------------------------------
 
 
@@ -84,8 +77,8 @@ def test_zero_adapter_equals_base_lm():
         w.values[:] = 0.0
     for _ in range(5):
         ids, actions = random_inputs(rng)
-        conditioned = adapter_forward(base, adapter, ids, actions).values
-        plain = adapter_forward(base, None, ids, None).values
+        conditioned = base.forward(ids, adapter=adapter, actions=actions).values
+        plain = base.forward(ids).values
         assert np.abs(conditioned - plain).max() <= 1e-6
 
 
@@ -93,17 +86,17 @@ def test_logit_shape_is_len_by_vocab():
     base = make_base()
     adapter = make_adapter(base)
     ids, actions = random_inputs(np.random.default_rng(0), b=3, t=7)
-    assert adapter_forward(base, adapter, ids, actions).shape == (3, 7, V)
+    assert base.forward(ids, adapter=adapter, actions=actions).shape == (3, 7, V)
 
 
 def test_changing_action_changes_logits_at_that_position():
     base = make_base(seed=5)
     adapter = make_adapter(base, seed=6)
     ids, actions = random_inputs(np.random.default_rng(1), b=1, t=6)
-    base_logits = adapter_forward(base, adapter, ids, actions).values
+    base_logits = base.forward(ids, adapter=adapter, actions=actions).values
     changed = actions.copy()
     changed[0, 3] = (changed[0, 3] + 1) % 4
-    new_logits = adapter_forward(base, adapter, ids, changed).values
+    new_logits = base.forward(ids, adapter=adapter, actions=changed).values
     assert np.abs(new_logits[0, 3] - base_logits[0, 3]).max() > 0.0
 
 
@@ -112,12 +105,12 @@ def test_causality_future_tokens_and_actions_do_not_leak():
     adapter = make_adapter(base, seed=8)
     rng = np.random.default_rng(2)
     ids, actions = random_inputs(rng, b=1, t=8)
-    ref = adapter_forward(base, adapter, ids, actions).values
+    ref = base.forward(ids, adapter=adapter, actions=actions).values
     p = 4
     ids2, actions2 = ids.copy(), actions.copy()
     ids2[0, p + 1:] = rng.integers(0, V, ids2[0, p + 1:].shape)
     actions2[0, p + 1:] = rng.integers(0, 4, actions2[0, p + 1:].shape)
-    out = adapter_forward(base, adapter, ids2, actions2).values
+    out = base.forward(ids2, adapter=adapter, actions=actions2).values
     np.testing.assert_allclose(out[0, :p + 1], ref[0, :p + 1], atol=1e-6)
 
 
@@ -203,12 +196,8 @@ def test_pretrain_same_seed_bit_identical(tmp_path):
 def adapter_items(streams, k=2, seed=0):
     """Token streams where the action id reveals the next sentence's letters."""
     rng = np.random.default_rng(seed)
-    items = []
-    for ids in streams:
-        n = len(ids)
-        acts = rng.integers(0, k, n)
-        items.append((ids, acts))
-    return items
+    return [evaluation.ScoringItem(ids=ids, actions=rng.integers(0, k, len(ids)))
+            for ids in streams]
 
 
 def test_finetune_adapter_freezes_base_and_learns():
@@ -251,8 +240,8 @@ def test_insert_keeps_bos_first():
 
 def test_insert_round_trip():
     s = stream([1, 3, 4, 2, 2], [0, 0, 0, 1, 2])
-    ext, _ = insert_style_sequence(s, [2, 0, 1], vocab_size=5)
-    np.testing.assert_array_equal(strip_action_tokens(ext, 5), s.token_ids)
+    ext, is_action = insert_style_sequence(s, [2, 0, 1], vocab_size=5)
+    np.testing.assert_array_equal(ext[~is_action], s.token_ids)
 
 
 def test_extend_for_insert_shapes_and_copied_rows():
@@ -295,7 +284,8 @@ def test_finetune_insert_trains_both_loci():
         items = []
         for ids in streams:
             s = stream(ids, np.zeros(len(ids), dtype=np.int32))
-            items.append(insert_style_sequence(s, [int(ids[1] % 2)], V))
+            ext, is_action = insert_style_sequence(s, [int(ids[1] % 2)], V)
+            items.append(evaluation.ScoringItem(ids=ext, countable=~is_action))
         history = finetune_insert(insert_lm, items[:6], items[6:],
                                   batch_size=4, lr=1e-3, max_epochs=2,
                                   patience=3, seed=0)
@@ -305,10 +295,25 @@ def test_finetune_insert_trains_both_loci():
 # -- regimes and persistence ----------------------------------------------------------
 
 
+# (regime, action source at training time, at eval time)
+ACTION_SOURCES = [
+    (Regime("none"), "none", "none"),
+    (Regime("fixed"), "fixed", "fixed"),
+    (Regime("oracle"), "oracle", "oracle"),
+    (Regime("predicted_oa"), "oracle", "planner"),
+    (Regime("predicted_pa"), "planner", "planner"),
+    *[(Regime(a, style="insert", locus="external"), "planner", "planner")
+      for a in REGIMES],
+    *[(Regime(a, style="insert", locus="internal"), "oracle", "oracle")
+      for a in REGIMES],
+]
+
+
 def test_regime_validation():
-    assert Regime("oracle").needs_planner is False
-    assert Regime("predicted_pa").needs_planner is True
-    assert Regime("fixed", style="insert", locus="external").needs_planner
+    for regime, train_source, eval_source in ACTION_SOURCES:
+        assert regime.action_source(training=True) == train_source, regime
+        assert regime.action_source(training=False) == eval_source, regime
+        assert regime.needs_planner is (eval_source == "planner"), regime
     with pytest.raises(ValidationError):
         Regime("oracle", style="adapter", locus="internal")
     with pytest.raises(ValidationError):
@@ -324,12 +329,14 @@ def test_adapter_checkpoint_regime_round_trip(tmp_path):
                 **{k: v.values for k, v in adapter.params_dict().items()}}
     storage.write_checkpoint(path, sections, adapter_lm_meta(base, adapter, regime))
     loaded_sections, meta = storage.read_checkpoint(path)
-    base2, adapter2, regime2 = adapter_lm_from_checkpoint(loaded_sections, meta)
+    base2, adapter2, regime2 = lm_from_checkpoint(loaded_sections, meta)
     assert regime2 == regime
+    assert base2.config == base.config
+    assert adapter2.config == adapter.config
     ids, actions = random_inputs(np.random.default_rng(3))
     np.testing.assert_allclose(
-        adapter_forward(base2, adapter2, ids, actions).values,
-        adapter_forward(base, adapter, ids, actions).values, atol=1e-7)
+        base2.forward(ids, adapter=adapter2, actions=actions).values,
+        base.forward(ids, adapter=adapter, actions=actions).values, atol=1e-7)
 
 
 def test_base_lm_checkpoint_round_trip(tmp_path):
@@ -338,7 +345,9 @@ def test_base_lm_checkpoint_round_trip(tmp_path):
     storage.write_checkpoint(path, {k: v.values for k, v in
                                     base.params_dict().items()},
                              base_lm_meta(base))
-    base2 = base_lm_from_checkpoint(*storage.read_checkpoint(path))
+    base2, adapter2, regime2 = lm_from_checkpoint(*storage.read_checkpoint(path))
+    assert adapter2 is None and regime2 is None
+    assert base2.config == base.config
     ids = np.random.default_rng(4).integers(0, V, (1, 5))
     np.testing.assert_array_equal(base2.forward(ids).values,
                                   base.forward(ids).values)
@@ -352,10 +361,16 @@ def test_insert_lm_checkpoint_round_trip(tmp_path):
     storage.write_checkpoint(path, {k: v.values for k, v in
                                     insert_lm.base.params_dict().items()},
                              insert_lm_meta(insert_lm, regime))
-    loaded, regime2 = insert_lm_from_checkpoint(*storage.read_checkpoint(path))
+    sections, meta = storage.read_checkpoint(path)
+    base2, adapter2, regime2 = lm_from_checkpoint(sections, meta)
     assert regime2 == regime
-    assert loaded.n_text_tokens == V
-    assert loaded.n_actions == 3
+    assert adapter2 is None
+    assert base2.config == insert_lm.base.config
+    assert meta["n_text_tokens"] == V
+    assert meta["n_actions"] == 3
+    ids = np.random.default_rng(6).integers(0, V + 3, (1, 5))
+    np.testing.assert_array_equal(base2.forward(ids).values,
+                                  insert_lm.base.forward(ids).values)
 
 
 # -- sliding-window scoring -------------------------------------------------------------
