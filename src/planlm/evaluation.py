@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .errors import ValidationError
+from .nn import length_batches
 
 
 # -- surface metrics -----------------------------------------------------------
@@ -288,20 +289,15 @@ def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem], window: int,
 
     total = np.float64(0.0)
     count = 0
-    by_len: dict[int, list] = {}
-    for job in jobs:
-        by_len.setdefault(len(job[0]), []).append(job)
-    for _, group in sorted(by_len.items()):
-        for i in range(0, len(group), 64):
-            chunk = group[i:i + 64]
-            ids_b = np.stack([j[0] for j in chunk])
-            acts_b = np.stack([j[1] for j in chunk]) \
-                if chunk[0][1] is not None else None
-            logits = logit_fn(ids_b, acts_b)
-            for row, (_, _, targets, counted) in enumerate(chunk):
-                nll = _nll_rows(logits[row, :len(targets)], np.asarray(targets))
-                total += nll[counted].sum()
-                count += int(counted.sum())
+    for chunk in length_batches(jobs, lambda job: len(job[0]), 64):
+        ids_b = np.stack([j[0] for j in chunk])
+        acts_b = np.stack([j[1] for j in chunk]) \
+            if chunk[0][1] is not None else None
+        logits = logit_fn(ids_b, acts_b)
+        for row, (_, _, targets, counted) in enumerate(chunk):
+            nll = _nll_rows(logits[row, :len(targets)], np.asarray(targets))
+            total += nll[counted].sum()
+            count += int(counted.sum())
     return float(total), count
 
 

@@ -16,7 +16,7 @@ token at position p+1, because the prediction at p scores that next token.
 from __future__ import annotations
 
 from dataclasses import dataclass, asdict
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -331,160 +331,50 @@ def window_examples(ids: np.ndarray, window: int,
     return out
 
 
-def _batched(examples: list[WindowExample], batch_size: int,
-             rng: np.random.Generator | None) -> list[list[WindowExample]]:
-    buckets: dict[int, list[WindowExample]] = {}
-    for ex in examples:
-        buckets.setdefault(len(ex.inputs), []).append(ex)
-    batches = []
-    for _, group in sorted(buckets.items()):
-        if rng is not None:
-            order = rng.permutation(len(group))
-            group = [group[i] for i in order]
-        for i in range(0, len(group), batch_size):
-            batches.append(group[i:i + batch_size])
-    if rng is not None:
-        order = rng.permutation(len(batches))
-        batches = [batches[i] for i in order]
-    return batches
+def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
+             val_items: Sequence[evaluation.ScoringItem] = (),
+             adapter: ActionAdapter | None = None, batch_size: int = 32,
+             lr: float = 1e-4, max_epochs: int = 4, patience: int = 3,
+             seed: int = 0) -> dict:
+    """Next-token training on non-overlapping windows of the items' ids.
 
-
-def _batch_loss(forward: Callable[[np.ndarray, np.ndarray | None], Tensor],
-                batch: list[WindowExample]) -> Tensor:
-    ids = np.stack([ex.inputs for ex in batch])
-    targets = np.stack([ex.targets for ex in batch])
-    actions = np.stack([ex.actions for ex in batch]) \
-        if batch[0].actions is not None else None
-    mask = np.stack([ex.mask for ex in batch]) \
-        if batch[0].mask is not None else None
-    return ad.cross_entropy(forward(ids, actions), targets, mask)
-
-
-def train_lm(forward: Callable[[np.ndarray, np.ndarray | None], Tensor],
-             trainable: dict[str, Tensor], examples: list[WindowExample],
-             batch_size: int = 32, lr: float = 1e-4, max_epochs: int = 4,
-             patience: int = 3, seed: int = 0,
-             val_metric: Callable[[], float] | None = None) -> dict:
-    """Shared LM training loop over the `trainable` parameters.
-
-    With `val_metric` (lower is better) the loop early-stops after `patience`
-    non-improving epoch evaluations and restores the best parameters; without
-    it the budget is exactly `max_epochs` epochs.
+    With an adapter only the adapter trains and the base LM stays frozen
+    bit-for-bit; without one every base parameter trains. An item's `actions`
+    condition the adapter, and its `countable` masks the loss (an external
+    insert planner's action tokens are inputs, never targets). With
+    `val_items`, training early-stops on their perplexity (see `nn.fit`);
+    without them it runs exactly `max_epochs` epochs.
     """
-    opt = ad.Adam(list(trainable.values()), lr=lr)
-    history: dict = {"train_loss": [], "val_metric": []}
-    best = np.inf
-    best_snap = nn.snapshot(trainable) if val_metric is not None else None
-    since_best = 0
-    for epoch in range(max_epochs):
-        rng = np.random.default_rng((seed, epoch))
-        total = np.float64(0.0)
-        count = 0
-        for batch in _batched(examples, batch_size, rng):
-            loss = _batch_loss(forward, batch)
-            ad.backward(loss)
-            opt.step()
-            total += np.float64(loss.item()) * len(batch)
-            count += len(batch)
-        history["train_loss"].append(float(total / max(count, 1)))
-        if val_metric is None:
-            continue
-        score = val_metric()
-        history["val_metric"].append(score)
-        if score < best - 1e-9:
-            best = score
-            best_snap = nn.snapshot(trainable)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= patience:
-                break
-    if val_metric is not None:
-        nn.restore(trainable, best_snap)
-        history["best_val_metric"] = float(best)
-    return history
-
-
-def pretrain_base(base: BaseLM, streams: Sequence[np.ndarray],
-                  batch_size: int = 32, lr: float = 1e-4, max_epochs: int = 4,
-                  seed: int = 0) -> dict:
-    """Plain next-token pretraining on raw id streams, fixed epoch budget."""
-    examples = []
-    for ids in streams:
-        examples.extend(window_examples(ids, base.config.context_window))
-    params = base.params_dict()
-    nn.set_trainable(params, True)
-    return train_lm(lambda ids, _: base.forward(ids), params, examples,
-                    batch_size=batch_size, lr=lr, max_epochs=max_epochs,
-                    seed=seed)
-
-
-def _val_perplexity(logit_fn, val_items: Sequence[evaluation.ScoringItem],
-                    window: int) -> Callable[[], float] | None:
-    if not val_items:
-        return None
-    return lambda: evaluation.corpus_perplexity(logit_fn, val_items, window)
-
-
-def finetune_adapter(base: BaseLM, adapter: ActionAdapter,
-                     train_items: Sequence[evaluation.ScoringItem],
-                     val_items: Sequence[evaluation.ScoringItem],
-                     batch_size: int = 32, lr: float = 1e-4, max_epochs: int = 6,
-                     patience: int = 3, seed: int = 0) -> dict:
-    """Train only the adapter; the base LM is frozen bit-for-bit.
-
-    Items carry each article's token ids and per-position actions; early
-    stopping follows validation perplexity.
-    """
-    nn.set_trainable(base.params_dict(), False)
-    nn.set_trainable(adapter.params_dict(), True)
     window = base.config.context_window
-    examples = []
-    for item in train_items:
-        examples.extend(window_examples(item.ids, window,
-                                        pp_actions=item.actions))
+    examples = [ex for item in items
+                for ex in window_examples(item.ids, window,
+                                          pp_actions=item.actions,
+                                          countable=item.countable)]
+    trainable = base.params_dict() if adapter is None else adapter.params_dict()
+    nn.set_trainable(base.params_dict(), adapter is None)
+    nn.set_trainable(trainable, True)
 
-    def forward(ids, actions):
-        return base.forward(ids, adapter=adapter, actions=actions)
+    def batch_loss(batch: list[WindowExample]) -> Tensor:
+        ids = np.stack([ex.inputs for ex in batch])
+        targets = np.stack([ex.targets for ex in batch])
+        actions = np.stack([ex.actions for ex in batch]) \
+            if batch[0].actions is not None else None
+        mask = np.stack([ex.mask for ex in batch]) \
+            if batch[0].mask is not None else None
+        return ad.cross_entropy(
+            base.forward(ids, adapter=adapter, actions=actions), targets, mask)
 
-    val_metric = _val_perplexity(lambda i, a: forward(i, a).values, val_items,
-                                 window)
+    def val_perplexity() -> float:
+        return evaluation.corpus_perplexity(
+            lambda i, a: base.forward(i, adapter=adapter, actions=a).values,
+            val_items, window)
+
     try:
-        history = train_lm(forward, adapter.params_dict(), examples,
-                           batch_size=batch_size, lr=lr,
-                           max_epochs=max_epochs, patience=patience, seed=seed,
-                           val_metric=val_metric)
+        return nn.fit(trainable, examples, lambda ex: len(ex.inputs),
+                      batch_loss, batch_size, lr, max_epochs, patience, seed,
+                      val_metric=val_perplexity if val_items else None)
     finally:
         nn.set_trainable(base.params_dict(), True)
-    return history
-
-
-def finetune_insert(insert_lm: InsertLM,
-                    train_items: Sequence[evaluation.ScoringItem],
-                    val_items: Sequence[evaluation.ScoringItem],
-                    batch_size: int = 32, lr: float = 1e-4, max_epochs: int = 6,
-                    patience: int = 3, seed: int = 0) -> dict:
-    """Full-parameter finetuning on interleaved sequences.
-
-    Items carry each article's extended ids with `countable` marking the text
-    tokens. With an external planner the training loss is masked to text-token
-    positions (actions are inputs, never targets); an internal planner learns
-    the action tokens too. Validation perplexity counts text tokens only.
-    """
-    base = insert_lm.base
-    window = base.config.context_window
-    external = insert_lm.locus == "external"
-    examples = []
-    for item in train_items:
-        examples.extend(window_examples(
-            item.ids, window, countable=item.countable if external else None))
-    params = base.params_dict()
-    nn.set_trainable(params, True)
-    return train_lm(lambda ids, _: base.forward(ids), params, examples,
-                    batch_size=batch_size, lr=lr, max_epochs=max_epochs,
-                    patience=patience, seed=seed,
-                    val_metric=_val_perplexity(lambda i, a: base.forward(i).values,
-                                               val_items, window))
 
 
 # -- persistence --------------------------------------------------------------------

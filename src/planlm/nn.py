@@ -6,6 +6,8 @@ for projections and embeddings, zeros for biases.
 
 from __future__ import annotations
 
+from typing import Callable, Sequence, TypeVar
+
 import numpy as np
 
 from . import autodiff as ad
@@ -13,6 +15,10 @@ from .autodiff import Tensor
 
 INIT_STD = 0.02
 MASK_BIAS = -1e9
+# a validation score must fall by more than this to count as an improvement
+IMPROVEMENT_TOL = 1e-9
+
+Item = TypeVar("Item")
 
 
 def normal_param(rng: np.random.Generator, shape: tuple[int, ...],
@@ -160,3 +166,75 @@ def load_params(params: dict[str, Tensor], sections: dict[str, np.ndarray]) -> N
             raise ad.ShapeError(
                 f"section {name} shape {arr.shape} != expected {tensor.shape}")
         tensor.values = arr.astype(np.float32, copy=True)
+
+
+def length_batches(items: Sequence[Item], length: Callable[[Item], int],
+                   batch_size: int, rng: np.random.Generator | None = None,
+                   ) -> list[list[Item]]:
+    """Batches of at most `batch_size` items that share one `length(item)`.
+
+    Without an rng, items keep their order and batches come in ascending
+    length. With one, each length group is permuted before it is cut, and then
+    the batches are permuted.
+    """
+    groups: dict[int, list[Item]] = {}
+    for item in items:
+        groups.setdefault(length(item), []).append(item)
+    batches = []
+    for _, group in sorted(groups.items()):
+        if rng is not None:
+            group = [group[i] for i in rng.permutation(len(group))]
+        batches.extend(group[i:i + batch_size]
+                       for i in range(0, len(group), batch_size))
+    if rng is not None:
+        batches = [batches[i] for i in rng.permutation(len(batches))]
+    return batches
+
+
+def fit(trainable: dict[str, Tensor], items: Sequence[Item],
+        length: Callable[[Item], int],
+        batch_loss: Callable[[list[Item]], Tensor], batch_size: int, lr: float,
+        max_epochs: int, patience: int, seed: int,
+        val_metric: Callable[[], float] | None = None) -> dict:
+    """Adam on the `trainable` parameters over shuffled equal-length batches.
+
+    Epoch e shuffles with `default_rng((seed, e))`, and `batch_loss` gives a
+    batch's mean loss. `history["train_loss"]` holds each epoch's mean over
+    items. With `val_metric` (lower is better), scored after every epoch,
+    training stops after `patience` epochs without an improvement of more
+    than `IMPROVEMENT_TOL`, and the best parameters are restored and their
+    score kept as `history["best_val_metric"]`. Without it, training runs
+    exactly `max_epochs` epochs and keeps the last parameters.
+    """
+    opt = ad.Adam(list(trainable.values()), lr=lr)
+    history: dict = {"train_loss": [], "val_metric": []}
+    best = np.inf
+    best_snap = snapshot(trainable) if val_metric is not None else None
+    since_best = 0
+    for epoch in range(max_epochs):
+        rng = np.random.default_rng((seed, epoch))
+        total = np.float64(0.0)
+        count = 0
+        for batch in length_batches(items, length, batch_size, rng):
+            loss = batch_loss(batch)
+            ad.backward(loss)
+            opt.step()
+            total += np.float64(loss.item()) * len(batch)
+            count += len(batch)
+        history["train_loss"].append(float(total / max(count, 1)))
+        if val_metric is None:
+            continue
+        score = val_metric()
+        history["val_metric"].append(score)
+        if score < best - IMPROVEMENT_TOL:
+            best = score
+            best_snap = snapshot(trainable)
+            since_best = 0
+        else:
+            since_best += 1
+            if since_best >= patience:
+                break
+    if val_metric is not None:
+        restore(trainable, best_snap)
+        history["best_val_metric"] = float(best)
+    return history

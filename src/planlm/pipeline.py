@@ -7,6 +7,7 @@ manifest (inputs, hashes, wall time, seed).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import time
 from dataclasses import dataclass
@@ -29,9 +30,8 @@ from .evaluation import ScanItem, ScoringItem, corpus_latent_perplexity, \
 from .generation import GenerationConfig, generate
 from .lm import (FIXED_ACTION_ID, ActionAdapter, AdapterConfig, BaseLM,
                  LmConfig, Regime, adapter_lm_meta, base_lm_meta,
-                 extend_for_insert, finetune_adapter, finetune_insert,
-                 insert_lm_meta, insert_style_sequence, lm_from_checkpoint,
-                 per_position_actions, pretrain_base)
+                 extend_for_insert, insert_lm_meta, insert_style_sequence,
+                 lm_from_checkpoint, per_position_actions, train_lm)
 from .planner import (PlannerConfig, PlannerModel, evaluate_planner,
                       planner_from_checkpoint, planner_meta,
                       predict_actions_for_article, train_planner)
@@ -172,7 +172,9 @@ class PreparedArticle:
 
 
 class RunData:
-    """Lazy per-split view of the corpus with embeddings and oracle actions."""
+    """Lazy per-split view of the corpus with embeddings and oracle actions.
+
+    Each split is prepared once and shared: callers must not mutate it."""
 
     def __init__(self, out_dir: Path, config: RunConfig):
         self.out_dir = Path(out_dir)
@@ -186,18 +188,21 @@ class RunData:
         self.oracle = storage.read_action_sequences(
             _require(out_dir, "actions.tsv"))
         self.encoder = SentenceEncoder(encoder_config(config))
+        self._prepared: dict[str, list[PreparedArticle]] = {}
 
     def prepared(self, split: str) -> list[PreparedArticle]:
-        out = []
-        for article_id in self.splits[split]:
-            article = self.by_id[article_id]
-            stream = tokenize(article, self.vocab)
-            emb = self.embeddings.get(
-                article_id,
-                np.zeros((0, self.config.encoder_dim), dtype=np.float32))
-            out.append(PreparedArticle(article, stream, emb,
-                                       self.oracle[article_id]))
-        return out
+        if split not in self._prepared:
+            out = []
+            for article_id in self.splits[split]:
+                article = self.by_id[article_id]
+                emb = self.embeddings.get(
+                    article_id,
+                    np.zeros((0, self.config.encoder_dim), dtype=np.float32))
+                out.append(PreparedArticle(article,
+                                           tokenize(article, self.vocab), emb,
+                                           self.oracle[article_id]))
+            self._prepared[split] = out
+        return self._prepared[split]
 
 
 # -- steps ----------------------------------------------------------------------
@@ -311,15 +316,15 @@ def step_pretrain_lm(config: RunConfig, out_dir: Path,
     articles, splits = load_corpus_artifacts(out_dir)
     by_id = {a.id: a for a in articles}
     vocab = Vocabulary.load(_require(out_dir, "vocab.txt"))
-    streams = [tokenize(by_id[aid], vocab).token_ids.astype(np.int64)
-               for aid in splits["train"]]
+    items = [ScoringItem(ids=tokenize(by_id[aid], vocab).token_ids.astype(
+        np.int64)) for aid in splits["train"]]
     lm_config = LmConfig(vocab_size=vocab.size, d_model=config.lm_dim,
                          n_layers=config.lm_layers, n_heads=config.lm_heads,
                          context_window=config.context_window)
     base = BaseLM(lm_config, np.random.default_rng(config.seed))
-    history = pretrain_base(base, streams, batch_size=config.lm_batch,
-                            lr=config.lm_lr, max_epochs=config.pretrain_epochs,
-                            seed=config.seed)
+    history = train_lm(base, items, batch_size=config.lm_batch,
+                       lr=config.lm_lr, max_epochs=config.pretrain_epochs,
+                       seed=config.seed)
     storage.write_checkpoint(
         out_dir / "base_lm.plmc",
         {k: v.values for k, v in base.params_dict().items()},
@@ -350,15 +355,19 @@ def step_train_planner(config: RunConfig, out_dir: Path,
         n_layers=config.planner_layers, n_heads=config.planner_heads,
         context_limit=config.planner_context, arch=config.planner_arch,
         head_init=config.planner_head_init)
+    val = _planner_articles(data, "val")
+    if not val:
+        raise ValidationError(
+            f"train-planner needs validation articles with sentences to "
+            f"select and score the planner; n_val={config.n_val}")
     model = PlannerModel(planner_config, np.random.default_rng(config.seed),
                          centroids=action_set.centroids)
-    history = train_planner(model, _planner_articles(data, "train"),
-                            _planner_articles(data, "val"),
+    history = train_planner(model, _planner_articles(data, "train"), val,
                             batch_size=config.planner_batch,
                             lr=config.planner_lr,
                             max_epochs=config.planner_epochs,
                             patience=config.planner_patience, seed=config.seed)
-    metrics = evaluate_planner(model, _planner_articles(data, "val"))
+    metrics = evaluate_planner(model, val)
     storage.write_checkpoint(
         out_dir / "planner.plmc",
         {k: v.values for k, v in model.params_dict().items()},
@@ -366,7 +375,7 @@ def step_train_planner(config: RunConfig, out_dir: Path,
     extra = {"val_accuracy": metrics.accuracy,
              "val_average_rank": metrics.average_rank,
              "train_loss": history["train_loss"],
-             "val_loss": history["val_loss"]}
+             "val_loss": history["val_metric"]}
     _finish(out_dir, "planner.plmc", "train-planner", config,
             ["embeddings.plmb", "centroids.plmb", "actions.tsv"], started, extra)
     return extra
@@ -434,10 +443,11 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
     train = scoring_items(data, "train", regime, training=True,
                           planner=planner)
     val = scoring_items(data, "val", regime, training=True, planner=planner)
-    budget = dict(batch_size=config.lm_batch, lr=config.lm_lr,
-                  max_epochs=config.finetune_epochs,
-                  patience=config.finetune_patience, seed=config.seed)
+    if regime.locus == "internal":
+        # an internal planner learns the action tokens too
+        train = [dataclasses.replace(item, countable=None) for item in train]
 
+    adapter = None
     if regime.style == "adapter":
         adapter_config = AdapterConfig(
             n_actions=action_set.k, action_dim=action_set.dim,
@@ -446,20 +456,23 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
         adapter = ActionAdapter(adapter_config, base.config,
                                 np.random.default_rng(config.seed),
                                 centroids=action_set.centroids)
-        history = finetune_adapter(base, adapter, train, val, **budget)
-        sections = {**{k: v.values for k, v in base.params_dict().items()},
-                    **{k: v.values for k, v in adapter.params_dict().items()}}
         meta = adapter_lm_meta(base, adapter, regime)
     else:
         insert_lm = extend_for_insert(base, action_set.k, regime.locus,
                                       np.random.default_rng(config.seed))
-        history = finetune_insert(insert_lm, train, val, **budget)
-        sections = {k: v.values
-                    for k, v in insert_lm.base.params_dict().items()}
+        base = insert_lm.base
         meta = insert_lm_meta(insert_lm, regime)
+    history = train_lm(base, train, val, adapter=adapter,
+                       batch_size=config.lm_batch, lr=config.lm_lr,
+                       max_epochs=config.finetune_epochs,
+                       patience=config.finetune_patience, seed=config.seed)
 
+    params = base.params_dict()
+    if adapter is not None:
+        params.update(adapter.params_dict())
     name = checkpoint_name(regime)
-    storage.write_checkpoint(out_dir / name, sections,
+    storage.write_checkpoint(out_dir / name,
+                             {k: v.values for k, v in params.items()},
                              meta | {"config_digest": config_digest(config)})
     extra = {"history": history, "regime": regime_key(regime)}
     _finish(out_dir, name, "finetune", config, needed, started, extra)
@@ -598,15 +611,17 @@ def _generation_metrics(data: RunData, regime: Regime, out_dir: Path,
 def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
                   force: bool = False, split: str = "test") -> dict:
     ensure_run_config(out_dir, config, force)
-    base_needed = ["centroids.plmb", "actions.tsv", "embeddings.plmb"]
-    _check_input_digests(out_dir, config, base_needed, force)
-    started = time.time()
     out_dir = Path(out_dir)
+    has_planner = (out_dir / "planner.plmc").exists()
+    needed = ["centroids.plmb", "actions.tsv", "embeddings.plmb",
+              *dict.fromkeys(lm_name(r) for r in regimes)]
+    if has_planner:
+        needed.append("planner.plmc")
+    _check_input_digests(out_dir, config, needed, force)
+    started = time.time()
     data = RunData(out_dir, config)
     action_set = load_action_set(out_dir, config)
-
-    planner_path = out_dir / "planner.plmc"
-    planner = load_planner(out_dir) if planner_path.exists() else None
+    planner = load_planner(out_dir) if has_planner else None
 
     # ground-truth critic from training action sequences
     train_sequences = [data.oracle[aid] for aid in data.splits["train"]
@@ -662,7 +677,7 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
 
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
-    _finish(out_dir, "eval_report.json", "evaluate", config, base_needed,
+    _finish(out_dir, "eval_report.json", "evaluate", config, needed,
             started, {"regimes": sorted(report["regimes"])})
     return report
 
@@ -748,7 +763,6 @@ def step_inspect_cluster(config: RunConfig, out_dir: Path, action_id: int,
 def step_sweep_k(config: RunConfig, out_dir: Path, ks: Sequence[int],
                  force: bool = False) -> list[dict]:
     """Re-run cluster..evaluate for each k in a subdirectory; emit a CSV."""
-    import dataclasses
     import shutil
 
     ensure_run_config(out_dir, config, force)

@@ -151,55 +151,49 @@ def predict_actions_for_article(model: PlannerModel,
 # -- training ----------------------------------------------------------------------
 
 
-def _length_buckets(articles: Sequence[ArticlePlan], limit: int,
-                    ) -> dict[int, list[tuple[int, int]]]:
-    """Group (article, position) samples by effective context length."""
-    buckets: dict[int, list[tuple[int, int]]] = {}
-    for art_idx, (embeddings, actions) in enumerate(articles):
-        m = len(actions)
-        if embeddings.shape[0] != m:
+# one next-action example: (article embeddings, article actions, position)
+Example = tuple[np.ndarray, np.ndarray, int]
+
+
+def _examples(articles: Sequence[ArticlePlan]) -> list[Example]:
+    """Every position of every article, in order."""
+    out = []
+    for embeddings, actions in articles:
+        if embeddings.shape[0] != len(actions):
             raise ValidationError("embeddings/actions length mismatch")
-        for i in range(m):
-            buckets.setdefault(min(i, limit), []).append((art_idx, i))
-    return buckets
+        out.extend((embeddings, actions, i) for i in range(len(actions)))
+    return out
 
 
-def _batch_arrays(articles: Sequence[ArticlePlan], samples: list[tuple[int, int]],
-                  length: int, limit: int) -> tuple[np.ndarray | None, np.ndarray]:
-    targets = np.array([articles[a][1][i] for a, i in samples], dtype=np.int64)
-    if length == 0:
-        return None, targets
-    ctx = np.stack([articles[a][0][max(0, i - limit):i] for a, i in samples])
-    return ctx.astype(np.float32), targets
+def _logits_targets(model: PlannerModel, batch: list[Example],
+                    ) -> tuple[Tensor, np.ndarray]:
+    """Action scores and targets of examples with equal context length."""
+    limit = model.config.context_limit
+    targets = np.array([actions[i] for _, actions, i in batch], dtype=np.int64)
+    ctx = None
+    if batch[0][2] > 0:
+        ctx = np.stack([emb[max(0, i - limit):i]
+                        for emb, _, i in batch]).astype(np.float32)
+    return model.logits_batch(ctx, len(batch)), targets
 
 
-def _iter_batches(articles, buckets, batch_size, rng):
-    """Deterministically shuffled batches of equal-length contexts."""
-    batches = []
-    for length, samples in sorted(buckets.items()):
-        samples = list(samples)
-        if rng is not None:
-            rng.shuffle(samples)
-        for i in range(0, len(samples), batch_size):
-            batches.append((length, samples[i:i + batch_size]))
-    if rng is not None:
-        order = rng.permutation(len(batches))
-        batches = [batches[i] for i in order]
-    return batches
+def _scored_batches(model: PlannerModel, articles: Sequence[ArticlePlan],
+                    batch_size: int):
+    """(logits, targets) of every example, in unshuffled batches."""
+    limit = model.config.context_limit
+    for batch in nn.length_batches(_examples(articles),
+                                   lambda ex: min(ex[2], limit), batch_size):
+        yield _logits_targets(model, batch)
 
 
 def _dataset_cross_entropy(model: PlannerModel, articles: Sequence[ArticlePlan],
                            batch_size: int) -> float:
-    buckets = _length_buckets(articles, model.config.context_limit)
     total = np.float64(0.0)
     count = 0
-    for length, samples in _iter_batches(articles, buckets, batch_size, rng=None):
-        ctx, targets = _batch_arrays(articles, samples, length,
-                                     model.config.context_limit)
-        logits = model.logits_batch(ctx, len(samples))
-        loss = ad.cross_entropy(logits, targets)
-        total += np.float64(loss.item()) * len(samples)
-        count += len(samples)
+    for logits, targets in _scored_batches(model, articles, batch_size):
+        total += np.float64(ad.cross_entropy(logits, targets).item()) \
+            * len(targets)
+        count += len(targets)
     return float(total / count)
 
 
@@ -207,50 +201,23 @@ def train_planner(model: PlannerModel, train: Sequence[ArticlePlan],
                   val: Sequence[ArticlePlan], batch_size: int = 32,
                   lr: float = 1e-4, max_epochs: int = 20, patience: int = 3,
                   seed: int = 0) -> dict:
-    """Cross-entropy training of next-action prediction with early stopping.
+    """Cross-entropy training of next-action prediction (see `nn.fit`).
 
-    Validation cross-entropy is checked once per epoch; training stops after
-    `patience` evaluations without improvement and the best parameters are
-    restored.
+    With `val` articles, their cross-entropy is the validation metric: training
+    stops after `patience` epochs without improvement and the best parameters
+    are restored. Without them, training runs exactly `max_epochs` epochs.
     """
-    params = model.params_dict()
-    opt = ad.Adam(list(params.values()), lr=lr)
-    buckets = _length_buckets(train, model.config.context_limit)
-    history: dict = {"train_loss": [], "val_loss": []}
-    best_val = np.inf
-    best_snap = nn.snapshot(params)
-    since_best = 0
+    def batch_loss(batch: list[Example]) -> Tensor:
+        return ad.cross_entropy(*_logits_targets(model, batch))
 
-    for epoch in range(max_epochs):
-        rng = np.random.default_rng((seed, epoch))
-        epoch_loss = np.float64(0.0)
-        n = 0
-        for length, samples in _iter_batches(train, buckets, batch_size, rng):
-            ctx, targets = _batch_arrays(train, samples, length,
-                                         model.config.context_limit)
-            loss = ad.cross_entropy(model.logits_batch(ctx, len(samples)),
-                                    targets)
-            ad.backward(loss)
-            opt.step()
-            epoch_loss += np.float64(loss.item()) * len(samples)
-            n += len(samples)
-        history["train_loss"].append(float(epoch_loss / n))
+    def val_loss() -> float:
+        return _dataset_cross_entropy(model, val, batch_size)
 
-        val_loss = _dataset_cross_entropy(model, val, batch_size) if val else \
-            history["train_loss"][-1]
-        history["val_loss"].append(val_loss)
-        if val_loss < best_val - 1e-6:
-            best_val = val_loss
-            best_snap = nn.snapshot(params)
-            since_best = 0
-        else:
-            since_best += 1
-            if since_best >= patience:
-                break
-
-    nn.restore(params, best_snap)
-    history["best_val_loss"] = float(best_val)
-    return history
+    limit = model.config.context_limit
+    return nn.fit(model.params_dict(), _examples(train),
+                  lambda ex: min(ex[2], limit), batch_loss, batch_size, lr,
+                  max_epochs, patience, seed,
+                  val_metric=val_loss if val else None)
 
 
 def evaluate_planner(model: PlannerModel, data: Sequence[ArticlePlan],
@@ -262,22 +229,19 @@ def evaluate_planner(model: PlannerModel, data: Sequence[ArticlePlan],
     higher (optimistic on exact ties); `tie_noise` optionally adds tiny
     symmetric noise to the scores so that ties resolve uniformly.
     """
-    buckets = _length_buckets(data, model.config.context_limit)
     rng = np.random.default_rng(noise_seed)
     hits = 0
     rank_total = 0
     count = 0
-    for length, samples in _iter_batches(data, buckets, batch_size, rng=None):
-        ctx, targets = _batch_arrays(data, samples, length,
-                                     model.config.context_limit)
-        scores = model.logits_batch(ctx, len(samples)).values.astype(np.float64)
+    for logits, targets in _scored_batches(model, data, batch_size):
+        scores = logits.values.astype(np.float64)
         if tie_noise > 0.0:
             scores = scores + tie_noise * rng.standard_normal(scores.shape)
-        rows = np.arange(len(samples))
+        rows = np.arange(len(targets))
         oracle_scores = scores[rows, targets]
         hits += int((scores.argmax(axis=1) == targets).sum())
-        rank_total += int((scores > oracle_scores[:, None]).sum() + len(samples))
-        count += len(samples)
+        rank_total += int((scores > oracle_scores[:, None]).sum() + len(targets))
+        count += len(targets)
     if count == 0:
         raise ValidationError("evaluate_planner needs at least one example")
     return PlannerMetrics(accuracy=hits / count, average_rank=rank_total / count,

@@ -196,3 +196,40 @@ def test_insert_style_finetune_and_evaluate(run_dir):
                      "insert", "--locus", "internal")) == 0
     report = json.loads((run_dir / "eval_report.json").read_text())
     assert "insert_internal_oracle" in report["regimes"]
+
+
+def test_train_planner_without_val_articles_refused_before_training(
+        corpus_file, tmp_path, capsys):
+    out = tmp_path / "no_val"
+    no_val = ["--out-dir", str(out)] + CFG_SETS + ["--set", "n_val=0"]
+    assert main(["ingest", "--input", str(corpus_file)] + no_val) == 0
+    for command in ("embed", "cluster", "actions"):
+        assert main([command] + no_val) == 0
+    capsys.readouterr()
+    assert main(["train-planner"] + no_val) == 1
+    assert "n_val" in capsys.readouterr().err
+    assert not (out / "planner.plmc").exists()
+
+
+def test_evaluate_refuses_checkpoints_of_another_config(corpus_file, tmp_path,
+                                                        capsys):
+    out = tmp_path / "stale"
+    assert main(args(out, "ingest", "--input", str(corpus_file))) == 0
+    for command in ("embed", "cluster", "actions", "pretrain-lm",
+                    "train-planner"):
+        assert main(args(out, command)) == 0
+    assert main(args(out, "finetune", "--regime", "oracle")) == 0
+    # config B re-derives the actions but not the checkpoints
+    other = ["--out-dir", str(out)] + CFG_SETS + ["--set", "k=4"]
+    assert main(["embed", "--force"] + other) == 0
+    assert main(["cluster"] + other) == 0
+    assert main(["actions"] + other) == 0
+    capsys.readouterr()
+    evaluate = ["evaluate", "--regimes", "none,oracle"] + other
+    assert main(evaluate) == 1
+    assert "force" in capsys.readouterr().err
+    assert not (out / "eval_report.json").exists()
+    assert main(evaluate + ["--force"]) == 0
+    manifest = json.loads((out / "eval_report.json.manifest.json").read_text())
+    assert {"base_lm.plmc", "lm_oracle.plmc", "planner.plmc"} <= \
+        {Path(p).name for p in manifest["inputs"]}

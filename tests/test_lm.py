@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -9,10 +10,9 @@ from planlm.corpus import TokenStream
 from planlm.errors import ValidationError
 from planlm.lm import (ActionAdapter, AdapterConfig, BaseLM, LmConfig,
                        REGIMES, Regime, adapter_lm_meta, base_lm_meta,
-                       extend_for_insert, finetune_adapter, finetune_insert,
-                       insert_lm_meta, insert_style_sequence,
-                       lm_from_checkpoint, per_position_actions, pretrain_base,
-                       select_action_for_position, window_examples)
+                       extend_for_insert, insert_lm_meta, insert_style_sequence,
+                       lm_from_checkpoint, per_position_actions,
+                       select_action_for_position, train_lm, window_examples)
 
 V, D, LAYERS = 12, 16, 2
 LM_CFG = LmConfig(vocab_size=V, d_model=D, n_layers=LAYERS, n_heads=2,
@@ -169,8 +169,9 @@ def test_pretrain_learns_and_beats_unigram():
     streams = toy_streams(40)
     train, val = streams[:32], streams[32:]
     base = make_base(seed=9)
-    history = pretrain_base(base, train, batch_size=8, lr=3e-3, max_epochs=8,
-                            seed=0)
+    history = train_lm(base, [evaluation.ScoringItem(ids=ids) for ids in train],
+                       batch_size=8, lr=3e-3, max_epochs=8, seed=0)
+    assert len(history["train_loss"]) == 8
     assert history["train_loss"][0] < math.log(V) + 0.5
     assert history["train_loss"][-1] < history["train_loss"][0]
     items = [evaluation.ScoringItem(ids=ids) for ids in val]
@@ -183,8 +184,9 @@ def test_pretrain_same_seed_bit_identical(tmp_path):
     paths = []
     for run in range(2):
         base = make_base(seed=3)
-        pretrain_base(base, toy_streams(10), batch_size=4, lr=1e-3,
-                      max_epochs=2, seed=5)
+        train_lm(base, [evaluation.ScoringItem(ids=ids)
+                        for ids in toy_streams(10)],
+                 batch_size=4, lr=1e-3, max_epochs=2, seed=5)
         path = tmp_path / f"lm{run}.plmc"
         storage.write_checkpoint(path, {k: v.values for k, v in
                                         base.params_dict().items()},
@@ -206,9 +208,8 @@ def test_finetune_adapter_freezes_base_and_learns():
     adapter = make_adapter(base, k=2, L=1, seed=12)
     before = {k: v.values.tobytes() for k, v in base.params_dict().items()}
     items = adapter_items(streams)
-    history = finetune_adapter(base, adapter, items[:12], items[12:],
-                               batch_size=8, lr=3e-3, max_epochs=3,
-                               patience=3, seed=0)
+    history = train_lm(base, items[:12], items[12:], adapter=adapter,
+                       batch_size=8, lr=3e-3, max_epochs=3, patience=3, seed=0)
     after = {k: v.values.tobytes() for k, v in base.params_dict().items()}
     assert before == after, "base LM parameters must stay frozen"
     assert history["train_loss"][-1] <= history["train_loss"][0] + 1e-6
@@ -278,18 +279,24 @@ def test_external_loss_masks_action_positions():
 
 def test_finetune_insert_trains_both_loci():
     base = make_base(seed=15)
-    streams = toy_streams(8)
+    items = []
+    for ids in toy_streams(8):
+        s = stream(ids, np.zeros(len(ids), dtype=np.int32))
+        ext, is_action = insert_style_sequence(s, [int(ids[1] % 2)], V)
+        items.append(evaluation.ScoringItem(ids=ext, countable=~is_action))
+    train_loss = {}
     for locus in ("external", "internal"):
         insert_lm = extend_for_insert(base, 2, locus, np.random.default_rng(2))
-        items = []
-        for ids in streams:
-            s = stream(ids, np.zeros(len(ids), dtype=np.int32))
-            ext, is_action = insert_style_sequence(s, [int(ids[1] % 2)], V)
-            items.append(evaluation.ScoringItem(ids=ext, countable=~is_action))
-        history = finetune_insert(insert_lm, items[:6], items[6:],
-                                  batch_size=4, lr=1e-3, max_epochs=2,
-                                  patience=3, seed=0)
+        # an internal planner also learns the action tokens: no training mask
+        train = items[:6] if locus == "external" else \
+            [dataclasses.replace(item, countable=None) for item in items[:6]]
+        history = train_lm(insert_lm.base, train, items[6:], batch_size=4,
+                           lr=1e-3, max_epochs=2, patience=3, seed=0)
         assert len(history["train_loss"]) >= 1
+        assert math.isfinite(history["best_val_metric"])
+        train_loss[locus] = history["train_loss"][0]
+    # the action-token targets are scored only for the internal locus
+    assert train_loss["external"] != train_loss["internal"]
 
 
 # -- regimes and persistence ----------------------------------------------------------

@@ -1,0 +1,103 @@
+import numpy as np
+
+from planlm import nn
+from planlm.autodiff import Tensor
+
+
+def quadratic():
+    """One parameter and a batch loss pulling it toward 1, recording each
+    value the loss sees."""
+    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    seen = []
+
+    def batch_loss(batch):
+        seen.append(w.values.copy())
+        diff = w - Tensor(np.ones(1, dtype=np.float32))
+        return (diff * diff).sum()
+
+    return w, seen, batch_loss
+
+
+def test_fit_stops_after_patience_and_restores_best():
+    w, _, batch_loss = quadratic()
+    scores = iter([3.0, 2.0, 2.5, 2.0, 4.0, 1.0, 0.5])
+    at_val = []
+
+    def val_metric():
+        at_val.append(w.values.copy())
+        return next(scores)
+
+    history = nn.fit({"w": w}, list(range(4)), lambda _: 0, batch_loss,
+                     batch_size=4, lr=0.1, max_epochs=10, patience=3, seed=0,
+                     val_metric=val_metric)
+    # epoch 1 scores 2.0; epochs 2-4 do not improve on it (an equal score
+    # does not count), so training stops after epoch 4
+    assert history["val_metric"] == [3.0, 2.0, 2.5, 2.0, 4.0]
+    assert len(history["train_loss"]) == 5
+    assert history["best_val_metric"] == 2.0
+    np.testing.assert_array_equal(w.values, at_val[1])
+    assert not np.array_equal(w.values, at_val[-1])
+
+
+def test_fit_without_val_metric_runs_the_budget_and_keeps_last():
+    w, seen, batch_loss = quadratic()
+    history = nn.fit({"w": w}, list(range(4)), lambda _: 0, batch_loss,
+                     batch_size=4, lr=0.1, max_epochs=3, patience=1, seed=0)
+    assert len(history["train_loss"]) == 3
+    assert len(seen) == 3  # one batch per epoch
+    assert history["val_metric"] == []
+    assert "best_val_metric" not in history
+    # the last step was kept: nothing was restored to an earlier value
+    assert w.values[0] > seen[-1][0] > seen[0][0]
+    assert history["train_loss"][-1] < history["train_loss"][0]
+
+
+def test_fit_is_deterministic_per_seed():
+    def run(seed):
+        order = []
+        w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+
+        def batch_loss(batch):
+            order.append(list(batch))
+            return (w * w).sum()
+
+        nn.fit({"w": w}, list(range(10)), lambda i: i % 3, batch_loss,
+               batch_size=2, lr=0.1, max_epochs=2, patience=1, seed=seed)
+        return order
+
+    assert run(4) == run(4)
+    assert run(4) != run(5)
+
+
+ITEMS = [(i, length) for i, length in enumerate([3, 1, 2, 3, 1, 3, 2, 3, 3, 1])]
+
+
+def length(item):
+    return item[1]
+
+
+def test_length_batches_cover_every_item_once_with_one_length():
+    for rng in (None, np.random.default_rng(0)):
+        batches = nn.length_batches(ITEMS, length, 2, rng)
+        flat = [item for batch in batches for item in batch]
+        assert sorted(flat) == ITEMS
+        assert all(0 < len(batch) <= 2 for batch in batches)
+        assert all(len({length(item) for item in batch}) == 1
+                   for batch in batches)
+
+
+def test_length_batches_without_rng_keep_order_by_ascending_length():
+    batches = nn.length_batches(ITEMS, length, 2)
+    lengths = [length(batch[0]) for batch in batches]
+    assert lengths == sorted(lengths)
+    flat = [item for batch in batches for item in batch]
+    assert flat == sorted(ITEMS, key=length)  # stable within a length
+
+
+def test_length_batches_order_is_deterministic_per_seed():
+    def run(seed):
+        return nn.length_batches(ITEMS, length, 2, np.random.default_rng(seed))
+
+    assert run(1) == run(1)
+    assert run(1) != run(2)
+    assert nn.length_batches([], length, 2, np.random.default_rng(0)) == []
