@@ -7,7 +7,7 @@ action means finding the nearest centroid in squared Euclidean distance
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -31,15 +31,6 @@ class ActionSet:
     @property
     def dim(self) -> int:
         return int(self.centroids.shape[1])
-
-
-@dataclass
-class ActionSequence:
-    article_id: str
-    actions: list[int] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.actions)
 
 
 def _squared_distances(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -169,10 +160,9 @@ def assign_actions(matrix: np.ndarray, action_set: ActionSet) -> np.ndarray:
 
 
 def extract_action_sequence(article: Article, action_set: ActionSet,
-                            encoder: SentenceEncoder) -> ActionSequence:
+                            encoder: SentenceEncoder) -> list[int]:
     """One action per sentence: embed, then take the nearest centroid."""
-    embeddings = encoder.embed_article(article)
-    return ActionSequence(article.id, assign_actions(embeddings, action_set).tolist())
+    return assign_actions(encoder.embed_article(article), action_set).tolist()
 
 
 def inspect_cluster(action_id: int, articles: Sequence[Article],

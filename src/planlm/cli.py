@@ -17,7 +17,7 @@ from pathlib import Path
 from . import pipeline
 from .config import RunConfig, apply_overrides, load_config
 from .errors import MissingArtifactError, ValidationError
-from .lm import Regime
+from .lm import LOCI, REGIMES, STYLES, Regime
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -34,12 +34,9 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _regime_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--regime", default=None,
-                        choices=["none", "fixed", "oracle", "predicted_oa",
-                                 "predicted_pa"])
-    parser.add_argument("--style", default=None, choices=["adapter", "insert"])
-    parser.add_argument("--locus", default=None,
-                        choices=["external", "internal"])
+    parser.add_argument("--regime", default=None, choices=REGIMES)
+    parser.add_argument("--style", default=None, choices=STYLES)
+    parser.add_argument("--locus", default=None, choices=LOCI)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,7 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="sample continuations with re-planning")
     _regime_args(p)
     p.add_argument("--mode", default="conditional",
-                   choices=["conditional", "unconditional"])
+                   choices=pipeline.GENERATION_MODES)
     p.add_argument("--split", default="test", choices=["train", "val", "test"])
     _add_common(p)
 

@@ -101,34 +101,33 @@ class HmmCritic:
             raise ValidationError("initial distribution does not sum to 1")
 
 
-def _log(x: np.ndarray) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return np.log(x)
+def _scaled_forward(critic: HmmCritic,
+                    seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rabiner's scaled forward pass over one non-empty sequence.
+
+    Row t of `alpha` is p(state_t | o_0..o_t) and `scale[t]` is
+    p(o_t | o_0..o_t-1), so log p(seq) = sum(log(scale)) without underflow.
+    """
+    alpha = np.empty((len(seq), critic.n_states))
+    scale = np.empty(len(seq))
+    prior = critic.initial
+    for t, symbol in enumerate(seq):
+        joint = prior * critic.emission[:, symbol]
+        scale[t] = joint.sum()
+        if scale[t] == 0.0:
+            raise ValidationError(
+                f"symbol {symbol} at step {t} has probability zero")
+        alpha[t] = joint / scale[t]
+        prior = alpha[t] @ critic.transition
+    return alpha, scale
 
 
 def hmm_forward_loglik(critic: HmmCritic, sequence: Sequence[int]) -> float:
-    """Log p(sequence) by the forward algorithm, entirely in log space."""
+    """Log p(sequence) by the scaled forward pass."""
     seq = np.asarray(sequence, dtype=np.int64)
     if seq.size == 0:
         raise ValidationError("cannot score an empty sequence")
-    log_pi = _log(critic.initial)
-    log_t = _log(critic.transition)
-    log_b = _log(critic.emission)
-    alpha = log_pi + log_b[:, seq[0]]
-    for symbol in seq[1:]:
-        alpha = _logsumexp_cols(alpha[:, None] + log_t) + log_b[:, symbol]
-    return float(_logsumexp_cols(alpha[:, None])[0])
-
-
-def _logsumexp_cols(matrix: np.ndarray) -> np.ndarray:
-    m = matrix.max(axis=0)
-    safe = np.where(np.isfinite(m), m, 0.0)
-    return safe + np.log(np.exp(matrix - safe).sum(axis=0))
-
-
-def latent_perplexity(critic: HmmCritic, sequence: Sequence[int]) -> float:
-    """exp(-log p(sequence) / T) under the critic's forward probability."""
-    return float(np.exp(-hmm_forward_loglik(critic, sequence) / len(sequence)))
+    return float(np.log(_scaled_forward(critic, seq)[1]).sum())
 
 
 def corpus_latent_perplexity(critic: HmmCritic,
@@ -149,7 +148,8 @@ def corpus_latent_perplexity(critic: HmmCritic,
 def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
             seed: int, max_iters: int = 100, smoothing: float = 1e-6,
             tol_per_symbol: float = 1e-6) -> HmmCritic:
-    """Baum-Welch EM in log space from a Dirichlet-uniform random init."""
+    """Baum-Welch EM, scaled forward-backward, from a Dirichlet-uniform
+    random init."""
     seqs = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) > 0]
     if not seqs:
         raise ValidationError("hmm_fit needs at least one non-empty sequence")
@@ -159,43 +159,35 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
     total_symbols = sum(len(s) for s in seqs)
 
     rng = np.random.default_rng(seed)
-    initial = rng.dirichlet(np.ones(n_states))
-    transition = rng.dirichlet(np.ones(n_states), size=n_states)
-    emission = rng.dirichlet(np.ones(n_symbols), size=n_states)
+    critic = HmmCritic(
+        initial=rng.dirichlet(np.ones(n_states)),
+        transition=rng.dirichlet(np.ones(n_states), size=n_states),
+        emission=rng.dirichlet(np.ones(n_symbols), size=n_states))
 
     prev_ll = -np.inf
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
-        log_pi, log_t, log_b = _log(initial), _log(transition), _log(emission)
         pi_stats = np.zeros(n_states)
         t_stats = np.zeros((n_states, n_states))
         b_stats = np.zeros((n_states, n_symbols))
         total_ll = 0.0
 
         for seq in seqs:
-            t_len = len(seq)
-            alpha = np.empty((t_len, n_states))
-            alpha[0] = log_pi + log_b[:, seq[0]]
-            for t in range(1, t_len):
-                alpha[t] = _logsumexp_cols(alpha[t - 1][:, None] + log_t) \
-                    + log_b[:, seq[t]]
-            beta = np.zeros((t_len, n_states))
-            for t in range(t_len - 2, -1, -1):
-                inner = log_t + log_b[:, seq[t + 1]][None, :] + beta[t + 1][None, :]
-                beta[t] = _logsumexp_cols(inner.T)
-            ll = float(_logsumexp_cols(alpha[t_len - 1][None, :].T)[0])
-            total_ll += ll
+            alpha, scale = _scaled_forward(critic, seq)
+            # beta[t] = p(o_t+1.. | state_t) / p(o_t+1.. | o_0..o_t)
+            beta = np.ones_like(alpha)
+            for t in range(len(seq) - 2, -1, -1):
+                beta[t] = critic.transition @ (
+                    critic.emission[:, seq[t + 1]] * beta[t + 1]) / scale[t + 1]
+            total_ll += float(np.log(scale).sum())
 
-            gamma = np.exp(alpha + beta - ll)
+            gamma = alpha * beta
             pi_stats += gamma[0]
-            for t in range(t_len):
-                b_stats[:, seq[t]] += gamma[t]
-            for t in range(t_len - 1):
-                xi = np.exp(alpha[t][:, None] + log_t
-                            + log_b[:, seq[t + 1]][None, :]
-                            + beta[t + 1][None, :] - ll)
-                t_stats += xi
+            np.add.at(b_stats.T, seq, gamma)
+            # xi summed over t: one product over all transitions t -> t+1
+            ahead = critic.emission[:, seq[1:]].T * beta[1:] / scale[1:, None]
+            t_stats += critic.transition * (alpha[:-1].T @ ahead)
 
         if total_ll < prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
             raise AssertionError(
@@ -203,17 +195,18 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
         gain = (total_ll - prev_ll) / total_symbols
         prev_ll = total_ll
 
-        initial = pi_stats / pi_stats.sum()
         transition = t_stats + smoothing
         transition /= transition.sum(axis=1, keepdims=True)
         emission = b_stats + smoothing
         emission /= emission.sum(axis=1, keepdims=True)
+        critic = HmmCritic(initial=pi_stats / pi_stats.sum(),
+                           transition=transition, emission=emission)
 
         if gain < tol_per_symbol:
             break
 
-    critic = HmmCritic(initial=initial, transition=transition, emission=emission,
-                       log_likelihood=prev_ll, iterations_run=iterations)
+    critic.log_likelihood = prev_ll
+    critic.iterations_run = iterations
     critic.validate()
     return critic
 

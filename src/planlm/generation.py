@@ -18,7 +18,7 @@ from .actions import ActionSet, assign_action
 from .corpus import Vocabulary, detokenize, split_sentences
 from .encoder import SentenceEncoder
 from .errors import ValidationError
-from .lm import FIXED_ACTION_ID, ActionAdapter, BaseLM, InsertLM, Regime
+from .lm import FIXED_ACTION_ID, ActionAdapter, BaseLM, Regime
 from .planner import PlannerModel
 
 _TERMINAL_TOKENS = (".", "!", "?")
@@ -30,11 +30,8 @@ class GenerationConfig:
     temperature: float = 1.0
     top_k: int = 40
     seed: int = 0
-    mode: str = "conditional"    # "conditional" | "unconditional"
 
     def __post_init__(self):
-        if self.mode not in ("conditional", "unconditional"):
-            raise ValidationError(f"unknown generation mode {self.mode!r}")
         if self.max_tokens < 1:
             raise ValidationError("max_tokens must be >= 1")
         if self.temperature < 0:
@@ -105,7 +102,8 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
              prefix_token_actions: np.ndarray | None = None,
              prefix_sentence_embeddings: np.ndarray | None = None,
              article_id: str = "") -> GenerationRecord:
-    """Sample a continuation, re-planning at every sentence boundary.
+    """Sample a continuation of `prefix_ids`, re-planning at every sentence
+    boundary.
 
     `prefix_token_actions[i]` is the action of the sentence containing prefix
     token i (regime-consistent); `prefix_sentence_embeddings` seeds the
@@ -120,13 +118,8 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
     uses_planner = source == "planner"
     if uses_planner and planner is None:
         raise ValidationError(f"regime {regime.actions} requires a planner")
-    if config.mode == "unconditional":
-        from .corpus import BOS_ID
-        prefix_ids = np.array([BOS_ID], dtype=np.int64)
-        prefix_token_actions = None
-        prefix_sentence_embeddings = None
     if prefix_ids is None or len(prefix_ids) == 0:
-        raise ValidationError("conditional generation requires a prefix")
+        raise ValidationError("generation requires a prefix")
 
     window = base.config.context_window - 1
     rng = np.random.default_rng(config.seed)
@@ -134,13 +127,8 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
     conditioned = source != "none"
 
     # action of the sentence containing each existing token
-    if conditioned:
-        if prefix_token_actions is not None:
-            act_of_token = [int(a) for a in prefix_token_actions]
-        else:
-            act_of_token = [FIXED_ACTION_ID] * len(ids)
-    else:
-        act_of_token = []
+    act_of_token = [FIXED_ACTION_ID] * len(ids) if prefix_token_actions is None \
+        else [int(a) for a in prefix_token_actions]
 
     context = None
     current_action = FIXED_ACTION_ID if conditioned else None
@@ -157,12 +145,11 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
         w0 = max(0, len(ids) - window)
         win_ids = np.asarray(ids[w0:], dtype=np.int64)[None, :]
         if conditioned:
-            pp = np.empty(win_ids.shape[1], dtype=np.int64)
-            for rel, p_abs in enumerate(range(w0, len(ids))):
-                pp[rel] = act_of_token[p_abs + 1] if p_abs + 1 < len(ids) \
-                    else current_action
+            # position p is conditioned on the action of token p + 1
+            pp = np.asarray([act_of_token[w0 + 1:] + [current_action]],
+                            dtype=np.int64)
             logits = base.forward(win_ids, adapter=adapter,
-                                  actions=pp[None, :]).values[0, -1]
+                                  actions=pp).values[0, -1]
         else:
             logits = base.forward(win_ids).values[0, -1]
 
@@ -191,44 +178,3 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
     record.text = detokenize([vocab.token_of(t) for t in record.token_ids])
     return record
 
-
-def generate_insert_internal(insert_lm: InsertLM, vocab: Vocabulary,
-                             config: GenerationConfig,
-                             prefix_ids: np.ndarray | None = None) -> list[int]:
-    """Decode an internal-planner insert LM under the action-token mask.
-
-    Exactly one action token (id >= V) is forced before each sentence: at a
-    sentence start only action ids may be sampled, elsewhere only text ids.
-    Returns the extended id sequence (prefix included).
-    """
-    if insert_lm.locus != "internal":
-        raise ValidationError("decoding mask is for internal-planner models")
-    from .corpus import BOS_ID
-
-    v = insert_lm.n_text_tokens
-    base = insert_lm.base
-    window = base.config.context_window - 1
-    rng = np.random.default_rng(config.seed)
-    ids = [int(t) for t in prefix_ids] if prefix_ids is not None else [BOS_ID]
-    expect_action = True
-    sentence_tokens: list[str] = []
-    emitted = 0
-    while emitted < config.max_tokens:
-        win = np.asarray(ids[-window:], dtype=np.int64)[None, :]
-        logits = base.forward(win).values[0, -1].copy()
-        if expect_action:
-            logits[:v] = -np.inf
-        else:
-            logits[v:] = -np.inf
-        token = sample_token(logits, config.temperature, config.top_k, rng)
-        ids.append(token)
-        emitted += 1
-        if token >= v:
-            expect_action = False
-            continue
-        sentence_tokens.append(vocab.token_of(token))
-        if vocab.token_of(token) in _TERMINAL_TOKENS and \
-                _sentence_complete(detokenize(sentence_tokens)):
-            expect_action = True
-            sentence_tokens = []
-    return ids

@@ -15,7 +15,7 @@ token at position p+1, because the prediction at p scores that next token.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -254,48 +254,23 @@ def insert_style_sequence(stream: TokenStream, actions: Sequence[int],
     return np.asarray(out, dtype=np.int64), np.asarray(is_action, dtype=bool)
 
 
-@dataclass
-class InsertLM:
-    """Base LM with the vocabulary extended by one token per action."""
-
-    base: BaseLM
-    n_text_tokens: int
-    n_actions: int
-    locus: str
-
-    @property
-    def extended_vocab(self) -> int:
-        return self.n_text_tokens + self.n_actions
-
-
-def extend_for_insert(base: BaseLM, n_actions: int, locus: str,
-                      rng: np.random.Generator) -> InsertLM:
-    """New rows for action tokens in both embedding and prediction layers."""
-    if locus not in LOCI:
-        raise ValidationError(f"unknown locus {locus!r}")
-    v = base.config.vocab_size
-    cfg = LmConfig(vocab_size=v + n_actions, d_model=base.config.d_model,
-                   n_layers=base.config.n_layers, n_heads=base.config.n_heads,
-                   context_window=base.config.context_window)
-    extended = BaseLM(cfg, np.random.default_rng(0))
+def extend_for_insert(base: BaseLM, n_actions: int,
+                      rng: np.random.Generator) -> BaseLM:
+    """A copy of `base` with one more token per action: new rows in both the
+    embedding and the prediction layer, ids V..V+n_actions-1."""
+    d = base.config.d_model
+    new_emb = rng.normal(0, nn.INIT_STD, (n_actions, d)).astype(np.float32)
+    new_out = rng.normal(0, nn.INIT_STD, (d, n_actions)).astype(np.float32)
     snap = nn.snapshot(base.params_dict())
-    for name, tensor in extended.params_dict().items():
-        if name == "lm.tok_emb":
-            tensor.values[:v] = snap[name]
-            tensor.values[v:] = rng.normal(0, nn.INIT_STD,
-                                           (n_actions, cfg.d_model)).astype(
-                                               np.float32)
-        elif name == "lm.out.w":
-            tensor.values[:, :v] = snap[name]
-            tensor.values[:, v:] = rng.normal(0, nn.INIT_STD,
-                                              (cfg.d_model, n_actions)).astype(
-                                                  np.float32)
-        elif name == "lm.out.b":
-            tensor.values[:v] = snap[name]
-            tensor.values[v:] = 0.0
-        else:
-            tensor.values = snap[name].copy()
-    return InsertLM(extended, v, n_actions, locus)
+    snap["lm.tok_emb"] = np.concatenate([snap["lm.tok_emb"], new_emb])
+    snap["lm.out.w"] = np.concatenate([snap["lm.out.w"], new_out], axis=1)
+    snap["lm.out.b"] = np.concatenate([snap["lm.out.b"],
+                                       np.zeros(n_actions, np.float32)])
+    extended = BaseLM(replace(base.config,
+                              vocab_size=base.config.vocab_size + n_actions),
+                      np.random.default_rng(0))
+    nn.load_params(extended.params_dict(), snap)
+    return extended
 
 
 # -- training ---------------------------------------------------------------------
@@ -389,10 +364,10 @@ def adapter_lm_meta(base: BaseLM, adapter: ActionAdapter, regime: Regime) -> dic
             "adapter_config": asdict(adapter.config), "regime": asdict(regime)}
 
 
-def insert_lm_meta(insert_lm: InsertLM, regime: Regime) -> dict:
-    return {"kind": "insert_lm", "lm_config": asdict(insert_lm.base.config),
-            "n_text_tokens": insert_lm.n_text_tokens,
-            "n_actions": insert_lm.n_actions, "locus": insert_lm.locus,
+def insert_lm_meta(network: BaseLM, n_actions: int, regime: Regime) -> dict:
+    return {"kind": "insert_lm", "lm_config": asdict(network.config),
+            "n_text_tokens": network.config.vocab_size - n_actions,
+            "n_actions": n_actions, "locus": regime.locus,
             "regime": asdict(regime)}
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .errors import ValidationError
 
 INIT_STD = 0.02
 MASK_BIAS = -1e9
@@ -204,7 +205,8 @@ def fit(trainable: dict[str, Tensor], items: Sequence[Item],
     training stops after `patience` epochs without an improvement of more
     than `IMPROVEMENT_TOL`, and the best parameters are restored and their
     score kept as `history["best_val_metric"]`. Without it, training runs
-    exactly `max_epochs` epochs and keeps the last parameters.
+    exactly `max_epochs` epochs and keeps the last parameters. A non-finite
+    batch loss raises a `ValidationError` before it reaches the parameters.
     """
     opt = ad.Adam(list(trainable.values()), lr=lr)
     history: dict = {"train_loss": [], "val_metric": []}
@@ -215,11 +217,16 @@ def fit(trainable: dict[str, Tensor], items: Sequence[Item],
         rng = np.random.default_rng((seed, epoch))
         total = np.float64(0.0)
         count = 0
-        for batch in length_batches(items, length, batch_size, rng):
+        for step, batch in enumerate(
+                length_batches(items, length, batch_size, rng)):
             loss = batch_loss(batch)
+            value = loss.item()
+            if not np.isfinite(value):
+                raise ValidationError(
+                    f"training loss is {value} at epoch {epoch}, step {step}")
             ad.backward(loss)
             opt.step()
-            total += np.float64(loss.item()) * len(batch)
+            total += np.float64(value) * len(batch)
             count += len(batch)
         history["train_loss"].append(float(total / max(count, 1)))
         if val_metric is None:

@@ -17,10 +17,12 @@ from typing import Sequence
 import numpy as np
 
 from . import storage
-from .actions import ActionSet, assign_actions, inspect_cluster, kmeans_fit
+from .actions import (ActionSet, assign_actions, extract_action_sequence,
+                      inspect_cluster, kmeans_fit)
 from .config import RunConfig, config_digest, identity_text
-from .corpus import (Article, TokenStream, Vocabulary, build_vocabulary,
-                     load_articles, split_corpus, split_sentences, tokenize)
+from .corpus import (BOS_ID, Article, TokenStream, Vocabulary,
+                     build_vocabulary, detokenize, load_articles, split_corpus,
+                     split_sentences, tokenize)
 from .encoder import EncoderConfig, SentenceEncoder, embed_corpus, \
     group_rows_by_article
 from .errors import MissingArtifactError, ValidationError
@@ -48,6 +50,8 @@ PRODUCERS = {
     "base_lm.plmc": "pretrain-lm",
     "planner.plmc": "train-planner",
 }
+
+GENERATION_MODES = ("conditional", "unconditional")
 
 
 def regime_key(regime: Regime) -> str:
@@ -458,10 +462,9 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
                                 centroids=action_set.centroids)
         meta = adapter_lm_meta(base, adapter, regime)
     else:
-        insert_lm = extend_for_insert(base, action_set.k, regime.locus,
-                                      np.random.default_rng(config.seed))
-        base = insert_lm.base
-        meta = insert_lm_meta(insert_lm, regime)
+        base = extend_for_insert(base, action_set.k,
+                                 np.random.default_rng(config.seed))
+        meta = insert_lm_meta(base, action_set.k, regime)
     history = train_lm(base, train, val, adapter=adapter,
                        batch_size=config.lm_batch, lr=config.lm_lr,
                        max_epochs=config.finetune_epochs,
@@ -490,6 +493,10 @@ def _half_split_point(stream: TokenStream) -> tuple[int, int]:
 def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
                   force: bool = False, mode: str = "conditional",
                   split: str = "test") -> dict:
+    """Continue each split article from its first half ("conditional") or
+    from <bos> alone ("unconditional")."""
+    if mode not in GENERATION_MODES:
+        raise ValidationError(f"unknown generation mode {mode!r}")
     ensure_run_config(out_dir, config, force)
     if regime.style == "insert":
         raise ValidationError(
@@ -511,26 +518,26 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
     for i, prepared in enumerate(prepared_split):
         gen_config = GenerationConfig(
             max_tokens=config.gen_max_tokens, temperature=config.temperature,
-            top_k=config.top_k, seed=config.seed * 100003 + i, mode=mode)
+            top_k=config.top_k, seed=config.seed * 100003 + i)
+        stream = prepared.stream
+        prefix_ids = np.array([BOS_ID], dtype=np.int64)
+        token_actions = sentence_embeddings = None
         if mode == "conditional":
-            if len(prepared.stream.spans) < 2:
+            if len(stream.spans) < 2:
                 continue
-            h, cut = _half_split_point(prepared.stream)
+            h, cut = _half_split_point(stream)
+            prefix_ids = stream.token_ids[:cut].astype(np.int64)
             acts = sentence_actions(source, prepared, planner)
-            record = generate(
-                base, adapter, regime, data.vocab, gen_config, data.encoder,
-                action_set, planner=planner,
-                prefix_ids=prepared.stream.token_ids[:cut].astype(np.int64),
-                prefix_token_actions=None if acts is None else
-                acts[prepared.stream.sentence_index_of_token[:cut]],
-                prefix_sentence_embeddings=prepared.embeddings[:h]
-                if planner is not None else None,
-                article_id=prepared.article.id)
-        else:
-            record = generate(base, adapter, regime, data.vocab, gen_config,
-                              data.encoder, action_set, planner=planner,
-                              article_id=prepared.article.id)
-        records.append(record)
+            if acts is not None:
+                token_actions = acts[stream.sentence_index_of_token[:cut]]
+            if planner is not None:
+                sentence_embeddings = prepared.embeddings[:h]
+        records.append(generate(
+            base, adapter, regime, data.vocab, gen_config, data.encoder,
+            action_set, planner=planner, prefix_ids=prefix_ids,
+            prefix_token_actions=token_actions,
+            prefix_sentence_embeddings=sentence_embeddings,
+            article_id=prepared.article.id))
 
     name = generations_name(regime)
     with open(out_dir / name, "w", encoding="utf-8") as fh:
@@ -543,7 +550,6 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
 
 def _article_from_tokens(article_id: str, vocab: Vocabulary,
                          token_ids: Sequence[int]) -> Article | None:
-    from .corpus import BOS_ID, detokenize
     toks = [vocab.token_of(int(t)) for t in token_ids if int(t) != BOS_ID]
     text = detokenize(toks)
     if not text.strip():
@@ -554,7 +560,6 @@ def _article_from_tokens(article_id: str, vocab: Vocabulary,
 def _generation_metrics(data: RunData, regime: Regime, out_dir: Path,
                         config: RunConfig, action_set: ActionSet) -> dict:
     """ROUGE-2, normalized edit distance, latent inputs from generations."""
-    from .actions import extract_action_sequence
     path = Path(out_dir) / generations_name(regime)
     if not path.exists():
         return {}
@@ -576,9 +581,8 @@ def _generation_metrics(data: RunData, regime: Regime, out_dir: Path,
         gen_article = _article_from_tokens(record["article_id"] + "#gen",
                                            data.vocab, generated)
         if gen_article is not None:
-            realized_sequences.append(
-                extract_action_sequence(gen_article, action_set,
-                                        data.encoder).actions)
+            realized_sequences.append(extract_action_sequence(
+                gen_article, action_set, data.encoder))
         for length in config.lengths:
             ref = real_continuation[:length]
             hyp = generated[:length]
@@ -590,9 +594,9 @@ def _generation_metrics(data: RunData, regime: Regime, out_dir: Path,
             if ref_article is None or hyp_article is None:
                 continue
             ref_actions = extract_action_sequence(ref_article, action_set,
-                                                  data.encoder).actions
+                                                  data.encoder)
             hyp_actions = extract_action_sequence(hyp_article, action_set,
-                                                  data.encoder).actions
+                                                  data.encoder)
             edit_by_len[length].append(
                 normalized_edit(ref_actions, hyp_actions,
                                 config.edit_base_len, len(hyp)))

@@ -129,7 +129,7 @@ def test_extract_action_sequence_length_and_determinism():
     seq1 = extract_action_sequence(art, action_set, enc)
     seq2 = extract_action_sequence(art, action_set, enc)
     assert len(seq1) == 2
-    assert seq1.actions == seq2.actions
+    assert seq1 == seq2
 
 
 def test_extract_action_sequence_independent_of_other_articles():
@@ -137,7 +137,7 @@ def test_extract_action_sequence_independent_of_other_articles():
     art = Article("x", "", "Aa bb. Ee ff.")
     alone = extract_action_sequence(art, action_set, enc)
     with_neighbors = extract_action_sequence(art, action_set, enc)
-    assert alone.actions == with_neighbors.actions
+    assert alone == with_neighbors
 
 
 def test_sentence_at_centroid_gets_that_action():
@@ -147,7 +147,7 @@ def test_sentence_at_centroid_gets_that_action():
     action_set = kmeans_fit(embeddings, k=2, seed=0)
     art = Article("a", "", texts[0])
     seq = extract_action_sequence(art, action_set, enc)
-    assert seq.actions == [assign_action(embeddings[0], action_set)]
+    assert seq == [assign_action(embeddings[0], action_set)]
 
 
 def test_inspect_cluster_sorted_and_top_hit():

@@ -233,3 +233,33 @@ def test_evaluate_refuses_checkpoints_of_another_config(corpus_file, tmp_path,
     manifest = json.loads((out / "eval_report.json.manifest.json").read_text())
     assert {"base_lm.plmc", "lm_oracle.plmc", "planner.plmc"} <= \
         {Path(p).name for p in manifest["inputs"]}
+
+
+def test_unconditional_generation_starts_from_bos(corpus_file, tmp_path):
+    out = tmp_path / "unconditional"
+    assert main(args(out, "ingest", "--input", str(corpus_file))) == 0
+    for command in ("embed", "cluster", "actions", "pretrain-lm"):
+        assert main(args(out, command)) == 0
+    assert main(args(out, "finetune", "--regime", "fixed")) == 0
+    assert main(args(out, "generate", "--regime", "fixed", "--mode",
+                     "unconditional")) == 0
+    lines = (out / "generations_fixed.jsonl").read_text().splitlines()
+    records = [json.loads(line) for line in lines]
+    assert len(records) == 3  # eval_articles
+    for record in records:
+        assert record["prefix_len"] == 1
+        assert len(record["token_ids"]) == 32  # gen_max_tokens
+
+
+def test_sweep_k_writes_one_row_and_one_run_per_k(corpus_file, tmp_path):
+    out = tmp_path / "sweep"
+    assert main(args(out, "ingest", "--input", str(corpus_file))) == 0
+    for command in ("embed", "pretrain-lm"):
+        assert main(args(out, command)) == 0
+    assert main(args(out, "sweep-k", "--ks", "4,8")) == 0
+    lines = (out / "sweep_k.csv").read_text().splitlines()
+    assert lines[0] == "k,ppl,planner_accuracy,planner_average_rank"
+    assert [line.split(",")[0] for line in lines[1:]] == ["4", "8"]
+    for k in (4, 8):
+        assert storage.read_matrix(out / f"k{k}" / "centroids.plmb").shape[0] \
+            == k

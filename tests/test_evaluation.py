@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planlm.errors import ValidationError
-from planlm.evaluation import (HmmCritic, corpus_latent_perplexity, hmm_fit,
-                               hmm_forward_loglik, latent_perplexity,
-                               levenshtein, normalized_edit,
+from planlm.evaluation import (HmmCritic, ScanItem, corpus_latent_perplexity,
+                               hmm_fit, hmm_forward_loglik, levenshtein,
+                               noise_scan, normalized_edit, oracle_scan,
                                perplexity_from_nll, rouge2_f1)
 
 
@@ -149,17 +149,18 @@ def test_perplexity_needs_tokens():
 # -- HMM critic -------------------------------------------------------------------------
 
 
+def path_probability(critic, path, seq):
+    p = critic.initial[path[0]] * critic.emission[path[0], seq[0]]
+    for t in range(1, len(seq)):
+        p *= critic.transition[path[t - 1], path[t]] \
+            * critic.emission[path[t], seq[t]]
+    return p
+
+
 def enumerate_loglik(critic, seq):
     """Brute-force sum over all hidden paths."""
-    n = critic.n_states
-    total = 0.0
-    for path in itertools.product(range(n), repeat=len(seq)):
-        p = critic.initial[path[0]] * critic.emission[path[0], seq[0]]
-        for t in range(1, len(seq)):
-            p *= critic.transition[path[t - 1], path[t]] \
-                * critic.emission[path[t], seq[t]]
-        total += p
-    return math.log(total)
+    paths = itertools.product(range(critic.n_states), repeat=len(seq))
+    return math.log(sum(path_probability(critic, path, seq) for path in paths))
 
 
 def random_critic(n, k, seed):
@@ -177,6 +178,36 @@ def test_forward_matches_path_enumeration(n, t, seed):
         enumerate_loglik(critic, seq), abs=1e-8)
 
 
+def test_one_em_step_matches_path_enumeration():
+    seqs = [[0, 2, 1], [1, 1], [2, 0, 0, 1]]
+    n, k, seed, smoothing = 2, 3, 4, 1e-6
+    rng = np.random.default_rng(seed)  # hmm_fit's own initialisation
+    start = HmmCritic(initial=rng.dirichlet(np.ones(n)),
+                      transition=rng.dirichlet(np.ones(n), size=n),
+                      emission=rng.dirichlet(np.ones(k), size=n))
+    pi_stats, t_stats, b_stats = np.zeros(n), np.zeros((n, n)), np.zeros((n, k))
+    for seq in seqs:
+        paths = list(itertools.product(range(n), repeat=len(seq)))
+        weights = np.array([path_probability(start, path, seq)
+                            for path in paths])
+        for w, path in zip(weights / weights.sum(), paths):
+            pi_stats[path[0]] += w
+            for state, symbol in zip(path, seq):
+                b_stats[state, symbol] += w
+            for a, b in zip(path, path[1:]):
+                t_stats[a, b] += w
+    fitted = hmm_fit(seqs, n, k, seed=seed, max_iters=1, smoothing=smoothing)
+    assert fitted.log_likelihood == pytest.approx(
+        sum(enumerate_loglik(start, seq) for seq in seqs), rel=1e-12)
+    np.testing.assert_allclose(fitted.initial, pi_stats / pi_stats.sum(),
+                               rtol=1e-10)
+    for got, stats in ((fitted.transition, t_stats),
+                       (fitted.emission, b_stats)):
+        want = stats + smoothing
+        np.testing.assert_allclose(got, want / want.sum(axis=1, keepdims=True),
+                                   rtol=1e-10)
+
+
 def test_single_state_fit_recovers_unigram():
     seqs = [[0, 1, 1, 2], [2, 2, 1]]
     critic = hmm_fit(seqs, n_states=1, n_symbols=4, seed=0)
@@ -189,7 +220,8 @@ def test_single_state_uniform_emission_latent_ppl():
     critic = HmmCritic(initial=np.array([1.0]),
                        transition=np.array([[1.0]]),
                        emission=np.full((1, 8), 1 / 8))
-    assert latent_perplexity(critic, [3, 1, 4, 1, 5]) == pytest.approx(8.0)
+    assert corpus_latent_perplexity(critic, [[3, 1, 4, 1, 5]]) == \
+        pytest.approx(8.0)
 
 
 def test_near_deterministic_critic_gives_ppl_near_one():
@@ -199,7 +231,8 @@ def test_near_deterministic_critic_gives_ppl_near_one():
     critic = HmmCritic(initial=np.array([1.0]),
                        transition=np.array([[1.0]]),
                        emission=emission)
-    assert latent_perplexity(critic, [2] * 20) == pytest.approx(1.0, abs=1e-4)
+    assert corpus_latent_perplexity(critic, [[2] * 20]) == \
+        pytest.approx(1.0, abs=1e-4)
 
 
 def test_fit_improves_over_random_sequences():
@@ -233,7 +266,14 @@ def test_corpus_latent_ppl_absent_for_empty():
     critic = random_critic(2, 3, 0)
     assert corpus_latent_perplexity(critic, [[]]) is None
     with pytest.raises(ValidationError):
-        latent_perplexity(critic, [])
+        hmm_forward_loglik(critic, [])
+
+
+def test_forward_refuses_a_sequence_of_probability_zero():
+    critic = HmmCritic(initial=np.array([1.0]), transition=np.array([[1.0]]),
+                       emission=np.array([[1.0, 0.0]]))
+    with pytest.raises(ValidationError, match="step 2"):
+        hmm_forward_loglik(critic, [0, 0, 1])
 
 
 def test_fit_rejects_bad_symbols():
@@ -241,3 +281,61 @@ def test_fit_rejects_bad_symbols():
         hmm_fit([[0, 9]], n_states=2, n_symbols=3, seed=0)
     with pytest.raises(ValidationError):
         hmm_fit([[]], n_states=2, n_symbols=3, seed=0)
+
+
+# -- per-step action scans ---------------------------------------------------------
+
+
+SCAN_V, SCAN_K, SCAN_DIM = 7, 3, 4
+
+
+def scan_items():
+    """Two articles: <bos> then sentences of 3-4 tokens, oracle actions set."""
+    rng = np.random.default_rng(11)
+    items = []
+    for n, sentence_lengths in enumerate(([4, 3, 4], [3, 4, 3, 3])):
+        sidx = np.repeat(np.arange(len(sentence_lengths)), sentence_lengths)
+        sidx = np.concatenate([[0], sidx])
+        oracle = rng.integers(0, SCAN_K, len(sentence_lengths))
+        items.append(ScanItem(
+            ids=np.concatenate([[1], rng.integers(2, SCAN_V, len(sidx) - 1)]),
+            sentence_index_of_token=sidx, oracle_actions=oracle,
+            pp_actions=oracle[np.concatenate([sidx[1:], sidx[-1:]])],
+            article_id=f"a{n}"))
+    return items
+
+
+def scan_logit_fn(uses_actions):
+    rng = np.random.default_rng(12)
+    tok = rng.normal(size=(SCAN_V, SCAN_V))
+    emb = rng.normal(size=(SCAN_K, SCAN_DIM))
+    proj = rng.normal(size=(SCAN_DIM, SCAN_V))
+
+    def logit_fn(ids, actions, noise=None):
+        if not uses_actions:
+            return tok[ids]
+        action_emb = emb[actions] if noise is None else emb[actions] + noise
+        return tok[ids] + action_emb @ proj
+
+    return logit_fn
+
+
+def test_scan_of_an_action_blind_model_is_flat():
+    result = oracle_scan(scan_logit_fn(uses_actions=False), scan_items(),
+                         SCAN_K, window=8)
+    np.testing.assert_allclose(result.ppl_at_rank, result.ppl_at_rank[0],
+                               rtol=1e-12)
+    assert result.mean_oracle_rank == 1
+    assert result.n_sentences == 7
+
+
+def test_oracle_scan_reference_matches_zero_noise_reference():
+    items = scan_items()
+    logit_fn = scan_logit_fn(uses_actions=True)
+    oracle = oracle_scan(logit_fn, items, SCAN_K, window=8)
+    noise = noise_scan(logit_fn, items, n_variants=5, sigma=0.5,
+                       action_dim=SCAN_DIM, window=8, seed=0)
+    assert oracle.oracle_ppl == pytest.approx(noise.oracle_ppl, rel=1e-6)
+    assert oracle.per_article_oracle_ppl == pytest.approx(
+        noise.per_article_oracle_ppl, rel=1e-6)
+    assert not np.allclose(oracle.ppl_at_rank, oracle.ppl_at_rank[0])

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 
 from planlm.actions import kmeans_fit
-from planlm.corpus import Vocabulary
+from planlm.corpus import BOS_ID, Vocabulary
 from planlm.encoder import EncoderConfig, SentenceEncoder
 from planlm.errors import ValidationError
 from planlm.generation import (GenerationConfig, GenerationRecord, generate,
-                               generate_insert_internal, sample_token)
-from planlm.lm import (ActionAdapter, AdapterConfig, BaseLM, LmConfig, Regime,
-                       extend_for_insert)
+                               sample_token)
+from planlm.lm import ActionAdapter, AdapterConfig, BaseLM, LmConfig, Regime
 from planlm.planner import PlannerConfig, PlannerModel
 
 VOCAB = Vocabulary(["<unk>", "<bos>", "the", "cat", "dog", "ran", "sat",
@@ -37,6 +36,8 @@ def tiny_world(k=2, seed=0):
 
 
 def run(regime, config, base, adapter, action_set, planner, enc, **kwargs):
+    """Generate from <bos> alone unless the caller gives a prefix."""
+    kwargs.setdefault("prefix_ids", np.array([BOS_ID], dtype=np.int64))
     return generate(base, adapter if regime.actions != "none" else None,
                     regime, VOCAB, config, enc, action_set, planner=planner,
                     **kwargs)
@@ -44,7 +45,7 @@ def run(regime, config, base, adapter, action_set, planner, enc, **kwargs):
 
 def test_output_length_capped():
     base, adapter, action_set, planner, enc = tiny_world()
-    cfg = GenerationConfig(max_tokens=17, seed=0, mode="unconditional")
+    cfg = GenerationConfig(max_tokens=17, seed=0)
     rec = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
     assert len(rec.token_ids) <= 17
     assert rec.prefix_len == 1
@@ -52,8 +53,7 @@ def test_output_length_capped():
 
 def test_greedy_generation_is_deterministic():
     base, adapter, action_set, planner, enc = tiny_world()
-    cfg = GenerationConfig(max_tokens=12, temperature=0.0, seed=3,
-                           mode="unconditional")
+    cfg = GenerationConfig(max_tokens=12, temperature=0.0, seed=3)
     a = run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc)
     b = run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc)
     assert a.token_ids == b.token_ids
@@ -62,8 +62,7 @@ def test_greedy_generation_is_deterministic():
 
 def test_same_seed_sampling_is_deterministic():
     base, adapter, action_set, planner, enc = tiny_world()
-    cfg = GenerationConfig(max_tokens=30, temperature=1.0, seed=9,
-                           mode="unconditional")
+    cfg = GenerationConfig(max_tokens=30, temperature=1.0, seed=9)
     a = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
     b = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
     assert a.token_ids == b.token_ids
@@ -72,8 +71,7 @@ def test_same_seed_sampling_is_deterministic():
 
 def test_single_action_vocabulary_always_follows_plan():
     base, adapter, action_set, planner, enc = tiny_world(k=1)
-    cfg = GenerationConfig(max_tokens=60, temperature=1.0, seed=1,
-                           mode="unconditional")
+    cfg = GenerationConfig(max_tokens=60, temperature=1.0, seed=1)
     rec = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
     assert rec.planned_actions, "expected at least one complete sentence"
     assert rec.plan_following_rate() == 1.0
@@ -94,8 +92,7 @@ def test_constant_planner_stub_matches_fixed_regime():
 
     stub = ConstantPlanner.__new__(ConstantPlanner)
     stub.config = planner.config
-    cfg = GenerationConfig(max_tokens=25, temperature=1.0, seed=7,
-                           mode="unconditional")
+    cfg = GenerationConfig(max_tokens=25, temperature=1.0, seed=7)
     fixed = run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc)
     stubbed = run(Regime("predicted_pa"), cfg, base, adapter, action_set,
                   stub, enc)
@@ -104,8 +101,7 @@ def test_constant_planner_stub_matches_fixed_regime():
 
 def test_conditioning_action_constant_between_boundaries():
     base, adapter, action_set, planner, enc = tiny_world()
-    cfg = GenerationConfig(max_tokens=40, temperature=1.0, seed=5,
-                           mode="unconditional")
+    cfg = GenerationConfig(max_tokens=40, temperature=1.0, seed=5)
     rec = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
     terminal_id = VOCAB.id_of(".")
     for i in range(1, len(rec.token_ids)):
@@ -117,8 +113,7 @@ def test_conditioning_action_constant_between_boundaries():
 def test_fixed_regime_makes_no_planner_calls():
     base, adapter, action_set, planner, enc = tiny_world()
     planner.invocations = 0
-    cfg = GenerationConfig(max_tokens=25, temperature=1.0, seed=2,
-                           mode="unconditional")
+    cfg = GenerationConfig(max_tokens=25, temperature=1.0, seed=2)
     run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc)
     assert planner.invocations == 0
 
@@ -133,8 +128,7 @@ def test_sliding_window_never_exceeds_context():
         return orig(ids, **kwargs)
 
     base.forward = spy
-    cfg = GenerationConfig(max_tokens=40, temperature=1.0, seed=4,
-                           mode="unconditional")
+    cfg = GenerationConfig(max_tokens=40, temperature=1.0, seed=4)
     run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
     assert max(seen) <= LM_CFG.context_window
 
@@ -142,8 +136,10 @@ def test_sliding_window_never_exceeds_context():
 def test_conditional_mode_requires_prefix():
     base, adapter, action_set, planner, enc = tiny_world()
     cfg = GenerationConfig(max_tokens=5, seed=0)
-    with pytest.raises(ValidationError):
-        run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc)
+    for prefix in (None, np.zeros(0, dtype=np.int64)):
+        with pytest.raises(ValidationError):
+            run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc,
+                prefix_ids=prefix)
 
 
 def test_conditional_prefix_threads_through():
@@ -163,7 +159,7 @@ def test_conditional_prefix_threads_through():
 
 def test_free_generation_with_oracle_regime_rejected():
     base, adapter, action_set, planner, enc = tiny_world()
-    cfg = GenerationConfig(max_tokens=5, seed=0, mode="unconditional")
+    cfg = GenerationConfig(max_tokens=5, seed=0)
     with pytest.raises(ValidationError):
         run(Regime("oracle"), cfg, base, adapter, action_set, planner, enc)
 
@@ -189,39 +185,3 @@ def test_sample_token_temperature_sharpens():
     cold = [sample_token(logits, 0.05, 2, rng) for _ in range(30)]
     assert set(cold) == {0}
 
-
-# -- insert-style decoding ---------------------------------------------------------
-
-
-def test_internal_insert_decoding_mask_contract():
-    base, _, action_set, _, enc = tiny_world()
-    insert_lm = extend_for_insert(base, action_set.k, "internal",
-                                  np.random.default_rng(1))
-    cfg = GenerationConfig(max_tokens=40, temperature=1.0, seed=6,
-                           mode="unconditional")
-    ids = generate_insert_internal(insert_lm, VOCAB, cfg)
-    v = insert_lm.n_text_tokens
-    expect_action = True
-    sentence = []
-    for tok in ids[1:]:  # skip <bos>
-        if expect_action:
-            assert tok >= v, "sentence must open with exactly one action token"
-            expect_action = False
-            continue
-        assert tok < v, "action tokens may not appear mid-sentence"
-        sentence.append(VOCAB.token_of(tok))
-        if VOCAB.token_of(tok) == ".":
-            from planlm.corpus import detokenize
-            from planlm.generation import _sentence_complete
-            if _sentence_complete(detokenize(sentence)):
-                expect_action = True
-                sentence = []
-
-
-def test_external_insert_lm_rejected_by_internal_decoder():
-    base, _, action_set, _, enc = tiny_world()
-    insert_lm = extend_for_insert(base, action_set.k, "external",
-                                  np.random.default_rng(1))
-    cfg = GenerationConfig(max_tokens=5, seed=0, mode="unconditional")
-    with pytest.raises(ValidationError):
-        generate_insert_internal(insert_lm, VOCAB, cfg)

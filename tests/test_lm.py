@@ -248,25 +248,25 @@ def test_insert_round_trip():
 def test_extend_for_insert_shapes_and_copied_rows():
     base = make_base(seed=13)
     w = 4
-    insert_lm = extend_for_insert(base, w, "external", np.random.default_rng(0))
-    assert insert_lm.extended_vocab == V + w
-    assert insert_lm.base.tok_emb.shape == (V + w, D)
-    assert insert_lm.base.out.w.shape == (D, V + w)
-    assert insert_lm.base.out.b.shape == (V + w,)
-    np.testing.assert_array_equal(insert_lm.base.tok_emb.values[:V],
+    extended = extend_for_insert(base, w, np.random.default_rng(0))
+    assert extended.config.vocab_size == V + w
+    assert extended.tok_emb.shape == (V + w, D)
+    assert extended.out.w.shape == (D, V + w)
+    assert extended.out.b.shape == (V + w,)
+    np.testing.assert_array_equal(extended.tok_emb.values[:V],
                                   base.tok_emb.values)
-    np.testing.assert_array_equal(insert_lm.base.out.w.values[:, :V],
+    np.testing.assert_array_equal(extended.out.w.values[:, :V],
                                   base.out.w.values)
 
 
 def test_external_loss_masks_action_positions():
     base = make_base(seed=14)
-    insert_lm = extend_for_insert(base, 3, "external", np.random.default_rng(1))
+    extended = extend_for_insert(base, 3, np.random.default_rng(1))
     s = stream([1, 3, 4, 2, 2], [0, 0, 0, 1, 1])
     ext, is_action = insert_style_sequence(s, [2, 0], vocab_size=V)
     examples = window_examples(ext, window=8, countable=~is_action)
     ex = examples[0]
-    logits = insert_lm.base.forward(ex.inputs[None, :])
+    logits = extended.forward(ex.inputs[None, :])
     loss = ad.cross_entropy(logits, ex.targets[None, :], ex.mask[None, :])
     ad.backward(loss)
     grad = logits.grad[0]
@@ -286,11 +286,11 @@ def test_finetune_insert_trains_both_loci():
         items.append(evaluation.ScoringItem(ids=ext, countable=~is_action))
     train_loss = {}
     for locus in ("external", "internal"):
-        insert_lm = extend_for_insert(base, 2, locus, np.random.default_rng(2))
+        extended = extend_for_insert(base, 2, np.random.default_rng(2))
         # an internal planner also learns the action tokens: no training mask
         train = items[:6] if locus == "external" else \
             [dataclasses.replace(item, countable=None) for item in items[:6]]
-        history = train_lm(insert_lm.base, train, items[6:], batch_size=4,
+        history = train_lm(extended, train, items[6:], batch_size=4,
                            lr=1e-3, max_epochs=2, patience=3, seed=0)
         assert len(history["train_loss"]) >= 1
         assert math.isfinite(history["best_val_metric"])
@@ -362,22 +362,23 @@ def test_base_lm_checkpoint_round_trip(tmp_path):
 
 def test_insert_lm_checkpoint_round_trip(tmp_path):
     base = make_base(seed=19)
-    insert_lm = extend_for_insert(base, 3, "internal", np.random.default_rng(5))
+    extended = extend_for_insert(base, 3, np.random.default_rng(5))
     regime = Regime("oracle", style="insert", locus="internal")
     path = tmp_path / "insert.plmc"
     storage.write_checkpoint(path, {k: v.values for k, v in
-                                    insert_lm.base.params_dict().items()},
-                             insert_lm_meta(insert_lm, regime))
+                                    extended.params_dict().items()},
+                             insert_lm_meta(extended, 3, regime))
     sections, meta = storage.read_checkpoint(path)
     base2, adapter2, regime2 = lm_from_checkpoint(sections, meta)
     assert regime2 == regime
     assert adapter2 is None
-    assert base2.config == insert_lm.base.config
+    assert base2.config == extended.config
     assert meta["n_text_tokens"] == V
     assert meta["n_actions"] == 3
+    assert meta["locus"] == "internal"
     ids = np.random.default_rng(6).integers(0, V + 3, (1, 5))
     np.testing.assert_array_equal(base2.forward(ids).values,
-                                  insert_lm.base.forward(ids).values)
+                                  extended.forward(ids).values)
 
 
 # -- sliding-window scoring -------------------------------------------------------------

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
+from planlm import autodiff as ad
 from planlm import nn
 from planlm.autodiff import Tensor
+from planlm.errors import ValidationError
 
 
 def quadratic():
@@ -67,6 +70,23 @@ def test_fit_is_deterministic_per_seed():
 
     assert run(4) == run(4)
     assert run(4) != run(5)
+
+
+def test_fit_refuses_a_non_finite_loss_before_the_update(monkeypatch):
+    monkeypatch.setattr(ad, "DEBUG_CHECKS", False)
+    w, seen, batch_loss = quadratic()
+
+    def poisoned(batch):
+        loss = batch_loss(batch)
+        return loss * float("nan") if len(seen) == 3 else loss
+
+    with pytest.raises(ValidationError, match="epoch 1, step 0"):
+        nn.fit({"w": w}, list(range(4)), lambda _: 0, poisoned,
+               batch_size=2, lr=0.1, max_epochs=3, patience=1, seed=0)
+    # two steps ran in epoch 0; the third batch's NaN never reached w
+    np.testing.assert_array_equal(w.values, seen[-1])
+    assert np.isfinite(w.values).all()
+    assert w.grad is None
 
 
 ITEMS = [(i, length) for i, length in enumerate([3, 1, 2, 3, 1, 3, 2, 3, 3, 1])]
