@@ -1,10 +1,11 @@
 """Command-line pipeline driver.
 
 Every subcommand reads the effective configuration (defaults, then --config
-file, then --seed / --set overrides), verifies upstream artifacts carry the
-same config digest, and writes its artifact plus a manifest into --out-dir.
+file, then --seed / --set overrides), refuses upstream artifacts of another
+config digest or stale inputs, and writes its artifact plus a manifest of
+the files it read into --out-dir (inspect-cluster only reads).
 
-Exit codes: 0 success, 1 validation error, 2 missing upstream artifact.
+Exit codes: 0 success, 1 validation error, 2 missing input file or artifact.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from pathlib import Path
 
 from . import pipeline
 from .config import RunConfig, apply_overrides, load_config
-from .errors import MissingArtifactError, ValidationError
+from .errors import ValidationError
 from .lm import LOCI, REGIMES, STYLES, Regime
 
 
@@ -30,7 +31,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="override one config key")
     parser.add_argument("--force", action="store_true",
-                        help="run despite a config-digest mismatch")
+                        help="run despite another config or a stale input")
 
 
 def _regime_args(parser: argparse.ArgumentParser) -> None:
@@ -78,19 +79,19 @@ def build_parser() -> argparse.ArgumentParser:
     _regime_args(p)
     p.add_argument("--mode", default="conditional",
                    choices=pipeline.GENERATION_MODES)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=pipeline.SPLITS)
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="write the evaluation report")
     p.add_argument("--regimes", default=None,
                    help="comma-separated regimes (default: config regime)")
     _regime_args(p)
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=pipeline.SPLITS)
     _add_common(p)
 
     p = sub.add_parser("scan-oracle",
                        help="per-step action ranking and noise control")
-    p.add_argument("--split", default="test", choices=["train", "val", "test"])
+    p.add_argument("--split", default="test", choices=pipeline.SPLITS)
     _add_common(p)
 
     p = sub.add_parser("inspect-cluster",
@@ -189,7 +190,7 @@ def run_command(args: argparse.Namespace) -> int:
               f"{summary['nearest_rank']}")
     elif args.command == "inspect-cluster":
         result = pipeline.step_inspect_cluster(config, out_dir, args.action_id,
-                                               args.top_n)
+                                               args.top_n, args.force)
         print(json.dumps(result, indent=2, sort_keys=True))
     elif args.command == "sweep-k":
         ks = [int(v) for v in args.ks.split(",") if v.strip()]
@@ -207,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return run_command(args)
-    except MissingArtifactError as exc:
+    except FileNotFoundError as exc:  # MissingArtifactError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except ValidationError as exc:

@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, parsing
 
 UNK_TOKEN = "<unk>"
 BOS_TOKEN = "<bos>"
@@ -162,7 +162,8 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path: Path) -> "Vocabulary":
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        with parsing(path):
+            lines = Path(path).read_text(encoding="utf-8").splitlines()
         return cls(lines)
 
 
@@ -178,11 +179,9 @@ def build_vocabulary(articles: Iterable[Article], max_size: int) -> Vocabulary:
     return Vocabulary([UNK_TOKEN, BOS_TOKEN] + kept)
 
 
-def tokenize(article: Article, vocab: Vocabulary,
-             spans: list[SentenceSpan] | None = None) -> TokenStream:
+def tokenize(article: Article, vocab: Vocabulary) -> TokenStream:
     """Map each sentence's tokens through the vocabulary, <bos> first."""
-    if spans is None:
-        spans = split_sentences(article.text, article.id)
+    spans = split_sentences(article.text, article.id)
     ids: list[int] = [BOS_ID]
     sent_idx: list[int] = [0]
     out_spans: list[SentenceSpan] = []
@@ -232,7 +231,7 @@ def split_corpus(articles: Sequence[Article], seed: int, n_val: int,
 
 def load_articles_jsonl(path: Path) -> list[Article]:
     articles = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8") as fh, parsing(path):
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
@@ -240,7 +239,7 @@ def load_articles_jsonl(path: Path) -> list[Article]:
                 obj = json.loads(line)
                 articles.append(Article(str(obj["id"]), str(obj.get("title", "")),
                                         str(obj["text"])))
-            except (KeyError, json.JSONDecodeError) as exc:
+            except (KeyError, TypeError, json.JSONDecodeError) as exc:
                 raise ValidationError(f"{path}:{lineno}: bad article record: {exc}")
     _check_unique_ids(articles)
     return articles

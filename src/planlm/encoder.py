@@ -99,13 +99,12 @@ def empty_sentence_vector(dim: int) -> np.ndarray:
 
 
 def embed_corpus(articles: Iterable[Article], config: EncoderConfig,
-                 encoder: SentenceEncoder | None = None,
                  ) -> tuple[np.ndarray, list[tuple[str, int]]]:
     """Embed every sentence of every article, in corpus order.
 
     Returns the (N, dim) matrix and the row index [(article_id, sentence_index)].
     """
-    encoder = encoder or SentenceEncoder(config)
+    encoder = SentenceEncoder(config)
     rows: list[np.ndarray] = []
     index: list[tuple[str, int]] = []
     for article in articles:

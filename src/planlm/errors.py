@@ -1,5 +1,7 @@
 """Exceptions shared across the pipeline; the CLI maps them to exit codes."""
 
+from contextlib import contextmanager
+
 
 class ValidationError(ValueError):
     """Bad input, configuration, or precondition (exit code 1)."""
@@ -7,3 +9,14 @@ class ValidationError(ValueError):
 
 class MissingArtifactError(FileNotFoundError):
     """An upstream pipeline artifact is absent (exit code 2)."""
+
+
+@contextmanager
+def parsing(path):
+    """Re-raise a parse error of the file at `path` as a `ValidationError`."""
+    try:
+        yield
+    except ValidationError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(f"{path}: cannot parse: {exc}") from exc

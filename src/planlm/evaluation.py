@@ -71,6 +71,8 @@ def perplexity_from_nll(total_nll: float, token_count: int) -> float:
 
 # -- HMM critic ------------------------------------------------------------------
 
+HMM_TOL_PER_SYMBOL = 1e-6  # Baum-Welch stops below this gain per symbol
+
 
 @dataclass
 class HmmCritic:
@@ -146,8 +148,8 @@ def corpus_latent_perplexity(critic: HmmCritic,
 
 
 def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
-            seed: int, max_iters: int = 100, smoothing: float = 1e-6,
-            tol_per_symbol: float = 1e-6) -> HmmCritic:
+            seed: int, max_iters: int = 100,
+            smoothing: float = 1e-6) -> HmmCritic:
     """Baum-Welch EM, scaled forward-backward, from a Dirichlet-uniform
     random init."""
     seqs = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) > 0]
@@ -202,7 +204,7 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
         critic = HmmCritic(initial=pi_stats / pi_stats.sum(),
                            transition=transition, emission=emission)
 
-        if gain < tol_per_symbol:
+        if gain < HMM_TOL_PER_SYMBOL:
             break
 
     critic.log_likelihood = prev_ll
@@ -241,8 +243,8 @@ def _nll_rows(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     return lse - picked
 
 
-def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem], window: int,
-               stride: int | None = None) -> tuple[float, int]:
+def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem],
+               window: int) -> tuple[float, int]:
     """Total NLL and token count, sliding windows with half-window scoring.
 
     Every scoreable target is counted exactly once: the first window counts
@@ -251,9 +253,7 @@ def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem], window: int,
     """
     if window < 2:
         raise ValidationError("window must be >= 2")
-    stride = window // 2 if stride is None else stride
-    if not 0 < stride < window:
-        raise ValidationError(f"stride {stride} must be in (0, {window})")
+    stride = window // 2
 
     jobs: list[tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]] = []
     for item in items:
@@ -295,8 +295,8 @@ def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem], window: int,
 
 
 def corpus_perplexity(logit_fn: LogitFn, items: Sequence[ScoringItem],
-                      window: int, stride: int | None = None) -> float:
-    total, count = corpus_nll(logit_fn, items, window, stride=stride)
+                      window: int) -> float:
+    total, count = corpus_nll(logit_fn, items, window)
     return perplexity_from_nll(total, count)
 
 

@@ -116,13 +116,12 @@ class Block:
     """Pre-norm transformer block: attention then a GELU feed-forward."""
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int,
-                 causal: bool, d_ff: int | None = None):
-        d_ff = 4 * d if d_ff is None else d_ff
+                 causal: bool):
         self.ln1 = LayerNorm(d)
         self.attn = SelfAttention(rng, d, n_heads, causal)
         self.ln2 = LayerNorm(d)
-        self.ff1 = Linear(rng, d, d_ff)
-        self.ff2 = Linear(rng, d_ff, d)
+        self.ff1 = Linear(rng, d, 4 * d)
+        self.ff2 = Linear(rng, 4 * d, d)
 
     def __call__(self, x: Tensor, extra_context: Tensor | None = None) -> Tensor:
         x = x + self.attn(self.ln1(x), extra_context=extra_context)

@@ -1,16 +1,19 @@
 """Pipeline steps behind the CLI subcommands.
 
-Each step consumes upstream artifacts from a run directory, refuses to run on
-a config-digest mismatch unless forced, and writes its artifact plus a JSON
-manifest (inputs, hashes, wall time, seed).
+Each step reads the run directory only through one `RunData`, which refuses
+(unless forced) artifacts of another config digest or stale inputs, then
+writes its artifact plus a JSON manifest (the files it read with their
+hashes, wall time, seed). Writing steps pin the config (`ensure_run_config`).
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import shutil
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -21,11 +24,12 @@ from .actions import (ActionSet, assign_actions, extract_action_sequence,
                       inspect_cluster, kmeans_fit)
 from .config import RunConfig, config_digest, identity_text
 from .corpus import (BOS_ID, Article, TokenStream, Vocabulary,
-                     build_vocabulary, detokenize, load_articles, split_corpus,
-                     split_sentences, tokenize)
+                     build_vocabulary, detokenize, load_articles,
+                     save_articles_jsonl, split_corpus, split_sentences,
+                     tokenize)
 from .encoder import EncoderConfig, SentenceEncoder, embed_corpus, \
     group_rows_by_article
-from .errors import MissingArtifactError, ValidationError
+from .errors import MissingArtifactError, ValidationError, parsing
 from .evaluation import ScanItem, ScoringItem, corpus_latent_perplexity, \
     corpus_perplexity, hmm_fit, noise_scan, normalized_edit, \
     oracle_scan, rouge2_f1
@@ -52,6 +56,7 @@ PRODUCERS = {
 }
 
 GENERATION_MODES = ("conditional", "unconditional")
+SPLITS = ("train", "val", "test")
 
 
 def regime_key(regime: Regime) -> str:
@@ -85,86 +90,21 @@ def _require(out_dir: Path, name: str) -> Path:
     return path
 
 
-def ensure_run_config(out_dir: Path, config: RunConfig, force: bool) -> str:
+def ensure_run_config(out_dir: Path, config: RunConfig, force: bool) -> None:
     """Pin the run directory to one config identity (regime-independent)."""
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    digest = config_digest(config)
     text = identity_text(config)
     pinned = out_dir / "config.txt"
-    if pinned.exists():
-        if pinned.read_text(encoding="utf-8") != text:
-            if not force:
-                raise ValidationError(
-                    f"{pinned} was written by a different config; "
-                    "rerun with --force to overwrite")
-            pinned.write_text(text, encoding="utf-8")
-    else:
-        pinned.write_text(text, encoding="utf-8")
-    return digest
+    if pinned.exists() and not force and \
+            pinned.read_text(encoding="utf-8") != text:
+        raise ValidationError(f"{pinned} was written by a different config; "
+                              "rerun with --force to overwrite")
+    pinned.write_text(text, encoding="utf-8")
 
 
-def _check_input_digests(out_dir: Path, config: RunConfig, names: Sequence[str],
-                         force: bool) -> None:
-    digest = config_digest(config)
-    for name in names:
-        manifest = storage.read_manifest(Path(out_dir) / name)
-        if manifest is None:
-            continue
-        if manifest["config_digest"] != digest and not force:
-            raise ValidationError(
-                f"{name} was produced under config digest "
-                f"{manifest['config_digest']}, current is {digest}; "
-                "use --force to proceed")
-
-
-def _finish(out_dir: Path, artifact: str, subcommand: str, config: RunConfig,
-            inputs: Sequence[str], started: float, extra: dict | None = None,
-            seed: int | None = None) -> Path:
-    path = Path(out_dir) / artifact
-    storage.write_manifest(path, subcommand, config_digest(config),
-                           config.seed if seed is None else seed,
-                           [Path(out_dir) / n for n in inputs],
-                           time.time() - started, extra)
-    return path
-
-
-# -- shared loaders ------------------------------------------------------------
-
-
-def encoder_config(config: RunConfig) -> EncoderConfig:
-    return EncoderConfig(dim=config.encoder_dim, ngram_order=config.ngram_order,
-                         hash_buckets=config.hash_buckets,
-                         projection_seed=config.projection_seed)
-
-
-def load_corpus_artifacts(out_dir: Path) -> tuple[list[Article], dict]:
-    articles = load_articles(_require(out_dir, "corpus.jsonl"))
-    splits = json.loads(_require(out_dir, "splits.json").read_text())
-    return articles, splits
-
-
-def load_action_set(out_dir: Path, config: RunConfig) -> ActionSet:
-    centroids = storage.read_matrix(_require(out_dir, "centroids.plmb"))
-    manifest = storage.read_manifest(Path(out_dir) / "centroids.plmb") or {}
-    inertia = float(manifest.get("extra", {}).get("inertia", 0.0))
-    return ActionSet(centroids=centroids, inertia=inertia,
-                     k=centroids.shape[0], seed=config.seed,
-                     max_iters=config.kmeans_max_iters)
-
-
-def load_planner(out_dir: Path) -> PlannerModel:
-    sections, meta = storage.read_checkpoint(_require(out_dir, "planner.plmc"))
-    return planner_from_checkpoint(sections, meta)
-
-
-def load_lm(out_dir: Path, regime: Regime,
-            ) -> tuple[BaseLM, ActionAdapter | None]:
-    """The network and adapter a regime is scored with (see `lm_name`)."""
-    base, adapter, _ = lm_from_checkpoint(
-        *storage.read_checkpoint(_require(out_dir, lm_name(regime))))
-    return base, adapter
+# -- the run-directory reader ----------------------------------------------------
 
 
 @dataclass
@@ -176,23 +116,105 @@ class PreparedArticle:
 
 
 class RunData:
-    """Lazy per-split view of the corpus with embeddings and oracle actions.
+    """The one reader of a run directory. Every file is opened through
+    `path`, which refuses (unless `force`) a file whose manifest names another
+    config digest or an input changed since, and records its name; `finish`
+    writes manifests whose inputs are exactly the recorded names. Artifacts
+    load lazily and once, and are shared: callers must not mutate them."""
 
-    Each split is prepared once and shared: callers must not mutate it."""
-
-    def __init__(self, out_dir: Path, config: RunConfig):
+    def __init__(self, out_dir: Path, config: RunConfig, force: bool = False):
         self.out_dir = Path(out_dir)
         self.config = config
-        self.articles, self.splits = load_corpus_artifacts(out_dir)
-        self.by_id = {a.id: a for a in self.articles}
-        self.vocab = Vocabulary.load(_require(out_dir, "vocab.txt"))
-        matrix = storage.read_matrix(_require(out_dir, "embeddings.plmb"))
-        index = storage.read_matrix_index(_require(out_dir, "embeddings.idx"))
-        self.embeddings = group_rows_by_article(matrix, index)
-        self.oracle = storage.read_action_sequences(
-            _require(out_dir, "actions.tsv"))
-        self.encoder = SentenceEncoder(encoder_config(config))
+        self.force = force
+        self.digest = config_digest(config)
+        self.started = time.time()
+        self.encoder = SentenceEncoder(EncoderConfig(
+            dim=config.encoder_dim, ngram_order=config.ngram_order,
+            hash_buckets=config.hash_buckets,
+            projection_seed=config.projection_seed))
+        self.manifests: dict[str, dict | None] = {}  # every file read so far
         self._prepared: dict[str, list[PreparedArticle]] = {}
+
+    def path(self, name: str) -> Path:
+        """The run-directory file `name`, checked and recorded on first use."""
+        path = _require(self.out_dir, name)
+        if name in self.manifests:
+            return path
+        manifest = storage.read_manifest(path)
+        if manifest is not None and not self.force:
+            if manifest["config_digest"] != self.digest:
+                raise ValidationError(
+                    f"{name} was produced under config digest "
+                    f"{manifest['config_digest']}, current is {self.digest}; "
+                    "use --force to proceed")
+            for key, sha256 in manifest["inputs"].items():
+                source = self.out_dir / Path(key).name
+                if not source.exists() or storage.file_sha256(source) != sha256:
+                    raise ValidationError(
+                        f"{name} is stale: its input {source.name} changed "
+                        f"since `planlm {manifest['subcommand']}` made it; "
+                        "rerun that or use --force")
+        self.manifests[name] = manifest
+        return path
+
+    def finish(self, artifacts: Sequence[str], subcommand: str,
+               extra: dict | None = None) -> None:
+        """Write each artifact's manifest; its inputs are the files read."""
+        inputs = [self.out_dir / name for name in self.manifests]
+        for name in artifacts:
+            storage.write_manifest(self.out_dir / name, subcommand, self.digest,
+                                   self.config.seed, inputs,
+                                   time.time() - self.started, extra)
+
+    @cached_property
+    def by_id(self) -> dict[str, Article]:
+        """The corpus's articles by id, in corpus order."""
+        return {a.id: a for a in load_articles(self.path("corpus.jsonl"))}
+
+    @cached_property
+    def splits(self) -> dict[str, list[str]]:
+        path = self.path("splits.json")
+        with parsing(path):
+            splits = json.loads(path.read_text(encoding="utf-8"))
+            return {s: [str(a) for a in splits[s]] for s in SPLITS}
+
+    @cached_property
+    def vocab(self) -> Vocabulary:
+        return Vocabulary.load(self.path("vocab.txt"))
+
+    @cached_property
+    def embedding_rows(self) -> tuple[np.ndarray, list[tuple[str, int]]]:
+        """The embedding matrix and its (article id, sentence index) rows."""
+        return (storage.read_matrix(self.path("embeddings.plmb")),
+                storage.read_matrix_index(self.path("embeddings.idx")))
+
+    @cached_property
+    def embeddings(self) -> dict[str, np.ndarray]:
+        """Per-article sentence embeddings."""
+        return group_rows_by_article(*self.embedding_rows)
+
+    @cached_property
+    def oracle(self) -> dict[str, list[int]]:
+        return storage.read_action_sequences(self.path("actions.tsv"))
+
+    @cached_property
+    def action_set(self) -> ActionSet:
+        centroids = storage.read_matrix(self.path("centroids.plmb"))
+        made = (self.manifests["centroids.plmb"] or {}).get("extra", {})
+        return ActionSet(centroids, float(made.get("inertia", 0.0)),
+                         centroids.shape[0], self.config.seed,
+                         self.config.kmeans_max_iters)
+
+    @cached_property
+    def planner(self) -> PlannerModel:
+        return planner_from_checkpoint(
+            *storage.read_checkpoint(self.path("planner.plmc")))
+
+    def lm(self, regime: Regime) -> tuple[BaseLM, ActionAdapter | None]:
+        """The network and adapter a regime is scored with (see `lm_name`)."""
+        base, adapter, _ = lm_from_checkpoint(
+            *storage.read_checkpoint(self.path(lm_name(regime))))
+        return base, adapter
 
     def prepared(self, split: str) -> list[PreparedArticle]:
         if split not in self._prepared:
@@ -215,114 +237,88 @@ class RunData:
 def step_ingest(config: RunConfig, out_dir: Path, input_path: Path,
                 force: bool = False) -> dict:
     ensure_run_config(out_dir, config, force)
-    started = time.time()
+    data = RunData(out_dir, config, force)
     articles = load_articles(Path(input_path))
     train, val, test = split_corpus(articles, config.seed, config.n_val,
                                     config.n_test)
     vocab = build_vocabulary(train, config.vocab_size)
 
-    out_dir = Path(out_dir)
-    from .corpus import save_articles_jsonl
-    save_articles_jsonl(articles, out_dir / "corpus.jsonl")
+    save_articles_jsonl(articles, data.out_dir / "corpus.jsonl")
     splits = {"train": [a.id for a in train], "val": [a.id for a in val],
               "test": [a.id for a in test]}
-    (out_dir / "splits.json").write_text(
+    (data.out_dir / "splits.json").write_text(
         json.dumps(splits, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    vocab.save(out_dir / "vocab.txt")
+    vocab.save(data.out_dir / "vocab.txt")
 
     extra = {"articles": len(articles), "vocab_size": vocab.size}
-    for name in ("corpus.jsonl", "splits.json", "vocab.txt"):
-        _finish(out_dir, name, "ingest", config, [], started, extra)
+    data.finish(("corpus.jsonl", "splits.json", "vocab.txt"), "ingest", extra)
     return extra
 
 
 def step_embed(config: RunConfig, out_dir: Path, force: bool = False,
                external_embeddings: Path | None = None) -> dict:
     ensure_run_config(out_dir, config, force)
-    _check_input_digests(out_dir, config, ["corpus.jsonl"], force)
-    started = time.time()
-    out_dir = Path(out_dir)
-    articles, _ = load_corpus_artifacts(out_dir)
-    index = []
-    for article in articles:
-        for j, _ in enumerate(split_sentences(article.text, article.id)):
-            index.append((article.id, j))
+    data = RunData(out_dir, config, force)
     if external_embeddings is not None:
         matrix = storage.read_matrix(Path(external_embeddings))
+        index = [(article.id, j) for article in data.by_id.values()
+                 for j in range(len(split_sentences(article.text,
+                                                    article.id)))]
         if matrix.shape[0] != len(index):
             raise ValidationError(
                 f"external embeddings have {matrix.shape[0]} rows; corpus has "
                 f"{len(index)} sentences")
     else:
-        matrix, index = embed_corpus(articles, encoder_config(config))
-    storage.write_matrix(out_dir / "embeddings.plmb", matrix)
-    storage.write_matrix_index(out_dir / "embeddings.idx", index)
+        matrix, index = embed_corpus(data.by_id.values(), data.encoder.config)
+    storage.write_matrix(data.out_dir / "embeddings.plmb", matrix)
+    storage.write_matrix_index(data.out_dir / "embeddings.idx", index)
     extra = {"rows": int(matrix.shape[0]), "dim": int(matrix.shape[1]),
              "external": external_embeddings is not None}
-    for name in ("embeddings.plmb", "embeddings.idx"):
-        _finish(out_dir, name, "embed", config, ["corpus.jsonl"], started, extra)
+    data.finish(("embeddings.plmb", "embeddings.idx"), "embed", extra)
     return extra
 
 
 def step_cluster(config: RunConfig, out_dir: Path, force: bool = False) -> dict:
     ensure_run_config(out_dir, config, force)
-    _check_input_digests(out_dir, config, ["embeddings.plmb"], force)
-    started = time.time()
-    out_dir = Path(out_dir)
-    matrix = storage.read_matrix(_require(out_dir, "embeddings.plmb"))
-    index = storage.read_matrix_index(_require(out_dir, "embeddings.idx"))
-    _, splits = load_corpus_artifacts(out_dir)
-    train_ids = set(splits["train"])
+    data = RunData(out_dir, config, force)
+    matrix, index = data.embedding_rows
+    train_ids = set(data.splits["train"])
     rows = [i for i, (aid, _) in enumerate(index) if aid in train_ids]
     fitted = kmeans_fit(matrix[rows], k=config.k, seed=config.seed,
                         max_iters=config.kmeans_max_iters)
-    storage.write_matrix(out_dir / "centroids.plmb", fitted.centroids)
+    storage.write_matrix(data.out_dir / "centroids.plmb", fitted.centroids)
     extra = {"k": fitted.k, "inertia": fitted.inertia,
              "iterations": fitted.iterations_run, "points": len(rows)}
-    _finish(out_dir, "centroids.plmb", "cluster", config,
-            ["embeddings.plmb"], started, extra)
+    data.finish(("centroids.plmb",), "cluster", extra)
     return extra
 
 
 def step_actions(config: RunConfig, out_dir: Path, force: bool = False) -> dict:
     ensure_run_config(out_dir, config, force)
-    _check_input_digests(out_dir, config,
-                         ["embeddings.plmb", "centroids.plmb"], force)
-    started = time.time()
-    out_dir = Path(out_dir)
-    action_set = load_action_set(out_dir, config)
-    matrix = storage.read_matrix(_require(out_dir, "embeddings.plmb"))
-    index = storage.read_matrix_index(_require(out_dir, "embeddings.idx"))
-    grouped = group_rows_by_article(matrix, index)
-    articles, _ = load_corpus_artifacts(out_dir)
+    data = RunData(out_dir, config, force)
+    action_set = data.action_set
     sequences = {
         article.id: assign_actions(
-            grouped.get(article.id,
-                        np.zeros((0, action_set.dim), dtype=np.float32)),
+            data.embeddings.get(
+                article.id, np.zeros((0, action_set.dim), dtype=np.float32)),
             action_set).tolist()
-        for article in articles}
-    storage.write_action_sequences(out_dir / "actions.tsv", sequences)
+        for article in data.by_id.values()}
+    storage.write_action_sequences(data.out_dir / "actions.tsv", sequences)
     sizes = np.bincount([a for seq in sequences.values() for a in seq],
                         minlength=action_set.k)
     extra = {"sequences": len(sequences),
              "ten_largest_clusters": sizes[np.argsort(-sizes)[:10]].tolist()}
-    _finish(out_dir, "actions.tsv", "actions", config,
-            ["embeddings.plmb", "centroids.plmb"], started, extra)
+    data.finish(("actions.tsv",), "actions", extra)
     return extra
 
 
 def step_pretrain_lm(config: RunConfig, out_dir: Path,
                      force: bool = False) -> dict:
     ensure_run_config(out_dir, config, force)
-    _check_input_digests(out_dir, config, ["corpus.jsonl", "vocab.txt"], force)
-    started = time.time()
-    out_dir = Path(out_dir)
-    articles, splits = load_corpus_artifacts(out_dir)
-    by_id = {a.id: a for a in articles}
-    vocab = Vocabulary.load(_require(out_dir, "vocab.txt"))
-    items = [ScoringItem(ids=tokenize(by_id[aid], vocab).token_ids.astype(
-        np.int64)) for aid in splits["train"]]
-    lm_config = LmConfig(vocab_size=vocab.size, d_model=config.lm_dim,
+    data = RunData(out_dir, config, force)
+    items = [ScoringItem(ids=tokenize(data.by_id[aid], data.vocab).token_ids
+                         .astype(np.int64)) for aid in data.splits["train"]]
+    lm_config = LmConfig(vocab_size=data.vocab.size, d_model=config.lm_dim,
                          n_layers=config.lm_layers, n_heads=config.lm_heads,
                          context_window=config.context_window)
     base = BaseLM(lm_config, np.random.default_rng(config.seed))
@@ -330,12 +326,11 @@ def step_pretrain_lm(config: RunConfig, out_dir: Path,
                        lr=config.lm_lr, max_epochs=config.pretrain_epochs,
                        seed=config.seed)
     storage.write_checkpoint(
-        out_dir / "base_lm.plmc",
+        data.out_dir / "base_lm.plmc",
         {k: v.values for k, v in base.params_dict().items()},
-        base_lm_meta(base) | {"config_digest": config_digest(config)})
+        base_lm_meta(base) | {"config_digest": data.digest})
     extra = {"train_loss": history["train_loss"]}
-    _finish(out_dir, "base_lm.plmc", "pretrain-lm", config,
-            ["corpus.jsonl", "vocab.txt"], started, extra)
+    data.finish(("base_lm.plmc",), "pretrain-lm", extra)
     return extra
 
 
@@ -347,13 +342,8 @@ def _planner_articles(data: RunData, split: str) -> list:
 def step_train_planner(config: RunConfig, out_dir: Path,
                        force: bool = False) -> dict:
     ensure_run_config(out_dir, config, force)
-    _check_input_digests(
-        out_dir, config,
-        ["embeddings.plmb", "centroids.plmb", "actions.tsv"], force)
-    started = time.time()
-    out_dir = Path(out_dir)
-    data = RunData(out_dir, config)
-    action_set = load_action_set(out_dir, config)
+    data = RunData(out_dir, config, force)
+    action_set = data.action_set
     planner_config = PlannerConfig(
         dim=action_set.dim, n_actions=action_set.k,
         n_layers=config.planner_layers, n_heads=config.planner_heads,
@@ -373,15 +363,14 @@ def step_train_planner(config: RunConfig, out_dir: Path,
                             patience=config.planner_patience, seed=config.seed)
     metrics = evaluate_planner(model, val)
     storage.write_checkpoint(
-        out_dir / "planner.plmc",
+        data.out_dir / "planner.plmc",
         {k: v.values for k, v in model.params_dict().items()},
-        planner_meta(model) | {"config_digest": config_digest(config)})
+        planner_meta(model) | {"config_digest": data.digest})
     extra = {"val_accuracy": metrics.accuracy,
              "val_average_rank": metrics.average_rank,
              "train_loss": history["train_loss"],
              "val_loss": history["val_metric"]}
-    _finish(out_dir, "planner.plmc", "train-planner", config,
-            ["embeddings.plmb", "centroids.plmb", "actions.tsv"], started, extra)
+    data.finish(("planner.plmc",), "train-planner", extra)
     return extra
 
 
@@ -433,17 +422,11 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
         raise ValidationError(
             "regime none needs no finetuning; evaluate uses base_lm.plmc")
     ensure_run_config(out_dir, config, force)
-    uses_planner = regime.action_source(training=True) == "planner"
-    needed = ["base_lm.plmc", "actions.tsv"]
-    if uses_planner:
-        needed.append("planner.plmc")
-    _check_input_digests(out_dir, config, needed, force)
-    started = time.time()
-    out_dir = Path(out_dir)
-    data = RunData(out_dir, config)
-    base, _ = load_lm(out_dir, Regime("none"))
-    planner = load_planner(out_dir) if uses_planner else None
-    action_set = load_action_set(out_dir, config)
+    data = RunData(out_dir, config, force)
+    base, _ = data.lm(Regime("none"))
+    planner = data.planner \
+        if regime.action_source(training=True) == "planner" else None
+    action_set = data.action_set
     train = scoring_items(data, "train", regime, training=True,
                           planner=planner)
     val = scoring_items(data, "val", regime, training=True, planner=planner)
@@ -474,11 +457,11 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
     if adapter is not None:
         params.update(adapter.params_dict())
     name = checkpoint_name(regime)
-    storage.write_checkpoint(out_dir / name,
+    storage.write_checkpoint(data.out_dir / name,
                              {k: v.values for k, v in params.items()},
-                             meta | {"config_digest": config_digest(config)})
+                             meta | {"config_digest": data.digest})
     extra = {"history": history, "regime": regime_key(regime)}
-    _finish(out_dir, name, "finetune", config, needed, started, extra)
+    data.finish((name,), "finetune", extra)
     return extra
 
 
@@ -501,16 +484,10 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
     if regime.style == "insert":
         raise ValidationError(
             "generation metrics are defined for adapter-style models")
-    needed = ["centroids.plmb", "actions.tsv", lm_name(regime)]
-    if regime.needs_planner:
-        needed.append("planner.plmc")
-    _check_input_digests(out_dir, config, needed, force)
-    started = time.time()
-    out_dir = Path(out_dir)
-    data = RunData(out_dir, config)
-    action_set = load_action_set(out_dir, config)
-    planner = load_planner(out_dir) if regime.needs_planner else None
-    base, adapter = load_lm(out_dir, regime)
+    data = RunData(out_dir, config, force)
+    action_set = data.action_set
+    planner = data.planner if regime.needs_planner else None
+    base, adapter = data.lm(regime)
     source = regime.action_source(training=False)
 
     records = []
@@ -540,11 +517,11 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
             article_id=prepared.article.id))
 
     name = generations_name(regime)
-    with open(out_dir / name, "w", encoding="utf-8") as fh:
+    with open(data.out_dir / name, "w", encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
     extra = {"records": len(records), "mode": mode, "split": split}
-    _finish(out_dir, name, "generate", config, needed, started, extra)
+    data.finish((name,), "generate", extra)
     return extra
 
 
@@ -557,24 +534,32 @@ def _article_from_tokens(article_id: str, vocab: Vocabulary,
     return Article(article_id, "", text)
 
 
-def _generation_metrics(data: RunData, regime: Regime, out_dir: Path,
-                        config: RunConfig, action_set: ActionSet) -> dict:
-    """ROUGE-2, normalized edit distance, latent inputs from generations."""
-    path = Path(out_dir) / generations_name(regime)
-    if not path.exists():
+def _generation_metrics(data: RunData, regime: Regime, split: str) -> dict:
+    """A regime's generations scored as their manifest says they were made:
+    {} if none were read or they were made for another split; ROUGE-2 and
+    edit distance to the real continuation for conditional generations only."""
+    name = generations_name(regime)
+    made = (data.manifests.get(name) or {}).get("extra", {})
+    if name not in data.manifests or made.get("split", split) != split:
         return {}
+    config, action_set = data.config, data.action_set
+    conditional = made.get("mode", "conditional") == "conditional"
+    streams = {p.article.id: p.stream for p in data.prepared(split)}
     rouge_by_len: dict[int, list[float]] = {L: [] for L in config.lengths}
     edit_by_len: dict[int, list[float]] = {L: [] for L in config.lengths}
     realized_sequences: list[list[int]] = []
     rates: list[float] = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        record = json.loads(line)
-        article = data.by_id.get(record["article_id"])
-        if article is None:
+    path = data.path(name)
+    with parsing(path):
+        records = [json.loads(line) for line in
+                   path.read_text(encoding="utf-8").splitlines()]
+    for record in records:
+        stream = streams.get(record["article_id"])
+        if stream is None:
             continue
-        stream = tokenize(article, data.vocab)
         _, cut = _half_split_point(stream)
-        real_continuation = stream.token_ids[cut:].astype(int).tolist()
+        real_continuation = stream.token_ids[cut:].astype(int).tolist() \
+            if conditional else []
         generated = [int(t) for t in record.get("token_ids", [])]
         if record.get("plan_following_rate") is not None:
             rates.append(float(record["plan_following_rate"]))
@@ -615,17 +600,20 @@ def _generation_metrics(data: RunData, regime: Regime, out_dir: Path,
 def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
                   force: bool = False, split: str = "test") -> dict:
     ensure_run_config(out_dir, config, force)
-    out_dir = Path(out_dir)
-    has_planner = (out_dir / "planner.plmc").exists()
-    needed = ["centroids.plmb", "actions.tsv", "embeddings.plmb",
-              *dict.fromkeys(lm_name(r) for r in regimes)]
-    if has_planner:
-        needed.append("planner.plmc")
-    _check_input_digests(out_dir, config, needed, force)
-    started = time.time()
-    data = RunData(out_dir, config)
-    action_set = load_action_set(out_dir, config)
-    planner = load_planner(out_dir) if has_planner else None
+    data = RunData(out_dir, config, force)
+    action_set = data.action_set
+    planner = data.planner \
+        if (data.out_dir / "planner.plmc").exists() else None
+    # every checkpoint and generations file is read before any scoring
+    models = {}
+    for regime in regimes:
+        if regime.needs_planner and planner is None:
+            raise ValidationError(
+                f"regime {regime_key(regime)} requires planner.plmc; "
+                "produce it with `planlm train-planner`")
+        models[regime_key(regime)] = data.lm(regime)
+        if (data.out_dir / generations_name(regime)).exists():
+            data.path(generations_name(regime))
 
     # ground-truth critic from training action sequences
     train_sequences = [data.oracle[aid] for aid in data.splits["train"]
@@ -635,13 +623,14 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
                      max_iters=config.hmm_iters)
 
     report: dict = {
-        "config_digest": config_digest(config),
+        "config_digest": data.digest,
         "seed": config.seed,
         "split": split,
         "lengths": list(config.lengths),
         "regimes": {},
     }
-    report_path = out_dir / "eval_report.json"
+    # the previous report is this step's own output, not an input
+    report_path = data.out_dir / "eval_report.json"
     if report_path.exists():
         previous = json.loads(report_path.read_text(encoding="utf-8"))
         if previous.get("config_digest") == report["config_digest"] and \
@@ -649,12 +638,8 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
             report["regimes"] = previous.get("regimes", {})
 
     for regime in regimes:
-        if regime.needs_planner and planner is None:
-            raise ValidationError(
-                f"regime {regime_key(regime)} requires planner.plmc; "
-                "produce it with `planlm train-planner`")
         entry: dict = {}
-        base, adapter = load_lm(out_dir, regime)
+        base, adapter = models[regime_key(regime)]
         items = scoring_items(data, split, regime, training=False,
                               planner=planner)
         if regime.actions == "fixed" and planner is not None:
@@ -666,8 +651,7 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
         if regime.actions == "fixed" and planner is not None:
             entry["planner_invocations"] = planner.invocations \
                 - planner_calls_before
-        gen_metrics = _generation_metrics(data, regime, out_dir, config,
-                                          action_set)
+        gen_metrics = _generation_metrics(data, regime, split)
         realized = gen_metrics.pop("realized_sequences", [])
         if realized:
             entry["latent_ppl"] = corpus_latent_perplexity(critic, realized)
@@ -681,22 +665,17 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
 
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
                            encoding="utf-8")
-    _finish(out_dir, "eval_report.json", "evaluate", config, needed,
-            started, {"regimes": sorted(report["regimes"])})
+    data.finish(("eval_report.json",), "evaluate",
+                {"regimes": sorted(report["regimes"])})
     return report
 
 
 def step_scan_oracle(config: RunConfig, out_dir: Path,
                      force: bool = False, split: str = "test") -> dict:
-    oracle_regime = Regime("oracle")
-    needed = ["centroids.plmb", "actions.tsv", checkpoint_name(oracle_regime)]
     ensure_run_config(out_dir, config, force)
-    _check_input_digests(out_dir, config, needed, force)
-    started = time.time()
-    out_dir = Path(out_dir)
-    data = RunData(out_dir, config)
-    action_set = load_action_set(out_dir, config)
-    base, adapter = load_lm(out_dir, oracle_regime)
+    data = RunData(out_dir, config, force)
+    action_set = data.action_set
+    base, adapter = data.lm(Regime("oracle"))
 
     def logit_fn(ids, actions, action_noise=None):
         return base.forward(ids, adapter=adapter, actions=actions,
@@ -723,7 +702,8 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
     def write_curve(name, result):
         lines = ["rank,ppl"] + [f"{i + 1},{p:.6f}"
                                 for i, p in enumerate(result.ppl_at_rank)]
-        (out_dir / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        (data.out_dir / name).write_text("\n".join(lines) + "\n",
+                                         encoding="utf-8")
 
     write_curve("oracle_scan.csv", oracle_result)
     write_curve("noise_scan.csv", noise_result)
@@ -738,19 +718,19 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
         "per_article_rank1_ppl": oracle_result.per_article_rank1_ppl,
         "per_article_oracle_ppl": oracle_result.per_article_oracle_ppl,
     }
-    (out_dir / "scan_summary.json").write_text(
+    (data.out_dir / "scan_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    for name in ("oracle_scan.csv", "noise_scan.csv", "scan_summary.json"):
-        _finish(out_dir, name, "scan-oracle", config, needed, started)
+    data.finish(("oracle_scan.csv", "noise_scan.csv", "scan_summary.json"),
+                "scan-oracle")
     return summary
 
 
 def step_inspect_cluster(config: RunConfig, out_dir: Path, action_id: int,
-                         top_n: int = 10) -> dict:
-    out_dir = Path(out_dir)
-    data = RunData(out_dir, config)
-    action_set = load_action_set(out_dir, config)
-    hits = inspect_cluster(action_id, data.articles, action_set, top_n,
+                         top_n: int = 10, force: bool = False) -> dict:
+    """Read-only: pins no config and writes nothing."""
+    data = RunData(out_dir, config, force)
+    action_set = data.action_set
+    hits = inspect_cluster(action_id, data.by_id.values(), action_set, top_n,
                            data.embeddings)
     sizes = np.bincount([a for seq in data.oracle.values() for a in seq],
                         minlength=action_set.k)
@@ -767,25 +747,20 @@ def step_inspect_cluster(config: RunConfig, out_dir: Path, action_id: int,
 def step_sweep_k(config: RunConfig, out_dir: Path, ks: Sequence[int],
                  force: bool = False) -> list[dict]:
     """Re-run cluster..evaluate for each k in a subdirectory; emit a CSV."""
-    import shutil
-
     ensure_run_config(out_dir, config, force)
-    started = time.time()
-    out_dir = Path(out_dir)
-    for name in ("corpus.jsonl", "splits.json", "vocab.txt", "embeddings.plmb",
-                 "embeddings.idx", "base_lm.plmc"):
-        _require(out_dir, name)
+    data = RunData(out_dir, config, force)
+    sources = [data.path(name) for name in (
+        "corpus.jsonl", "splits.json", "vocab.txt", "embeddings.plmb",
+        "embeddings.idx", "base_lm.plmc")]
     rows = []
     regime = Regime(config.regime, style=config.style, locus=config.locus)
     for k in ks:
         sub_config = dataclasses.replace(config, k=k)
-        sub_dir = out_dir / f"k{k}"
+        sub_dir = data.out_dir / f"k{k}"
         sub_dir.mkdir(exist_ok=True)
-        for name in ("corpus.jsonl", "splits.json", "vocab.txt",
-                     "embeddings.plmb", "embeddings.idx", "base_lm.plmc"):
-            shutil.copyfile(out_dir / name, sub_dir / name)
-        # copied artifacts carry the parent digest: force the sub-run
-        ensure_run_config(sub_dir, sub_config, force=True)
+        for source in sources:
+            shutil.copyfile(source, sub_dir / source.name)
+        # the sweep owns its sub-directories: each step re-pins and overwrites
         step_cluster(sub_config, sub_dir, force=True)
         step_actions(sub_config, sub_dir, force=True)
         planner_extra = step_train_planner(sub_config, sub_dir, force=True)
@@ -805,8 +780,7 @@ def step_sweep_k(config: RunConfig, out_dir: Path, ks: Sequence[int],
         lines.append(f"{row['k']},{row['ppl']:.6f},"
                      f"{row['planner_accuracy']:.6f},"
                      f"{row['planner_average_rank']:.6f}")
-    (out_dir / "sweep_k.csv").write_text("\n".join(lines) + "\n",
-                                         encoding="utf-8")
-    _finish(out_dir, "sweep_k.csv", "sweep-k", config, [], started,
-            {"ks": list(ks)})
+    (data.out_dir / "sweep_k.csv").write_text("\n".join(lines) + "\n",
+                                              encoding="utf-8")
+    data.finish(("sweep_k.csv",), "sweep-k", {"ks": list(ks)})
     return rows

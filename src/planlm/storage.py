@@ -9,18 +9,23 @@ JSON metadata, u32 section count, then sections of
 (u32 name length, name bytes, u32 rank, u32 dims..., f32 little-endian payload).
 Section names are stable dotted identifiers such as `planner.w_o` or
 `lm.layer3.adapter.e_a`.
+
+Readers refuse a corrupt file with a `ValidationError` naming it; binary
+readers check each declared size against the bytes left before reading.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
+import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
-from .errors import MissingArtifactError, ValidationError
+from .errors import ValidationError, parsing
 
 MATRIX_MAGIC = b"PLMB"
 CHECKPOINT_MAGIC = b"PLMC"
@@ -31,11 +36,16 @@ def _u32(value: int) -> bytes:
     return struct.pack("<I", value)
 
 
+def _read_declared(fh, n: int, what: str) -> bytes:
+    """`n` declared bytes; checked first, as `fh.read(n)` allocates n."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if n > left:
+        raise ValidationError(f"{fh.name}: {what} needs {n} bytes, {left} left")
+    return fh.read(n)
+
+
 def _read_u32(fh) -> int:
-    raw = fh.read(4)
-    if len(raw) != 4:
-        raise ValidationError("truncated file")
-    return struct.unpack("<I", raw)[0]
+    return struct.unpack("<I", _read_declared(fh, 4, "a header field"))[0]
 
 
 # -- matrix format -------------------------------------------------------------
@@ -54,9 +64,6 @@ def write_matrix(path: Path, matrix: np.ndarray) -> None:
 
 
 def read_matrix(path: Path) -> np.ndarray:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path))
     with open(path, "rb") as fh:
         if fh.read(4) != MATRIX_MAGIC:
             raise ValidationError(f"{path}: not a PLMB matrix file")
@@ -64,9 +71,8 @@ def read_matrix(path: Path) -> np.ndarray:
         if version != FORMAT_VERSION:
             raise ValidationError(f"{path}: unsupported version {version}")
         rows, dim = _read_u32(fh), _read_u32(fh)
-        data = np.frombuffer(fh.read(rows * dim * 4), dtype="<f4")
-        if data.size != rows * dim:
-            raise ValidationError(f"{path}: truncated payload")
+        data = np.frombuffer(_read_declared(fh, rows * dim * 4, "payload"),
+                             dtype="<f4")
     return data.reshape(rows, dim).astype(np.float32)
 
 
@@ -78,12 +84,11 @@ def write_matrix_index(path: Path, index: list[tuple[str, int]]) -> None:
 
 def read_matrix_index(path: Path) -> list[tuple[str, int]]:
     path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path))
     out = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        article_id, _, idx = line.partition("\t")
-        out.append((article_id, int(idx)))
+    with parsing(path):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            article_id, _, idx = line.partition("\t")
+            out.append((article_id, int(idx)))
     return out
 
 
@@ -111,29 +116,28 @@ def write_checkpoint(path: Path, sections: dict[str, np.ndarray],
 
 
 def read_checkpoint(path: Path) -> tuple[dict[str, np.ndarray], dict]:
-    path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path))
     with open(path, "rb") as fh:
         if fh.read(4) != CHECKPOINT_MAGIC:
             raise ValidationError(f"{path}: not a PLMC checkpoint")
         version = _read_u32(fh)
         if version != FORMAT_VERSION:
             raise ValidationError(f"{path}: unsupported version {version}")
-        meta_len = _read_u32(fh)
-        meta = json.loads(fh.read(meta_len).decode("utf-8")) if meta_len else {}
+        meta_bytes = _read_declared(fh, _read_u32(fh), "metadata")
+        with parsing(path):
+            meta = json.loads(meta_bytes.decode("utf-8")) if meta_bytes else {}
+        if not isinstance(meta, dict):
+            raise ValidationError(f"{path}: metadata is not a JSON object")
         count = _read_u32(fh)
         sections: dict[str, np.ndarray] = {}
         for _ in range(count):
-            name_len = _read_u32(fh)
-            name = fh.read(name_len).decode("utf-8")
-            rank = _read_u32(fh)
-            shape = tuple(_read_u32(fh) for _ in range(rank))
-            n = int(np.prod(shape)) if shape else 1
-            data = np.frombuffer(fh.read(n * 4), dtype="<f4")
-            if data.size != n:
-                raise ValidationError(f"{path}: truncated section {name}")
-            sections[name] = data.reshape(shape).astype(np.float32)
+            with parsing(path):
+                name = _read_declared(fh, _read_u32(fh), "section name"
+                                      ).decode("utf-8")
+                shape = tuple(_read_u32(fh) for _ in range(_read_u32(fh)))
+                data = np.frombuffer(
+                    _read_declared(fh, math.prod(shape) * 4, f"section {name}"),
+                    dtype="<f4")
+                sections[name] = data.reshape(shape).astype(np.float32)
     return sections, meta
 
 
@@ -149,12 +153,11 @@ def write_action_sequences(path: Path, sequences: dict[str, list[int]]) -> None:
 
 def read_action_sequences(path: Path) -> dict[str, list[int]]:
     path = Path(path)
-    if not path.exists():
-        raise MissingArtifactError(str(path))
     out: dict[str, list[int]] = {}
-    for line in path.read_text(encoding="utf-8").splitlines():
-        article_id, _, rest = line.partition("\t")
-        out[article_id] = [int(a) for a in rest.split()] if rest.strip() else []
+    with parsing(path):
+        for line in path.read_text(encoding="utf-8").splitlines():
+            article_id, _, rest = line.partition("\t")
+            out[article_id] = [int(a) for a in rest.split()]
     return out
 
 
@@ -177,7 +180,7 @@ def write_manifest(artifact_path: Path, subcommand: str, config_digest: str,
         "subcommand": subcommand,
         "config_digest": config_digest,
         "seed": seed,
-        "inputs": {str(p): file_sha256(p) for p in inputs},
+        "inputs": {Path(p).name: file_sha256(p) for p in inputs},
         "wall_time_s": round(wall_time_s, 3),
         "extra": extra or {},
     }
@@ -193,7 +196,14 @@ def manifest_path(artifact_path: Path) -> Path:
 
 
 def read_manifest(artifact_path: Path) -> dict | None:
+    """The manifest beside an artifact or None; `inputs` keys are file names."""
     p = manifest_path(artifact_path)
     if not p.exists():
         return None
-    return json.loads(p.read_text(encoding="utf-8"))
+    with parsing(p):
+        manifest = json.loads(p.read_text(encoding="utf-8"))
+    if not (isinstance(manifest, dict)
+            and {"config_digest", "subcommand"} <= manifest.keys()
+            and isinstance(manifest.get("inputs"), dict)):
+        raise ValidationError(f"{p}: not a manifest")
+    return manifest

@@ -87,6 +87,16 @@ def test_config_mismatch_refused_then_forced(run_dir, capsys):
     assert main(args(run_dir, "actions", "--force")) == 0
 
 
+def test_missing_input_files_exit_2(corpus_file, tmp_path, capsys):
+    out = tmp_path / "missing_inputs"
+    assert main(args(out, "ingest", "--input", str(tmp_path / "no.jsonl"))) \
+        == 2
+    assert main(args(out, "ingest", "--input", str(corpus_file))) == 0
+    assert main(args(out, "embed", "--external-embeddings",
+                     str(tmp_path / "no.plmb"))) == 2
+    assert "no.plmb" in capsys.readouterr().err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     code = main(["ingest", "--input", "x", "--out-dir", str(tmp_path),
                  "--set", "bogus=1"])
@@ -221,7 +231,9 @@ def test_evaluate_refuses_checkpoints_of_another_config(corpus_file, tmp_path,
     assert main(args(out, "finetune", "--regime", "oracle")) == 0
     # config B re-derives the actions but not the checkpoints
     other = ["--out-dir", str(out)] + CFG_SETS + ["--set", "k=4"]
-    assert main(["embed", "--force"] + other) == 0
+    assert main(["ingest", "--input", str(corpus_file), "--force"]
+                + other) == 0
+    assert main(["embed"] + other) == 0
     assert main(["cluster"] + other) == 0
     assert main(["actions"] + other) == 0
     capsys.readouterr()
@@ -263,3 +275,138 @@ def test_sweep_k_writes_one_row_and_one_run_per_k(corpus_file, tmp_path):
     for k in (4, 8):
         assert storage.read_matrix(out / f"k{k}" / "centroids.plmb").shape[0] \
             == k
+
+
+def test_cluster_refuses_embeddings_of_a_replaced_corpus(corpus_file, tmp_path,
+                                                         capsys):
+    out = tmp_path / "replaced"
+    other, _ = generate_corpus(default_grammar(seed=1), 40, 5)
+    other_file = tmp_path / "other.jsonl"
+    save_articles_jsonl(other, other_file)
+    assert main(args(out, "ingest", "--input", str(corpus_file))) == 0
+    assert main(args(out, "embed")) == 0
+    assert main(args(out, "ingest", "--input", str(other_file))) == 0
+    capsys.readouterr()
+    assert main(args(out, "cluster")) == 1
+    err = capsys.readouterr().err
+    # names the artifact, the changed input and the producing subcommand
+    assert "stale" in err and "corpus.jsonl" in err
+    assert "embeddings" in err and "planlm embed" in err
+    assert not (out / "centroids.plmb").exists()
+
+
+PREPARED = {"corpus.jsonl", "splits.json", "vocab.txt", "embeddings.plmb",
+            "embeddings.idx", "actions.tsv"}
+# artifact -> the run-directory files its step reads
+READ_BY_STEP = {
+    "corpus.jsonl": set(), "splits.json": set(), "vocab.txt": set(),
+    "embeddings.plmb": {"corpus.jsonl"}, "embeddings.idx": {"corpus.jsonl"},
+    "centroids.plmb": {"embeddings.plmb", "embeddings.idx", "splits.json"},
+    "actions.tsv": {"centroids.plmb", "embeddings.plmb", "embeddings.idx",
+                    "corpus.jsonl"},
+    "base_lm.plmc": {"corpus.jsonl", "splits.json", "vocab.txt"},
+    "planner.plmc": PREPARED | {"centroids.plmb"},
+    "lm_fixed.plmc": PREPARED | {"centroids.plmb", "base_lm.plmc"},
+    "lm_predicted_pa.plmc": PREPARED | {"centroids.plmb", "base_lm.plmc",
+                                       "planner.plmc"},
+    "generations_fixed.jsonl": PREPARED | {"centroids.plmb", "lm_fixed.plmc"},
+    "eval_report.json": PREPARED | {
+        "centroids.plmb", "planner.plmc", "base_lm.plmc", "lm_fixed.plmc",
+        "lm_predicted_pa.plmc", "generations_fixed.jsonl"},
+}
+
+
+@pytest.fixture(scope="module")
+def full_run(tmp_path_factory, corpus_file):
+    out = tmp_path_factory.mktemp("full")
+    assert main(args(out, "ingest", "--input", str(corpus_file))) == 0
+    for command in ("embed", "cluster", "actions", "pretrain-lm",
+                    "train-planner"):
+        assert main(args(out, command)) == 0
+    for regime in ("fixed", "predicted_pa"):
+        assert main(args(out, "finetune", "--regime", regime)) == 0
+    assert main(args(out, "generate", "--regime", "fixed")) == 0
+    assert main(args(out, "evaluate", "--regimes",
+                     "none,fixed,predicted_pa")) == 0
+    return out
+
+
+def copy_of(run, tmp_path, name="copy"):
+    return Path(shutil.copytree(run, tmp_path / name))
+
+
+def test_manifests_record_exactly_the_files_each_step_read(full_run):
+    for artifact, read in READ_BY_STEP.items():
+        manifest = storage.read_manifest(full_run / artifact)
+        assert set(manifest["inputs"]) == read, artifact
+        for name, sha256 in manifest["inputs"].items():
+            assert storage.file_sha256(full_run / name) == sha256
+
+
+def test_copied_run_directory_still_evaluates(full_run, tmp_path):
+    out = copy_of(full_run, tmp_path, "moved")
+    assert main(args(out, "evaluate", "--regimes",
+                     "none,fixed,predicted_pa")) == 0
+    manifest = storage.read_manifest(out / "eval_report.json")
+    assert set(manifest["inputs"]) == READ_BY_STEP["eval_report.json"]
+
+
+def test_finetune_refuses_centroids_of_another_config(full_run, tmp_path,
+                                                      capsys):
+    out = copy_of(full_run, tmp_path)
+    assert main(args(out, "cluster", "--force") + ["--set", "k=4"]) == 0
+    # re-pin config A without touching the centroids
+    assert main(args(out, "pretrain-lm", "--force")) == 0
+    (out / "lm_fixed.plmc").unlink()
+    capsys.readouterr()
+    assert main(args(out, "finetune", "--regime", "fixed")) == 1
+    err = capsys.readouterr().err
+    assert "centroids.plmb" in err and "force" in err
+    assert not (out / "lm_fixed.plmc").exists()
+
+
+def test_inspect_cluster_refuses_another_config_and_pins_nothing(run_dir,
+                                                                 capsys):
+    pinned = (run_dir / "config.txt").read_bytes()
+    other = args(run_dir, "inspect-cluster", "--action-id", "0") + [
+        "--set", "k=4"]
+    capsys.readouterr()
+    assert main(other) == 1
+    assert "force" in capsys.readouterr().err
+    assert main(other + ["--force"]) == 0
+    assert (run_dir / "config.txt").read_bytes() == pinned
+
+
+def test_evaluate_scores_generations_as_they_were_made(full_run, tmp_path):
+    out = copy_of(full_run, tmp_path)
+
+    def fixed_entry(*extra):
+        assert main(args(out, "evaluate", "--regimes", "fixed", *extra)) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        return report["regimes"]["fixed"]
+
+    # no reference continuation: no rouge2 or edit, the rest is scored
+    assert main(args(out, "generate", "--regime", "fixed", "--mode",
+                     "unconditional")) == 0
+    entry = fixed_entry()
+    assert "rouge2" not in entry and "edit" not in entry
+    assert "latent_ppl" in entry and "plan_following_rate" in entry
+    # generated for the val split: not scored on test, scored on val
+    assert main(args(out, "generate", "--regime", "fixed", "--split",
+                     "val")) == 0
+    entry = fixed_entry()
+    assert set(entry) == {"ppl", "planner_invocations"}
+    entry = fixed_entry("--split", "val")
+    assert "rouge2" in entry and "edit" in entry and "latent_ppl" in entry
+
+
+def test_truncated_centroids_refused_with_one_error_line(full_run, tmp_path,
+                                                         capsys):
+    out = copy_of(full_run, tmp_path)
+    raw = (out / "centroids.plmb").read_bytes()
+    (out / "centroids.plmb").write_bytes(raw[:len(raw) // 2])
+    capsys.readouterr()
+    assert main(args(out, "actions")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "centroids.plmb" in err[0]
