@@ -1,9 +1,12 @@
 """Minimal reverse-mode automatic differentiation on numpy buffers.
 
 Tensors hold row-major float buffers (float32 by default; float64 inputs stay
-float64, which keeps gradient checking meaningful). Every operation records a
-closure computing exact reverse-mode gradients. Serial execution is fully
-deterministic, and a single graph must stay on one thread.
+float64, which keeps gradient checking meaningful). An operation records its
+parents and a closure computing exact reverse-mode gradients only when one of
+its inputs requires grad; otherwise its output is a plain value. Parameters
+are created frozen (`nn.normal_param` and friends), so a forward pass builds
+no graph unless `nn.fit` has made its parameters trainable. Serial execution
+is fully deterministic, and a single graph must stay on one thread.
 """
 
 from __future__ import annotations
@@ -258,7 +261,7 @@ _GELU_A = 0.044715
 def gelu(a: Tensor) -> Tensor:
     """GELU with the tanh approximation."""
     x = a.values
-    u = _GELU_C * (x + _GELU_A * x**3)
+    u = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(u)
     out = 0.5 * x * (1.0 + t)
 

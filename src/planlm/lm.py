@@ -160,8 +160,7 @@ class ActionAdapter:
                 if centroids.shape != (k, d):
                     raise ValidationError(
                         f"centroids shape {centroids.shape} != ({k}, {d})")
-                return Tensor(centroids.astype(np.float32).copy(),
-                              requires_grad=True)
+                return Tensor(centroids.astype(np.float32).copy())
             return nn.normal_param(rng, (k, d))
 
         n_tables = 1 if config.share_tables else config.adapted_layers
@@ -313,10 +312,10 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
              seed: int = 0) -> dict:
     """Next-token training on non-overlapping windows of the items' ids.
 
-    With an adapter only the adapter trains and the base LM stays frozen
-    bit-for-bit; without one every base parameter trains. An item's `actions`
-    condition the adapter, and its `countable` masks the loss (an external
-    insert planner's action tokens are inputs, never targets). With
+    With an adapter only the adapter trains and the base LM is unchanged
+    bit-for-bit; without one every base parameter trains. An item's
+    `actions` condition the adapter, and its `countable` masks the loss (an
+    external insert planner's action tokens are inputs, never targets). With
     `val_items`, training early-stops on their perplexity (see `nn.fit`);
     without them it runs exactly `max_epochs` epochs.
     """
@@ -326,8 +325,6 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
                                           pp_actions=item.actions,
                                           countable=item.countable)]
     trainable = base.params_dict() if adapter is None else adapter.params_dict()
-    nn.set_trainable(base.params_dict(), adapter is None)
-    nn.set_trainable(trainable, True)
 
     def batch_loss(batch: list[WindowExample]) -> Tensor:
         ids = np.stack([ex.inputs for ex in batch])
@@ -344,12 +341,9 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
             lambda i, a: base.forward(i, adapter=adapter, actions=a).values,
             val_items, window)
 
-    try:
-        return nn.fit(trainable, examples, lambda ex: len(ex.inputs),
-                      batch_loss, batch_size, lr, max_epochs, patience, seed,
-                      val_metric=val_perplexity if val_items else None)
-    finally:
-        nn.set_trainable(base.params_dict(), True)
+    return nn.fit(trainable, examples, lambda ex: len(ex.inputs), batch_loss,
+                  batch_size, lr, max_epochs, patience, seed,
+                  val_metric=val_perplexity if val_items else None)
 
 
 # -- persistence --------------------------------------------------------------------

@@ -24,16 +24,15 @@ Item = TypeVar("Item")
 
 def normal_param(rng: np.random.Generator, shape: tuple[int, ...],
                  std: float = INIT_STD) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape).astype(np.float32),
-                  requires_grad=True)
+    return Tensor(rng.normal(0.0, std, size=shape).astype(np.float32))
 
 
 def zeros_param(shape: tuple[int, ...]) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=True)
+    return Tensor(np.zeros(shape, dtype=np.float32))
 
 
 def ones_param(shape: tuple[int, ...]) -> Tensor:
-    return Tensor(np.ones(shape, dtype=np.float32), requires_grad=True)
+    return Tensor(np.ones(shape, dtype=np.float32))
 
 
 class Linear:
@@ -200,33 +199,46 @@ def fit(trainable: dict[str, Tensor], items: Sequence[Item],
 
     Epoch e shuffles with `default_rng((seed, e))`, and `batch_loss` gives a
     batch's mean loss. `history["train_loss"]` holds each epoch's mean over
-    items. With `val_metric` (lower is better), scored after every epoch,
-    training stops after `patience` epochs without an improvement of more
-    than `IMPROVEMENT_TOL`, and the best parameters are restored and their
-    score kept as `history["best_val_metric"]`. Without it, training runs
-    exactly `max_epochs` epochs and keeps the last parameters. A non-finite
-    batch loss raises a `ValidationError` before it reaches the parameters.
+    items. `fit` alone makes parameters trainable: the `trainable` dict
+    requires grad only while an epoch's batches step it, and is frozen again
+    before every `val_metric` call and on return, also when a step raises.
+    So no graph is built outside the training steps.
+
+    With `val_metric` (lower is better), the starting parameters are scored
+    first and that score is the first best; then it is scored after every
+    epoch (`history["val_metric"]`). Training stops after `patience` epochs
+    without an improvement of more than `IMPROVEMENT_TOL`, and the best
+    parameters, which may be the starting ones, are restored and their score
+    kept as `history["best_val_metric"]`. Without it, training runs exactly
+    `max_epochs` epochs and keeps the last parameters. A non-finite batch
+    loss raises a `ValidationError` before it reaches the parameters.
     """
     opt = ad.Adam(list(trainable.values()), lr=lr)
     history: dict = {"train_loss": [], "val_metric": []}
-    best = np.inf
-    best_snap = snapshot(trainable) if val_metric is not None else None
+    if val_metric is not None:
+        best = val_metric()
+        best_snap = snapshot(trainable)
     since_best = 0
     for epoch in range(max_epochs):
         rng = np.random.default_rng((seed, epoch))
         total = np.float64(0.0)
         count = 0
-        for step, batch in enumerate(
-                length_batches(items, length, batch_size, rng)):
-            loss = batch_loss(batch)
-            value = loss.item()
-            if not np.isfinite(value):
-                raise ValidationError(
-                    f"training loss is {value} at epoch {epoch}, step {step}")
-            ad.backward(loss)
-            opt.step()
-            total += np.float64(value) * len(batch)
-            count += len(batch)
+        set_trainable(trainable, True)
+        try:
+            for step, batch in enumerate(
+                    length_batches(items, length, batch_size, rng)):
+                loss = batch_loss(batch)
+                value = loss.item()
+                if not np.isfinite(value):
+                    raise ValidationError(
+                        f"training loss is {value} at epoch {epoch}, "
+                        f"step {step}")
+                ad.backward(loss)
+                opt.step()
+                total += np.float64(value) * len(batch)
+                count += len(batch)
+        finally:
+            set_trainable(trainable, False)
         history["train_loss"].append(float(total / max(count, 1)))
         if val_metric is None:
             continue

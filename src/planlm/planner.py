@@ -74,8 +74,7 @@ class PlannerModel:
             if centroids.shape != (k, d):
                 raise ValidationError(
                     f"centroids shape {centroids.shape} != ({k}, {d})")
-            self.w_o = Tensor(centroids.astype(np.float32).copy(),
-                              requires_grad=True)
+            self.w_o = Tensor(centroids.astype(np.float32).copy())
         else:
             self.w_o = nn.normal_param(rng, (k, d))
         self.b = nn.zeros_param((k,))

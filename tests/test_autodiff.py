@@ -40,6 +40,19 @@ def test_matmul_shape_mismatch_raises():
         _ = Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((2, 3)))
 
 
+def test_gelu_float32_matches_the_float64_closed_form():
+    x = np.concatenate([np.linspace(-10.0, 10.0, 2001), np.zeros(3),
+                        [-1e4, -1e3, -50.0, 50.0, 1e3, 1e4],
+                        rng().normal(0.0, 3.0, 1000)]).astype(np.float32)
+    out = ad.gelu(Tensor(x)).values
+    x64 = x.astype(np.float64)
+    c = np.sqrt(2.0 / np.pi)
+    want = 0.5 * x64 * (1.0 + np.tanh(c * (x64 + 0.044715 * x64**3)))
+    assert out.dtype == np.float32
+    np.testing.assert_allclose(out, want, rtol=1e-5, atol=2e-6)
+    assert (out[2001:2004] == 0.0).all()
+
+
 def test_layer_norm_param_shape_mismatch_raises():
     x = Tensor(np.zeros((2, 4)))
     with pytest.raises(ad.ShapeError):

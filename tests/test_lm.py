@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from planlm import autodiff as ad
-from planlm import evaluation, storage
+from planlm import evaluation, nn, storage
 from planlm.corpus import TokenStream
 from planlm.errors import ValidationError
 from planlm.lm import (ActionAdapter, AdapterConfig, BaseLM, LmConfig,
@@ -213,7 +213,9 @@ def test_finetune_adapter_freezes_base_and_learns():
     after = {k: v.values.tobytes() for k, v in base.params_dict().items()}
     assert before == after, "base LM parameters must stay frozen"
     assert history["train_loss"][-1] <= history["train_loss"][0] + 1e-6
-    assert all(p.requires_grad for p in base.params_dict().values())
+    assert not any(p.requires_grad
+                   for p in {**base.params_dict(),
+                             **adapter.params_dict()}.values())
 
 
 # -- insert style -----------------------------------------------------------------------
@@ -262,6 +264,7 @@ def test_extend_for_insert_shapes_and_copied_rows():
 def test_external_loss_masks_action_positions():
     base = make_base(seed=14)
     extended = extend_for_insert(base, 3, np.random.default_rng(1))
+    nn.set_trainable(extended.params_dict(), True)
     s = stream([1, 3, 4, 2, 2], [0, 0, 0, 1, 1])
     ext, is_action = insert_style_sequence(s, [2, 0], vocab_size=V)
     examples = window_examples(ext, window=8, countable=~is_action)

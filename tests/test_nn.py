@@ -10,7 +10,7 @@ from planlm.errors import ValidationError
 def quadratic():
     """One parameter and a batch loss pulling it toward 1, recording each
     value the loss sees."""
-    w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+    w = nn.zeros_param((1,))
     seen = []
 
     def batch_loss(batch):
@@ -21,25 +21,61 @@ def quadratic():
     return w, seen, batch_loss
 
 
-def test_fit_stops_after_patience_and_restores_best():
-    w, _, batch_loss = quadratic()
-    scores = iter([3.0, 2.0, 2.5, 2.0, 4.0, 1.0, 0.5])
+def scored(w, scores):
+    """A val_metric returning `scores` in turn, recording the value of `w`
+    and whether it was trainable at each call."""
+    scores = iter(scores)
     at_val = []
 
     def val_metric():
-        at_val.append(w.values.copy())
+        at_val.append((w.values.copy(), w.requires_grad))
         return next(scores)
 
+    return val_metric, at_val
+
+
+def test_fit_stops_after_patience_and_restores_best():
+    w, _, batch_loss = quadratic()
+    val_metric, at_val = scored(w, [5.0, 3.0, 2.0, 2.5, 2.0, 4.0, 1.0, 0.5])
     history = nn.fit({"w": w}, list(range(4)), lambda _: 0, batch_loss,
                      batch_size=4, lr=0.1, max_epochs=10, patience=3, seed=0,
                      val_metric=val_metric)
-    # epoch 1 scores 2.0; epochs 2-4 do not improve on it (an equal score
-    # does not count), so training stops after epoch 4
+    # the start scores 5.0 and epoch 1 scores 2.0; epochs 2-4 do not improve
+    # on it (an equal score does not count), so training stops after epoch 4
     assert history["val_metric"] == [3.0, 2.0, 2.5, 2.0, 4.0]
     assert len(history["train_loss"]) == 5
     assert history["best_val_metric"] == 2.0
-    np.testing.assert_array_equal(w.values, at_val[1])
-    assert not np.array_equal(w.values, at_val[-1])
+    np.testing.assert_array_equal(w.values, at_val[2][0])
+    assert not np.array_equal(w.values, at_val[-1][0])
+
+
+def test_fit_keeps_the_start_when_no_epoch_beats_it():
+    w, seen, batch_loss = quadratic()
+    w.values[:] = 0.5
+    val_metric, _ = scored(w, [1.0, 1.5, 1.0, 2.0])
+    history = nn.fit({"w": w}, list(range(4)), lambda _: 0, batch_loss,
+                     batch_size=4, lr=0.1, max_epochs=10, patience=3, seed=0,
+                     val_metric=val_metric)
+    assert history["val_metric"] == [1.5, 1.0, 2.0]
+    assert history["best_val_metric"] == 1.0
+    assert len(seen) == 3 and w.values[0] != seen[-1][0]  # training moved w
+    np.testing.assert_array_equal(w.values, [0.5])
+
+
+def test_fit_makes_parameters_trainable_only_while_stepping():
+    w, _, batch_loss = quadratic()
+    trainable_in_step = []
+
+    def loss(batch):
+        trainable_in_step.append(w.requires_grad)
+        return batch_loss(batch)
+
+    val_metric, at_val = scored(w, [3.0, 2.0, 1.0])
+    nn.fit({"w": w}, list(range(4)), lambda _: 0, loss, batch_size=2,
+           lr=0.1, max_epochs=2, patience=3, seed=0, val_metric=val_metric)
+    assert trainable_in_step == [True] * 4
+    assert [trainable for _, trainable in at_val] == [False] * 3
+    assert not w.requires_grad and w.grad is None
 
 
 def test_fit_without_val_metric_runs_the_budget_and_keeps_last():
@@ -58,7 +94,7 @@ def test_fit_without_val_metric_runs_the_budget_and_keeps_last():
 def test_fit_is_deterministic_per_seed():
     def run(seed):
         order = []
-        w = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
+        w = nn.zeros_param((1,))
 
         def batch_loss(batch):
             order.append(list(batch))
@@ -86,7 +122,7 @@ def test_fit_refuses_a_non_finite_loss_before_the_update(monkeypatch):
     # two steps ran in epoch 0; the third batch's NaN never reached w
     np.testing.assert_array_equal(w.values, seen[-1])
     assert np.isfinite(w.values).all()
-    assert w.grad is None
+    assert not w.requires_grad and w.grad is None
 
 
 ITEMS = [(i, length) for i, length in enumerate([3, 1, 2, 3, 1, 3, 2, 3, 3, 1])]
