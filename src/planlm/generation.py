@@ -6,6 +6,19 @@ and the next action is predicted and swapped into the adapter. Boundaries are
 found by the corpus sentence splitter applied incrementally to the generated
 suffix (an uppercase sentinel is appended so the end-of-text rule matches the
 splitter's lookahead rule).
+
+The LM decodes incrementally on a K/V cache (`BaseLM.forward(cache=...)`).
+The first call feeds the last `window = context_window - 1` tokens; every
+later call feeds only the token just sampled. A re-plan does not invalidate
+the cache: position p is conditioned on the action of token p + 1, and a
+cached position's next token already exists, so its action is fixed. Only
+the newest position is conditioned on `current_action`, which becomes the
+action of the token sampled from it. Positions are learned and absolute, so
+a full cache cannot slide: once it holds `window` positions it is rebuilt
+from the last `window // 2` tokens, the stride `corpus_nll` scores with.
+Until the window first overflows, the tokens equal those of re-running the
+whole window for every token; after that, each token sees between
+`window // 2` and `window` tokens of context.
 """
 
 from __future__ import annotations
@@ -141,17 +154,26 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
     record = GenerationRecord(article_id=article_id, prefix_len=len(ids))
     sentence_tokens: list[str] = []
 
+    cache: list = []
+    n_cached = 0
     for _ in range(config.max_tokens):
-        w0 = max(0, len(ids) - window)
+        if not cache or n_cached == window:
+            # (re)fill from the last `window` tokens, later the last half
+            keep = max(1, window // 2) if cache else window
+            w0 = max(0, len(ids) - keep)
+            cache, n_cached = [], 0
+        else:
+            w0 = len(ids) - 1
         win_ids = np.asarray(ids[w0:], dtype=np.int64)[None, :]
         if conditioned:
             # position p is conditioned on the action of token p + 1
             pp = np.asarray([act_of_token[w0 + 1:] + [current_action]],
                             dtype=np.int64)
-            logits = base.forward(win_ids, adapter=adapter,
-                                  actions=pp).values[0, -1]
+            logits = base.forward(win_ids, adapter=adapter, actions=pp,
+                                  cache=cache).values[0, -1]
         else:
-            logits = base.forward(win_ids).values[0, -1]
+            logits = base.forward(win_ids, cache=cache).values[0, -1]
+        n_cached += win_ids.shape[1]
 
         token = sample_token(logits, config.temperature, config.top_k, rng)
         ids.append(token)
@@ -164,13 +186,12 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
         if vocab.token_of(token) in _TERMINAL_TOKENS:
             text = detokenize(sentence_tokens)
             if _sentence_complete(text):
-                if conditioned and action_set is not None:
-                    realized = assign_action(encoder.embed_sentence(text),
-                                             action_set)
-                    record.planned_actions.append(current_action)
-                    record.realized_actions.append(realized)
-                if uses_planner:
+                if conditioned and (uses_planner or action_set is not None):
                     z = encoder.embed_sentence(text)
+                if conditioned and action_set is not None:
+                    record.planned_actions.append(current_action)
+                    record.realized_actions.append(assign_action(z, action_set))
+                if uses_planner:
                     context = np.vstack([context, z[None, :]])
                     current_action = planner.predict_next_action(context)
                 sentence_tokens = []

@@ -113,28 +113,39 @@ class BaseLM:
 
     def forward(self, ids: np.ndarray, adapter: "ActionAdapter | None" = None,
                 actions: np.ndarray | None = None,
-                action_noise: np.ndarray | None = None) -> Tensor:
+                action_noise: np.ndarray | None = None,
+                cache: list | None = None) -> Tensor:
         """(B, T) token ids -> (B, T, V) logits.
 
         With an adapter, `actions` holds the per-position conditioning action
         ids; `action_noise` optionally perturbs the looked-up action embedding
         (shared across adapted layers).
+
+        `cache`, when given, is a K/V cache that the call extends in place.
+        An empty list starts one, and the first call fills it with one list
+        per block (see `nn.SelfAttention`). `ids` and `actions` then hold only
+        the positions after the cached ones, and so do the logits. A cache
+        needs frozen parameters.
         """
         ids = np.asarray(ids)
         b, t = ids.shape
-        if t > self.config.context_window:
+        if cache is not None and not cache:
+            cache.extend([] for _ in self.blocks)
+        past = cache[0][0].shape[2] if cache and cache[0] else 0
+        if past + t > self.config.context_window:
             raise ValidationError(
-                f"sequence of {t} exceeds context window "
-                f"{self.config.context_window}")
-        x = ad.embedding(self.tok_emb, ids) + ad.embedding(self.pos_emb,
-                                                           np.arange(t))
+                f"sequence of {past + t} positions ({past} cached) exceeds "
+                f"context window {self.config.context_window}")
+        x = ad.embedding(self.tok_emb, ids) + ad.embedding(
+            self.pos_emb, np.arange(past, past + t))
         first_adapted = self.config.n_layers - adapter.config.adapted_layers \
             if adapter is not None else self.config.n_layers
         for i, block in enumerate(self.blocks):
             extra = None
             if adapter is not None and i >= first_adapted:
                 extra = adapter.reps(i - first_adapted, actions, action_noise)
-            x = block(x, extra_context=extra)
+            x = block(x, extra_context=extra,
+                      cache=cache[i] if cache is not None else None)
         return self.out(self.ln_f(x))
 
 

@@ -60,9 +60,12 @@ class LayerNorm:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
 
-def causal_bias(n: int, dtype=np.float32) -> Tensor:
-    """(n, n) additive bias masking attention to future positions."""
-    bias = np.triu(np.full((n, n), MASK_BIAS, dtype=dtype), k=1)
+def causal_bias(t: int, past: int = 0, dtype=np.float32) -> Tensor:
+    """(t, past + t) additive bias masking attention to future positions.
+
+    Query i sits at position past + i, after `past` cached keys.
+    """
+    bias = np.triu(np.full((t, past + t), MASK_BIAS, dtype=dtype), k=past + 1)
     return Tensor(bias)
 
 
@@ -71,6 +74,12 @@ class SelfAttention:
 
     `extra_context`, when given, is added to the concatenated head outputs
     just before the output projection (the action-adapter insertion point).
+
+    `cache`, when given, is this layer's K/V cache: a list, empty or holding
+    the (B, heads, past, d_head) key and value arrays of the earlier
+    positions. `x` then holds the positions after them, and the cache is
+    extended in place by their keys and values. A cache holds plain arrays
+    outside the graph, so it refuses keys that require grad.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int,
@@ -86,7 +95,8 @@ class SelfAttention:
         self.wv = Linear(rng, d, d)
         self.wo = Linear(rng, d, d)
 
-    def __call__(self, x: Tensor, extra_context: Tensor | None = None) -> Tensor:
+    def __call__(self, x: Tensor, extra_context: Tensor | None = None,
+                 cache: list | None = None) -> Tensor:
         b, t, d = x.shape
         h, dh = self.n_heads, self.d_head
 
@@ -94,9 +104,20 @@ class SelfAttention:
             return lin(x).reshape(b, t, h, dh).swapaxes(1, 2)
 
         q, k, v = heads(self.wq), heads(self.wk), heads(self.wv)
+        past = 0
+        if cache is not None:
+            if k.requires_grad or v.requires_grad:
+                raise ValidationError(
+                    "a K/V cache holds no graph: cached forwards need frozen "
+                    "parameters")
+            if cache:
+                past = cache[0].shape[2]
+                k = Tensor(np.concatenate([cache[0], k.values], axis=2))
+                v = Tensor(np.concatenate([cache[1], v.values], axis=2))
+            cache[:] = [k.values, v.values]
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
         if self.causal:
-            scores = scores + causal_bias(t, dtype=x.dtype)
+            scores = scores + causal_bias(t, past, dtype=x.dtype)
         ctx = scores.softmax() @ v
         ctx = ctx.swapaxes(1, 2).reshape(b, t, d)
         if extra_context is not None:
@@ -122,8 +143,10 @@ class Block:
         self.ff1 = Linear(rng, d, 4 * d)
         self.ff2 = Linear(rng, 4 * d, d)
 
-    def __call__(self, x: Tensor, extra_context: Tensor | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), extra_context=extra_context)
+    def __call__(self, x: Tensor, extra_context: Tensor | None = None,
+                 cache: list | None = None) -> Tensor:
+        x = x + self.attn(self.ln1(x), extra_context=extra_context,
+                          cache=cache)
         return x + self.ff2(ad.gelu(self.ff1(self.ln2(x))))
 
     def params(self, prefix: str) -> dict[str, Tensor]:

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
-from planlm.actions import kmeans_fit
-from planlm.corpus import BOS_ID, Vocabulary
+from planlm.actions import assign_action, kmeans_fit
+from planlm.corpus import BOS_ID, Vocabulary, detokenize
 from planlm.encoder import EncoderConfig, SentenceEncoder
 from planlm.errors import ValidationError
-from planlm.generation import (GenerationConfig, GenerationRecord, generate,
+from planlm.generation import (_TERMINAL_TOKENS, GenerationConfig,
+                               GenerationRecord, _sentence_complete, generate,
                                sample_token)
-from planlm.lm import ActionAdapter, AdapterConfig, BaseLM, LmConfig, Regime
+from planlm.lm import (FIXED_ACTION_ID, ActionAdapter, AdapterConfig, BaseLM,
+                       LmConfig, Regime)
 from planlm.planner import PlannerConfig, PlannerModel
 
 VOCAB = Vocabulary(["<unk>", "<bos>", "the", "cat", "dog", "ran", "sat",
@@ -120,17 +122,101 @@ def test_fixed_regime_makes_no_planner_calls():
 
 def test_sliding_window_never_exceeds_context():
     base, adapter, action_set, planner, enc = tiny_world()
-    seen = []
+    window = LM_CFG.context_window - 1
+    seen = []  # (cached, new) positions of each forward
     orig = base.forward
 
-    def spy(ids, **kwargs):
-        seen.append(ids.shape[1])
-        return orig(ids, **kwargs)
+    def spy(ids, cache=None, **kwargs):
+        seen.append((cache[0][0].shape[2] if cache else 0, ids.shape[1]))
+        return orig(ids, cache=cache, **kwargs)
 
     base.forward = spy
     cfg = GenerationConfig(max_tokens=40, temperature=1.0, seed=4)
     run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
-    assert max(seen) <= LM_CFG.context_window
+    assert len(seen) == 40
+    assert max(past + new for past, new in seen) == window
+    fills = [new for past, new in seen if past == 0]
+    assert fills[0] == 1 and fills[1:] == [window // 2] * (len(fills) - 1)
+    assert len(fills) > 1, "40 tokens overflow the window, so it refills"
+
+
+def uncached_generate(regime, config, base, adapter, action_set, planner, enc,
+                      prefix_ids):
+    """The decoder without a cache: it re-runs the last `window` tokens for
+    every sampled token, with no prefix actions or embeddings."""
+    source = regime.action_source(training=False)
+    conditioned, uses_planner = source != "none", source == "planner"
+    window = base.config.context_window - 1
+    rng = np.random.default_rng(config.seed)
+    ids = [int(t) for t in prefix_ids]
+    act_of_token = [FIXED_ACTION_ID] * len(ids)
+    current_action = FIXED_ACTION_ID if conditioned else None
+    context = np.zeros((0, ENC_CFG.dim), dtype=np.float32)
+    if uses_planner:
+        current_action = planner.predict_next_action(context)
+    record = GenerationRecord(article_id="", prefix_len=len(ids))
+    sentence = []
+    for _ in range(config.max_tokens):
+        w0 = max(0, len(ids) - window)
+        win = np.asarray([ids[w0:]], dtype=np.int64)
+        if conditioned:
+            pp = np.asarray([act_of_token[w0 + 1:] + [current_action]],
+                            dtype=np.int64)
+            logits = base.forward(win, adapter=adapter, actions=pp)
+        else:
+            logits = base.forward(win)
+        token = sample_token(logits.values[0, -1], config.temperature,
+                             config.top_k, rng)
+        ids.append(token)
+        record.token_ids.append(token)
+        if conditioned:
+            act_of_token.append(current_action)
+            record.token_actions.append(current_action)
+        sentence.append(VOCAB.token_of(token))
+        text = detokenize(sentence)
+        if sentence[-1] in _TERMINAL_TOKENS and _sentence_complete(text):
+            z = enc.embed_sentence(text)
+            if conditioned:
+                record.planned_actions.append(current_action)
+                record.realized_actions.append(assign_action(z, action_set))
+            if uses_planner:
+                context = np.vstack([context, z[None, :]])
+                current_action = planner.predict_next_action(context)
+            sentence = []
+    record.text = detokenize([VOCAB.token_of(t) for t in record.token_ids])
+    return record
+
+
+@pytest.mark.parametrize("regime", ["none", "fixed", "predicted_pa"])
+def test_cached_decoder_matches_uncached_inside_the_window(regime):
+    base, adapter, action_set, planner, enc = tiny_world()
+    logits = []  # the last position's logits of every forward
+    forward = base.forward
+
+    def spy(*args, **kwargs):
+        out = forward(*args, **kwargs)
+        logits.append(out.values[0, -1])
+        return out
+
+    base.forward = spy
+    window = LM_CFG.context_window - 1
+    replans = 0
+    for seed in range(8):
+        prefix = np.array([BOS_ID] + [VOCAB.id_of("the")] * (seed % 4),
+                          dtype=np.int64)
+        cfg = GenerationConfig(max_tokens=window - len(prefix),
+                               temperature=1.0, seed=seed)
+        args = (Regime(regime), cfg, base, adapter, action_set, planner, enc)
+        logits.clear()
+        got = run(*args, prefix_ids=prefix)
+        n = len(logits)
+        want = uncached_generate(*args, prefix_ids=prefix)
+        assert got.to_json_dict() == want.to_json_dict()
+        assert got.token_actions == want.token_actions
+        np.testing.assert_allclose(logits[:n], logits[n:], rtol=0, atol=1e-6)
+        replans += len(got.planned_actions)
+    if regime != "none":
+        assert replans > 0, "no sentence closed, so no re-plan was checked"
 
 
 def test_conditional_mode_requires_prefix():

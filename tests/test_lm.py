@@ -135,6 +135,42 @@ def test_context_window_enforced():
         base.forward(np.zeros((1, 17), dtype=np.int64))
 
 
+@pytest.mark.parametrize("with_adapter", [False, True])
+def test_cached_forward_matches_one_full_forward(with_adapter):
+    base = make_base(seed=9)
+    adapter = make_adapter(base, L=2, seed=10) if with_adapter else None
+    ids, actions = random_inputs(np.random.default_rng(4), b=2, t=16)
+    full = base.forward(ids, adapter=adapter, actions=actions).values
+    cache = []
+    parts = [base.forward(ids[:, lo:hi], adapter=adapter,
+                          actions=actions[:, lo:hi], cache=cache).values
+             for lo, hi in [(0, 5)] + [(p, p + 1) for p in range(5, 16)]]
+    assert [len(kv) for kv in cache] == [2] * LAYERS
+    assert cache[0][0].shape[2] == 16
+    np.testing.assert_allclose(np.concatenate(parts, axis=1), full,
+                               rtol=0, atol=1e-6)
+
+
+def test_cached_forward_refuses_positions_past_the_window():
+    base = make_base()
+    cache = []
+    base.forward(np.zeros((1, 10), dtype=np.int64), cache=cache)
+    base.forward(np.zeros((1, 6), dtype=np.int64), cache=cache)
+    with pytest.raises(ValidationError, match="16 cached"):
+        base.forward(np.zeros((1, 1), dtype=np.int64), cache=cache)
+
+
+def test_cached_forward_refuses_trainable_parameters():
+    base = make_base()
+    params = base.params_dict()
+    nn.set_trainable(params, True)
+    try:
+        with pytest.raises(ValidationError, match="frozen"):
+            base.forward(np.zeros((1, 3), dtype=np.int64), cache=[])
+    finally:
+        nn.set_trainable(params, False)
+
+
 # -- training ------------------------------------------------------------------------
 
 
