@@ -19,14 +19,19 @@ from .errors import ValidationError
 
 @dataclass
 class ActionSet:
-    """K centroid rows defining the action vocabulary."""
+    """K centroid rows defining the action vocabulary.
+
+    `inertia` and `iterations_run` describe the k-means fit that made the
+    centroids; a set read back from disk leaves them at 0.
+    """
 
     centroids: np.ndarray          # (K, dim) float32
-    inertia: float
-    k: int
-    seed: int
-    max_iters: int
+    inertia: float = 0.0
     iterations_run: int = 0
+
+    @property
+    def k(self) -> int:
+        return int(self.centroids.shape[0])
 
     @property
     def dim(self) -> int:
@@ -136,7 +141,6 @@ def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
 
     final = float(_squared_distances(points, centers).min(axis=1).sum())
     return ActionSet(centroids=centers.astype(np.float32), inertia=final,
-                     k=k, seed=seed, max_iters=max_iters,
                      iterations_run=iterations)
 
 

@@ -2,8 +2,10 @@
 
 Pure metrics (perplexity aggregation, ROUGE-2, edit distance, HMM critic) plus
 model-facing scorers: sliding-window perplexity and the per-step action scans.
-The scorers only see a `logit_fn(ids, actions) -> (B, T, V) array` callable, so
-they work with any conditioning style.
+The scorers only see a `logit_fn(ids, actions, noise) -> (B, T, V) array`
+callable (`actions` and `noise` may be None), so they work with any
+conditioning style. All of them score their rows through one length-batched
+loop.
 """
 
 from __future__ import annotations
@@ -11,7 +13,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -213,10 +215,46 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
     return critic
 
 
+# -- scoring LM rows -------------------------------------------------------------
+
+
+LogitFn = Callable[[np.ndarray, np.ndarray | None, np.ndarray | None],
+                   np.ndarray]
+
+# One LM row: input ids, conditioning actions or None, action noise or None,
+# the positions whose next-token predictions are scored, and those tokens.
+Row = tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray,
+            np.ndarray]
+
+
+def _nll_rows(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Per-position negative log-likelihood in float64."""
+    logits = logits.astype(np.float64)
+    m = logits.max(axis=-1, keepdims=True)
+    lse = (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))[..., 0]
+    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
+    return lse - picked
+
+
+def _scored_rows(logit_fn: LogitFn,
+                 rows: Sequence[Row]) -> Iterator[tuple[int, np.ndarray]]:
+    """Yield (row index, NLL at its scored positions), in batch order.
+
+    Up to 64 rows of one length share an LM call; equal-length rows keep
+    their order.
+    """
+    for batch in length_batches(range(len(rows)), lambda r: len(rows[r][0]),
+                                64):
+        ids, actions, noise = (None if rows[batch[0]][f] is None
+                               else np.stack([rows[r][f] for r in batch])
+                               for f in range(3))
+        logits = logit_fn(ids, actions, noise)
+        for b, r in enumerate(batch):
+            _, _, _, positions, targets = rows[r]
+            yield r, _nll_rows(logits[b, positions], targets)
+
+
 # -- sliding-window perplexity ---------------------------------------------------
-
-
-LogitFn = Callable[[np.ndarray, np.ndarray | None], np.ndarray]
 
 
 @dataclass
@@ -234,15 +272,6 @@ class ScoringItem:
     article_id: str = ""
 
 
-def _nll_rows(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Per-position negative log-likelihood in float64."""
-    logits = logits.astype(np.float64)
-    m = logits.max(axis=-1, keepdims=True)
-    lse = (m + np.log(np.exp(logits - m).sum(axis=-1, keepdims=True)))[..., 0]
-    picked = np.take_along_axis(logits, targets[..., None], axis=-1)[..., 0]
-    return lse - picked
-
-
 def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem],
                window: int) -> tuple[float, int]:
     """Total NLL and token count, sliding windows with half-window scoring.
@@ -255,7 +284,7 @@ def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem],
         raise ValidationError("window must be >= 2")
     stride = window // 2
 
-    jobs: list[tuple[np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]] = []
+    rows: list[Row] = []
     for item in items:
         ids = np.asarray(item.ids)
         n = len(ids)
@@ -265,32 +294,26 @@ def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem],
             if count_from > n - 1:
                 break
             inputs = ids[s:s + window]
-            t_in = len(inputs)
-            n_targets = min(t_in, n - 1 - s)
-            targets = ids[s + 1:s + 1 + n_targets]
-            count_to = s + window - 1
+            n_targets = min(len(inputs), n - 1 - s)
             absolute = np.arange(s + 1, s + 1 + n_targets)
-            counted = (absolute >= count_from) & (absolute <= count_to)
+            counted = (absolute >= count_from) & (absolute <= s + window - 1)
             if item.countable is not None:
                 counted &= item.countable[absolute]
-            acts = item.actions[s:s + t_in] if item.actions is not None else None
+            acts = item.actions[s:s + len(inputs)] \
+                if item.actions is not None else None
             if counted.any():
-                jobs.append((inputs, acts, targets, counted))
+                positions = np.flatnonzero(counted)
+                rows.append((inputs, acts, None, positions,
+                             ids[s + 1 + positions]))
             if s + window >= n:
                 break
             s += stride
 
     total = np.float64(0.0)
     count = 0
-    for chunk in length_batches(jobs, lambda job: len(job[0]), 64):
-        ids_b = np.stack([j[0] for j in chunk])
-        acts_b = np.stack([j[1] for j in chunk]) \
-            if chunk[0][1] is not None else None
-        logits = logit_fn(ids_b, acts_b)
-        for row, (_, _, targets, counted) in enumerate(chunk):
-            nll = _nll_rows(logits[row, :len(targets)], np.asarray(targets))
-            total += nll[counted].sum()
-            count += int(counted.sum())
+    for _, nll in _scored_rows(logit_fn, rows):
+        total += nll.sum()
+        count += len(nll)
     return float(total), count
 
 
@@ -301,9 +324,6 @@ def corpus_perplexity(logit_fn: LogitFn, items: Sequence[ScoringItem],
 
 
 # -- per-step action scans ---------------------------------------------------------
-
-
-NoisyLogitFn = Callable[[np.ndarray, np.ndarray, np.ndarray | None], np.ndarray]
 
 
 @dataclass
@@ -319,7 +339,7 @@ class ScanItem:
 
 @dataclass
 class ScanResult:
-    ppl_at_rank: np.ndarray               # (K,) or (n_variants,)
+    ppl_at_rank: np.ndarray               # (K,)
     oracle_ppl: float
     mean_oracle_rank: float
     nearest_rank: int                     # rank whose PPL is nearest oracle's
@@ -328,46 +348,74 @@ class ScanResult:
     n_sentences: int = 0
 
 
-def _sentence_jobs(item: ScanItem, window: int):
-    """Yield (window ids, window oracle actions, override mask, token offsets,
-    sentence index) for each sentence of the article."""
-    ids = np.asarray(item.ids)
-    sidx = np.asarray(item.sentence_index_of_token)
-    n = len(ids)
-    for j in range(len(item.oracle_actions)):
-        token_pos = np.flatnonzero(sidx == j)
-        token_pos = token_pos[token_pos >= 1]  # tokens with a predicting position
-        if token_pos.size == 0:
-            continue
-        wend = int(token_pos.max()) + 1
-        wstart = max(0, wend - window)
-        token_pos = token_pos[token_pos >= wstart + 1]  # sentence longer than window
-        if token_pos.size == 0:
-            continue
-        win_ids = ids[wstart:wend]
-        win_actions = item.pp_actions[wstart:wend].copy()
-        # positions whose next token belongs to sentence j
-        pred_pos = token_pos - 1
-        rel_pred = pred_pos - wstart
-        override = np.zeros(len(win_ids), dtype=bool)
-        override[rel_pred] = True
-        rel_targets = token_pos - wstart  # target token indices inside window
-        yield win_ids, win_actions, override, rel_targets, j
+def _sentence_scores(logit_fn: LogitFn, items: Sequence[ScanItem],
+                     window: int, variants: Callable):
+    """Yield (item, sentence index j, mean NLL of sentence j's tokens under
+    each variant) for every scoreable sentence, scoring one sentence's rows
+    at a time.
+
+    The row ends at the sentence's last token and keeps at most `window`
+    positions. `variants(oracle actions of the row, positions predicting
+    sentence j)` gives each variant's (actions, noise or None).
+    """
+    for item in items:
+        ids = np.asarray(item.ids)
+        sidx = np.asarray(item.sentence_index_of_token)
+        for j in range(len(item.oracle_actions)):
+            token_pos = np.flatnonzero(sidx == j)
+            token_pos = token_pos[token_pos >= 1]  # tokens with a predicting position
+            if token_pos.size == 0:
+                continue
+            wend = int(token_pos.max()) + 1
+            wstart = max(0, wend - window)
+            token_pos = token_pos[token_pos >= wstart + 1]  # sentence longer than window
+            if token_pos.size == 0:
+                continue
+            predicting = token_pos - 1 - wstart
+            rows = [(ids[wstart:wend], actions, noise, predicting,
+                     ids[token_pos])
+                    for actions, noise in variants(
+                        item.pp_actions[wstart:wend], predicting)]
+            nll = np.empty(len(rows))
+            for r, row_nll in _scored_rows(logit_fn, rows):
+                nll[r] = row_nll.mean()
+            yield item, j, nll
 
 
-def _finalize_scan(per_sentence_nll: list[np.ndarray],
-                   oracle_nll: list[float], ranks: list[int],
-                   article_of_sentence: list[str]) -> ScanResult:
-    stacked = np.stack(per_sentence_nll)          # (S, n_variants) sorted rows
+def oracle_scan(logit_fn: LogitFn, items: Sequence[ScanItem], k: int,
+                window: int) -> ScanResult:
+    """Score every sentence under each of the K actions.
+
+    For sentence j the conditioning action is replaced at exactly the
+    positions predicting its tokens; earlier positions keep oracle actions.
+    Rows of the result are sorted ascending, so rank 1 is the per-step best.
+    """
+    def variants(oracle, predicting):
+        actions = np.tile(oracle, (k, 1))
+        actions[:, predicting] = np.arange(k)[:, None]
+        return [(row, None) for row in actions]
+
+    per_sentence: list[np.ndarray] = []
+    oracle_nll: list[float] = []
+    ranks: list[int] = []
+    by_article: dict[str, list[int]] = {}
+    for item, j, nll in _sentence_scores(logit_fn, items, window, variants):
+        oracle = nll[int(item.oracle_actions[j])]
+        by_article.setdefault(item.article_id, []).append(len(per_sentence))
+        per_sentence.append(np.sort(nll))
+        oracle_nll.append(float(oracle))
+        ranks.append(1 + int((nll < oracle).sum()))
+    if not per_sentence:
+        raise ValidationError("oracle_scan saw no scoreable sentences")
+
+    stacked = np.stack(per_sentence)          # (S, K) sorted rows
     ppl_at_rank = np.exp(stacked.mean(axis=0))
     oracle_ppl = float(np.exp(np.mean(oracle_nll)))
-    nearest = int(np.abs(ppl_at_rank - oracle_ppl).argmin()) + 1
-    result = ScanResult(ppl_at_rank=ppl_at_rank, oracle_ppl=oracle_ppl,
-                        mean_oracle_rank=float(np.mean(ranks)),
-                        nearest_rank=nearest, n_sentences=len(oracle_nll))
-    by_article: dict[str, list[int]] = {}
-    for s, aid in enumerate(article_of_sentence):
-        by_article.setdefault(aid, []).append(s)
+    result = ScanResult(
+        ppl_at_rank=ppl_at_rank, oracle_ppl=oracle_ppl,
+        mean_oracle_rank=float(np.mean(ranks)),
+        nearest_rank=int(np.abs(ppl_at_rank - oracle_ppl).argmin()) + 1,
+        n_sentences=len(oracle_nll))
     for aid, rows in by_article.items():
         result.per_article_rank1_ppl[aid] = float(
             np.exp(stacked[rows, 0].mean()))
@@ -376,85 +424,28 @@ def _finalize_scan(per_sentence_nll: list[np.ndarray],
     return result
 
 
-def oracle_scan(logit_fn: NoisyLogitFn, items: Sequence[ScanItem], k: int,
-                window: int, batch_size: int = 16) -> ScanResult:
-    """Score every sentence under each of the K actions.
-
-    For sentence j the conditioning action is replaced at exactly the
-    positions predicting its tokens; earlier positions keep oracle actions.
-    Rows of the result are sorted ascending, so rank 1 is the per-step best.
-    """
-    per_sentence: list[np.ndarray] = []
-    oracle_nll: list[float] = []
-    ranks: list[int] = []
-    owners: list[str] = []
-    for item in items:
-        for win_ids, win_actions, override, rel_targets, j in \
-                _sentence_jobs(item, window):
-            variants = np.tile(win_actions, (k, 1))
-            variants[:, override] = np.arange(k)[:, None]
-            nll = _score_variants(logit_fn, win_ids, variants, None,
-                                  rel_targets, batch_size)
-            oracle_action = int(item.oracle_actions[j])
-            per_sentence.append(np.sort(nll))
-            oracle_nll.append(float(nll[oracle_action]))
-            ranks.append(1 + int((nll < nll[oracle_action]).sum()))
-            owners.append(item.article_id)
-    if not per_sentence:
-        raise ValidationError("oracle_scan saw no scoreable sentences")
-    return _finalize_scan(per_sentence, oracle_nll, ranks, owners)
-
-
-def noise_scan(logit_fn: NoisyLogitFn, items: Sequence[ScanItem],
+def noise_scan(logit_fn: LogitFn, items: Sequence[ScanItem],
                n_variants: int, sigma: float, action_dim: int, window: int,
-               seed: int, batch_size: int = 16) -> ScanResult:
-    """Score every sentence under Gaussian perturbations of its oracle action.
+               seed: int) -> np.ndarray:
+    """Perplexity at each rank when every sentence is scored under Gaussian
+    perturbations of its oracle action, ranks sorted ascending.
 
     Each variant draws one noise vector (shared across adapted layers) added
     to the oracle action embedding at the sentence's positions; conditioning
-    elsewhere stays oracle. The oracle reference is the zero-noise variant.
+    elsewhere stays oracle.
     """
     rng = np.random.default_rng(seed)
-    per_sentence: list[np.ndarray] = []
-    oracle_nll: list[float] = []
-    ranks: list[int] = []
-    owners: list[str] = []
-    for item in items:
-        for win_ids, win_actions, override, rel_targets, _ in \
-                _sentence_jobs(item, window):
-            variants = np.tile(win_actions, (n_variants, 1))
-            noise = np.zeros((n_variants, len(win_ids), action_dim),
-                             dtype=np.float32)
-            draws = rng.normal(0.0, sigma, (n_variants, action_dim)).astype(
-                np.float32)
-            noise[:, override, :] = draws[:, None, :]
-            nll = _score_variants(logit_fn, win_ids, variants, noise,
-                                  rel_targets, batch_size)
-            zero_noise = _score_variants(logit_fn, win_ids,
-                                         win_actions[None, :], None,
-                                         rel_targets, batch_size)
-            per_sentence.append(np.sort(nll))
-            oracle_nll.append(float(zero_noise[0]))
-            ranks.append(1 + int((nll < zero_noise[0]).sum()))
-            owners.append(item.article_id)
+
+    def variants(oracle, predicting):
+        noise = np.zeros((n_variants, len(oracle), action_dim),
+                         dtype=np.float32)
+        draws = rng.normal(0.0, sigma, (n_variants, action_dim)).astype(
+            np.float32)
+        noise[:, predicting, :] = draws[:, None, :]
+        return [(oracle, row) for row in noise]
+
+    per_sentence = [np.sort(nll) for _, _, nll in _sentence_scores(
+        logit_fn, items, window, variants)]
     if not per_sentence:
         raise ValidationError("noise_scan saw no scoreable sentences")
-    return _finalize_scan(per_sentence, oracle_nll, ranks, owners)
-
-
-def _score_variants(logit_fn: NoisyLogitFn, win_ids: np.ndarray,
-                    action_variants: np.ndarray, noise: np.ndarray | None,
-                    rel_targets: np.ndarray, batch_size: int) -> np.ndarray:
-    """Mean NLL of the sentence tokens for each action/noise variant."""
-    n = action_variants.shape[0]
-    out = np.empty(n, dtype=np.float64)
-    targets = win_ids[rel_targets]
-    for i in range(0, n, batch_size):
-        acts = action_variants[i:i + batch_size]
-        ids_b = np.tile(win_ids, (len(acts), 1))
-        noise_b = noise[i:i + batch_size] if noise is not None else None
-        logits = logit_fn(ids_b, acts, noise_b)
-        nll = _nll_rows(logits[:, rel_targets - 1, :],
-                        np.tile(targets, (len(acts), 1)))
-        out[i:i + len(acts)] = nll.mean(axis=1)
-    return out
+    return np.exp(np.stack(per_sentence).mean(axis=0))

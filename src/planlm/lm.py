@@ -349,7 +349,7 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
 
     def val_perplexity() -> float:
         return evaluation.corpus_perplexity(
-            lambda i, a: base.forward(i, adapter=adapter, actions=a).values,
+            lambda i, a, _: base.forward(i, adapter=adapter, actions=a).values,
             val_items, window)
 
     return nn.fit(trainable, examples, lambda ex: len(ex.inputs), batch_loss,

@@ -199,11 +199,7 @@ class RunData:
 
     @cached_property
     def action_set(self) -> ActionSet:
-        centroids = storage.read_matrix(self.path("centroids.plmb"))
-        made = (self.manifests["centroids.plmb"] or {}).get("extra", {})
-        return ActionSet(centroids, float(made.get("inertia", 0.0)),
-                         centroids.shape[0], self.config.seed,
-                         self.config.kmeans_max_iters)
+        return ActionSet(storage.read_matrix(self.path("centroids.plmb")))
 
     @cached_property
     def planner(self) -> PlannerModel:
@@ -645,8 +641,8 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
         if regime.actions == "fixed" and planner is not None:
             planner_calls_before = planner.invocations
         entry["ppl"] = corpus_perplexity(
-            lambda ids, actions: base.forward(ids, adapter=adapter,
-                                              actions=actions).values,
+            lambda ids, actions, _: base.forward(ids, adapter=adapter,
+                                                 actions=actions).values,
             items, base.config.context_window)
         if regime.actions == "fixed" and planner is not None:
             entry["planner_invocations"] = planner.invocations \
@@ -677,9 +673,9 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
     action_set = data.action_set
     base, adapter = data.lm(Regime("oracle"))
 
-    def logit_fn(ids, actions, action_noise=None):
+    def logit_fn(ids, actions, noise):
         return base.forward(ids, adapter=adapter, actions=actions,
-                            action_noise=action_noise).values
+                            action_noise=noise).values
 
     items = []
     for prepared in data.prepared(split)[:config.scan_articles]:
@@ -696,23 +692,23 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
     oracle_result = oracle_scan(logit_fn, items, action_set.k, window)
     n_variants = config.noise_variants or action_set.k
     sigma = adapter.embedding_std()
-    noise_result = noise_scan(logit_fn, items, n_variants, sigma,
-                              action_set.dim, window, seed=config.seed)
+    noise_curve = noise_scan(logit_fn, items, n_variants, sigma,
+                             action_set.dim, window, seed=config.seed)
 
-    def write_curve(name, result):
+    def write_curve(name, ppl_at_rank):
         lines = ["rank,ppl"] + [f"{i + 1},{p:.6f}"
-                                for i, p in enumerate(result.ppl_at_rank)]
+                                for i, p in enumerate(ppl_at_rank)]
         (data.out_dir / name).write_text("\n".join(lines) + "\n",
                                          encoding="utf-8")
 
-    write_curve("oracle_scan.csv", oracle_result)
-    write_curve("noise_scan.csv", noise_result)
+    write_curve("oracle_scan.csv", oracle_result.ppl_at_rank)
+    write_curve("noise_scan.csv", noise_curve)
     summary = {
         "oracle_ppl": oracle_result.oracle_ppl,
         "mean_oracle_rank": oracle_result.mean_oracle_rank,
         "nearest_rank": oracle_result.nearest_rank,
         "best_action_ppl": float(oracle_result.ppl_at_rank[0]),
-        "best_noise_ppl": float(noise_result.ppl_at_rank[0]),
+        "best_noise_ppl": float(noise_curve[0]),
         "noise_sigma": sigma,
         "n_sentences": oracle_result.n_sentences,
         "per_article_rank1_ppl": oracle_result.per_article_rank1_ppl,

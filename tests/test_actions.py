@@ -92,26 +92,25 @@ def test_duplicate_points_keep_all_clusters_alive():
 def test_assign_action_centroid_row_maps_to_itself():
     rng = np.random.default_rng(0)
     centroids = rng.normal(0, 1, (6, 4)).astype(np.float32)
-    action_set = ActionSet(centroids, 0.0, 6, 0, 300)
+    action_set = ActionSet(centroids)
     for i in range(6):
         assert assign_action(centroids[i], action_set) == i
 
 
 def test_assign_action_hand_case():
-    action_set = ActionSet(np.array([[0.0, 0.0], [1.0, 1.0]], dtype=np.float32),
-                           0.0, 2, 0, 300)
+    action_set = ActionSet(np.array([[0.0, 0.0], [1.0, 1.0]], dtype=np.float32))
     assert assign_action(np.array([0.9, 0.8], dtype=np.float32), action_set) == 1
 
 
 def test_assign_action_tie_takes_lowest_id():
     centroids = np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=np.float32)
-    action_set = ActionSet(centroids, 0.0, 2, 0, 300)
+    action_set = ActionSet(centroids)
     # z is exactly equidistant from both centroids
     assert assign_action(np.array([0.0, 1.0], dtype=np.float32), action_set) == 0
 
 
 def test_assign_action_dim_mismatch():
-    action_set = ActionSet(np.zeros((2, 3), dtype=np.float32), 0.0, 2, 0, 300)
+    action_set = ActionSet(np.zeros((2, 3), dtype=np.float32))
     with pytest.raises(ValidationError):
         assign_action(np.zeros(4, dtype=np.float32), action_set)
 
@@ -166,6 +165,6 @@ def test_inspect_cluster_sorted_and_top_hit():
 
 
 def test_inspect_cluster_unknown_id():
-    action_set = ActionSet(np.zeros((2, 3), dtype=np.float32), 0.0, 2, 0, 300)
+    action_set = ActionSet(np.zeros((2, 3), dtype=np.float32))
     with pytest.raises(ValidationError):
         inspect_cluster(5, [], action_set, 1, {})

@@ -7,10 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planlm.errors import ValidationError
-from planlm.evaluation import (HmmCritic, ScanItem, corpus_latent_perplexity,
-                               hmm_fit, hmm_forward_loglik, levenshtein,
-                               noise_scan, normalized_edit, oracle_scan,
+from planlm.evaluation import (HmmCritic, ScanItem, ScoringItem,
+                               corpus_latent_perplexity, corpus_nll, hmm_fit,
+                               hmm_forward_loglik, levenshtein, noise_scan,
+                               normalized_edit, oracle_scan,
                                perplexity_from_nll, rouge2_f1)
+from planlm.lm import ActionAdapter, AdapterConfig, BaseLM, LmConfig
 
 
 # -- levenshtein ---------------------------------------------------------------
@@ -311,7 +313,7 @@ def scan_logit_fn(uses_actions):
     emb = rng.normal(size=(SCAN_K, SCAN_DIM))
     proj = rng.normal(size=(SCAN_DIM, SCAN_V))
 
-    def logit_fn(ids, actions, noise=None):
+    def logit_fn(ids, actions, noise):
         if not uses_actions:
             return tok[ids]
         action_emb = emb[actions] if noise is None else emb[actions] + noise
@@ -329,13 +331,172 @@ def test_scan_of_an_action_blind_model_is_flat():
     assert result.n_sentences == 7
 
 
-def test_oracle_scan_reference_matches_zero_noise_reference():
-    items = scan_items()
-    logit_fn = scan_logit_fn(uses_actions=True)
-    oracle = oracle_scan(logit_fn, items, SCAN_K, window=8)
-    noise = noise_scan(logit_fn, items, n_variants=5, sigma=0.5,
-                       action_dim=SCAN_DIM, window=8, seed=0)
-    assert oracle.oracle_ppl == pytest.approx(noise.oracle_ppl, rel=1e-6)
-    assert oracle.per_article_oracle_ppl == pytest.approx(
-        noise.per_article_oracle_ppl, rel=1e-6)
-    assert not np.allclose(oracle.ppl_at_rank, oracle.ppl_at_rank[0])
+# -- the batched scorers against one LM call per row ----------------------------
+
+REF_WINDOW, REF_K, REF_DIM = 8, 4, 6
+
+
+def tiny_lm():
+    """A frozen two-layer LM with a random adapter on both layers, and its
+    logit_fn."""
+    cfg = LmConfig(vocab_size=SCAN_V, d_model=16, n_layers=2, n_heads=2,
+                   context_window=REF_WINDOW)
+    base = BaseLM(cfg, np.random.default_rng(13))
+    adapter = ActionAdapter(
+        AdapterConfig(n_actions=REF_K, action_dim=REF_DIM, adapted_layers=2,
+                      init="random"), cfg, np.random.default_rng(14))
+
+    def logit_fn(ids, actions, noise):
+        return base.forward(ids, adapter=adapter, actions=actions,
+                            action_noise=noise).values
+
+    return logit_fn
+
+
+def one_row(logit_fn, ids, actions, noise=None):
+    """The (T, V) logits of one row, from a call of batch size 1."""
+    return logit_fn(ids[None], actions[None],
+                    None if noise is None else noise[None])[0]
+
+
+def row_nll(logits, targets):
+    """Per-position NLL in float64, by log-sum-exp."""
+    logits = logits.astype(np.float64)
+    m = logits.max(axis=-1, keepdims=True)
+    lse = m[:, 0] + np.log(np.exp(logits - m).sum(axis=-1))
+    return lse - logits[np.arange(len(targets)), targets]
+
+
+def reference_corpus_nll(logit_fn, items, window):
+    """Target t is counted in the first half-stride window whose last counted
+    target (start + window - 1) reaches it. Windows are added shortest first,
+    in a stable order: the order the batched scorer adds them in."""
+    stride = window // 2
+    windows = []
+    for item in items:
+        by_start: dict[int, list[int]] = {}
+        for t in range(1, len(item.ids)):
+            if item.countable is None or item.countable[t]:
+                start = stride * max(0, -(-(t - window + 1) // stride))
+                by_start.setdefault(start, []).append(t)
+        for start, targets in by_start.items():
+            logits = one_row(logit_fn, item.ids[start:start + window],
+                             item.actions[start:start + window])
+            targets = np.asarray(targets)
+            nll = row_nll(logits[targets - 1 - start], item.ids[targets])
+            windows.append((len(item.ids[start:start + window]), nll.sum(),
+                            len(targets)))
+    total = np.float64(0.0)
+    for _, window_total, _ in sorted(windows, key=lambda w: w[0]):
+        total += window_total
+    return float(total), sum(w[2] for w in windows)
+
+
+def reference_sentence_nll(logit_fn, item, window, variant):
+    """Mean NLL of each sentence's tokens for each variant, one call per
+    variant: `variant(actions, predicting)` edits the window's oracle actions
+    and returns (actions, noise or None)."""
+    out = []
+    for j in range(len(item.oracle_actions)):
+        token_pos = np.flatnonzero(item.sentence_index_of_token == j)
+        token_pos = token_pos[token_pos >= 1]
+        if token_pos.size == 0:
+            continue
+        end = token_pos.max() + 1
+        start = max(0, end - window)
+        token_pos = token_pos[token_pos >= start + 1]
+        predicting = token_pos - 1 - start
+        nll = []
+        for actions, noise in variant(item.pp_actions[start:end], predicting):
+            logits = one_row(logit_fn, item.ids[start:end], actions, noise)
+            nll.append(row_nll(logits[predicting],
+                               item.ids[token_pos]).mean())
+        out.append((item.article_id, int(item.oracle_actions[j]),
+                    np.asarray(nll)))
+    return out
+
+
+def reference_items():
+    """Articles longer than the window, with one sentence longer than it."""
+    rng = np.random.default_rng(15)
+    items = []
+    for n, lengths in enumerate(([4, 3, 5, 4], [3, 10, 3], [2, 2, 3])):
+        sidx = np.concatenate([[0], np.repeat(np.arange(len(lengths)),
+                                              lengths)])
+        oracle = rng.integers(0, REF_K, len(lengths))
+        items.append(ScanItem(
+            ids=np.concatenate([[1], rng.integers(2, SCAN_V, len(sidx) - 1)]),
+            sentence_index_of_token=sidx, oracle_actions=oracle,
+            pp_actions=oracle[np.concatenate([sidx[1:], sidx[-1:]])],
+            article_id=f"a{n}"))
+    return items
+
+
+def test_corpus_nll_matches_one_call_per_window():
+    logit_fn = tiny_lm()
+    rng = np.random.default_rng(16)
+    items = []
+    for n in (21, 5, 13, 9, 30):
+        countable = rng.random(n) < 0.8
+        items.append(ScoringItem(ids=rng.integers(0, SCAN_V, n),
+                                 actions=rng.integers(0, REF_K, n),
+                                 countable=countable))
+    got = corpus_nll(logit_fn, items, REF_WINDOW)
+    assert got == reference_corpus_nll(logit_fn, items, REF_WINDOW)
+    assert got[1] == sum(int(item.countable[1:].sum()) for item in items)
+
+
+def test_oracle_scan_matches_one_call_per_action():
+    logit_fn = tiny_lm()
+    items = reference_items()
+
+    def each_action(actions, predicting):
+        for a in range(REF_K):
+            edited = actions.copy()
+            edited[predicting] = a
+            yield edited, None
+
+    sentences = [s for item in items for s in reference_sentence_nll(
+        logit_fn, item, REF_WINDOW, each_action)]
+    ranked = np.stack([np.sort(nll) for _, _, nll in sentences])
+    oracle_nll = [nll[a] for _, a, nll in sentences]
+    ppl_at_rank = np.exp(ranked.mean(axis=0))
+    oracle_ppl = float(np.exp(np.mean(oracle_nll)))
+    owners = [aid for aid, _, _ in sentences]
+
+    got = oracle_scan(logit_fn, items, REF_K, REF_WINDOW)
+    np.testing.assert_array_equal(got.ppl_at_rank, ppl_at_rank)
+    assert got.oracle_ppl == oracle_ppl
+    assert got.mean_oracle_rank == np.mean(
+        [1 + (nll < nll[a]).sum() for _, a, nll in sentences])
+    assert got.nearest_rank == 1 + np.abs(ppl_at_rank - oracle_ppl).argmin()
+    assert got.n_sentences == len(sentences)
+    assert got.per_article_rank1_ppl == {
+        aid: float(np.exp(ranked[[o == aid for o in owners], 0].mean()))
+        for aid in owners}
+    assert got.per_article_oracle_ppl == {
+        aid: float(np.exp(np.mean([x for o, x in zip(owners, oracle_nll)
+                                   if o == aid])))
+        for aid in owners}
+    # an action-aware scan is not flat
+    assert not np.allclose(got.ppl_at_rank, got.ppl_at_rank[0])
+
+
+def test_noise_scan_matches_one_call_per_draw():
+    logit_fn = tiny_lm()
+    items = reference_items()
+    rng = np.random.default_rng(17)
+
+    def each_draw(actions, predicting):
+        draws = rng.normal(0.0, 0.3, (5, REF_DIM)).astype(np.float32)
+        for draw in draws:
+            noise = np.zeros((len(actions), REF_DIM), dtype=np.float32)
+            noise[predicting] = draw
+            yield actions, noise
+
+    ranked = np.stack([np.sort(nll) for item in items
+                       for _, _, nll in reference_sentence_nll(
+                           logit_fn, item, REF_WINDOW, each_draw)])
+    got = noise_scan(logit_fn, items, n_variants=5, sigma=0.3,
+                     action_dim=REF_DIM, window=REF_WINDOW, seed=17)
+    np.testing.assert_array_equal(got, np.exp(ranked.mean(axis=0)))

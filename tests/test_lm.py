@@ -211,7 +211,7 @@ def test_pretrain_learns_and_beats_unigram():
     assert history["train_loss"][0] < math.log(V) + 0.5
     assert history["train_loss"][-1] < history["train_loss"][0]
     items = [evaluation.ScoringItem(ids=ids) for ids in val]
-    ppl = evaluation.corpus_perplexity(lambda i, a: base.forward(i).values,
+    ppl = evaluation.corpus_perplexity(lambda i, a, _: base.forward(i).values,
                                        items, LM_CFG.context_window)
     assert ppl < math.exp(unigram_nll(train, val, V))
 
@@ -429,7 +429,7 @@ def test_uniform_model_perplexity_equals_vocab_size():
         p.values[:] = 0.0
     rng = np.random.default_rng(6)
     items = [evaluation.ScoringItem(ids=rng.integers(0, V, 40)) for _ in range(3)]
-    ppl = evaluation.corpus_perplexity(lambda i, a: base.forward(i).values,
+    ppl = evaluation.corpus_perplexity(lambda i, a, _: base.forward(i).values,
                                        items, window=8)
     assert ppl == pytest.approx(V, rel=1e-5)
 
@@ -438,7 +438,7 @@ def test_sliding_window_counts_every_target_once():
     probs = np.array([1 / 7, 2 / 7, 4 / 7])
     table = np.log(probs)
 
-    def logit_fn(ids, actions):
+    def logit_fn(ids, actions, noise):
         return np.tile(table, (*ids.shape, 1)).astype(np.float32)
 
     for n in (2, 5, 8, 9, 17):
@@ -451,7 +451,7 @@ def test_sliding_window_counts_every_target_once():
 
 
 def test_countable_mask_limits_scoring():
-    def logit_fn(ids, actions):
+    def logit_fn(ids, actions, noise):
         return np.zeros((*ids.shape, 4), dtype=np.float32)
 
     ids = np.arange(8) % 4

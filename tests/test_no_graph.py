@@ -122,9 +122,9 @@ def test_scoring_and_sampling_after_training_build_no_graph(graph_nodes):
     base, adapter, planner, action_set = trained_world()
     graph_nodes[0] = 0
 
-    def logit_fn(ids, actions, action_noise=None):
+    def logit_fn(ids, actions, noise):
         return base.forward(ids, adapter=adapter, actions=actions,
-                            action_noise=action_noise).values
+                            action_noise=noise).values
 
     evaluation.corpus_nll(logit_fn, lm_items(2, seed=5), WINDOW)
     rng = np.random.default_rng(6)
