@@ -3,7 +3,10 @@
 Every subcommand reads the effective configuration (defaults, then --config
 file, then --seed / --set overrides), refuses upstream artifacts of another
 config digest or stale inputs, and writes its artifact plus a manifest of
-the files it read into --out-dir (inspect-cluster only reads).
+the files it read into --out-dir (inspect-cluster only reads). Only those
+common flags set the configuration, the run's identity. The action regime is
+a flag of the commands that use it (--regime or evaluate's --regimes, with
+--style and --locus), so one run directory holds every regime.
 
 Exit codes: 0 success, 1 validation error, 2 missing input file or artifact.
 """
@@ -34,10 +37,19 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="run despite another config or a stale input")
 
 
-def _regime_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--regime", default=None, choices=REGIMES)
-    parser.add_argument("--style", default=None, choices=STYLES)
-    parser.add_argument("--locus", default=None, choices=LOCI)
+def _regime_args(parser: argparse.ArgumentParser, many: bool = False) -> None:
+    if many:
+        parser.add_argument("--regimes", default="predicted_pa",
+                            help="comma-separated regimes")
+    else:
+        parser.add_argument("--regime", default="predicted_pa",
+                            choices=REGIMES)
+    parser.add_argument("--style", default="adapter", choices=STYLES)
+    parser.add_argument("--locus", default="external", choices=LOCI)
+
+
+def _regime(args: argparse.Namespace, name: str) -> Regime:
+    return Regime(name, style=args.style, locus=args.locus)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,8 +70,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("cluster", help="k-means over training embeddings")
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--max-iters", type=int, default=None)
     _add_common(p)
 
     p = sub.add_parser("actions", help="oracle action sequences per article")
@@ -83,9 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="write the evaluation report")
-    p.add_argument("--regimes", default=None,
-                   help="comma-separated regimes (default: config regime)")
-    _regime_args(p)
+    _regime_args(p, many=True)
     p.add_argument("--split", default="test", choices=pipeline.SPLITS)
     _add_common(p)
 
@@ -103,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-k", help="re-run the pipeline over several k")
     p.add_argument("--ks", required=True,
                    help="comma-separated cluster counts, e.g. 16,64,256")
+    _regime_args(p)
     _add_common(p)
 
     return parser
@@ -118,21 +127,9 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
         overrides[key.strip()] = value
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    if getattr(args, "k", None) is not None:
-        overrides["k"] = str(args.k)
-    if getattr(args, "max_iters", None) is not None:
-        overrides["kmeans_max_iters"] = str(args.max_iters)
-    for key in ("regime", "style", "locus"):
-        value = getattr(args, key, None)
-        if value is not None:
-            overrides[key] = value
     config = apply_overrides(config, overrides)
     config.validate()
     return config
-
-
-def _regime_from(config: RunConfig) -> Regime:
-    return Regime(config.regime, style=config.style, locus=config.locus)
 
 
 def run_command(args: argparse.Namespace) -> int:
@@ -162,22 +159,18 @@ def run_command(args: argparse.Namespace) -> int:
         print(f"planner val accuracy {extra['val_accuracy']:.4f}, "
               f"average rank {extra['val_average_rank']:.2f}")
     elif args.command == "finetune":
-        regime = _regime_from(config)
+        regime = _regime(args, args.regime)
         pipeline.step_finetune(config, out_dir, regime, args.force)
         print(f"finetuned {pipeline.checkpoint_name(regime)}")
     elif args.command == "generate":
-        regime = _regime_from(config)
+        regime = _regime(args, args.regime)
         extra = pipeline.step_generate(config, out_dir, regime, args.force,
                                        mode=args.mode, split=args.split)
         print(f"wrote {extra['records']} generations "
               f"({pipeline.generations_name(regime)})")
     elif args.command == "evaluate":
-        if args.regimes:
-            names = [r.strip() for r in args.regimes.split(",") if r.strip()]
-            regimes = [Regime(name, style=config.style, locus=config.locus)
-                       for name in names]
-        else:
-            regimes = [_regime_from(config)]
+        regimes = [_regime(args, name.strip())
+                   for name in args.regimes.split(",") if name.strip()]
         report = pipeline.step_evaluate(config, out_dir, regimes, args.force,
                                         split=args.split)
         for name in sorted(report["regimes"]):
@@ -194,7 +187,8 @@ def run_command(args: argparse.Namespace) -> int:
         print(json.dumps(result, indent=2, sort_keys=True))
     elif args.command == "sweep-k":
         ks = [int(v) for v in args.ks.split(",") if v.strip()]
-        rows = pipeline.step_sweep_k(config, out_dir, ks, args.force)
+        regime = _regime(args, args.regime)
+        rows = pipeline.step_sweep_k(config, out_dir, ks, regime, args.force)
         for row in rows:
             print(f"k={row['k']}: ppl={row['ppl']:.4f} "
                   f"acc={row['planner_accuracy']:.4f} "

@@ -3,7 +3,8 @@
 Every pipeline artifact records the digest of the configuration that produced
 it, so downstream commands can refuse mixed inputs. Paths are deliberately not
 part of the configuration (and so not of the digest): the same experiment in
-two directories is the same experiment.
+two directories is the same experiment. Neither is the action regime, which
+each command takes as a flag, so one run directory holds every regime.
 """
 
 from __future__ import annotations
@@ -61,11 +62,6 @@ class RunConfig:
     adapter_init: str = "centroids"        # "random" drops the centroid init
     share_adapter_tables: bool = False
 
-    # regime
-    regime: str = "predicted_pa"
-    style: str = "adapter"
-    locus: str = "external"
-
     # generation + evaluation
     gen_max_tokens: int = 128
     temperature: float = 1.0
@@ -93,11 +89,6 @@ class RunConfig:
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
-
-# regime/style/locus select which variant a command builds inside one run;
-# they are echoed in checkpoint metadata and artifact names instead of the
-# run-identity digest, so one run directory can hold all regimes.
-VARIANT_FIELDS = frozenset({"regime", "style", "locus"})
 
 
 def _format_value(value) -> str:
@@ -132,14 +123,8 @@ def to_text(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def identity_text(config: RunConfig) -> str:
-    lines = [f"{name} = {_format_value(getattr(config, name))}"
-             for name in sorted(_FIELDS) if name not in VARIANT_FIELDS]
-    return "\n".join(lines) + "\n"
-
-
 def config_digest(config: RunConfig) -> str:
-    return hashlib.sha256(identity_text(config).encode("utf-8")).hexdigest()[:16]
+    return hashlib.sha256(to_text(config).encode("utf-8")).hexdigest()[:16]
 
 
 def apply_overrides(config: RunConfig, overrides: dict[str, str]) -> RunConfig:

@@ -8,6 +8,9 @@ Two conditioning styles:
   projection. No gating. The base LM stays frozen while adapters train.
 * insert: the vocabulary is extended by one token per action and each
   sentence's tokens are preceded by its action token; all parameters train.
+  It has two regimes: the LM as an internal planner learning the oracle
+  action tokens ("oracle", internal), and an external planner supplying them
+  ("predicted_pa", external).
 
 The action merged at position p is the action of the text unit containing the
 token at position p+1, because the prediction at p scores that next token.
@@ -30,13 +33,22 @@ from .errors import ValidationError
 REGIMES = ("none", "fixed", "oracle", "predicted_oa", "predicted_pa")
 STYLES = ("adapter", "insert")
 LOCI = ("external", "internal")
+# (actions, locus) of the insert regimes: the only ones whose names say
+# where insert style's action tokens come from
+INSERT_REGIMES = (("oracle", "internal"), ("predicted_pa", "external"))
 
 FIXED_ACTION_ID = 0
 
 
 @dataclass(frozen=True)
 class Regime:
-    """Which actions the LM sees, and how they are presented."""
+    """Which actions the LM sees, and how they are presented.
+
+    Adapter style takes every action source, from an external planner.
+    Insert style takes two: ("oracle", internal), where the LM learns the
+    oracle action tokens as its own planner, and ("predicted_pa", external),
+    where the planner supplies them in training and evaluation alike.
+    """
 
     actions: str
     style: str = "adapter"
@@ -51,17 +63,17 @@ class Regime:
             raise ValidationError(f"unknown locus {self.locus!r}")
         if self.locus == "internal" and self.style != "insert":
             raise ValidationError("an internal planner requires insert style")
+        if self.style == "insert" and \
+                (self.actions, self.locus) not in INSERT_REGIMES:
+            raise ValidationError(
+                f"no insert regime {self.actions!r} with an {self.locus} "
+                "planner; use oracle/internal or predicted_pa/external")
 
     def action_source(self, training: bool) -> str:
         """Where per-sentence actions come from: "none", "fixed", "oracle" or
-        "planner".
-
-        Insert style follows the locus: an internal planner learns from the
-        oracle action tokens, an external one supplies them. `predicted_oa`
-        trains on oracle actions and is evaluated on planned ones.
+        "planner". `predicted_oa` trains on oracle actions and is evaluated
+        on planned ones.
         """
-        if self.style == "insert":
-            return "oracle" if self.locus == "internal" else "planner"
         if self.actions == "predicted_oa":
             return "oracle" if training else "planner"
         if self.actions == "predicted_pa":
@@ -360,28 +372,27 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
 # -- persistence --------------------------------------------------------------------
 
 
-def base_lm_meta(base: BaseLM) -> dict:
-    return {"kind": "base_lm", "lm_config": asdict(base.config)}
-
-
-def adapter_lm_meta(base: BaseLM, adapter: ActionAdapter, regime: Regime) -> dict:
-    return {"kind": "adapter_lm", "lm_config": asdict(base.config),
-            "adapter_config": asdict(adapter.config), "regime": asdict(regime)}
-
-
-def insert_lm_meta(network: BaseLM, n_actions: int, regime: Regime) -> dict:
-    return {"kind": "insert_lm", "lm_config": asdict(network.config),
-            "n_text_tokens": network.config.vocab_size - n_actions,
-            "n_actions": n_actions, "locus": regime.locus,
-            "regime": asdict(regime)}
+def lm_meta(network: BaseLM, adapter: ActionAdapter | None = None,
+            regime: Regime | None = None) -> dict:
+    """Checkpoint metadata of an adapter LM (with an adapter), an insert LM
+    (a regime and no adapter) or a base LM (neither). The regime is recorded
+    for people reading the checkpoint; no loader reads it."""
+    meta = {"kind": "base_lm", "lm_config": asdict(network.config)}
+    if adapter is not None:
+        meta |= {"kind": "adapter_lm", "adapter_config": asdict(adapter.config)}
+    elif regime is not None:
+        meta["kind"] = "insert_lm"
+    if regime is not None:
+        meta["regime"] = asdict(regime)
+    return meta
 
 
 def lm_from_checkpoint(sections: dict[str, np.ndarray], meta: dict,
-                       ) -> tuple[BaseLM, ActionAdapter | None, Regime | None]:
-    """(network, adapter, regime) of a base, adapter or insert LM checkpoint.
+                       ) -> tuple[BaseLM, ActionAdapter | None]:
+    """(network, adapter) of a base, adapter or insert LM checkpoint.
 
-    The adapter is None unless the checkpoint holds one, and the regime is
-    None for a base LM. An insert LM's network has the extended vocabulary.
+    The adapter is None unless the checkpoint holds one. An insert LM's
+    network has the extended vocabulary.
     """
     kind = meta.get("kind")
     if kind not in ("base_lm", "adapter_lm", "insert_lm"):
@@ -399,5 +410,4 @@ def lm_from_checkpoint(sections: dict[str, np.ndarray], meta: dict,
                                 centroids=table)
         params.update(adapter.params_dict())
     nn.load_params(params, sections)
-    regime = Regime(**meta["regime"]) if "regime" in meta else None
-    return base, adapter, regime
+    return base, adapter

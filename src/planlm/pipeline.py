@@ -22,7 +22,7 @@ import numpy as np
 from . import storage
 from .actions import (ActionSet, assign_actions, extract_action_sequence,
                       inspect_cluster, kmeans_fit)
-from .config import RunConfig, config_digest, identity_text
+from .config import RunConfig, config_digest, to_text
 from .corpus import (BOS_ID, Article, TokenStream, Vocabulary,
                      build_vocabulary, detokenize, load_articles,
                      save_articles_jsonl, split_corpus, split_sentences,
@@ -35,9 +35,8 @@ from .evaluation import ScanItem, ScoringItem, corpus_latent_perplexity, \
     oracle_scan, rouge2_f1
 from .generation import GenerationConfig, generate
 from .lm import (FIXED_ACTION_ID, ActionAdapter, AdapterConfig, BaseLM,
-                 LmConfig, Regime, adapter_lm_meta, base_lm_meta,
-                 extend_for_insert, insert_lm_meta, insert_style_sequence,
-                 lm_from_checkpoint, per_position_actions, train_lm)
+                 LmConfig, Regime, extend_for_insert, insert_style_sequence,
+                 lm_from_checkpoint, lm_meta, per_position_actions, train_lm)
 from .planner import (PlannerConfig, PlannerModel, evaluate_planner,
                       planner_from_checkpoint, planner_meta,
                       predict_actions_for_article, train_planner)
@@ -91,11 +90,11 @@ def _require(out_dir: Path, name: str) -> Path:
 
 
 def ensure_run_config(out_dir: Path, config: RunConfig, force: bool) -> None:
-    """Pin the run directory to one config identity (regime-independent)."""
+    """Pin the run directory to one config identity."""
     config.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    text = identity_text(config)
+    text = to_text(config)
     pinned = out_dir / "config.txt"
     if pinned.exists() and not force and \
             pinned.read_text(encoding="utf-8") != text:
@@ -208,9 +207,8 @@ class RunData:
 
     def lm(self, regime: Regime) -> tuple[BaseLM, ActionAdapter | None]:
         """The network and adapter a regime is scored with (see `lm_name`)."""
-        base, adapter, _ = lm_from_checkpoint(
+        return lm_from_checkpoint(
             *storage.read_checkpoint(self.path(lm_name(regime))))
-        return base, adapter
 
     def prepared(self, split: str) -> list[PreparedArticle]:
         if split not in self._prepared:
@@ -324,7 +322,7 @@ def step_pretrain_lm(config: RunConfig, out_dir: Path,
     storage.write_checkpoint(
         data.out_dir / "base_lm.plmc",
         {k: v.values for k, v in base.params_dict().items()},
-        base_lm_meta(base) | {"config_digest": data.digest})
+        lm_meta(base) | {"config_digest": data.digest})
     extra = {"train_loss": history["train_loss"]}
     data.finish(("base_lm.plmc",), "pretrain-lm", extra)
     return extra
@@ -370,18 +368,20 @@ def step_train_planner(config: RunConfig, out_dir: Path,
     return extra
 
 
-def sentence_actions(source: str, prepared: PreparedArticle,
+def sentence_actions(source: str, oracle: Sequence[int],
+                     embeddings: np.ndarray,
                      planner: PlannerModel | None) -> np.ndarray | None:
-    """One action per sentence from a `Regime.action_source`; None for "none"."""
+    """One action per sentence of `oracle` (and per row of `embeddings`)
+    from a `Regime.action_source`; None for "none"."""
     if source == "none":
         return None
     if source == "fixed":
-        return np.full(len(prepared.oracle), FIXED_ACTION_ID, dtype=np.int64)
+        return np.full(len(oracle), FIXED_ACTION_ID, dtype=np.int64)
     if source == "oracle":
-        return np.asarray(prepared.oracle, dtype=np.int64)
+        return np.asarray(oracle, dtype=np.int64)
     if planner is None:
         raise ValidationError("planned actions require a planner")
-    return np.asarray(predict_actions_for_article(planner, prepared.embeddings),
+    return np.asarray(predict_actions_for_article(planner, embeddings),
                       dtype=np.int64)
 
 
@@ -397,7 +397,8 @@ def scoring_items(data: RunData, split: str, regime: Regime, training: bool,
     for prepared in data.prepared(split):
         if len(prepared.oracle) == 0:
             continue
-        acts = sentence_actions(source, prepared, planner)
+        acts = sentence_actions(source, prepared.oracle, prepared.embeddings,
+                                planner)
         stream, article_id = prepared.stream, prepared.article.id
         if regime.style == "insert":
             ids, is_action = insert_style_sequence(stream, acts, data.vocab.size)
@@ -439,11 +440,11 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
         adapter = ActionAdapter(adapter_config, base.config,
                                 np.random.default_rng(config.seed),
                                 centroids=action_set.centroids)
-        meta = adapter_lm_meta(base, adapter, regime)
+        meta = lm_meta(base, adapter, regime)
     else:
         base = extend_for_insert(base, action_set.k,
                                  np.random.default_rng(config.seed))
-        meta = insert_lm_meta(base, action_set.k, regime)
+        meta = lm_meta(base, regime=regime)
     history = train_lm(base, train, val, adapter=adapter,
                        batch_size=config.lm_batch, lr=config.lm_lr,
                        max_epochs=config.finetune_epochs,
@@ -500,7 +501,8 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
                 continue
             h, cut = _half_split_point(stream)
             prefix_ids = stream.token_ids[:cut].astype(np.int64)
-            acts = sentence_actions(source, prepared, planner)
+            acts = sentence_actions(source, prepared.oracle[:h],
+                                    prepared.embeddings[:h], planner)
             if acts is not None:
                 token_actions = acts[stream.sentence_index_of_token[:cut]]
             if planner is not None:
@@ -628,7 +630,11 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
     # the previous report is this step's own output, not an input
     report_path = data.out_dir / "eval_report.json"
     if report_path.exists():
-        previous = json.loads(report_path.read_text(encoding="utf-8"))
+        with parsing(report_path):
+            previous = json.loads(report_path.read_text(encoding="utf-8"))
+            if not isinstance(previous, dict):
+                raise ValidationError(
+                    f"{report_path}: cannot parse: expected a JSON object")
         if previous.get("config_digest") == report["config_digest"] and \
                 previous.get("split") == split:
             report["regimes"] = previous.get("regimes", {})
@@ -741,15 +747,15 @@ def step_inspect_cluster(config: RunConfig, out_dir: Path, action_id: int,
 
 
 def step_sweep_k(config: RunConfig, out_dir: Path, ks: Sequence[int],
-                 force: bool = False) -> list[dict]:
-    """Re-run cluster..evaluate for each k in a subdirectory; emit a CSV."""
+                 regime: Regime, force: bool = False) -> list[dict]:
+    """Re-run cluster..evaluate of one regime for each k in a subdirectory;
+    emit a CSV."""
     ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     sources = [data.path(name) for name in (
         "corpus.jsonl", "splits.json", "vocab.txt", "embeddings.plmb",
         "embeddings.idx", "base_lm.plmc")]
     rows = []
-    regime = Regime(config.regime, style=config.style, locus=config.locus)
     for k in ks:
         sub_config = dataclasses.replace(config, k=k)
         sub_dir = data.out_dir / f"k{k}"

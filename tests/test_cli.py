@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import shutil
 from pathlib import Path
@@ -6,7 +8,8 @@ import numpy as np
 import pytest
 
 from planlm import storage
-from planlm.cli import main
+from planlm.cli import build_parser, main
+from planlm.config import RunConfig
 from planlm.corpus import save_articles_jsonl
 from planlm.synthdata import default_grammar, generate_corpus
 
@@ -98,10 +101,25 @@ def test_missing_input_files_exit_2(corpus_file, tmp_path, capsys):
 
 
 def test_unknown_config_key_rejected(tmp_path, capsys):
-    code = main(["ingest", "--input", "x", "--out-dir", str(tmp_path),
-                 "--set", "bogus=1"])
-    assert code == 1
-    assert "bogus" in capsys.readouterr().err
+    # the regime is a command flag, never configuration
+    for key in ("bogus", "regime"):
+        code = main(["ingest", "--input", "x", "--out-dir", str(tmp_path),
+                     "--set", f"{key}=fixed"])
+        assert code == 1
+        assert repr(key) in capsys.readouterr().err
+
+
+def test_only_the_common_flags_set_the_run_config():
+    # one home per setting: a subcommand's own flags select variants within
+    # a run and never change its identity, which --seed/--set/--config own
+    fields = {f.name for f in dataclasses.fields(RunConfig)}
+    common = {"--seed", "--set", "--config"}
+    [commands] = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+    for name, sub in commands.choices.items():
+        for action in sub._actions:
+            if common.isdisjoint(action.option_strings):
+                assert action.dest not in fields, (name, action.dest)
 
 
 def test_cluster_rerun_is_bit_identical(corpus_file, tmp_path):
@@ -275,6 +293,12 @@ def test_sweep_k_writes_one_row_and_one_run_per_k(corpus_file, tmp_path):
     for k in (4, 8):
         assert storage.read_matrix(out / f"k{k}" / "centroids.plmb").shape[0] \
             == k
+        assert (out / f"k{k}" / "lm_predicted_pa.plmc").exists()
+    # the regime flags choose what each k finetunes
+    assert main(args(out, "sweep-k", "--ks", "4", "--regime", "fixed")) == 0
+    assert (out / "k4" / "lm_fixed.plmc").exists()
+    report = json.loads((out / "k4" / "eval_report.json").read_text())
+    assert "fixed" in report["regimes"]
 
 
 def test_cluster_refuses_embeddings_of_a_replaced_corpus(corpus_file, tmp_path,
@@ -398,6 +422,23 @@ def test_evaluate_scores_generations_as_they_were_made(full_run, tmp_path):
     assert set(entry) == {"ppl", "planner_invocations"}
     entry = fixed_entry("--split", "val")
     assert "rouge2" in entry and "edit" in entry and "latent_ppl" in entry
+
+
+@pytest.mark.parametrize("damage", ["truncate", "not an object"])
+def test_corrupt_previous_report_refused_with_one_error_line(full_run, tmp_path,
+                                                            capsys, damage):
+    out = copy_of(full_run, tmp_path)
+    report = out / "eval_report.json"
+    if damage == "truncate":
+        raw = report.read_bytes()
+        report.write_bytes(raw[:len(raw) // 2])
+    else:
+        report.write_text("[]\n")
+    capsys.readouterr()
+    assert main(args(out, "evaluate", "--regimes", "fixed")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "eval_report.json" in err[0]
 
 
 def test_truncated_centroids_refused_with_one_error_line(full_run, tmp_path,

@@ -19,11 +19,9 @@ def test_digest_stable_and_sensitive():
     assert config_digest(a) != config_digest(RunConfig(k=32))
 
 
-def test_digest_ignores_regime_variant():
-    assert config_digest(RunConfig(regime="fixed")) == \
-        config_digest(RunConfig(regime="oracle"))
-    assert config_digest(RunConfig(style="insert", locus="internal")) == \
-        config_digest(RunConfig())
+def test_default_config_digest_is_unchanged():
+    # run directories pinned by earlier versions stay valid
+    assert config_digest(RunConfig()) == "5a9a3a3008634457"
 
 
 def test_unknown_key_rejected():

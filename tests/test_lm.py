@@ -8,10 +8,10 @@ from planlm import autodiff as ad
 from planlm import evaluation, nn, storage
 from planlm.corpus import TokenStream
 from planlm.errors import ValidationError
-from planlm.lm import (ActionAdapter, AdapterConfig, BaseLM, LmConfig,
-                       REGIMES, Regime, adapter_lm_meta, base_lm_meta,
-                       extend_for_insert, insert_lm_meta, insert_style_sequence,
-                       lm_from_checkpoint, per_position_actions,
+from planlm.lm import (INSERT_REGIMES, LOCI, REGIMES, ActionAdapter,
+                       AdapterConfig, BaseLM, LmConfig, Regime,
+                       extend_for_insert, insert_style_sequence,
+                       lm_from_checkpoint, lm_meta, per_position_actions,
                        select_action_for_position, train_lm, window_examples)
 
 V, D, LAYERS = 12, 16, 2
@@ -226,7 +226,7 @@ def test_pretrain_same_seed_bit_identical(tmp_path):
         path = tmp_path / f"lm{run}.plmc"
         storage.write_checkpoint(path, {k: v.values for k, v in
                                         base.params_dict().items()},
-                                 base_lm_meta(base))
+                                 lm_meta(base))
         paths.append(path)
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
@@ -348,10 +348,9 @@ ACTION_SOURCES = [
     (Regime("oracle"), "oracle", "oracle"),
     (Regime("predicted_oa"), "oracle", "planner"),
     (Regime("predicted_pa"), "planner", "planner"),
-    *[(Regime(a, style="insert", locus="external"), "planner", "planner")
-      for a in REGIMES],
-    *[(Regime(a, style="insert", locus="internal"), "oracle", "oracle")
-      for a in REGIMES],
+    (Regime("predicted_pa", style="insert", locus="external"), "planner",
+     "planner"),
+    (Regime("oracle", style="insert", locus="internal"), "oracle", "oracle"),
 ]
 
 
@@ -364,6 +363,13 @@ def test_regime_validation():
         Regime("oracle", style="adapter", locus="internal")
     with pytest.raises(ValidationError):
         Regime("bogus")
+    # an insert regime is valid only where its name says what it does
+    refused = [(a, locus) for locus in LOCI for a in REGIMES
+               if (a, locus) not in INSERT_REGIMES]
+    assert len(refused) == 8
+    for actions, locus in refused:
+        with pytest.raises(ValidationError, match="insert"):
+            Regime(actions, style="insert", locus=locus)
 
 
 def test_adapter_checkpoint_regime_round_trip(tmp_path):
@@ -373,10 +379,11 @@ def test_adapter_checkpoint_regime_round_trip(tmp_path):
     path = tmp_path / "lm.plmc"
     sections = {**{k: v.values for k, v in base.params_dict().items()},
                 **{k: v.values for k, v in adapter.params_dict().items()}}
-    storage.write_checkpoint(path, sections, adapter_lm_meta(base, adapter, regime))
+    storage.write_checkpoint(path, sections, lm_meta(base, adapter, regime))
     loaded_sections, meta = storage.read_checkpoint(path)
-    base2, adapter2, regime2 = lm_from_checkpoint(loaded_sections, meta)
-    assert regime2 == regime
+    base2, adapter2 = lm_from_checkpoint(loaded_sections, meta)
+    assert meta["kind"] == "adapter_lm"
+    assert Regime(**meta["regime"]) == regime
     assert base2.config == base.config
     assert adapter2.config == adapter.config
     ids, actions = random_inputs(np.random.default_rng(3))
@@ -390,9 +397,11 @@ def test_base_lm_checkpoint_round_trip(tmp_path):
     path = tmp_path / "base.plmc"
     storage.write_checkpoint(path, {k: v.values for k, v in
                                     base.params_dict().items()},
-                             base_lm_meta(base))
-    base2, adapter2, regime2 = lm_from_checkpoint(*storage.read_checkpoint(path))
-    assert adapter2 is None and regime2 is None
+                             lm_meta(base))
+    sections, meta = storage.read_checkpoint(path)
+    base2, adapter2 = lm_from_checkpoint(sections, meta)
+    assert meta["kind"] == "base_lm" and "regime" not in meta
+    assert adapter2 is None
     assert base2.config == base.config
     ids = np.random.default_rng(4).integers(0, V, (1, 5))
     np.testing.assert_array_equal(base2.forward(ids).values,
@@ -406,17 +415,22 @@ def test_insert_lm_checkpoint_round_trip(tmp_path):
     path = tmp_path / "insert.plmc"
     storage.write_checkpoint(path, {k: v.values for k, v in
                                     extended.params_dict().items()},
-                             insert_lm_meta(extended, 3, regime))
+                             lm_meta(extended, regime=regime))
     sections, meta = storage.read_checkpoint(path)
-    base2, adapter2, regime2 = lm_from_checkpoint(sections, meta)
-    assert regime2 == regime
+    base2, adapter2 = lm_from_checkpoint(sections, meta)
+    assert meta["kind"] == "insert_lm"
+    assert Regime(**meta["regime"]) == regime
     assert adapter2 is None
     assert base2.config == extended.config
-    assert meta["n_text_tokens"] == V
-    assert meta["n_actions"] == 3
-    assert meta["locus"] == "internal"
     ids = np.random.default_rng(6).integers(0, V + 3, (1, 5))
     np.testing.assert_array_equal(base2.forward(ids).values,
+                                  extended.forward(ids).values)
+    # a checkpoint written under a now-refused insert regime name still loads
+    old_meta = meta | {"regime": {"actions": "fixed", "style": "insert",
+                                  "locus": "external"},
+                       "n_text_tokens": V, "n_actions": 3, "locus": "external"}
+    base3, _ = lm_from_checkpoint(sections, old_meta)
+    np.testing.assert_array_equal(base3.forward(ids).values,
                                   extended.forward(ids).values)
 
 

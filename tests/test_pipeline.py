@@ -1,11 +1,11 @@
-from planlm.lm import LOCI, REGIMES, Regime
+from planlm.lm import INSERT_REGIMES, REGIMES, Regime
 from planlm.pipeline import checkpoint_name, generations_name, lm_name
 
 
 def every_regime():
     yield from (Regime(a) for a in REGIMES)
     yield from (Regime(a, style="insert", locus=locus)
-                for locus in LOCI for a in REGIMES)
+                for a, locus in INSERT_REGIMES)
 
 
 def test_artifact_names_unchanged_for_every_regime():
@@ -17,11 +17,14 @@ def test_artifact_names_unchanged_for_every_regime():
             key = regime.actions
         assert checkpoint_name(regime) == f"lm_{key}.plmc"
         assert generations_name(regime) == f"generations_{key}.jsonl"
-    assert len(list(every_regime())) == 15
+    assert [checkpoint_name(r) for r in every_regime()][5:] == [
+        "lm_insert_internal_oracle.plmc",
+        "lm_insert_external_predicted_pa.plmc"]
+    assert len(list(every_regime())) == 7
 
 
 def test_unconditioned_regime_is_scored_with_the_base_lm():
     assert lm_name(Regime("none")) == "base_lm.plmc"
     assert lm_name(Regime("fixed")) == "lm_fixed.plmc"
-    assert lm_name(Regime("none", style="insert", locus="internal")) == \
-        "lm_insert_internal_none.plmc"
+    assert lm_name(Regime("oracle", style="insert", locus="internal")) == \
+        "lm_insert_internal_oracle.plmc"
