@@ -7,10 +7,31 @@ its inputs requires grad; otherwise its output is a plain value. Parameters
 are created frozen (`nn.normal_param` and friends), so a forward pass builds
 no graph unless `nn.fit` has made its parameters trainable. Serial execution
 is fully deterministic, and a single graph must stay on one thread.
+
+An op never writes into its inputs' `.values` or into the upstream gradient
+`g` its backward receives. The elementwise kernels (`softmax`, `gelu`,
+`layer_norm`, `cross_entropy`) and `Adam.step` instead chain `out=` and
+in-place updates on buffers they allocated themselves, in the same operation
+order as the plain expressions, so every value is bitwise the same; backward
+leaves the buffers saved by forward intact, so it may run again.
+
+`matmul` of a stacked input by a matrix (`(..., k) @ (k, n)`, a Linear layer)
+runs as one `(rows, k)` GEMM instead of one per leading index, and its weight
+gradient sums all rows in one GEMM.
+
+Importing this module raises glibc's mmap and trim thresholds (`mallopt`), so
+that multi-MB array buffers come from the heap and a freed one stays mapped
+for the next training step. Left at their defaults, glibc returns each freed
+temporary to the OS and the next step page-faults it in again, which cost
+hundreds of thousands of minor faults per training pass. The price is that
+RSS keeps its high-water mark. Where `mallopt` is absent (not glibc) this is
+a no-op.
 """
 
 from __future__ import annotations
 
+import ctypes
+import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,6 +40,24 @@ import numpy as np
 DEBUG_CHECKS = False
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# glibc mallopt parameters: mmap threshold at its 64-bit maximum, trim at 1 GiB
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _pin_heap() -> None:
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_pin_heap()
 
 
 class ShapeError(ValueError):
@@ -180,6 +219,8 @@ def scale(a: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
+    if b.ndim == 2 and a.ndim > 2:
+        return _matmul_rows(a, b)
     out = np.matmul(a.values, b.values)
 
     def backward(g: np.ndarray) -> None:
@@ -189,6 +230,25 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.values, -1, -2), g)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
+
+    return _node(out, (a, b), backward, "matmul")
+
+
+def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
+    """`(..., k) @ (k, n)` as one `(rows, k) @ (k, n)` GEMM."""
+    lead = a.shape[:-1]
+    k, n = b.shape
+    # not reshape(-1, k): that cannot infer rows when k == 0
+    rows = math.prod(lead)
+    a2 = a.values.reshape(rows, k)
+    out = (a2 @ b.values).reshape(*lead, n)
+
+    def backward(g: np.ndarray) -> None:
+        g2 = g.reshape(rows, n)
+        if a.requires_grad:
+            a.accumulate_grad((g2 @ b.values.T).reshape(a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(a2.T @ g2)
 
     return _node(out, (a, b), backward, "matmul")
 
@@ -242,14 +302,17 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    shifted = a.values - a.values.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    out = e / e.sum(axis=-1, keepdims=True)
+    out = a.values - a.values.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            inner = (g * out).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(out * (g - inner))
+            grad = g * out
+            inner = grad.sum(axis=-1, keepdims=True)
+            np.subtract(g, inner, out=grad)
+            grad *= out
+            a.accumulate_grad(grad)
 
     return _node(out, (a,), backward, "softmax")
 
@@ -260,16 +323,34 @@ _GELU_A = 0.044715
 
 def gelu(a: Tensor) -> Tensor:
     """GELU with the tanh approximation."""
+    # 0.5 x (1 + tanh(c (x + a x^3))), evaluated in that order
     x = a.values
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(u)
-    out = 0.5 * x * (1.0 + t)
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = x * 0.5
+    out *= t + 1.0
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            du = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-            grad = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * du
-            a.accumulate_grad(g * grad)
+            # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), times g
+            du = x * x
+            du *= 3.0 * _GELU_A
+            du += 1.0
+            du *= _GELU_C
+            grad = t * t
+            np.subtract(1.0, grad, out=grad)
+            part = x * 0.5
+            part *= grad
+            part *= du
+            np.add(t, 1.0, out=grad)
+            grad *= 0.5
+            grad += part
+            grad *= g
+            a.accumulate_grad(grad)
 
     return _node(out, (a,), backward, "gelu")
 
@@ -281,11 +362,12 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm parameter shape {gain.shape}/{bias.shape} "
             f"does not match input {a.shape}")
     x = a.values
-    xc = x - x.mean(axis=-1, keepdims=True)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    var = (xhat * xhat).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.values + bias.values
+    xhat *= inv
+    out = xhat * gain.values
+    out += bias.values
 
     def backward(g: np.ndarray) -> None:
         lead = tuple(range(g.ndim - 1))
@@ -294,10 +376,16 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             bias.accumulate_grad(g.sum(axis=lead))
         if a.requires_grad:
+            # inv * (gx - mean(gx) - xhat * mean(gx * xhat))
             gx = g * gain.values
             m1 = gx.mean(axis=-1, keepdims=True)
-            m2 = (gx * xhat).mean(axis=-1, keepdims=True)
-            a.accumulate_grad(inv * (gx - m1 - xhat * m2))
+            tmp = gx * xhat
+            m2 = tmp.mean(axis=-1, keepdims=True)
+            gx -= m1
+            np.multiply(xhat, m2, out=tmp)
+            gx -= tmp
+            gx *= inv
+            a.accumulate_grad(gx)
 
     return _node(out, (a, gain, bias), backward, "layer_norm")
 
@@ -343,7 +431,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
         raise ValueError("cross_entropy mask selects no positions")
 
     m = flat_logits.max(axis=-1, keepdims=True)
-    e = np.exp(flat_logits - m)
+    e = flat_logits - m
+    np.exp(e, out=e)
     z = e.sum(axis=-1, keepdims=True)
     logz = np.log(z) + m
     rows = np.arange(flat_targets.shape[0])
@@ -405,6 +494,11 @@ class Adam:
         self.step_count = 0
         self._m = [np.zeros_like(p.values) for p in self.params]
         self._v = [np.zeros_like(p.values) for p in self.params]
+        sizes: dict[np.dtype, int] = {}
+        for p in self.params:
+            sizes[p.dtype] = max(sizes.get(p.dtype, 0), p.size)
+        self._scratch = {dtype: (np.empty(n, dtype), np.empty(n, dtype))
+                         for dtype, n in sizes.items()}
 
     def step(self) -> None:
         self.step_count += 1
@@ -415,14 +509,23 @@ class Adam:
             g = p.grad
             if g is None:
                 g = np.zeros_like(p.values)
+            # views of two scratch buffers shared by all parameters
+            step, den = (w[:p.size].reshape(p.shape)
+                         for w in self._scratch[p.dtype])
             m *= b1
-            m += (1.0 - b1) * g
+            m += np.multiply(g, 1.0 - b1, out=step)
             v *= b2
-            v += (1.0 - b2) * g * g
-            mhat = m / bc1
-            vhat = v / bc2
-            p.values -= (self.lr * mhat / (np.sqrt(vhat) + self.eps)).astype(
-                p.values.dtype)
+            np.multiply(g, 1.0 - b2, out=step)
+            step *= g
+            v += step
+            # lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(m, bc1, out=step)
+            step *= self.lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            step /= den
+            p.values -= step
         self.zero_grad()
 
     def zero_grad(self) -> None:

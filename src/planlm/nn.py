@@ -257,6 +257,8 @@ def fit(trainable: dict[str, Tensor], items: Sequence[Item],
                         f"training loss is {value} at epoch {epoch}, "
                         f"step {step}")
                 ad.backward(loss)
+                # free this step's graph before the next one is built
+                del loss
                 opt.step()
                 total += np.float64(value) * len(batch)
                 count += len(batch)
