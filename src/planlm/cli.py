@@ -1,12 +1,14 @@
 """Command-line pipeline driver.
 
 Every subcommand reads the effective configuration (defaults, then --config
-file, then --seed / --set overrides), refuses upstream artifacts of another
-config digest or stale inputs, and writes its artifact plus a manifest of
-the files it read into --out-dir (inspect-cluster only reads). Only those
-common flags set the configuration, the run's identity. The action regime is
-a flag of the commands that use it (--regime or evaluate's --regimes, with
---style and --locus), so one run directory holds every regime.
+file, then --seed / --set overrides). Unless --force is given, it refuses an
+--out-dir pinned to another config and upstream artifacts of another config
+digest or stale inputs. Only if it succeeds does it publish its artifacts,
+each with a manifest of the files it read, and pin the config in config.txt
+(inspect-cluster only reads). Only those common flags set the configuration,
+the run's identity. The action regime is a flag of the commands that use it
+(--regime or evaluate's --regimes, with --style and --locus), so one run
+directory holds every regime.
 
 Exit codes: 0 success, 1 validation error, 2 missing input file or artifact.
 """
@@ -127,9 +129,7 @@ def effective_config(args: argparse.Namespace) -> RunConfig:
         overrides[key.strip()] = value
     if args.seed is not None:
         overrides["seed"] = str(args.seed)
-    config = apply_overrides(config, overrides)
-    config.validate()
-    return config
+    return apply_overrides(config, overrides)
 
 
 def run_command(args: argparse.Namespace) -> int:

@@ -1,15 +1,17 @@
 """Pipeline steps behind the CLI subcommands.
 
-Each step reads the run directory only through one `RunData`, which refuses
-(unless forced) artifacts of another config digest or stale inputs, then
-writes its artifact plus a JSON manifest (the files it read with their
-hashes, wall time, seed). Writing steps pin the config (`ensure_run_config`).
+Each step reads and writes the run directory only through one `RunData`,
+which refuses (unless forced) a directory pinned to another config and
+artifacts of another config digest or stale inputs. It stages each output,
+then publishes them, pins the config and writes each output's JSON manifest
+(the files read with their hashes, wall time, seed) when the step succeeds.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
+import os
 import shutil
 import time
 from dataclasses import dataclass
@@ -22,7 +24,7 @@ import numpy as np
 from . import storage
 from .actions import (ActionSet, assign_actions, extract_action_sequence,
                       inspect_cluster, kmeans_fit)
-from .config import RunConfig, config_digest, to_text
+from .config import RunConfig, config_digest, save_config, to_text
 from .corpus import (BOS_ID, Article, TokenStream, Vocabulary,
                      build_vocabulary, detokenize, load_articles,
                      save_articles_jsonl, split_corpus, split_sentences,
@@ -89,21 +91,7 @@ def _require(out_dir: Path, name: str) -> Path:
     return path
 
 
-def ensure_run_config(out_dir: Path, config: RunConfig, force: bool) -> None:
-    """Pin the run directory to one config identity."""
-    config.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    text = to_text(config)
-    pinned = out_dir / "config.txt"
-    if pinned.exists() and not force and \
-            pinned.read_text(encoding="utf-8") != text:
-        raise ValidationError(f"{pinned} was written by a different config; "
-                              "rerun with --force to overwrite")
-    pinned.write_text(text, encoding="utf-8")
-
-
-# -- the run-directory reader ----------------------------------------------------
+# -- the run-directory reader and writer ---------------------------------------
 
 
 @dataclass
@@ -115,14 +103,24 @@ class PreparedArticle:
 
 
 class RunData:
-    """The one reader of a run directory. Every file is opened through
-    `path`, which refuses (unless `force`) a file whose manifest names another
-    config digest or an input changed since, and records its name; `finish`
-    writes manifests whose inputs are exactly the recorded names. Artifacts
-    load lazily and once, and are shared: callers must not mutate them."""
+    """The one reader and writer of a run directory. It refuses (unless
+    `force`) a `config.txt` that another config wrote. Every file is opened
+    through `path`, which refuses (unless `force`) a file whose manifest names
+    another config digest or has `stale_inputs`, and records its name. Every
+    output is written at the hidden path `artifact` gives; `finish` moves each
+    onto its name, pins the config and writes manifests whose inputs are
+    exactly the recorded names, so a failed step publishes and pins nothing.
+    Artifacts load lazily and once, and are shared: callers must not mutate
+    them."""
 
     def __init__(self, out_dir: Path, config: RunConfig, force: bool = False):
+        config.validate()
         self.out_dir = Path(out_dir)
+        pinned = self.out_dir / "config.txt"
+        if not force and pinned.exists() and \
+                pinned.read_text(encoding="utf-8") != to_text(config):
+            raise ValidationError(f"{pinned} was written by a different "
+                                  "config; rerun with --force to proceed")
         self.config = config
         self.force = force
         self.digest = config_digest(config)
@@ -132,6 +130,7 @@ class RunData:
             hash_buckets=config.hash_buckets,
             projection_seed=config.projection_seed))
         self.manifests: dict[str, dict | None] = {}  # every file read so far
+        self.outputs: list[str] = []  # every file staged so far
         self._prepared: dict[str, list[PreparedArticle]] = {}
 
     def path(self, name: str) -> Path:
@@ -146,24 +145,40 @@ class RunData:
                     f"{name} was produced under config digest "
                     f"{manifest['config_digest']}, current is {self.digest}; "
                     "use --force to proceed")
-            for key, sha256 in manifest["inputs"].items():
-                source = self.out_dir / Path(key).name
-                if not source.exists() or storage.file_sha256(source) != sha256:
-                    raise ValidationError(
-                        f"{name} is stale: its input {source.name} changed "
-                        f"since `planlm {manifest['subcommand']}` made it; "
-                        "rerun that or use --force")
+            stale = self.stale_inputs(name)
+            if stale:
+                raise ValidationError(
+                    f"{name} is stale: its input {stale[0]} changed since "
+                    f"`planlm {manifest['subcommand']}` made it; "
+                    "rerun that or use --force")
         self.manifests[name] = manifest
         return path
 
-    def finish(self, artifacts: Sequence[str], subcommand: str,
-               extra: dict | None = None) -> None:
-        """Write each artifact's manifest; its inputs are the files read."""
+    def stale_inputs(self, name: str) -> list[str]:
+        """The inputs in `name`'s manifest that are gone or changed since."""
+        manifest = storage.read_manifest(self.out_dir / name) or {"inputs": {}}
+        return [key for key, sha256 in manifest["inputs"].items()
+                if not (self.out_dir / key).exists()
+                or storage.file_sha256(self.out_dir / key) != sha256]
+
+    def artifact(self, name: str) -> Path:
+        """Record `name` as an output; the hidden path to write it at."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.outputs.append(name)
+        return self.out_dir / f".{name}.tmp"
+
+    def finish(self, subcommand: str, extra: dict | None = None) -> dict | None:
+        """Publish the staged outputs, pin the config, then write each
+        output's manifest, whose inputs are the files read; returns `extra`."""
+        for name in self.outputs:
+            os.replace(self.out_dir / f".{name}.tmp", self.out_dir / name)
+        save_config(self.config, self.out_dir / "config.txt")
         inputs = [self.out_dir / name for name in self.manifests]
-        for name in artifacts:
+        for name in self.outputs:
             storage.write_manifest(self.out_dir / name, subcommand, self.digest,
                                    self.config.seed, inputs,
                                    time.time() - self.started, extra)
+        return extra
 
     @cached_property
     def by_id(self) -> dict[str, Article]:
@@ -230,28 +245,24 @@ class RunData:
 
 def step_ingest(config: RunConfig, out_dir: Path, input_path: Path,
                 force: bool = False) -> dict:
-    ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     articles = load_articles(Path(input_path))
     train, val, test = split_corpus(articles, config.seed, config.n_val,
                                     config.n_test)
     vocab = build_vocabulary(train, config.vocab_size)
 
-    save_articles_jsonl(articles, data.out_dir / "corpus.jsonl")
+    save_articles_jsonl(articles, data.artifact("corpus.jsonl"))
     splits = {"train": [a.id for a in train], "val": [a.id for a in val],
               "test": [a.id for a in test]}
-    (data.out_dir / "splits.json").write_text(
+    data.artifact("splits.json").write_text(
         json.dumps(splits, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    vocab.save(data.out_dir / "vocab.txt")
-
-    extra = {"articles": len(articles), "vocab_size": vocab.size}
-    data.finish(("corpus.jsonl", "splits.json", "vocab.txt"), "ingest", extra)
-    return extra
+    vocab.save(data.artifact("vocab.txt"))
+    return data.finish("ingest", {"articles": len(articles),
+                                  "vocab_size": vocab.size})
 
 
 def step_embed(config: RunConfig, out_dir: Path, force: bool = False,
                external_embeddings: Path | None = None) -> dict:
-    ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     if external_embeddings is not None:
         matrix = storage.read_matrix(Path(external_embeddings))
@@ -264,31 +275,27 @@ def step_embed(config: RunConfig, out_dir: Path, force: bool = False,
                 f"{len(index)} sentences")
     else:
         matrix, index = embed_corpus(data.by_id.values(), data.encoder.config)
-    storage.write_matrix(data.out_dir / "embeddings.plmb", matrix)
-    storage.write_matrix_index(data.out_dir / "embeddings.idx", index)
-    extra = {"rows": int(matrix.shape[0]), "dim": int(matrix.shape[1]),
-             "external": external_embeddings is not None}
-    data.finish(("embeddings.plmb", "embeddings.idx"), "embed", extra)
-    return extra
+    storage.write_matrix(data.artifact("embeddings.plmb"), matrix)
+    storage.write_matrix_index(data.artifact("embeddings.idx"), index)
+    return data.finish("embed", {"rows": int(matrix.shape[0]),
+                                 "dim": int(matrix.shape[1]),
+                                 "external": external_embeddings is not None})
 
 
 def step_cluster(config: RunConfig, out_dir: Path, force: bool = False) -> dict:
-    ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     matrix, index = data.embedding_rows
     train_ids = set(data.splits["train"])
     rows = [i for i, (aid, _) in enumerate(index) if aid in train_ids]
     fitted = kmeans_fit(matrix[rows], k=config.k, seed=config.seed,
                         max_iters=config.kmeans_max_iters)
-    storage.write_matrix(data.out_dir / "centroids.plmb", fitted.centroids)
-    extra = {"k": fitted.k, "inertia": fitted.inertia,
-             "iterations": fitted.iterations_run, "points": len(rows)}
-    data.finish(("centroids.plmb",), "cluster", extra)
-    return extra
+    storage.write_matrix(data.artifact("centroids.plmb"), fitted.centroids)
+    return data.finish("cluster", {"k": fitted.k, "inertia": fitted.inertia,
+                                   "iterations": fitted.iterations_run,
+                                   "points": len(rows)})
 
 
 def step_actions(config: RunConfig, out_dir: Path, force: bool = False) -> dict:
-    ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     action_set = data.action_set
     sequences = {
@@ -297,18 +304,16 @@ def step_actions(config: RunConfig, out_dir: Path, force: bool = False) -> dict:
                 article.id, np.zeros((0, action_set.dim), dtype=np.float32)),
             action_set).tolist()
         for article in data.by_id.values()}
-    storage.write_action_sequences(data.out_dir / "actions.tsv", sequences)
+    storage.write_action_sequences(data.artifact("actions.tsv"), sequences)
     sizes = np.bincount([a for seq in sequences.values() for a in seq],
                         minlength=action_set.k)
-    extra = {"sequences": len(sequences),
-             "ten_largest_clusters": sizes[np.argsort(-sizes)[:10]].tolist()}
-    data.finish(("actions.tsv",), "actions", extra)
-    return extra
+    return data.finish("actions", {
+        "sequences": len(sequences),
+        "ten_largest_clusters": sizes[np.argsort(-sizes)[:10]].tolist()})
 
 
 def step_pretrain_lm(config: RunConfig, out_dir: Path,
                      force: bool = False) -> dict:
-    ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     items = [ScoringItem(ids=tokenize(data.by_id[aid], data.vocab).token_ids
                          .astype(np.int64)) for aid in data.splits["train"]]
@@ -320,12 +325,10 @@ def step_pretrain_lm(config: RunConfig, out_dir: Path,
                        lr=config.lm_lr, max_epochs=config.pretrain_epochs,
                        seed=config.seed)
     storage.write_checkpoint(
-        data.out_dir / "base_lm.plmc",
+        data.artifact("base_lm.plmc"),
         {k: v.values for k, v in base.params_dict().items()},
         lm_meta(base) | {"config_digest": data.digest})
-    extra = {"train_loss": history["train_loss"]}
-    data.finish(("base_lm.plmc",), "pretrain-lm", extra)
-    return extra
+    return data.finish("pretrain-lm", {"train_loss": history["train_loss"]})
 
 
 def _planner_articles(data: RunData, split: str) -> list:
@@ -335,7 +338,6 @@ def _planner_articles(data: RunData, split: str) -> list:
 
 def step_train_planner(config: RunConfig, out_dir: Path,
                        force: bool = False) -> dict:
-    ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     action_set = data.action_set
     planner_config = PlannerConfig(
@@ -357,15 +359,13 @@ def step_train_planner(config: RunConfig, out_dir: Path,
                             patience=config.planner_patience, seed=config.seed)
     metrics = evaluate_planner(model, val)
     storage.write_checkpoint(
-        data.out_dir / "planner.plmc",
+        data.artifact("planner.plmc"),
         {k: v.values for k, v in model.params_dict().items()},
         planner_meta(model) | {"config_digest": data.digest})
-    extra = {"val_accuracy": metrics.accuracy,
-             "val_average_rank": metrics.average_rank,
-             "train_loss": history["train_loss"],
-             "val_loss": history["val_metric"]}
-    data.finish(("planner.plmc",), "train-planner", extra)
-    return extra
+    return data.finish("train-planner", {
+        "val_accuracy": metrics.accuracy,
+        "val_average_rank": metrics.average_rank,
+        "train_loss": history["train_loss"], "val_loss": history["val_metric"]})
 
 
 def sentence_actions(source: str, oracle: Sequence[int],
@@ -418,7 +418,6 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
     if regime.actions == "none":
         raise ValidationError(
             "regime none needs no finetuning; evaluate uses base_lm.plmc")
-    ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     base, _ = data.lm(Regime("none"))
     planner = data.planner \
@@ -453,13 +452,11 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
     params = base.params_dict()
     if adapter is not None:
         params.update(adapter.params_dict())
-    name = checkpoint_name(regime)
-    storage.write_checkpoint(data.out_dir / name,
+    storage.write_checkpoint(data.artifact(checkpoint_name(regime)),
                              {k: v.values for k, v in params.items()},
                              meta | {"config_digest": data.digest})
-    extra = {"history": history, "regime": regime_key(regime)}
-    data.finish((name,), "finetune", extra)
-    return extra
+    return data.finish("finetune", {"history": history,
+                                    "regime": regime_key(regime)})
 
 
 def _half_split_point(stream: TokenStream) -> tuple[int, int]:
@@ -477,7 +474,6 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
     from <bos> alone ("unconditional")."""
     if mode not in GENERATION_MODES:
         raise ValidationError(f"unknown generation mode {mode!r}")
-    ensure_run_config(out_dir, config, force)
     if regime.style == "insert":
         raise ValidationError(
             "generation metrics are defined for adapter-style models")
@@ -514,13 +510,12 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
             prefix_sentence_embeddings=sentence_embeddings,
             article_id=prepared.article.id))
 
-    name = generations_name(regime)
-    with open(data.out_dir / name, "w", encoding="utf-8") as fh:
+    with open(data.artifact(generations_name(regime)), "w",
+              encoding="utf-8") as fh:
         for record in records:
             fh.write(json.dumps(record.to_json_dict(), sort_keys=True) + "\n")
-    extra = {"records": len(records), "mode": mode, "split": split}
-    data.finish((name,), "generate", extra)
-    return extra
+    return data.finish("generate", {"records": len(records), "mode": mode,
+                                    "split": split})
 
 
 def _article_from_tokens(article_id: str, vocab: Vocabulary,
@@ -597,7 +592,6 @@ def _generation_metrics(data: RunData, regime: Regime, split: str) -> dict:
 
 def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
                   force: bool = False, split: str = "test") -> dict:
-    ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     action_set = data.action_set
     planner = data.planner \
@@ -627,17 +621,22 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
         "lengths": list(config.lengths),
         "regimes": {},
     }
-    # the previous report is this step's own output, not an input
+    # the previous report is this step's own output, not an input; its
+    # entries carry over while its manifest is current, and so its inputs
+    # become inputs of this report
     report_path = data.out_dir / "eval_report.json"
-    if report_path.exists():
+    manifest = storage.read_manifest(report_path)
+    if manifest is not None and manifest["config_digest"] == data.digest and \
+            not data.stale_inputs(report_path.name):
         with parsing(report_path):
             previous = json.loads(report_path.read_text(encoding="utf-8"))
             if not isinstance(previous, dict):
                 raise ValidationError(
                     f"{report_path}: cannot parse: expected a JSON object")
-        if previous.get("config_digest") == report["config_digest"] and \
-                previous.get("split") == split:
+        if previous.get("split") == split:
             report["regimes"] = previous.get("regimes", {})
+            for name in manifest["inputs"]:
+                data.path(name)
 
     for regime in regimes:
         entry: dict = {}
@@ -665,16 +664,14 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
         report["planner"] = {"accuracy": metrics.accuracy,
                              "average_rank": metrics.average_rank}
 
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
-    data.finish(("eval_report.json",), "evaluate",
-                {"regimes": sorted(report["regimes"])})
+    data.artifact(report_path.name).write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    data.finish("evaluate", {"regimes": sorted(report["regimes"])})
     return report
 
 
 def step_scan_oracle(config: RunConfig, out_dir: Path,
                      force: bool = False, split: str = "test") -> dict:
-    ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     action_set = data.action_set
     base, adapter = data.lm(Regime("oracle"))
@@ -704,8 +701,8 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
     def write_curve(name, ppl_at_rank):
         lines = ["rank,ppl"] + [f"{i + 1},{p:.6f}"
                                 for i, p in enumerate(ppl_at_rank)]
-        (data.out_dir / name).write_text("\n".join(lines) + "\n",
-                                         encoding="utf-8")
+        data.artifact(name).write_text("\n".join(lines) + "\n",
+                                       encoding="utf-8")
 
     write_curve("oracle_scan.csv", oracle_result.ppl_at_rank)
     write_curve("noise_scan.csv", noise_curve)
@@ -720,10 +717,9 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
         "per_article_rank1_ppl": oracle_result.per_article_rank1_ppl,
         "per_article_oracle_ppl": oracle_result.per_article_oracle_ppl,
     }
-    (data.out_dir / "scan_summary.json").write_text(
+    data.artifact("scan_summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    data.finish(("oracle_scan.csv", "noise_scan.csv", "scan_summary.json"),
-                "scan-oracle")
+    data.finish("scan-oracle")
     return summary
 
 
@@ -750,7 +746,6 @@ def step_sweep_k(config: RunConfig, out_dir: Path, ks: Sequence[int],
                  regime: Regime, force: bool = False) -> list[dict]:
     """Re-run cluster..evaluate of one regime for each k in a subdirectory;
     emit a CSV."""
-    ensure_run_config(out_dir, config, force)
     data = RunData(out_dir, config, force)
     sources = [data.path(name) for name in (
         "corpus.jsonl", "splits.json", "vocab.txt", "embeddings.plmb",
@@ -759,9 +754,10 @@ def step_sweep_k(config: RunConfig, out_dir: Path, ks: Sequence[int],
     for k in ks:
         sub_config = dataclasses.replace(config, k=k)
         sub_dir = data.out_dir / f"k{k}"
-        sub_dir.mkdir(exist_ok=True)
+        copies = RunData(sub_dir, sub_config, force=True)
         for source in sources:
-            shutil.copyfile(source, sub_dir / source.name)
+            shutil.copyfile(source, copies.artifact(source.name))
+        copies.finish("sweep-k")
         # the sweep owns its sub-directories: each step re-pins and overwrites
         step_cluster(sub_config, sub_dir, force=True)
         step_actions(sub_config, sub_dir, force=True)
@@ -782,7 +778,7 @@ def step_sweep_k(config: RunConfig, out_dir: Path, ks: Sequence[int],
         lines.append(f"{row['k']},{row['ppl']:.6f},"
                      f"{row['planner_accuracy']:.6f},"
                      f"{row['planner_average_rank']:.6f}")
-    (data.out_dir / "sweep_k.csv").write_text("\n".join(lines) + "\n",
-                                              encoding="utf-8")
-    data.finish(("sweep_k.csv",), "sweep-k", {"ks": list(ks)})
+    data.artifact("sweep_k.csv").write_text("\n".join(lines) + "\n",
+                                            encoding="utf-8")
+    data.finish("sweep-k", {"ks": list(ks)})
     return rows

@@ -294,6 +294,9 @@ def test_sweep_k_writes_one_row_and_one_run_per_k(corpus_file, tmp_path):
         assert storage.read_matrix(out / f"k{k}" / "centroids.plmb").shape[0] \
             == k
         assert (out / f"k{k}" / "lm_predicted_pa.plmc").exists()
+        # the copied inputs are published with manifests like any output
+        copied = storage.read_manifest(out / f"k{k}" / "corpus.jsonl")
+        assert copied["subcommand"] == "sweep-k" and copied["inputs"] == {}
     # the regime flags choose what each k finetunes
     assert main(args(out, "sweep-k", "--ks", "4", "--regime", "fixed")) == 0
     assert (out / "k4" / "lm_fixed.plmc").exists()
@@ -451,3 +454,74 @@ def test_truncated_centroids_refused_with_one_error_line(full_run, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "centroids.plmb" in err[0]
+
+
+def test_evaluate_carries_over_only_entries_whose_inputs_are_unchanged(
+        full_run, tmp_path):
+    out = copy_of(full_run, tmp_path)
+
+    def evaluate(*extra):
+        assert main(args(out, "evaluate", "--regimes", *extra)) == 0
+        report = json.loads((out / "eval_report.json").read_text())
+        return set(report["regimes"]), set(
+            storage.read_manifest(out / "eval_report.json")["inputs"])
+
+    # a current report's entries carry over with the inputs they came from
+    regimes, inputs = evaluate("none")
+    assert regimes == {"none", "fixed", "predicted_pa"}
+    assert inputs == READ_BY_STEP["eval_report.json"]
+    # under a replaced corpus, the old entries are dropped
+    other, _ = generate_corpus(default_grammar(seed=1), 40, 5)
+    save_articles_jsonl(other, tmp_path / "other.jsonl")
+    assert main(args(out, "ingest", "--input", str(tmp_path / "other.jsonl"))) \
+        == 0
+    for command in ("embed", "cluster", "actions", "pretrain-lm",
+                    "train-planner"):
+        assert main(args(out, command)) == 0
+    assert main(args(out, "finetune", "--regime", "oracle")) == 0
+    regimes, inputs = evaluate("oracle")
+    assert regimes == {"oracle"}
+    assert inputs == PREPARED | {"centroids.plmb", "planner.plmc",
+                                 "lm_oracle.plmc"}
+
+
+def test_failed_step_pins_nothing(full_run, tmp_path, capsys):
+    out = copy_of(full_run, tmp_path)
+    pinned = (out / "config.txt").read_bytes()
+    planner = (out / "planner.plmc").read_bytes()
+    assert main(args(out, "train-planner", "--force")
+                + ["--set", "planner_context=0"]) == 1
+    assert (out / "config.txt").read_bytes() == pinned
+    assert (out / "planner.plmc").read_bytes() == planner
+    capsys.readouterr()
+    assert main(args(out, "evaluate", "--regimes", "fixed")) == 0
+
+
+def test_failed_write_leaves_no_partial_artifact(full_run, tmp_path,
+                                                 monkeypatch):
+    out = copy_of(full_run, tmp_path)
+    names = ("lm_fixed.plmc", "lm_fixed.plmc.manifest.json", "config.txt")
+    before = {name: (out / name).read_bytes() for name in names}
+    write_checkpoint = storage.write_checkpoint
+
+    def write_half_then_fail(path, sections, meta=None):
+        write_checkpoint(path, sections, meta)
+        raw = Path(path).read_bytes()
+        Path(path).write_bytes(raw[:len(raw) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(storage, "write_checkpoint", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        main(args(out, "finetune", "--regime", "fixed"))
+    assert {name: (out / name).read_bytes() for name in names} == before
+
+
+def test_run_directory_holds_only_published_artifacts(full_run):
+    # config.txt, manifests of existing artifacts, and artifacts with a
+    # manifest: no staged file is left behind
+    for path in full_run.iterdir():
+        if path.name.endswith(".manifest.json"):
+            artifact = json.loads(path.read_text())["artifact"]
+            assert (full_run / artifact).is_file(), path.name
+        elif path.name != "config.txt":
+            assert storage.manifest_path(path).is_file(), path.name
