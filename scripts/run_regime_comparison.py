@@ -15,7 +15,8 @@ from pathlib import Path
 from planlm import pipeline
 from planlm.config import RunConfig
 from planlm.corpus import save_articles_jsonl
-from planlm.lm import Regime
+from planlm.errors import ValidationError
+from planlm.lm import REGIMES, Regime
 from planlm.synthdata import default_grammar, generate_corpus
 
 
@@ -32,7 +33,7 @@ def desk_config(seed: int) -> RunConfig:
 
 
 def run_one_seed(corpus_path: Path, out_dir: Path, seed: int,
-                 regimes: list[str]) -> dict:
+                 regimes: list[Regime]) -> dict:
     config = desk_config(seed)
     pipeline.step_ingest(config, out_dir, corpus_path)
     pipeline.step_embed(config, out_dir)
@@ -40,17 +41,13 @@ def run_one_seed(corpus_path: Path, out_dir: Path, seed: int,
     pipeline.step_actions(config, out_dir)
     pipeline.step_pretrain_lm(config, out_dir)
     pipeline.step_train_planner(config, out_dir)
-    for name in regimes:
-        if name == "none":
-            continue
-        pipeline.step_finetune(config, out_dir, Regime(name))
-    for name in ("fixed", "predicted_pa"):
-        if name in regimes:
-            pipeline.step_generate(config, out_dir, Regime(name), split="val")
-    report = pipeline.step_evaluate(config, out_dir,
-                                    [Regime(name) for name in regimes],
-                                    split="val")
-    return report
+    for regime in regimes:
+        if regime.key != "none":
+            pipeline.step_finetune(config, out_dir, regime)
+    for regime in regimes:
+        if regime.key in ("fixed", "predicted_pa"):
+            pipeline.step_generate(config, out_dir, regime, split="val")
+    return pipeline.step_evaluate(config, out_dir, regimes, split="val")
 
 
 def main() -> None:
@@ -61,10 +58,16 @@ def main() -> None:
     parser.add_argument("--seeds", default="0,1,2",
                         help="comma-separated master seeds")
     parser.add_argument("--regimes",
-                        default="none,fixed,oracle,predicted_oa,predicted_pa")
+                        default="none,fixed,oracle,predicted_oa,predicted_pa",
+                        help="comma-separated regimes: " + ", ".join(REGIMES))
     parser.add_argument("--p-next", type=float, default=0.7,
                         help="section-advance probability of the grammar")
     args = parser.parse_args()
+    try:
+        regimes = [Regime.named(r.strip()) for r in args.regimes.split(",")
+                   if r.strip()]
+    except ValidationError as exc:
+        parser.error(str(exc))
 
     args.work_dir.mkdir(parents=True, exist_ok=True)
     remainder = (1.0 - args.p_next) / 2.0
@@ -74,26 +77,25 @@ def main() -> None:
     corpus_path = args.work_dir / "corpus.jsonl"
     save_articles_jsonl(articles, corpus_path)
 
-    regimes = [r.strip() for r in args.regimes.split(",") if r.strip()]
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
     reports = {}
     for seed in seeds:
         out_dir = args.work_dir / f"seed{seed}"
         print(f"== seed {seed} ==")
         reports[seed] = run_one_seed(corpus_path, out_dir, seed, regimes)
-        for name in regimes:
-            entry = reports[seed]["regimes"][name]
+        for regime in regimes:
+            entry = reports[seed]["regimes"][regime.key]
             extras = "".join(
                 f" {key}={entry[key]:.4f}" if isinstance(entry.get(key), float)
                 else ""
                 for key in ("latent_ppl", "plan_following_rate"))
-            print(f"  {name:13s} ppl={entry['ppl']:8.3f}{extras}")
+            print(f"  {regime.key:28s} ppl={entry['ppl']:8.3f}{extras}")
 
     summary = {
-        name: {
-            "mean_ppl": sum(reports[s]["regimes"][name]["ppl"]
+        regime.key: {
+            "mean_ppl": sum(reports[s]["regimes"][regime.key]["ppl"]
                             for s in seeds) / len(seeds)
-        } for name in regimes
+        } for regime in regimes
     }
     print(json.dumps(summary, indent=2, sort_keys=True))
     (args.work_dir / "summary.json").write_text(

@@ -107,9 +107,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def accumulate_grad(self, grad: np.ndarray) -> None:
         if self.grad is None:
             self.grad = grad.astype(self.values.dtype, copy=True)

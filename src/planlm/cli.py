@@ -2,12 +2,13 @@
 
 Every subcommand reads the effective configuration (defaults, then --config
 file, then --seed / --set overrides). Unless --force is given, it refuses an
---out-dir pinned to another config and upstream artifacts of another config
-digest or stale inputs. Only if it succeeds does it publish its artifacts,
-each with a manifest of the files it read, and pin the config in config.txt
-(inspect-cluster only reads). Only those common flags set the configuration,
-the run's identity. The action regime is a flag of the commands that use it
-(--regime or evaluate's --regimes, with --style and --locus), so one run
+--out-dir pinned to another config and upstream artifacts with no manifest,
+another config digest or stale inputs. Only if it succeeds does it publish
+its artifacts, each with a manifest of the files it read, and pin the config
+in config.txt (inspect-cluster only reads). Only those common flags set the
+configuration, the run's identity. The action regime is a flag of the
+commands that use it, --regime or evaluate's comma-separated --regimes,
+naming one of `lm.REGIMES` (e.g. insert_external_predicted_pa), so one run
 directory holds every regime.
 
 Exit codes: 0 success, 1 validation error, 2 missing input file or artifact.
@@ -23,7 +24,7 @@ from pathlib import Path
 from . import pipeline
 from .config import RunConfig, apply_overrides, load_config
 from .errors import ValidationError
-from .lm import LOCI, REGIMES, STYLES, Regime
+from .lm import REGIMES, Regime
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -37,21 +38,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         metavar="KEY=VALUE", help="override one config key")
     parser.add_argument("--force", action="store_true",
                         help="run despite another config or a stale input")
-
-
-def _regime_args(parser: argparse.ArgumentParser, many: bool = False) -> None:
-    if many:
-        parser.add_argument("--regimes", default="predicted_pa",
-                            help="comma-separated regimes")
-    else:
-        parser.add_argument("--regime", default="predicted_pa",
-                            choices=REGIMES)
-    parser.add_argument("--style", default="adapter", choices=STYLES)
-    parser.add_argument("--locus", default="external", choices=LOCI)
-
-
-def _regime(args: argparse.Namespace, name: str) -> Regime:
-    return Regime(name, style=args.style, locus=args.locus)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -84,18 +70,19 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = sub.add_parser("finetune", help="condition the LM on actions")
-    _regime_args(p)
+    p.add_argument("--regime", default="predicted_pa", choices=REGIMES)
     _add_common(p)
 
     p = sub.add_parser("generate", help="sample continuations with re-planning")
-    _regime_args(p)
+    p.add_argument("--regime", default="predicted_pa", choices=REGIMES)
     p.add_argument("--mode", default="conditional",
                    choices=pipeline.GENERATION_MODES)
     p.add_argument("--split", default="test", choices=pipeline.SPLITS)
     _add_common(p)
 
     p = sub.add_parser("evaluate", help="write the evaluation report")
-    _regime_args(p, many=True)
+    p.add_argument("--regimes", default="predicted_pa",
+                   help="comma-separated regimes: " + ", ".join(REGIMES))
     p.add_argument("--split", default="test", choices=pipeline.SPLITS)
     _add_common(p)
 
@@ -113,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-k", help="re-run the pipeline over several k")
     p.add_argument("--ks", required=True,
                    help="comma-separated cluster counts, e.g. 16,64,256")
-    _regime_args(p)
+    p.add_argument("--regime", default="predicted_pa", choices=REGIMES)
     _add_common(p)
 
     return parser
@@ -159,17 +146,17 @@ def run_command(args: argparse.Namespace) -> int:
         print(f"planner val accuracy {extra['val_accuracy']:.4f}, "
               f"average rank {extra['val_average_rank']:.2f}")
     elif args.command == "finetune":
-        regime = _regime(args, args.regime)
+        regime = Regime.named(args.regime)
         pipeline.step_finetune(config, out_dir, regime, args.force)
         print(f"finetuned {pipeline.checkpoint_name(regime)}")
     elif args.command == "generate":
-        regime = _regime(args, args.regime)
+        regime = Regime.named(args.regime)
         extra = pipeline.step_generate(config, out_dir, regime, args.force,
                                        mode=args.mode, split=args.split)
         print(f"wrote {extra['records']} generations "
               f"({pipeline.generations_name(regime)})")
     elif args.command == "evaluate":
-        regimes = [_regime(args, name.strip())
+        regimes = [Regime.named(name.strip())
                    for name in args.regimes.split(",") if name.strip()]
         report = pipeline.step_evaluate(config, out_dir, regimes, args.force,
                                         split=args.split)
@@ -187,7 +174,7 @@ def run_command(args: argparse.Namespace) -> int:
         print(json.dumps(result, indent=2, sort_keys=True))
     elif args.command == "sweep-k":
         ks = [int(v) for v in args.ks.split(",") if v.strip()]
-        regime = _regime(args, args.regime)
+        regime = Regime.named(args.regime)
         rows = pipeline.step_sweep_k(config, out_dir, ks, regime, args.force)
         for row in rows:
             print(f"k={row['k']}: ppl={row['ppl']:.4f} "

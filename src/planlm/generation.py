@@ -31,7 +31,7 @@ from .actions import ActionSet, assign_action
 from .corpus import Vocabulary, detokenize, split_sentences
 from .encoder import SentenceEncoder
 from .errors import ValidationError
-from .lm import FIXED_ACTION_ID, ActionAdapter, BaseLM, Regime
+from .lm import FIXED_ACTION_ID, ActionAdapter, BaseLM
 from .planner import PlannerModel
 
 _TERMINAL_TOKENS = (".", "!", "?")
@@ -107,37 +107,30 @@ def _sentence_complete(text: str) -> bool:
     return len(spans) >= 2 and spans[0].char_end == len(text)
 
 
-def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
-             vocab: Vocabulary, config: GenerationConfig,
-             encoder: SentenceEncoder, action_set: ActionSet | None,
+def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
+             config: GenerationConfig, encoder: SentenceEncoder,
+             action_set: ActionSet | None,
              planner: PlannerModel | None = None,
              prefix_ids: np.ndarray | None = None,
              prefix_token_actions: np.ndarray | None = None,
              prefix_sentence_embeddings: np.ndarray | None = None,
              article_id: str = "") -> GenerationRecord:
-    """Sample a continuation of `prefix_ids`, re-planning at every sentence
-    boundary.
+    """Sample a continuation of `prefix_ids`; with a `planner`, re-plan at
+    every sentence boundary.
 
+    Tokens are conditioned on actions only with an `adapter`: on the
+    `planner`'s next action when one is given, else on FIXED_ACTION_ID.
     `prefix_token_actions[i]` is the action of the sentence containing prefix
-    token i (regime-consistent); `prefix_sentence_embeddings` seeds the
-    planner context with the prefix sentences. FIXED and NONE regimes skip
-    planning entirely.
+    token i; `prefix_sentence_embeddings` seeds the planner context with the
+    prefix sentences.
     """
-    source = regime.action_source(training=False)
-    if source == "oracle":
-        raise ValidationError(
-            "oracle actions are undefined for free generation; score oracle "
-            "regimes with `planlm evaluate`, which teacher-forces them")
-    uses_planner = source == "planner"
-    if uses_planner and planner is None:
-        raise ValidationError(f"regime {regime.actions} requires a planner")
     if prefix_ids is None or len(prefix_ids) == 0:
         raise ValidationError("generation requires a prefix")
 
     window = base.config.context_window - 1
     rng = np.random.default_rng(config.seed)
     ids = [int(t) for t in prefix_ids]
-    conditioned = source != "none"
+    conditioned, uses_planner = adapter is not None, planner is not None
 
     # action of the sentence containing each existing token
     act_of_token = [FIXED_ACTION_ID] * len(ids) if prefix_token_actions is None \
@@ -186,7 +179,7 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, regime: Regime,
         if vocab.token_of(token) in _TERMINAL_TOKENS:
             text = detokenize(sentence_tokens)
             if _sentence_complete(text):
-                if conditioned and (uses_planner or action_set is not None):
+                if uses_planner or (conditioned and action_set is not None):
                     z = encoder.embed_sentence(text)
                 if conditioned and action_set is not None:
                     record.planned_actions.append(current_action)

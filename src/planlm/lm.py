@@ -9,8 +9,8 @@ Two conditioning styles:
 * insert: the vocabulary is extended by one token per action and each
   sentence's tokens are preceded by its action token; all parameters train.
   It has two regimes: the LM as an internal planner learning the oracle
-  action tokens ("oracle", internal), and an external planner supplying them
-  ("predicted_pa", external).
+  action tokens (`insert_internal_oracle`), and an external planner
+  supplying them (`insert_external_predicted_pa`).
 
 The action merged at position p is the action of the text unit containing the
 token at position p+1, because the prediction at p scores that next token.
@@ -30,24 +30,29 @@ from .autodiff import Tensor
 from .corpus import TokenStream
 from .errors import ValidationError
 
-REGIMES = ("none", "fixed", "oracle", "predicted_oa", "predicted_pa")
-STYLES = ("adapter", "insert")
-LOCI = ("external", "internal")
-# (actions, locus) of the insert regimes: the only ones whose names say
-# where insert style's action tokens come from
-INSERT_REGIMES = (("oracle", "internal"), ("predicted_pa", "external"))
+# every regime by its key, which also names its checkpoint and report entry
+REGIMES = ("none", "fixed", "oracle", "predicted_oa", "predicted_pa",
+           "insert_internal_oracle", "insert_external_predicted_pa")
 
 FIXED_ACTION_ID = 0
 
 
+def _fields(key: str) -> tuple[str, str, str]:
+    """The (actions, style, locus) of the regime named `key` in `REGIMES`."""
+    if key.startswith("insert_"):
+        _, locus, actions = key.split("_", 2)
+        return actions, "insert", locus
+    return key, "adapter", "external"
+
+
 @dataclass(frozen=True)
 class Regime:
-    """Which actions the LM sees, and how they are presented.
-
-    Adapter style takes every action source, from an external planner.
-    Insert style takes two: ("oracle", internal), where the LM learns the
-    oracle action tokens as its own planner, and ("predicted_pa", external),
-    where the planner supplies them in training and evaluation alike.
+    """Which actions the LM sees, and how they are presented: one of
+    `REGIMES`, which `named` builds from its key. Adapter style takes every
+    action source from an external planner. Insert style takes the oracle
+    from an internal one, where the LM learns the action tokens as its own
+    planner, and planned actions from an external one, in training and
+    evaluation alike.
     """
 
     actions: str
@@ -55,19 +60,24 @@ class Regime:
     locus: str = "external"
 
     def __post_init__(self):
-        if self.actions not in REGIMES:
-            raise ValidationError(f"unknown regime {self.actions!r}")
-        if self.style not in STYLES:
-            raise ValidationError(f"unknown style {self.style!r}")
-        if self.locus not in LOCI:
-            raise ValidationError(f"unknown locus {self.locus!r}")
-        if self.locus == "internal" and self.style != "insert":
-            raise ValidationError("an internal planner requires insert style")
-        if self.style == "insert" and \
-                (self.actions, self.locus) not in INSERT_REGIMES:
+        if (self.actions, self.style, self.locus) not in map(_fields, REGIMES):
+            raise ValidationError(f"no regime is {self}; the regimes are "
+                                  + ", ".join(REGIMES))
+
+    @classmethod
+    def named(cls, key: str) -> "Regime":
+        """The regime `key` names; refuses a key outside `REGIMES`."""
+        if key not in REGIMES:
             raise ValidationError(
-                f"no insert regime {self.actions!r} with an {self.locus} "
-                "planner; use oracle/internal or predicted_pa/external")
+                f"unknown regime {key!r}; choose from " + ", ".join(REGIMES))
+        return cls(*_fields(key))
+
+    @property
+    def key(self) -> str:
+        """The name of this regime's checkpoint, generations and report entry."""
+        if self.style == "insert":
+            return f"insert_{self.locus}_{self.actions}"
+        return self.actions
 
     def action_source(self, training: bool) -> str:
         """Where per-sentence actions come from: "none", "fixed", "oracle" or

@@ -2,9 +2,10 @@
 
 Each step reads and writes the run directory only through one `RunData`,
 which refuses (unless forced) a directory pinned to another config and
-artifacts of another config digest or stale inputs. It stages each output,
-then publishes them, pins the config and writes each output's JSON manifest
-(the files read with their hashes, wall time, seed) when the step succeeds.
+artifacts with no manifest, another config digest or stale inputs. It stages
+each output, then publishes them, pins the config and writes each output's
+JSON manifest (the files read with their hashes, wall time, seed) when the
+step succeeds.
 """
 
 from __future__ import annotations
@@ -61,17 +62,15 @@ SPLITS = ("train", "val", "test")
 
 
 def regime_key(regime: Regime) -> str:
-    if regime.style == "insert":
-        return f"insert_{regime.locus}_{regime.actions}"
-    return regime.actions
+    return regime.key
 
 
 def checkpoint_name(regime: Regime) -> str:
-    return f"lm_{regime_key(regime)}.plmc"
+    return f"lm_{regime.key}.plmc"
 
 
 def generations_name(regime: Regime) -> str:
-    return f"generations_{regime_key(regime)}.jsonl"
+    return f"generations_{regime.key}.jsonl"
 
 
 def lm_name(regime: Regime) -> str:
@@ -81,11 +80,18 @@ def lm_name(regime: Regime) -> str:
     return checkpoint_name(regime)
 
 
+def _producer(name: str) -> str | None:
+    if name.startswith("lm_"):
+        return "finetune"
+    if name.startswith("generations_"):
+        return "generate"
+    return PRODUCERS.get(name)
+
+
 def _require(out_dir: Path, name: str) -> Path:
     path = Path(out_dir) / name
     if not path.exists():
-        producer = PRODUCERS.get(name) or (
-            "finetune" if name.startswith("lm_") else None)
+        producer = _producer(name)
         hint = f"; produce it with `planlm {producer}`" if producer else ""
         raise MissingArtifactError(f"missing artifact {path}{hint}")
     return path
@@ -105,13 +111,12 @@ class PreparedArticle:
 class RunData:
     """The one reader and writer of a run directory. It refuses (unless
     `force`) a `config.txt` that another config wrote. Every file is opened
-    through `path`, which refuses (unless `force`) a file whose manifest names
-    another config digest or has `stale_inputs`, and records its name. Every
-    output is written at the hidden path `artifact` gives; `finish` moves each
-    onto its name, pins the config and writes manifests whose inputs are
-    exactly the recorded names, so a failed step publishes and pins nothing.
-    Artifacts load lazily and once, and are shared: callers must not mutate
-    them."""
+    through `path`, which refuses (unless `force`) a file that `why_stale`
+    finds not current, and records its name. Every output is written at the
+    hidden path `artifact` gives; `finish` moves each onto its name, pins the
+    config and writes manifests whose inputs are exactly the recorded names,
+    so a failed step publishes and pins nothing. Artifacts load lazily and
+    once, and are shared: callers must not mutate them."""
 
     def __init__(self, out_dir: Path, config: RunConfig, force: bool = False):
         config.validate()
@@ -139,27 +144,30 @@ class RunData:
         if name in self.manifests:
             return path
         manifest = storage.read_manifest(path)
-        if manifest is not None and not self.force:
-            if manifest["config_digest"] != self.digest:
-                raise ValidationError(
-                    f"{name} was produced under config digest "
-                    f"{manifest['config_digest']}, current is {self.digest}; "
-                    "use --force to proceed")
-            stale = self.stale_inputs(name)
-            if stale:
-                raise ValidationError(
-                    f"{name} is stale: its input {stale[0]} changed since "
-                    f"`planlm {manifest['subcommand']}` made it; "
-                    "rerun that or use --force")
+        problem = None if self.force else self.why_stale(name, manifest)
+        if problem:
+            producer = manifest["subcommand"] if manifest else _producer(name)
+            raise ValidationError(
+                f"{problem}; rerun `planlm {producer}` or use --force")
         self.manifests[name] = manifest
         return path
 
-    def stale_inputs(self, name: str) -> list[str]:
-        """The inputs in `name`'s manifest that are gone or changed since."""
-        manifest = storage.read_manifest(self.out_dir / name) or {"inputs": {}}
-        return [key for key, sha256 in manifest["inputs"].items()
-                if not (self.out_dir / key).exists()
-                or storage.file_sha256(self.out_dir / key) != sha256]
+    def why_stale(self, name: str, manifest: dict | None) -> str | None:
+        """Why the artifact `name` with manifest `manifest` is not current, or
+        None when it is: a current artifact has a manifest of this config
+        digest, and each input it lists is unchanged since."""
+        if manifest is None:
+            return f"{name} has no manifest, so its inputs cannot be checked"
+        if manifest["config_digest"] != self.digest:
+            return (f"{name} was produced under config digest "
+                    f"{manifest['config_digest']}, current is {self.digest}")
+        stale = [key for key, sha256 in manifest["inputs"].items()
+                 if not (self.out_dir / key).exists()
+                 or storage.file_sha256(self.out_dir / key) != sha256]
+        if stale:
+            return (f"{name} is stale: its input {stale[0]} changed since "
+                    f"`planlm {manifest['subcommand']}` made it")
+        return None
 
     def artifact(self, name: str) -> Path:
         """Record `name` as an output; the hidden path to write it at."""
@@ -455,8 +463,7 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
     storage.write_checkpoint(data.artifact(checkpoint_name(regime)),
                              {k: v.values for k, v in params.items()},
                              meta | {"config_digest": data.digest})
-    return data.finish("finetune", {"history": history,
-                                    "regime": regime_key(regime)})
+    return data.finish("finetune", {"history": history, "regime": regime.key})
 
 
 def _half_split_point(stream: TokenStream) -> tuple[int, int]:
@@ -474,14 +481,16 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
     from <bos> alone ("unconditional")."""
     if mode not in GENERATION_MODES:
         raise ValidationError(f"unknown generation mode {mode!r}")
-    if regime.style == "insert":
+    source = regime.action_source(training=False)
+    if regime.style == "insert" or source == "oracle":
         raise ValidationError(
-            "generation metrics are defined for adapter-style models")
+            f"regime {regime.key} cannot generate: generation metrics are "
+            "defined for adapter-style models, and oracle actions are "
+            "undefined for free generation; score it with `planlm evaluate`")
     data = RunData(out_dir, config, force)
     action_set = data.action_set
     planner = data.planner if regime.needs_planner else None
     base, adapter = data.lm(regime)
-    source = regime.action_source(training=False)
 
     records = []
     prepared_split = data.prepared(split)[:config.eval_articles]
@@ -504,7 +513,7 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
             if planner is not None:
                 sentence_embeddings = prepared.embeddings[:h]
         records.append(generate(
-            base, adapter, regime, data.vocab, gen_config, data.encoder,
+            base, adapter, data.vocab, gen_config, data.encoder,
             action_set, planner=planner, prefix_ids=prefix_ids,
             prefix_token_actions=token_actions,
             prefix_sentence_embeddings=sentence_embeddings,
@@ -601,9 +610,9 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
     for regime in regimes:
         if regime.needs_planner and planner is None:
             raise ValidationError(
-                f"regime {regime_key(regime)} requires planner.plmc; "
+                f"regime {regime.key} requires planner.plmc; "
                 "produce it with `planlm train-planner`")
-        models[regime_key(regime)] = data.lm(regime)
+        models[regime.key] = data.lm(regime)
         if (data.out_dir / generations_name(regime)).exists():
             data.path(generations_name(regime))
 
@@ -626,8 +635,7 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
     # become inputs of this report
     report_path = data.out_dir / "eval_report.json"
     manifest = storage.read_manifest(report_path)
-    if manifest is not None and manifest["config_digest"] == data.digest and \
-            not data.stale_inputs(report_path.name):
+    if data.why_stale(report_path.name, manifest) is None:
         with parsing(report_path):
             previous = json.loads(report_path.read_text(encoding="utf-8"))
             if not isinstance(previous, dict):
@@ -640,7 +648,7 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
 
     for regime in regimes:
         entry: dict = {}
-        base, adapter = models[regime_key(regime)]
+        base, adapter = models[regime.key]
         items = scoring_items(data, split, regime, training=False,
                               planner=planner)
         if regime.actions == "fixed" and planner is not None:
@@ -657,7 +665,7 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
         if realized:
             entry["latent_ppl"] = corpus_latent_perplexity(critic, realized)
         entry.update(gen_metrics)
-        report["regimes"][regime_key(regime)] = entry
+        report["regimes"][regime.key] = entry
 
     if planner is not None:
         metrics = evaluate_planner(planner, _planner_articles(data, split))
@@ -768,7 +776,7 @@ def step_sweep_k(config: RunConfig, out_dir: Path, ks: Sequence[int],
                                split="val")
         rows.append({
             "k": k,
-            "ppl": report["regimes"][regime_key(regime)]["ppl"],
+            "ppl": report["regimes"][regime.key]["ppl"],
             "planner_accuracy": report["planner"]["accuracy"],
             "planner_average_rank": report["planner"]["average_rank"],
             "val_accuracy_at_stop": planner_extra["val_accuracy"],

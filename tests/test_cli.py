@@ -7,10 +7,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planlm import storage
-from planlm.cli import build_parser, main
+from planlm import pipeline, storage
+from planlm.cli import build_parser, effective_config, main
 from planlm.config import RunConfig
 from planlm.corpus import save_articles_jsonl
+from planlm.planner import PlannerModel
 from planlm.synthdata import default_grammar, generate_corpus
 
 CFG_SETS = [
@@ -218,12 +219,48 @@ def test_scan_oracle_outputs_curves(run_dir):
 
 
 def test_insert_style_finetune_and_evaluate(run_dir):
-    assert main(args(run_dir, "finetune", "--regime", "oracle", "--style",
-                     "insert", "--locus", "internal")) == 0
-    assert main(args(run_dir, "evaluate", "--regimes", "oracle", "--style",
-                     "insert", "--locus", "internal")) == 0
+    assert main(args(run_dir, "finetune", "--regime",
+                     "insert_internal_oracle")) == 0
+    assert main(args(run_dir, "evaluate", "--regimes",
+                     "insert_internal_oracle")) == 0
     report = json.loads((run_dir / "eval_report.json").read_text())
     assert "insert_internal_oracle" in report["regimes"]
+
+
+def test_one_evaluate_scores_none_and_both_insert_regimes(run_dir):
+    assert main(args(run_dir, "finetune", "--regime",
+                     "insert_external_predicted_pa")) == 0
+    regimes = ["none", "insert_external_predicted_pa", "insert_internal_oracle"]
+    assert main(args(run_dir, "evaluate", "--regimes", ",".join(regimes))) == 0
+    report = json.loads((run_dir / "eval_report.json").read_text())
+    assert set(regimes) <= set(report["regimes"])
+    # each entry was scored by this call, not carried over
+    inputs = storage.read_manifest(run_dir / "eval_report.json")["inputs"]
+    assert {"base_lm.plmc", "lm_insert_external_predicted_pa.plmc",
+            "lm_insert_internal_oracle.plmc"} <= set(inputs)
+
+
+@pytest.mark.parametrize("flag, value", [("--style", "insert"),
+                                         ("--locus", "internal")])
+def test_regime_fields_are_no_flags(run_dir, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(args(run_dir, "evaluate", "--regimes", "oracle", flag, value))
+    assert exc.value.code == 2
+
+
+def test_unknown_regime_key_refused_with_one_error_line(run_dir, capsys):
+    capsys.readouterr()
+    assert main(args(run_dir, "evaluate", "--regimes", "insert_bogus")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "insert_bogus" in err[0] and "insert_internal_oracle" in err[0]
+
+
+def test_free_generation_with_oracle_regime_rejected(run_dir, capsys):
+    capsys.readouterr()
+    assert main(args(run_dir, "generate", "--regime", "oracle")) == 1
+    assert "oracle" in capsys.readouterr().err
+    assert not (run_dir / "generations_oracle.jsonl").exists()
 
 
 def test_train_planner_without_val_articles_refused_before_training(
@@ -483,6 +520,45 @@ def test_evaluate_carries_over_only_entries_whose_inputs_are_unchanged(
     assert regimes == {"oracle"}
     assert inputs == PREPARED | {"centroids.plmb", "planner.plmc",
                                  "lm_oracle.plmc"}
+
+
+def test_path_reads_each_manifest_once(full_run, monkeypatch):
+    config = effective_config(build_parser().parse_args(args(full_run,
+                                                             "evaluate")))
+    data = pipeline.RunData(full_run, config)
+    read = []
+    read_manifest = storage.read_manifest
+
+    def spy(path):
+        read.append(Path(path).name)
+        return read_manifest(path)
+
+    monkeypatch.setattr(storage, "read_manifest", spy)
+    data.path("lm_fixed.plmc")
+    data.path("lm_fixed.plmc")
+    assert read == ["lm_fixed.plmc"]
+
+
+def test_artifact_without_manifest_refused_unless_forced(full_run, tmp_path,
+                                                         capsys):
+    out = copy_of(full_run, tmp_path)
+    (out / "actions.tsv.manifest.json").unlink()
+    capsys.readouterr()
+    assert main(args(out, "finetune", "--regime", "fixed")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "actions.tsv" in err[0] and "planlm actions" in err[0]
+    assert main(args(out, "finetune", "--regime", "fixed", "--force")) == 0
+
+
+def test_fixed_regime_makes_no_planner_calls(full_run, tmp_path, monkeypatch):
+    out = copy_of(full_run, tmp_path)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the planner was called")
+
+    monkeypatch.setattr(PlannerModel, "logits_batch", refuse)
+    assert main(args(out, "generate", "--regime", "fixed")) == 0
 
 
 def test_failed_step_pins_nothing(full_run, tmp_path, capsys):

@@ -9,7 +9,7 @@ from planlm.generation import (_TERMINAL_TOKENS, GenerationConfig,
                                GenerationRecord, _sentence_complete, generate,
                                sample_token)
 from planlm.lm import (FIXED_ACTION_ID, ActionAdapter, AdapterConfig, BaseLM,
-                       LmConfig, Regime)
+                       LmConfig)
 from planlm.planner import PlannerConfig, PlannerModel
 
 VOCAB = Vocabulary(["<unk>", "<bos>", "the", "cat", "dog", "ran", "sat",
@@ -38,17 +38,19 @@ def tiny_world(k=2, seed=0):
 
 
 def run(regime, config, base, adapter, action_set, planner, enc, **kwargs):
-    """Generate from <bos> alone unless the caller gives a prefix."""
+    """Generate from <bos> alone unless the caller gives a prefix. Regime
+    "none" decodes without the adapter, and only "predicted_pa" re-plans."""
     kwargs.setdefault("prefix_ids", np.array([BOS_ID], dtype=np.int64))
-    return generate(base, adapter if regime.actions != "none" else None,
-                    regime, VOCAB, config, enc, action_set, planner=planner,
+    return generate(base, adapter if regime != "none" else None, VOCAB, config,
+                    enc, action_set,
+                    planner=planner if regime == "predicted_pa" else None,
                     **kwargs)
 
 
 def test_output_length_capped():
     base, adapter, action_set, planner, enc = tiny_world()
     cfg = GenerationConfig(max_tokens=17, seed=0)
-    rec = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
+    rec = run("predicted_pa", cfg, base, adapter, action_set, planner, enc)
     assert len(rec.token_ids) <= 17
     assert rec.prefix_len == 1
 
@@ -56,8 +58,8 @@ def test_output_length_capped():
 def test_greedy_generation_is_deterministic():
     base, adapter, action_set, planner, enc = tiny_world()
     cfg = GenerationConfig(max_tokens=12, temperature=0.0, seed=3)
-    a = run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc)
-    b = run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc)
+    a = run("fixed", cfg, base, adapter, action_set, planner, enc)
+    b = run("fixed", cfg, base, adapter, action_set, planner, enc)
     assert a.token_ids == b.token_ids
     assert a.text == b.text
 
@@ -65,8 +67,8 @@ def test_greedy_generation_is_deterministic():
 def test_same_seed_sampling_is_deterministic():
     base, adapter, action_set, planner, enc = tiny_world()
     cfg = GenerationConfig(max_tokens=30, temperature=1.0, seed=9)
-    a = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
-    b = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
+    a = run("predicted_pa", cfg, base, adapter, action_set, planner, enc)
+    b = run("predicted_pa", cfg, base, adapter, action_set, planner, enc)
     assert a.token_ids == b.token_ids
     assert a.planned_actions == b.planned_actions
 
@@ -74,7 +76,7 @@ def test_same_seed_sampling_is_deterministic():
 def test_single_action_vocabulary_always_follows_plan():
     base, adapter, action_set, planner, enc = tiny_world(k=1)
     cfg = GenerationConfig(max_tokens=60, temperature=1.0, seed=1)
-    rec = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
+    rec = run("predicted_pa", cfg, base, adapter, action_set, planner, enc)
     assert rec.planned_actions, "expected at least one complete sentence"
     assert rec.plan_following_rate() == 1.0
 
@@ -95,8 +97,8 @@ def test_constant_planner_stub_matches_fixed_regime():
     stub = ConstantPlanner.__new__(ConstantPlanner)
     stub.config = planner.config
     cfg = GenerationConfig(max_tokens=25, temperature=1.0, seed=7)
-    fixed = run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc)
-    stubbed = run(Regime("predicted_pa"), cfg, base, adapter, action_set,
+    fixed = run("fixed", cfg, base, adapter, action_set, planner, enc)
+    stubbed = run("predicted_pa", cfg, base, adapter, action_set,
                   stub, enc)
     assert stubbed.token_ids == fixed.token_ids
 
@@ -104,20 +106,12 @@ def test_constant_planner_stub_matches_fixed_regime():
 def test_conditioning_action_constant_between_boundaries():
     base, adapter, action_set, planner, enc = tiny_world()
     cfg = GenerationConfig(max_tokens=40, temperature=1.0, seed=5)
-    rec = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
+    rec = run("predicted_pa", cfg, base, adapter, action_set, planner, enc)
     terminal_id = VOCAB.id_of(".")
     for i in range(1, len(rec.token_ids)):
         if rec.token_actions[i] != rec.token_actions[i - 1]:
             # the action may only switch right after a sentence boundary
             assert rec.token_ids[i - 1] == terminal_id
-
-
-def test_fixed_regime_makes_no_planner_calls():
-    base, adapter, action_set, planner, enc = tiny_world()
-    planner.invocations = 0
-    cfg = GenerationConfig(max_tokens=25, temperature=1.0, seed=2)
-    run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc)
-    assert planner.invocations == 0
 
 
 def test_sliding_window_never_exceeds_context():
@@ -132,7 +126,7 @@ def test_sliding_window_never_exceeds_context():
 
     base.forward = spy
     cfg = GenerationConfig(max_tokens=40, temperature=1.0, seed=4)
-    run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner, enc)
+    run("predicted_pa", cfg, base, adapter, action_set, planner, enc)
     assert len(seen) == 40
     assert max(past + new for past, new in seen) == window
     fills = [new for past, new in seen if past == 0]
@@ -144,8 +138,7 @@ def uncached_generate(regime, config, base, adapter, action_set, planner, enc,
                       prefix_ids):
     """The decoder without a cache: it re-runs the last `window` tokens for
     every sampled token, with no prefix actions or embeddings."""
-    source = regime.action_source(training=False)
-    conditioned, uses_planner = source != "none", source == "planner"
+    conditioned, uses_planner = regime != "none", regime == "predicted_pa"
     window = base.config.context_window - 1
     rng = np.random.default_rng(config.seed)
     ids = [int(t) for t in prefix_ids]
@@ -206,7 +199,7 @@ def test_cached_decoder_matches_uncached_inside_the_window(regime):
                           dtype=np.int64)
         cfg = GenerationConfig(max_tokens=window - len(prefix),
                                temperature=1.0, seed=seed)
-        args = (Regime(regime), cfg, base, adapter, action_set, planner, enc)
+        args = (regime, cfg, base, adapter, action_set, planner, enc)
         logits.clear()
         got = run(*args, prefix_ids=prefix)
         n = len(logits)
@@ -224,7 +217,7 @@ def test_conditional_mode_requires_prefix():
     cfg = GenerationConfig(max_tokens=5, seed=0)
     for prefix in (None, np.zeros(0, dtype=np.int64)):
         with pytest.raises(ValidationError):
-            run(Regime("fixed"), cfg, base, adapter, action_set, planner, enc,
+            run("fixed", cfg, base, adapter, action_set, planner, enc,
                 prefix_ids=prefix)
 
 
@@ -233,7 +226,7 @@ def test_conditional_prefix_threads_through():
     cfg = GenerationConfig(max_tokens=8, temperature=0.0, seed=0)
     prefix = np.array([1, VOCAB.id_of("the"), VOCAB.id_of("cat"),
                        VOCAB.id_of(".")], dtype=np.int64)
-    rec = run(Regime("predicted_pa"), cfg, base, adapter, action_set, planner,
+    rec = run("predicted_pa", cfg, base, adapter, action_set, planner,
               enc, prefix_ids=prefix,
               prefix_token_actions=np.zeros(4, dtype=np.int64),
               prefix_sentence_embeddings=enc.embed_sentence("the cat.")[None, :],
@@ -241,13 +234,6 @@ def test_conditional_prefix_threads_through():
     assert rec.prefix_len == 4
     assert rec.article_id == "art7"
     assert len(rec.token_ids) == 8
-
-
-def test_free_generation_with_oracle_regime_rejected():
-    base, adapter, action_set, planner, enc = tiny_world()
-    cfg = GenerationConfig(max_tokens=5, seed=0)
-    with pytest.raises(ValidationError):
-        run(Regime("oracle"), cfg, base, adapter, action_set, planner, enc)
 
 
 # -- sampling -------------------------------------------------------------------

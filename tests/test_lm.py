@@ -8,8 +8,8 @@ from planlm import autodiff as ad
 from planlm import evaluation, nn, storage
 from planlm.corpus import TokenStream
 from planlm.errors import ValidationError
-from planlm.lm import (INSERT_REGIMES, LOCI, REGIMES, ActionAdapter,
-                       AdapterConfig, BaseLM, LmConfig, Regime,
+from planlm.lm import (REGIMES, ActionAdapter, AdapterConfig, BaseLM,
+                       LmConfig, Regime,
                        extend_for_insert, insert_style_sequence,
                        lm_from_checkpoint, lm_meta, per_position_actions,
                        select_action_for_position, train_lm, window_examples)
@@ -359,17 +359,39 @@ def test_regime_validation():
         assert regime.action_source(training=True) == train_source, regime
         assert regime.action_source(training=False) == eval_source, regime
         assert regime.needs_planner is (eval_source == "planner"), regime
-    with pytest.raises(ValidationError):
-        Regime("oracle", style="adapter", locus="internal")
+    assert sorted(regime.key for regime, _, _ in ACTION_SOURCES) == \
+        sorted(REGIMES)
     with pytest.raises(ValidationError):
         Regime("bogus")
-    # an insert regime is valid only where its name says what it does
-    refused = [(a, locus) for locus in LOCI for a in REGIMES
-               if (a, locus) not in INSERT_REGIMES]
-    assert len(refused) == 8
-    for actions, locus in refused:
-        with pytest.raises(ValidationError, match="insert"):
-            Regime(actions, style="insert", locus=locus)
+    # a key is not an action source
+    with pytest.raises(ValidationError):
+        Regime("insert_internal_oracle")
+    # of the 20 (actions, style, locus) triples only the seven regimes are
+    # valid: an internal planner needs insert style, and an insert regime is
+    # valid only where its name says what it does
+    sources = ("none", "fixed", "oracle", "predicted_oa", "predicted_pa")
+    triples = [(a, style, locus) for a in sources
+               for style in ("adapter", "insert")
+               for locus in ("external", "internal")]
+    valid = {dataclasses.astuple(regime) for regime, _, _ in ACTION_SOURCES}
+    refused = [t for t in triples if t not in valid]
+    assert len(refused) == 13
+    for actions, style, locus in refused:
+        with pytest.raises(ValidationError,
+                           match=f"style='{style}', locus='{locus}'"):
+            Regime(actions, style=style, locus=locus)
+
+
+@pytest.mark.parametrize("key", REGIMES)
+def test_regime_key_round_trips(key):
+    assert Regime.named(key).key == key
+    assert Regime.named(key) in {regime for regime, _, _ in ACTION_SOURCES}
+
+
+def test_unknown_regime_key_refused():
+    for key in ("bogus", "insert_bogus", "insert_external_oracle", ""):
+        with pytest.raises(ValidationError, match="choose from"):
+            Regime.named(key)
 
 
 def test_adapter_checkpoint_regime_round_trip(tmp_path):

@@ -1,11 +1,10 @@
-from planlm.lm import INSERT_REGIMES, REGIMES, Regime
-from planlm.pipeline import checkpoint_name, generations_name, lm_name
+from planlm.lm import REGIMES, Regime
+from planlm.pipeline import (checkpoint_name, generations_name, lm_name,
+                             regime_key)
 
 
 def every_regime():
-    yield from (Regime(a) for a in REGIMES)
-    yield from (Regime(a, style="insert", locus=locus)
-                for a, locus in INSERT_REGIMES)
+    yield from (Regime.named(key) for key in REGIMES)
 
 
 def test_artifact_names_unchanged_for_every_regime():
@@ -15,6 +14,7 @@ def test_artifact_names_unchanged_for_every_regime():
             key = f"insert_{regime.locus}_{regime.actions}"
         else:
             key = regime.actions
+        assert regime_key(regime) == key
         assert checkpoint_name(regime) == f"lm_{key}.plmc"
         assert generations_name(regime) == f"generations_{key}.jsonl"
     assert [checkpoint_name(r) for r in every_regime()][5:] == [

@@ -33,3 +33,12 @@ def test_run_regime_comparison_help_exits_zero():
     done = run_script("run_regime_comparison.py", "--help")
     assert done.returncode == 0, done.stderr
     assert "--work-dir" in done.stdout
+
+
+def test_run_regime_comparison_refuses_unknown_regime_before_any_work(
+        tmp_path):
+    done = run_script("run_regime_comparison.py", "--work-dir",
+                      str(tmp_path / "work"), "--regimes", "fixed,bogus")
+    assert done.returncode != 0
+    assert "bogus" in done.stderr and "insert_internal_oracle" in done.stderr
+    assert not (tmp_path / "work").exists()
