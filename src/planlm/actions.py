@@ -13,7 +13,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .corpus import Article, split_sentences
-from .encoder import SentenceEncoder
 from .errors import ValidationError
 
 
@@ -161,12 +160,6 @@ def assign_actions(matrix: np.ndarray, action_set: ActionSet) -> np.ndarray:
     dists = _squared_distances(matrix.astype(np.float64),
                                action_set.centroids.astype(np.float64))
     return dists.argmin(axis=1)
-
-
-def extract_action_sequence(article: Article, action_set: ActionSet,
-                            encoder: SentenceEncoder) -> list[int]:
-    """One action per sentence: embed, then take the nearest centroid."""
-    return assign_actions(encoder.embed_article(article), action_set).tolist()
 
 
 def inspect_cluster(action_id: int, articles: Sequence[Article],

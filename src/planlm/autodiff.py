@@ -15,9 +15,9 @@ in-place updates on buffers they allocated themselves, in the same operation
 order as the plain expressions, so every value is bitwise the same; backward
 leaves the buffers saved by forward intact, so it may run again.
 
-`matmul` of a stacked input by a matrix (`(..., k) @ (k, n)`, a Linear layer)
-runs as one `(rows, k)` GEMM instead of one per leading index, and its weight
-gradient sums all rows in one GEMM.
+`matmul` of any input by a matrix (`(..., k) @ (k, n)`: a Linear layer, or a
+2-D product such as the planner head) runs as one `(rows, k)` GEMM instead of
+one per leading index, and its weight gradient sums all rows in one GEMM.
 
 Importing this module raises glibc's mmap and trim thresholds (`mallopt`), so
 that multi-MB array buffers come from the heap and a freed one stays mapped
@@ -216,7 +216,7 @@ def scale(a: Tensor, c: float) -> Tensor:
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
-    if b.ndim == 2 and a.ndim > 2:
+    if b.ndim == 2:
         return _matmul_rows(a, b)
     out = np.matmul(a.values, b.values)
 

@@ -28,7 +28,7 @@ BOS_ID = 1
 ABBREVIATIONS = frozenset(
     ["dr.", "mr.", "mrs.", "st.", "e.g.", "i.e.", "etc.", "vs.", "no."])
 
-_TERMINALS = ".!?"
+TERMINALS = frozenset(".!?")
 _TOKEN_RE = re.compile(r"[^\W_]+|[^\w\s]|_", re.UNICODE)
 
 
@@ -111,7 +111,7 @@ def split_sentences(text: str, article_id: str = "") -> list[SentenceSpan]:
             if start < 0:
                 start = i
             last = i
-            if c in _TERMINALS and _is_sentence_boundary(text, i):
+            if c in TERMINALS and _is_sentence_boundary(text, i):
                 spans.append((start, i + 1))
                 start = -1
             i += 1

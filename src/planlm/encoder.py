@@ -84,13 +84,6 @@ class SentenceEncoder:
             return empty_sentence_vector(self.config.dim)
         return (vec / norm).astype(np.float32)
 
-    def embed_article(self, article: Article) -> np.ndarray:
-        """(num_sentences, dim) matrix, row order = sentence order."""
-        spans = split_sentences(article.text, article.id)
-        if not spans:
-            return np.zeros((0, self.config.dim), dtype=np.float32)
-        return np.stack([self.embed_sentence(s.text(article.text)) for s in spans])
-
 
 def empty_sentence_vector(dim: int) -> np.ndarray:
     vec = np.zeros(dim, dtype=np.float32)
@@ -108,10 +101,9 @@ def embed_corpus(articles: Iterable[Article], config: EncoderConfig,
     rows: list[np.ndarray] = []
     index: list[tuple[str, int]] = []
     for article in articles:
-        mat = encoder.embed_article(article)
-        for j in range(mat.shape[0]):
-            rows.append(mat[j])
-            index.append((article.id, j))
+        for span in split_sentences(article.text, article.id):
+            rows.append(encoder.embed_sentence(span.text(article.text)))
+            index.append((article.id, span.index))
     if not rows:
         return np.zeros((0, config.dim), dtype=np.float32), []
     return np.stack(rows), index

@@ -1,11 +1,13 @@
-"""Decoding with the planner in the loop.
+"""Decoding with the planner in the loop, and the one segmentation of
+generated text.
 
-Sampling proceeds token by token under the conditioned LM; at every sentence
-boundary the completed sentence is embedded, appended to the planner context,
-and the next action is predicted and swapped into the adapter. Boundaries are
-found by the corpus sentence splitter applied incrementally to the generated
-suffix (an uppercase sentinel is appended so the end-of-text rule matches the
-splitter's lookahead rule).
+Sampling proceeds token by token under the LM. Every sentence the decoder
+closes is embedded once and recorded with its nearest action and where it
+closed; with a planner it also joins the planner context, and the next action
+is predicted and swapped into the adapter. Boundaries are found by the corpus
+sentence splitter applied incrementally to the generated suffix (an uppercase
+sentinel is appended, as generated tokens are lowercase, so the end-of-text
+rule matches the splitter's lookahead rule).
 
 The LM decodes incrementally on a K/V cache (`BaseLM.forward(cache=...)`).
 The first call feeds the last `window = context_window - 1` tokens; every
@@ -28,13 +30,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .actions import ActionSet, assign_action
-from .corpus import Vocabulary, detokenize, split_sentences
+from .corpus import TERMINALS, Vocabulary, detokenize, split_sentences
 from .encoder import SentenceEncoder
 from .errors import ValidationError
 from .lm import FIXED_ACTION_ID, ActionAdapter, BaseLM
 from .planner import PlannerModel
-
-_TERMINAL_TOKENS = (".", "!", "?")
 
 
 @dataclass(frozen=True)
@@ -59,6 +59,7 @@ class GenerationRecord:
     text: str = ""
     planned_actions: list[int] = field(default_factory=list)
     realized_actions: list[int] = field(default_factory=list)
+    sentence_ends: list[int] = field(default_factory=list)
     token_actions: list[int] = field(default_factory=list)
 
     def plan_following_rate(self) -> float | None:
@@ -76,6 +77,7 @@ class GenerationRecord:
             "text": self.text,
             "planned_actions": self.planned_actions,
             "realized_actions": self.realized_actions,
+            "sentence_ends": self.sentence_ends,
             "token_ids": self.token_ids,
             "plan_following_rate": self.plan_following_rate(),
         }
@@ -109,7 +111,7 @@ def _sentence_complete(text: str) -> bool:
 
 def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
              config: GenerationConfig, encoder: SentenceEncoder,
-             action_set: ActionSet | None,
+             action_set: ActionSet,
              planner: PlannerModel | None = None,
              prefix_ids: np.ndarray | None = None,
              prefix_token_actions: np.ndarray | None = None,
@@ -118,8 +120,11 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
     """Sample a continuation of `prefix_ids`; with a `planner`, re-plan at
     every sentence boundary.
 
-    Tokens are conditioned on actions only with an `adapter`: on the
-    `planner`'s next action when one is given, else on FIXED_ACTION_ID.
+    In every regime, each sentence the decoder closes adds its nearest action
+    in `action_set` to `realized_actions` and the count of tokens generated
+    so far to `sentence_ends`. Tokens are conditioned on actions only with an
+    `adapter` (which adds `planned_actions`): on the `planner`'s next action
+    when one is given, else on FIXED_ACTION_ID.
     `prefix_token_actions[i]` is the action of the sentence containing prefix
     token i; `prefix_sentence_embeddings` seeds the planner context with the
     prefix sentences.
@@ -145,7 +150,6 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
         current_action = planner.predict_next_action(context)
 
     record = GenerationRecord(article_id=article_id, prefix_len=len(ids))
-    sentence_tokens: list[str] = []
 
     cache: list = []
     n_cached = 0
@@ -174,20 +178,20 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
         if conditioned:
             act_of_token.append(current_action)
             record.token_actions.append(current_action)
-        sentence_tokens.append(vocab.token_of(token))
 
-        if vocab.token_of(token) in _TERMINAL_TOKENS:
-            text = detokenize(sentence_tokens)
+        if vocab.token_of(token) in TERMINALS:
+            start = record.sentence_ends[-1] if record.sentence_ends else 0
+            text = detokenize([vocab.token_of(t)
+                               for t in record.token_ids[start:]])
             if _sentence_complete(text):
-                if uses_planner or (conditioned and action_set is not None):
-                    z = encoder.embed_sentence(text)
-                if conditioned and action_set is not None:
+                z = encoder.embed_sentence(text)
+                record.realized_actions.append(assign_action(z, action_set))
+                record.sentence_ends.append(len(record.token_ids))
+                if conditioned:
                     record.planned_actions.append(current_action)
-                    record.realized_actions.append(assign_action(z, action_set))
                 if uses_planner:
                     context = np.vstack([context, z[None, :]])
                     current_action = planner.predict_next_action(context)
-                sentence_tokens = []
 
     record.text = detokenize([vocab.token_of(t) for t in record.token_ids])
     return record

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from planlm.actions import (ActionSet, assign_action, assign_actions,
-                            extract_action_sequence, inspect_cluster,
-                            kmeans_fit)
+                            inspect_cluster, kmeans_fit)
 from planlm.corpus import Article
 from planlm.encoder import EncoderConfig, SentenceEncoder
 from planlm.errors import ValidationError
@@ -113,40 +112,6 @@ def test_assign_action_dim_mismatch():
     action_set = ActionSet(np.zeros((2, 3), dtype=np.float32))
     with pytest.raises(ValidationError):
         assign_action(np.zeros(4, dtype=np.float32), action_set)
-
-
-def fitted_on_texts(texts, k):
-    enc = SentenceEncoder(ENC_CFG)
-    embeddings = np.stack([enc.embed_sentence(t) for t in texts])
-    return kmeans_fit(embeddings, k=k, seed=0), enc
-
-
-def test_extract_action_sequence_length_and_determinism():
-    action_set, enc = fitted_on_texts(
-        ["One thing here.", "Another thing there.", "Numbers grow fast."], 2)
-    art = Article("a", "", "One thing here. Numbers grow fast.")
-    seq1 = extract_action_sequence(art, action_set, enc)
-    seq2 = extract_action_sequence(art, action_set, enc)
-    assert len(seq1) == 2
-    assert seq1 == seq2
-
-
-def test_extract_action_sequence_independent_of_other_articles():
-    action_set, enc = fitted_on_texts(["Aa bb.", "Cc dd.", "Ee ff."], 3)
-    art = Article("x", "", "Aa bb. Ee ff.")
-    alone = extract_action_sequence(art, action_set, enc)
-    with_neighbors = extract_action_sequence(art, action_set, enc)
-    assert alone == with_neighbors
-
-
-def test_sentence_at_centroid_gets_that_action():
-    texts = ["Alpha beta gamma.", "Totally different words."]
-    enc = SentenceEncoder(ENC_CFG)
-    embeddings = np.stack([enc.embed_sentence(t) for t in texts])
-    action_set = kmeans_fit(embeddings, k=2, seed=0)
-    art = Article("a", "", texts[0])
-    seq = extract_action_sequence(art, action_set, enc)
-    assert seq == [assign_action(embeddings[0], action_set)]
 
 
 def test_inspect_cluster_sorted_and_top_hit():

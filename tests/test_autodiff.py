@@ -62,6 +62,7 @@ def _stacked_matmul(a, b, g):
     ((2, 3, 0), (0, 5), np.float32, False),
     ((6, 5, 8), (8, 6), np.float32, True),
     ((2, 3, 4, 8), (8, 6), np.float64, False),
+    ((5, 8), (8, 3), np.float32, False),
 ])
 def test_matmul_rows_match_the_stacked_matmul(a_shape, b_shape, dtype, swapped):
     r = rng()

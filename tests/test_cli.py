@@ -11,6 +11,7 @@ from planlm import pipeline, storage
 from planlm.cli import build_parser, effective_config, main
 from planlm.config import RunConfig
 from planlm.corpus import save_articles_jsonl
+from planlm.encoder import SentenceEncoder
 from planlm.planner import PlannerModel
 from planlm.synthdata import default_grammar, generate_corpus
 
@@ -590,6 +591,90 @@ def test_failed_write_leaves_no_partial_artifact(full_run, tmp_path,
     with pytest.raises(OSError, match="disk full"):
         main(args(out, "finetune", "--regime", "fixed"))
     assert {name: (out / name).read_bytes() for name in names} == before
+    assert not list(out.glob(".*.tmp"))
+
+
+def read_records(path):
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
+def write_records(path, records):
+    path.write_text("".join(json.dumps(r, sort_keys=True) + "\n"
+                            for r in records))
+
+
+def test_evaluate_embeds_no_generated_text(full_run, tmp_path, monkeypatch):
+    out = copy_of(full_run, tmp_path)
+
+    def refuse(self, text):
+        raise AssertionError("evaluate embedded a sentence")
+
+    monkeypatch.setattr(SentenceEncoder, "embed_sentence", refuse)
+    assert main(args(out, "evaluate", "--regimes", "fixed")) == 0
+
+
+def test_latent_ppl_scores_the_decoders_realized_actions(full_run, tmp_path,
+                                                         monkeypatch):
+    out = copy_of(full_run, tmp_path)
+    records = read_records(out / "generations_fixed.jsonl")
+    seen = []
+    score = pipeline.corpus_latent_perplexity
+
+    def spy(critic, sequences):
+        seen.append([list(s) for s in sequences])
+        return score(critic, sequences)
+
+    monkeypatch.setattr(pipeline, "corpus_latent_perplexity", spy)
+    assert main(args(out, "evaluate", "--regimes", "fixed")) == 0
+    assert seen == [[r["realized_actions"] for r in records]]
+
+
+@pytest.mark.parametrize("case", ["every sentence", "none", "one late"])
+def test_edit_compares_the_complete_sentences_of_both_sides(full_run, tmp_path,
+                                                            case):
+    """CFG_SETS score lengths 16 and 32 with edit_base_len=16; each
+    generation is 32 tokens, so edit@L = distance * 16 / L."""
+    out = copy_of(full_run, tmp_path)
+    config = effective_config(build_parser().parse_args(args(out, "evaluate")))
+    article = pipeline.RunData(out, config).prepared("test")[0]
+    spans = article.stream.spans
+    h = len(spans) // 2
+    # the continuation's sentences close after these counts of its tokens
+    ends = np.cumsum([len(span.token_ids) for span in spans[h:]]).tolist()
+    oracle = article.oracle[h:]
+    closed = {L: sum(end <= L for end in ends) for L in (16, 32)}
+    # one sentence ends within 16 tokens, and another between 17 and 32
+    assert 1 <= closed[16] < closed[32]
+    realized, sentence_ends, distance = {
+        "every sentence": (oracle, ends, {16: 0, 32: 0}),
+        "none": ([], [], closed),
+        # closes at token 17: outside the first 16 tokens, inside 32
+        "one late": (oracle[:1], [17], {16: closed[16], 32: closed[32] - 1}),
+    }[case]
+    write_records(out / "generations_fixed.jsonl", [{
+        "article_id": article.article.id, "prefix_len": 1, "text": "",
+        "planned_actions": [], "realized_actions": realized,
+        "sentence_ends": sentence_ends, "token_ids": [2] * 32,
+        "plan_following_rate": None}])
+    assert main(args(out, "evaluate", "--regimes", "fixed")) == 0
+    report = json.loads((out / "eval_report.json").read_text())
+    edit = report["regimes"]["fixed"]["edit"]
+    assert edit["16"] == pytest.approx(distance[16] * 16 / 16)
+    assert edit["32"] == pytest.approx(distance[32] * 16 / 32)
+
+
+def test_generations_without_sentence_ends_refused_with_one_error_line(
+        full_run, tmp_path, capsys):
+    out = copy_of(full_run, tmp_path)
+    path = out / "generations_fixed.jsonl"
+    records = read_records(path)
+    del records[0]["sentence_ends"]
+    write_records(path, records)
+    capsys.readouterr()
+    assert main(args(out, "evaluate", "--regimes", "fixed")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "generations_fixed.jsonl" in err[0] and "planlm generate" in err[0]
 
 
 def test_run_directory_holds_only_published_artifacts(full_run):

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from planlm.actions import assign_action, kmeans_fit
-from planlm.corpus import BOS_ID, Vocabulary, detokenize
+from planlm.corpus import (BOS_ID, TERMINALS, Vocabulary, detokenize,
+                           split_sentences, word_tokens)
 from planlm.encoder import EncoderConfig, SentenceEncoder
 from planlm.errors import ValidationError
-from planlm.generation import (_TERMINAL_TOKENS, GenerationConfig,
-                               GenerationRecord, _sentence_complete, generate,
-                               sample_token)
+from planlm.generation import (GenerationConfig, GenerationRecord,
+                               _sentence_complete, generate, sample_token)
 from planlm.lm import (FIXED_ACTION_ID, ActionAdapter, AdapterConfig, BaseLM,
                        LmConfig)
 from planlm.planner import PlannerConfig, PlannerModel
+from planlm.synthdata import default_grammar, generate_corpus
 
 VOCAB = Vocabulary(["<unk>", "<bos>", "the", "cat", "dog", "ran", "sat",
                     "big", "red", "."])
@@ -167,11 +168,12 @@ def uncached_generate(regime, config, base, adapter, action_set, planner, enc,
             record.token_actions.append(current_action)
         sentence.append(VOCAB.token_of(token))
         text = detokenize(sentence)
-        if sentence[-1] in _TERMINAL_TOKENS and _sentence_complete(text):
+        if sentence[-1] in TERMINALS and _sentence_complete(text):
             z = enc.embed_sentence(text)
+            record.realized_actions.append(assign_action(z, action_set))
+            record.sentence_ends.append(len(record.token_ids))
             if conditioned:
                 record.planned_actions.append(current_action)
-                record.realized_actions.append(assign_action(z, action_set))
             if uses_planner:
                 context = np.vstack([context, z[None, :]])
                 current_action = planner.predict_next_action(context)
@@ -210,6 +212,34 @@ def test_cached_decoder_matches_uncached_inside_the_window(regime):
         replans += len(got.planned_actions)
     if regime != "none":
         assert replans > 0, "no sentence closed, so no re-plan was checked"
+
+
+@pytest.mark.parametrize("regime", ["none", "predicted_pa"])
+def test_every_closed_sentence_records_its_action_and_end(regime):
+    base, adapter, action_set, planner, enc = tiny_world()
+    closed = 0
+    for seed in range(4):
+        cfg = GenerationConfig(max_tokens=40, temperature=1.0, seed=seed)
+        rec = run(regime, cfg, base, adapter, action_set, planner, enc)
+        ends = rec.to_json_dict()["sentence_ends"]
+        assert len(ends) == len(rec.realized_actions)
+        assert all(a < b for a, b in zip(ends, ends[1:]))
+        assert all(VOCAB.token_of(rec.token_ids[end - 1]) in TERMINALS
+                   for end in ends)
+        closed += len(ends)
+    assert closed > 0, "no sentence closed, so nothing was checked"
+
+
+def test_decoder_closing_rule_counts_the_splitters_sentences():
+    # the decoder sees lowercased tokens; the splitter sees the original text
+    articles, _ = generate_corpus(default_grammar(seed=0), 200, 24)
+    for article in articles:
+        closed, sentence = 0, []
+        for token in word_tokens(article.text):
+            sentence.append(token)
+            if token in TERMINALS and _sentence_complete(detokenize(sentence)):
+                closed, sentence = closed + 1, []
+        assert closed == len(split_sentences(article.text)), article.id
 
 
 def test_conditional_mode_requires_prefix():
