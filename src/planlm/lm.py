@@ -136,38 +136,46 @@ class BaseLM:
     def forward(self, ids: np.ndarray, adapter: "ActionAdapter | None" = None,
                 actions: np.ndarray | None = None,
                 action_noise: np.ndarray | None = None,
-                cache: list | None = None) -> Tensor:
+                cache: nn.KVCache | None = None) -> Tensor:
         """(B, T) token ids -> (B, T, V) logits.
 
         With an adapter, `actions` holds the per-position conditioning action
         ids; `action_noise` optionally perturbs the looked-up action embedding
         (shared across adapted layers).
 
-        `cache`, when given, is a K/V cache that the call extends in place.
-        An empty list starts one, and the first call fills it with one list
-        per block (see `nn.SelfAttention`). `ids` and `actions` then hold only
-        the positions after the cached ones, and so do the logits. A cache
+        `cache`, when given, is a B-row `nn.KVCache` that the call extends in
+        place. Row r's `ids` and `actions` then hold the T positions after
+        its `cache.lengths[r]` cached ones, and so do its logits. A cache
         needs frozen parameters.
         """
         ids = np.asarray(ids)
         b, t = ids.shape
-        if cache is not None and not cache:
-            cache.extend([] for _ in self.blocks)
-        past = cache[0][0].shape[2] if cache and cache[0] else 0
-        if past + t > self.config.context_window:
+        past, cached, positions = 0, 0, np.arange(t)
+        if cache is not None:
+            if len(cache.lengths) != b:
+                raise ValidationError(
+                    f"a cache of {len(cache.lengths)} rows cannot extend {b}")
+            if not cache.layers:
+                cache.layers = [[] for _ in self.blocks]
+            past, cached = cache.lengths, int(cache.lengths.max())
+            positions = past[:, None] + positions
+        if cached + t > self.config.context_window:
             raise ValidationError(
-                f"sequence of {past + t} positions ({past} cached) exceeds "
-                f"context window {self.config.context_window}")
-        x = ad.embedding(self.tok_emb, ids) + ad.embedding(
-            self.pos_emb, np.arange(past, past + t))
+                f"sequence of {cached + t} positions ({cached} cached) "
+                f"exceeds context window {self.config.context_window}")
+        x = ad.embedding(self.tok_emb, ids) + ad.embedding(self.pos_emb,
+                                                           positions)
+        bias = nn.causal_bias(t, past, dtype=x.dtype)
         first_adapted = self.config.n_layers - adapter.config.adapted_layers \
             if adapter is not None else self.config.n_layers
         for i, block in enumerate(self.blocks):
             extra = None
             if adapter is not None and i >= first_adapted:
                 extra = adapter.reps(i - first_adapted, actions, action_noise)
-            x = block(x, extra_context=extra,
-                      cache=cache[i] if cache is not None else None)
+            x = block(x, extra_context=extra, bias=bias,
+                      cache=cache.layers[i] if cache is not None else None)
+        if cache is not None:
+            cache.lengths = cache.lengths + t
         return self.out(self.ln_f(x))
 
 

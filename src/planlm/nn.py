@@ -60,13 +60,71 @@ class LayerNorm:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
 
-def causal_bias(t: int, past: int = 0, dtype=np.float32) -> Tensor:
-    """(t, past + t) additive bias masking attention to future positions.
+def causal_bias(t: int, past: int | np.ndarray = 0,
+                dtype=np.float32) -> Tensor:
+    """Additive bias masking attention to future positions.
 
-    Query i sits at position past + i, after `past` cached keys.
+    With an int `past`, a (t, past + t) bias: query i sits at position
+    past + i, after `past` cached keys. With one `past` per row, the rows'
+    cached keys are right-aligned in P = max(past) columns (see `KVCache`),
+    and the (B, 1, t, P + t) bias also masks the P - past[r] columns of row
+    r's left padding.
     """
-    bias = np.triu(np.full((t, past + t), MASK_BIAS, dtype=dtype), k=past + 1)
-    return Tensor(bias)
+    if np.ndim(past) == 0:
+        return Tensor(np.triu(np.full((t, past + t), MASK_BIAS, dtype=dtype),
+                              k=past + 1))
+    past = np.asarray(past)
+    p = int(past.max())
+    cols = np.arange(p + t)
+    masked = ((cols > p + np.arange(t)[:, None])
+              | (cols < (p - past)[:, None, None]))
+    return Tensor(np.where(masked[:, None], MASK_BIAS, 0.0).astype(dtype))
+
+
+def _right_aligned(a: np.ndarray, width: int) -> np.ndarray:
+    """A copy of `a`'s last `width` key columns, zero-padded on the left."""
+    out = np.zeros(a.shape[:2] + (width,) + a.shape[3:], dtype=a.dtype)
+    n = min(width, a.shape[2])
+    out[:, :, width - n:] = a[:, :, a.shape[2] - n:]
+    return out
+
+
+class KVCache:
+    """The keys and values of B rows' earlier positions, outside the graph.
+
+    `layers[l]` is block l's list: empty, or its (B, heads, P, d_head) key
+    and value arrays. Rows are right-aligned: row r's `lengths[r]` positions
+    fill its last columns, and P = max(lengths), so no column is kept that
+    every row masks. The columns left of a row's positions are zeros, which
+    `causal_bias` masks.
+    """
+
+    def __init__(self, rows: int):
+        self.lengths = np.zeros(rows, dtype=np.int64)
+        self.layers: list[list[np.ndarray]] = []
+
+    def take(self, rows: np.ndarray) -> "KVCache":
+        """A copy of the rows `rows` alone."""
+        part = KVCache(len(rows))
+        part.lengths = self.lengths[rows]
+        lo = int(self.lengths.max() - part.lengths.max())
+        part.layers = [[a[rows, :, lo:] for a in kv] for kv in self.layers]
+        return part
+
+    def put(self, rows, part: "KVCache") -> None:
+        """Replace the rows `rows` by the rows of `part`."""
+        lengths = self.lengths.copy()
+        lengths[rows] = part.lengths
+        width = int(lengths.max())
+        if not self.layers:
+            self.layers = [[np.zeros((len(lengths),) + a.shape[1:2] + (0,)
+                                     + a.shape[3:], dtype=a.dtype) for a in kv]
+                           for kv in part.layers]
+        for kv, new in zip(self.layers, part.layers):
+            for j, a in enumerate(new):
+                kv[j] = _right_aligned(kv[j], width)
+                kv[j][rows] = _right_aligned(a, width)
+        self.lengths = lengths
 
 
 class SelfAttention:
@@ -75,11 +133,12 @@ class SelfAttention:
     `extra_context`, when given, is added to the concatenated head outputs
     just before the output projection (the action-adapter insertion point).
 
-    `cache`, when given, is this layer's K/V cache: a list, empty or holding
-    the (B, heads, past, d_head) key and value arrays of the earlier
-    positions. `x` then holds the positions after them, and the cache is
-    extended in place by their keys and values. A cache holds plain arrays
-    outside the graph, so it refuses keys that require grad.
+    `cache`, when given, is this layer's list of a `KVCache`. `x` then
+    holds the positions after the cached ones, and the list is extended in
+    place by their keys and values. A cache holds plain arrays outside the
+    graph, so it refuses keys that require grad. `bias`, when given, is the
+    forward's `causal_bias`, built once for all layers; a causal attention
+    without one masks the future of `x` alone.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int,
@@ -96,7 +155,8 @@ class SelfAttention:
         self.wo = Linear(rng, d, d)
 
     def __call__(self, x: Tensor, extra_context: Tensor | None = None,
-                 cache: list | None = None) -> Tensor:
+                 cache: list | None = None,
+                 bias: Tensor | None = None) -> Tensor:
         b, t, d = x.shape
         h, dh = self.n_heads, self.d_head
 
@@ -104,20 +164,19 @@ class SelfAttention:
             return lin(x).reshape(b, t, h, dh).swapaxes(1, 2)
 
         q, k, v = heads(self.wq), heads(self.wk), heads(self.wv)
-        past = 0
         if cache is not None:
             if k.requires_grad or v.requires_grad:
                 raise ValidationError(
                     "a K/V cache holds no graph: cached forwards need frozen "
                     "parameters")
             if cache:
-                past = cache[0].shape[2]
                 k = Tensor(np.concatenate([cache[0], k.values], axis=2))
                 v = Tensor(np.concatenate([cache[1], v.values], axis=2))
             cache[:] = [k.values, v.values]
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
         if self.causal:
-            scores = scores + causal_bias(t, past, dtype=x.dtype)
+            scores = scores + (causal_bias(t, dtype=x.dtype) if bias is None
+                               else bias)
         ctx = scores.softmax() @ v
         ctx = ctx.swapaxes(1, 2).reshape(b, t, d)
         if extra_context is not None:
@@ -144,9 +203,10 @@ class Block:
         self.ff2 = Linear(rng, 4 * d, d)
 
     def __call__(self, x: Tensor, extra_context: Tensor | None = None,
-                 cache: list | None = None) -> Tensor:
+                 cache: list | None = None,
+                 bias: Tensor | None = None) -> Tensor:
         x = x + self.attn(self.ln1(x), extra_context=extra_context,
-                          cache=cache)
+                          cache=cache, bias=bias)
         return x + self.ff2(ad.gelu(self.ff1(self.ln2(x))))
 
     def params(self, prefix: str) -> dict[str, Tensor]:

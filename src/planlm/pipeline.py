@@ -35,7 +35,7 @@ from .errors import MissingArtifactError, ValidationError, parsing
 from .evaluation import HmmCritic, ScanItem, ScoringItem, \
     corpus_latent_perplexity, corpus_perplexity, hmm_fit, noise_scan, \
     normalized_edit, oracle_scan, rouge2_f1
-from .generation import GenerationConfig, generate
+from .generation import GenerationConfig, Prefix, generate
 from .lm import (FIXED_ACTION_ID, ActionAdapter, AdapterConfig, BaseLM,
                  LmConfig, Regime, extend_for_insert, insert_style_sequence,
                  lm_from_checkpoint, lm_meta, per_position_actions, train_lm)
@@ -500,31 +500,32 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
         planner = data.planner if regime.needs_planner else None
         base, adapter = data.lm(regime)
 
-        records = []
+        prefixes = []
         prepared_split = data.prepared(split)[:config.eval_articles]
         for i, prepared in enumerate(prepared_split):
-            gen_config = GenerationConfig(
-                max_tokens=config.gen_max_tokens, temperature=config.temperature,
-                top_k=config.top_k, seed=config.seed * 100003 + i)
+            seed, article_id = config.seed * 100003 + i, prepared.article.id
             stream = prepared.stream
-            prefix_ids = np.array([BOS_ID], dtype=np.int64)
-            token_actions = sentence_embeddings = None
-            if mode == "conditional":
-                if len(stream.spans) < 2:
-                    continue
-                h, cut = _half_split_point(stream)
-                prefix_ids = stream.token_ids[:cut].astype(np.int64)
-                sentence_embeddings = prepared.embeddings[:h]
-                acts = sentence_actions(source, prepared.oracle[:h],
-                                        sentence_embeddings, planner)
-                if acts is not None:
-                    token_actions = acts[stream.sentence_index_of_token[:cut]]
-            records.append(generate(
-                base, adapter, data.vocab, gen_config, data.encoder,
-                action_set, planner=planner, prefix_ids=prefix_ids,
-                prefix_token_actions=token_actions,
-                prefix_sentence_embeddings=sentence_embeddings,
-                article_id=prepared.article.id))
+            if mode == "unconditional":
+                prefixes.append(Prefix(np.array([BOS_ID], dtype=np.int64),
+                                       seed, article_id))
+                continue
+            if len(stream.spans) < 2:
+                continue
+            h, cut = _half_split_point(stream)
+            embeddings = prepared.embeddings[:h]
+            acts = sentence_actions(source, prepared.oracle[:h], embeddings,
+                                    planner)
+            token_actions = None if acts is None \
+                else acts[stream.sentence_index_of_token[:cut]]
+            prefixes.append(Prefix(stream.token_ids[:cut].astype(np.int64),
+                                   seed, article_id, token_actions,
+                                   embeddings))
+        records = generate(
+            base, adapter, data.vocab,
+            GenerationConfig(max_tokens=config.gen_max_tokens,
+                             temperature=config.temperature,
+                             top_k=config.top_k),
+            data.encoder, action_set, prefixes, planner=planner)
 
         with open(data.artifact(generations_name(regime)), "w",
                   encoding="utf-8") as fh:

@@ -1,5 +1,6 @@
 import argparse
 import dataclasses
+import itertools
 import json
 import shutil
 from pathlib import Path
@@ -7,11 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from planlm import pipeline, storage
+from planlm import generation, pipeline, storage
 from planlm.cli import build_parser, effective_config, main
 from planlm.config import RunConfig
 from planlm.corpus import save_articles_jsonl
 from planlm.encoder import SentenceEncoder
+from planlm.lm import BaseLM
 from planlm.planner import PlannerModel
 from planlm.synthdata import default_grammar, generate_corpus
 
@@ -560,6 +562,57 @@ def test_fixed_regime_makes_no_planner_calls(full_run, tmp_path, monkeypatch):
 
     monkeypatch.setattr(PlannerModel, "logits_batch", refuse)
     assert main(args(out, "generate", "--regime", "fixed")) == 0
+
+
+def test_generate_decodes_the_split_in_lockstep(full_run, tmp_path,
+                                                monkeypatch):
+    """One one-token forward per step for all rows, not one per row."""
+    out = copy_of(full_run, tmp_path)
+    widths = []
+    forward = BaseLM.forward
+
+    def spy(self, ids, *args, **kwargs):
+        widths.append(np.asarray(ids).shape[1])
+        return forward(self, ids, *args, **kwargs)
+
+    monkeypatch.setattr(BaseLM, "forward", spy)
+    assert main(args(out, "generate", "--regime", "fixed", "--force")) == 0
+    records = read_records(out / "generations_fixed.jsonl")
+    assert len(records) >= 3
+    assert sum(len(r["token_ids"]) for r in records) == 32 * len(records)
+    assert widths.count(1) <= 32  # gen_max_tokens
+
+
+def test_only_a_planners_actions_are_planned(full_run, tmp_path,
+                                             monkeypatch):
+    """`fixed` conditions on FIXED_ACTION_ID, which no planner planned, so
+    it reports no plan-following rate."""
+    out = copy_of(full_run, tmp_path)
+    config = effective_config(build_parser().parse_args(args(out, "generate")))
+    dot = pipeline.RunData(out, config).vocab.id_of(".")
+    sample, steps = generation.sample_tokens, itertools.count(1)
+
+    def every_eighth_token_a_full_stop(logits, *rest):
+        tokens = sample(logits, *rest)
+        return [dot] * len(tokens) if next(steps) % 8 == 0 else tokens
+
+    # the barely trained LM closes no sentence by itself
+    monkeypatch.setattr(generation, "sample_tokens",
+                        every_eighth_token_a_full_stop)
+    for regime in ("fixed", "predicted_pa"):
+        assert main(args(out, "generate", "--regime", regime,
+                         "--force")) == 0
+    assert main(args(out, "evaluate", "--regimes", "fixed,predicted_pa")) == 0
+    fixed = read_records(out / "generations_fixed.jsonl")
+    assert all(r["sentence_ends"] for r in fixed)
+    assert all(r["planned_actions"] == [] and r["plan_following_rate"] is None
+               for r in fixed)
+    planned = read_records(out / "generations_predicted_pa.jsonl")
+    assert all(len(r["planned_actions"]) == len(r["sentence_ends"]) > 0
+               for r in planned)
+    report = json.loads((out / "eval_report.json").read_text())["regimes"]
+    assert report["fixed"]["plan_following_rate"] is None
+    assert isinstance(report["predicted_pa"]["plan_following_rate"], float)
 
 
 def test_failed_step_pins_nothing(full_run, tmp_path, capsys):

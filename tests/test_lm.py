@@ -141,19 +141,45 @@ def test_cached_forward_matches_one_full_forward(with_adapter):
     adapter = make_adapter(base, L=2, seed=10) if with_adapter else None
     ids, actions = random_inputs(np.random.default_rng(4), b=2, t=16)
     full = base.forward(ids, adapter=adapter, actions=actions).values
-    cache = []
+    cache = nn.KVCache(2)
     parts = [base.forward(ids[:, lo:hi], adapter=adapter,
                           actions=actions[:, lo:hi], cache=cache).values
              for lo, hi in [(0, 5)] + [(p, p + 1) for p in range(5, 16)]]
-    assert [len(kv) for kv in cache] == [2] * LAYERS
-    assert cache[0][0].shape[2] == 16
+    assert [len(kv) for kv in cache.layers] == [2] * LAYERS
+    assert cache.layers[0][0].shape[2] == 16
+    assert cache.lengths.tolist() == [16, 16]
     np.testing.assert_allclose(np.concatenate(parts, axis=1), full,
                                rtol=0, atol=1e-6)
 
 
+@pytest.mark.parametrize("with_adapter", [False, True])
+def test_cached_rows_of_different_lengths_match_their_own_forwards(
+        with_adapter):
+    base = make_base(seed=9)
+    adapter = make_adapter(base, L=2, seed=10) if with_adapter else None
+    ids, actions = random_inputs(np.random.default_rng(4), b=2, t=16)
+    cache = nn.KVCache(2)
+    for row, n in enumerate((5, 11)):
+        part = nn.KVCache(1)
+        base.forward(ids[row:row + 1, :n], adapter=adapter,
+                     actions=actions[row:row + 1, :n], cache=part)
+        cache.put([row], part)
+    assert cache.layers[0][0].shape[2] == 11
+    step = base.forward(np.stack([ids[0, 5:6], ids[1, 11:12]]),
+                        adapter=adapter,
+                        actions=np.stack([actions[0, 5:6], actions[1, 11:12]]),
+                        cache=cache).values
+    assert cache.lengths.tolist() == [6, 12]
+    for row, n in enumerate((6, 12)):
+        full = base.forward(ids[row:row + 1, :n], adapter=adapter,
+                            actions=actions[row:row + 1, :n]).values
+        np.testing.assert_allclose(step[row, -1], full[0, -1],
+                                   rtol=0, atol=1e-6)
+
+
 def test_cached_forward_refuses_positions_past_the_window():
     base = make_base()
-    cache = []
+    cache = nn.KVCache(1)
     base.forward(np.zeros((1, 10), dtype=np.int64), cache=cache)
     base.forward(np.zeros((1, 6), dtype=np.int64), cache=cache)
     with pytest.raises(ValidationError, match="16 cached"):
@@ -166,7 +192,8 @@ def test_cached_forward_refuses_trainable_parameters():
     nn.set_trainable(params, True)
     try:
         with pytest.raises(ValidationError, match="frozen"):
-            base.forward(np.zeros((1, 3), dtype=np.int64), cache=[])
+            base.forward(np.zeros((1, 3), dtype=np.int64),
+                         cache=nn.KVCache(1))
     finally:
         nn.set_trainable(params, False)
 

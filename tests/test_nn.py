@@ -157,3 +157,39 @@ def test_length_batches_order_is_deterministic_per_seed():
     assert run(1) == run(1)
     assert run(1) != run(2)
     assert nn.length_batches([], length, 2, np.random.default_rng(0)) == []
+
+
+@pytest.mark.parametrize("past", [[0], [4], [0, 3, 5], [2, 2]])
+def test_per_row_causal_bias_is_the_scalar_bias_after_each_rows_padding(past):
+    t, p = 3, max(past)
+    bias = nn.causal_bias(t, np.array(past)).values
+    assert bias.shape == (len(past), 1, t, p + t)
+    for row, n in enumerate(past):
+        pad = p - n
+        np.testing.assert_array_equal(bias[row, 0, :, pad:],
+                                      nn.causal_bias(t, n).values)
+        assert (bias[row, 0, :, :pad] == np.float32(nn.MASK_BIAS)).all()
+
+
+def test_cache_put_keeps_rows_right_aligned_and_take_trims():
+    def part(n, fill):
+        c = nn.KVCache(1)
+        c.layers = [[np.full((1, 2, n, 3), fill, np.float32)] * 2]
+        c.lengths[:] = n
+        return c
+
+    cache = nn.KVCache(3)
+    for row, n in enumerate((2, 5, 4)):
+        cache.put([row], part(n, row + 1))
+    keys = cache.layers[0][0]
+    assert keys.shape == (3, 2, 5, 3)
+    assert [(keys[r, 0, :, 0] != 0).sum() for r in range(3)] == [2, 5, 4]
+    assert (keys[0, :, 3:] == 1).all() and (keys[0, :, :3] == 0).all()
+    # refilling the longest row drops the columns no row uses
+    cache.put([1], part(1, 7))
+    assert cache.layers[0][0].shape[2] == 4
+    assert cache.lengths.tolist() == [2, 1, 4]
+    sub = cache.take(np.array([0, 1]))
+    assert sub.lengths.tolist() == [2, 1]
+    np.testing.assert_array_equal(sub.layers[0][0],
+                                  cache.layers[0][0][:2, :, 2:])

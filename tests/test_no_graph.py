@@ -13,7 +13,7 @@ from planlm import evaluation, nn
 from planlm.actions import kmeans_fit
 from planlm.corpus import BOS_ID, Vocabulary
 from planlm.encoder import EncoderConfig, SentenceEncoder
-from planlm.generation import GenerationConfig, generate
+from planlm.generation import GenerationConfig, Prefix, generate
 from planlm.lm import ActionAdapter, AdapterConfig, BaseLM, LmConfig, train_lm
 from planlm.planner import (PlannerConfig, PlannerModel, evaluate_planner,
                             train_planner)
@@ -138,7 +138,7 @@ def test_scoring_and_sampling_after_training_build_no_graph(graph_nodes):
                           action_dim=DIM, window=WINDOW, seed=0)
     planner.forward_probs(np.zeros((2, DIM), dtype=np.float32))
     evaluate_planner(planner, plans(2, seed=7))
-    generate(base, adapter, VOCAB, GenerationConfig(max_tokens=16, seed=0), ENC,
-             action_set, planner=planner, prefix_ids=np.array([BOS_ID]))
+    generate(base, adapter, VOCAB, GenerationConfig(max_tokens=16), ENC,
+             action_set, [Prefix(np.array([BOS_ID]), seed=0)], planner=planner)
     assert graph_nodes[0] == 0
 
