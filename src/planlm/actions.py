@@ -143,20 +143,13 @@ def kmeans_fit(embeddings: np.ndarray, k: int, seed: int,
                      iterations_run=iterations)
 
 
-def assign_action(z: np.ndarray, action_set: ActionSet) -> int:
-    """Nearest centroid by squared Euclidean distance; ties take the lowest id."""
-    z = np.asarray(z, dtype=np.float32)
-    if z.shape != (action_set.dim,):
-        raise ValidationError(
-            f"embedding dim {z.shape} does not match actions ({action_set.dim},)")
-    return int(_squared_distances(z[None, :].astype(np.float64),
-                                  action_set.centroids.astype(np.float64)).argmin())
-
-
 def assign_actions(matrix: np.ndarray, action_set: ActionSet) -> np.ndarray:
-    """Vectorized assign_action over rows."""
-    if matrix.shape[0] == 0:
-        return np.zeros(0, dtype=np.int64)
+    """Each row's nearest centroid by squared Euclidean distance; ties take
+    the lowest id."""
+    if matrix.ndim != 2 or matrix.shape[1] != action_set.dim:
+        raise ValidationError(
+            f"embeddings of shape {matrix.shape} do not match actions of "
+            f"dim {action_set.dim}")
     dists = _squared_distances(matrix.astype(np.float64),
                                action_set.centroids.astype(np.float64))
     return dists.argmin(axis=1)
@@ -179,7 +172,7 @@ def inspect_cluster(action_id: int, articles: Sequence[Article],
     scored: list[tuple[float, str, str, int]] = []
     for article in articles:
         spans = split_sentences(article.text, article.id)
-        matrix = embeddings.get(article.id, np.zeros((0, action_set.dim)))
+        matrix = embeddings[article.id]
         if matrix.shape != (len(spans), action_set.dim):
             raise ValidationError(
                 f"embeddings of article {article.id!r} have shape "

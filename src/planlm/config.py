@@ -14,7 +14,7 @@ import hashlib
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ValidationError
+from .errors import ValidationError, parsing
 
 
 @dataclass
@@ -33,7 +33,7 @@ class RunConfig:
     hash_buckets: int = 262144
     projection_seed: int = 0
 
-    # actions (paper-scale default for k is 1024; desk default 64)
+    # actions (paper-scale default for k is 1024; the desk config uses 8)
     k: int = 64
     kmeans_max_iters: int = 300
 
@@ -108,12 +108,15 @@ def _parse_value(name: str, raw: str):
         if raw not in ("true", "false"):
             raise ValidationError(f"{name}: expected true/false, got {raw!r}")
         return raw == "true"
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    if kind == "list[int]":
-        return [int(v) for v in raw.split(",") if v.strip()]
+    try:
+        if kind == "int":
+            return int(raw)
+        if kind == "float":
+            return float(raw)
+        if kind == "list[int]":
+            return [int(v) for v in raw.split(",") if v.strip()]
+    except ValueError:
+        raise ValidationError(f"{name}: expected {kind}, got {raw!r}") from None
     return raw
 
 
@@ -153,7 +156,9 @@ def parse_text(text: str) -> RunConfig:
 
 
 def load_config(path: Path) -> RunConfig:
-    return parse_text(Path(path).read_text(encoding="utf-8"))
+    with parsing(path):
+        text = Path(path).read_text(encoding="utf-8")
+    return parse_text(text)
 
 
 def save_config(config: RunConfig, path: Path) -> None:

@@ -248,7 +248,8 @@ def load_articles_jsonl(path: Path) -> list[Article]:
 def load_articles_dir(path: Path) -> list[Article]:
     articles = []
     for txt in sorted(Path(path).glob("*.txt")):
-        content = txt.read_text(encoding="utf-8")
+        with parsing(txt):
+            content = txt.read_text(encoding="utf-8")
         first, _, rest = content.partition("\n")
         articles.append(Article(txt.stem, first.strip(), rest))
     _check_unique_ids(articles)

@@ -90,10 +90,6 @@ class HmmCritic:
     def n_states(self) -> int:
         return int(self.initial.shape[0])
 
-    @property
-    def n_symbols(self) -> int:
-        return int(self.emission.shape[1])
-
     def validate(self) -> None:
         for name, row_matrix in (("transition", self.transition),
                                  ("emission", self.emission)):

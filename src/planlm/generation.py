@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import nn
-from .actions import ActionSet, assign_action
+from .actions import ActionSet, assign_actions
 from .corpus import TERMINALS, Vocabulary, detokenize, split_sentences
 from .encoder import SentenceEncoder
 from .errors import ValidationError
@@ -86,7 +86,6 @@ class GenerationRecord:
     planned_actions: list[int] = field(default_factory=list)
     realized_actions: list[int] = field(default_factory=list)
     sentence_ends: list[int] = field(default_factory=list)
-    token_actions: list[int] = field(default_factory=list)
 
     def plan_following_rate(self) -> float | None:
         """Fraction of complete sentences landing in their planned cluster."""
@@ -203,7 +202,6 @@ def _accept(row: _Row, token: int, conditioned: bool, vocab: Vocabulary,
     record.token_ids.append(token)
     if conditioned:
         row.act_of_token.append(row.action)
-        record.token_actions.append(row.action)
     if vocab.token_of(token) not in TERMINALS:
         return
     start = record.sentence_ends[-1] if record.sentence_ends else 0
@@ -211,7 +209,8 @@ def _accept(row: _Row, token: int, conditioned: bool, vocab: Vocabulary,
     if not _sentence_complete(text):
         return
     z = encoder.embed_sentence(text)
-    record.realized_actions.append(assign_action(z, action_set))
+    record.realized_actions.append(int(assign_actions(z[None, :],
+                                                      action_set)[0]))
     record.sentence_ends.append(len(record.token_ids))
     if planner is not None:
         record.planned_actions.append(row.action)

@@ -166,8 +166,8 @@ class BaseLM:
         x = ad.embedding(self.tok_emb, ids) + ad.embedding(self.pos_emb,
                                                            positions)
         bias = nn.causal_bias(t, past, dtype=x.dtype)
-        first_adapted = self.config.n_layers - adapter.config.adapted_layers \
-            if adapter is not None else self.config.n_layers
+        first_adapted = adapter.layer_index(0) if adapter is not None \
+            else self.config.n_layers
         for i, block in enumerate(self.blocks):
             extra = None
             if adapter is not None and i >= first_adapted:

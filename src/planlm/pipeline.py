@@ -219,13 +219,35 @@ class RunData:
                 storage.read_matrix_index(self.path("embeddings.idx")))
 
     @cached_property
+    def sentence_counts(self) -> dict[str, int]:
+        """The number of sentences of each corpus article, each at least 1."""
+        return {a.id: len(split_sentences(a.text, a.id))
+                for a in self.by_id.values()}
+
+    def _per_sentence(self, name: str, rows: dict, what: str) -> None:
+        """Refuse the artifact `name` unless `rows` holds one row per
+        sentence of every corpus article."""
+        for article_id, n in self.sentence_counts.items():
+            got = len(rows.get(article_id, ()))
+            if got != n:
+                raise ValidationError(
+                    f"{self.out_dir / name}: article {article_id!r} has {got} "
+                    f"{what} for its {n} sentences; rerun "
+                    f"`planlm {_producer(name)}`")
+
+    @cached_property
     def embeddings(self) -> dict[str, np.ndarray]:
-        """Per-article sentence embeddings."""
-        return group_rows_by_article(*self.embedding_rows)
+        """Per-article sentence embeddings, one row per sentence."""
+        embeddings = group_rows_by_article(*self.embedding_rows)
+        self._per_sentence("embeddings.idx", embeddings, "rows")
+        return embeddings
 
     @cached_property
     def oracle(self) -> dict[str, list[int]]:
-        return storage.read_action_sequences(self.path("actions.tsv"))
+        """Per-article oracle actions, one per sentence."""
+        oracle = storage.read_action_sequences(self.path("actions.tsv"))
+        self._per_sentence("actions.tsv", oracle, "actions")
+        return oracle
 
     @cached_property
     def action_set(self) -> ActionSet:
@@ -246,11 +268,9 @@ class RunData:
             out = []
             for article_id in self.splits[split]:
                 article = self.by_id[article_id]
-                emb = self.embeddings.get(
-                    article_id,
-                    np.zeros((0, self.config.encoder_dim), dtype=np.float32))
                 out.append(PreparedArticle(article,
-                                           tokenize(article, self.vocab), emb,
+                                           tokenize(article, self.vocab),
+                                           self.embeddings[article_id],
                                            self.oracle[article_id]))
             self._prepared[split] = out
         return self._prepared[split]
@@ -282,9 +302,8 @@ def step_embed(config: RunConfig, out_dir: Path, force: bool = False,
     with RunData(out_dir, config, force) as data:
         if external_embeddings is not None:
             matrix = storage.read_matrix(Path(external_embeddings))
-            index = [(article.id, j) for article in data.by_id.values()
-                     for j in range(len(split_sentences(article.text,
-                                                        article.id)))]
+            index = [(article_id, j) for article_id, n
+                     in data.sentence_counts.items() for j in range(n)]
             if matrix.shape[0] != len(index):
                 raise ValidationError(
                     f"external embeddings have {matrix.shape[0]} rows; corpus has "
@@ -315,10 +334,8 @@ def step_actions(config: RunConfig, out_dir: Path, force: bool = False) -> dict:
     with RunData(out_dir, config, force) as data:
         action_set = data.action_set
         sequences = {
-            article.id: assign_actions(
-                data.embeddings.get(
-                    article.id, np.zeros((0, action_set.dim), dtype=np.float32)),
-                action_set).tolist()
+            article.id: assign_actions(data.embeddings[article.id],
+                                       action_set).tolist()
             for article in data.by_id.values()}
         storage.write_action_sequences(data.artifact("actions.tsv"), sequences)
         sizes = np.bincount([a for seq in sequences.values() for a in seq],
@@ -349,7 +366,7 @@ def step_pretrain_lm(config: RunConfig, out_dir: Path,
 
 def _planner_articles(data: RunData, split: str) -> list:
     return [(p.embeddings.astype(np.float32), np.asarray(p.oracle))
-            for p in data.prepared(split) if len(p.oracle) > 0]
+            for p in data.prepared(split)]
 
 
 def step_train_planner(config: RunConfig, out_dir: Path,
@@ -364,8 +381,8 @@ def step_train_planner(config: RunConfig, out_dir: Path,
         val = _planner_articles(data, "val")
         if not val:
             raise ValidationError(
-                f"train-planner needs validation articles with sentences to "
-                f"select and score the planner; n_val={config.n_val}")
+                f"train-planner needs validation articles to select and "
+                f"score the planner; n_val={config.n_val}")
         model = PlannerModel(planner_config, np.random.default_rng(config.seed),
                              centroids=action_set.centroids)
         history = train_planner(model, _planner_articles(data, "train"), val,
@@ -411,8 +428,6 @@ def scoring_items(data: RunData, split: str, regime: Regime, training: bool,
     source = regime.action_source(training)
     items = []
     for prepared in data.prepared(split):
-        if len(prepared.oracle) == 0:
-            continue
         acts = sentence_actions(source, prepared.oracle, prepared.embeddings,
                                 planner)
         stream, article_id = prepared.stream, prepared.article.id
@@ -623,8 +638,7 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
                 data.path(generations_name(regime))
 
         # ground-truth critic from training action sequences
-        train_sequences = [data.oracle[aid] for aid in data.splits["train"]
-                           if data.oracle[aid]]
+        train_sequences = [data.oracle[aid] for aid in data.splits["train"]]
         critic = hmm_fit(train_sequences, n_states=config.hmm_states,
                          n_symbols=action_set.k, seed=config.seed,
                          max_iters=config.hmm_iters)
@@ -692,8 +706,6 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
 
         items = []
         for prepared in data.prepared(split)[:config.scan_articles]:
-            if len(prepared.oracle) == 0:
-                continue
             items.append(ScanItem(
                 ids=prepared.stream.token_ids.astype(np.int64),
                 sentence_index_of_token=prepared.stream.sentence_index_of_token,
@@ -771,7 +783,7 @@ def step_sweep_k(config: RunConfig, out_dir: Path, ks: Sequence[int],
             # the sweep owns its sub-directories: each step re-pins and overwrites
             step_cluster(sub_config, sub_dir, force=True)
             step_actions(sub_config, sub_dir, force=True)
-            planner_extra = step_train_planner(sub_config, sub_dir, force=True)
+            step_train_planner(sub_config, sub_dir, force=True)
             if regime.actions != "none":
                 step_finetune(sub_config, sub_dir, regime, force=True)
             report = step_evaluate(sub_config, sub_dir, [regime], force=True,
@@ -781,7 +793,6 @@ def step_sweep_k(config: RunConfig, out_dir: Path, ks: Sequence[int],
                 "ppl": report["regimes"][regime.key]["ppl"],
                 "planner_accuracy": report["planner"]["accuracy"],
                 "planner_average_rank": report["planner"]["average_rank"],
-                "val_accuracy_at_stop": planner_extra["val_accuracy"],
             })
         lines = ["k,ppl,planner_accuracy,planner_average_rank"]
         for row in rows:

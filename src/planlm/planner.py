@@ -47,7 +47,6 @@ class PlannerConfig:
 class PlannerMetrics:
     accuracy: float
     average_rank: float
-    n_examples: int
 
 
 class PlannerModel:
@@ -220,22 +219,17 @@ def train_planner(model: PlannerModel, train: Sequence[ArticlePlan],
 
 
 def evaluate_planner(model: PlannerModel, data: Sequence[ArticlePlan],
-                     batch_size: int = 64, tie_noise: float = 0.0,
-                     noise_seed: int = 0) -> PlannerMetrics:
+                     batch_size: int = 64) -> PlannerMetrics:
     """Accuracy and average oracle rank on held-out articles.
 
     Rank of the oracle action is 1 + the number of actions scoring strictly
-    higher (optimistic on exact ties); `tie_noise` optionally adds tiny
-    symmetric noise to the scores so that ties resolve uniformly.
+    higher (optimistic on exact ties).
     """
-    rng = np.random.default_rng(noise_seed)
     hits = 0
     rank_total = 0
     count = 0
     for logits, targets in _scored_batches(model, data, batch_size):
         scores = logits.values.astype(np.float64)
-        if tie_noise > 0.0:
-            scores = scores + tie_noise * rng.standard_normal(scores.shape)
         rows = np.arange(len(targets))
         oracle_scores = scores[rows, targets]
         hits += int((scores.argmax(axis=1) == targets).sum())
@@ -243,8 +237,7 @@ def evaluate_planner(model: PlannerModel, data: Sequence[ArticlePlan],
         count += len(targets)
     if count == 0:
         raise ValidationError("evaluate_planner needs at least one example")
-    return PlannerMetrics(accuracy=hits / count, average_rank=rank_total / count,
-                          n_examples=count)
+    return PlannerMetrics(accuracy=hits / count, average_rank=rank_total / count)
 
 
 # -- persistence --------------------------------------------------------------------

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from planlm.actions import (ActionSet, assign_action, assign_actions,
-                            inspect_cluster, kmeans_fit)
+from planlm.actions import (ActionSet, assign_actions, inspect_cluster,
+                            kmeans_fit)
 from planlm.corpus import Article
 from planlm.encoder import EncoderConfig, SentenceEncoder
 from planlm.errors import ValidationError
@@ -92,26 +92,27 @@ def test_assign_action_centroid_row_maps_to_itself():
     rng = np.random.default_rng(0)
     centroids = rng.normal(0, 1, (6, 4)).astype(np.float32)
     action_set = ActionSet(centroids)
-    for i in range(6):
-        assert assign_action(centroids[i], action_set) == i
+    assert assign_actions(centroids, action_set).tolist() == list(range(6))
 
 
 def test_assign_action_hand_case():
     action_set = ActionSet(np.array([[0.0, 0.0], [1.0, 1.0]], dtype=np.float32))
-    assert assign_action(np.array([0.9, 0.8], dtype=np.float32), action_set) == 1
+    z = np.array([[0.9, 0.8]], dtype=np.float32)
+    assert assign_actions(z, action_set).tolist() == [1]
 
 
 def test_assign_action_tie_takes_lowest_id():
     centroids = np.array([[1.0, 0.0], [-1.0, 0.0]], dtype=np.float32)
     action_set = ActionSet(centroids)
     # z is exactly equidistant from both centroids
-    assert assign_action(np.array([0.0, 1.0], dtype=np.float32), action_set) == 0
+    z = np.array([[0.0, 1.0]], dtype=np.float32)
+    assert assign_actions(z, action_set).tolist() == [0]
 
 
 def test_assign_action_dim_mismatch():
     action_set = ActionSet(np.zeros((2, 3), dtype=np.float32))
     with pytest.raises(ValidationError):
-        assign_action(np.zeros(4, dtype=np.float32), action_set)
+        assign_actions(np.zeros((1, 4), dtype=np.float32), action_set)
 
 
 def test_inspect_cluster_sorted_and_top_hit():
@@ -120,7 +121,7 @@ def test_inspect_cluster_sorted_and_top_hit():
     embeddings = np.stack([enc.embed_sentence(t) for t in texts])
     action_set = kmeans_fit(embeddings, k=3, seed=0)
     articles = [Article("a", "", " ".join(texts))]
-    target = assign_action(embeddings[1], action_set)
+    target = int(assign_actions(embeddings[1:2], action_set)[0])
     hits = inspect_cluster(target, articles, action_set, top_n=3,
                            embeddings={"a": embeddings})
     dists = [h[0] for h in hits]

@@ -11,7 +11,7 @@ import pytest
 from planlm import generation, pipeline, storage
 from planlm.cli import build_parser, effective_config, main
 from planlm.config import RunConfig
-from planlm.corpus import save_articles_jsonl
+from planlm.corpus import load_articles, save_articles_jsonl
 from planlm.encoder import SentenceEncoder
 from planlm.lm import BaseLM
 from planlm.planner import PlannerModel
@@ -113,6 +113,28 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
         assert repr(key) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("given, names", [
+    pytest.param("k=abc", ["k:", "'abc'"], id="--set int"),
+    pytest.param("planner_lr=fast", ["planner_lr:", "'fast'"], id="--set float"),
+    pytest.param("lengths=8,x", ["lengths:", "'8,x'"], id="--set list"),
+    pytest.param(b"k = 4.5\n", ["k:", "'4.5'"], id="--config int"),
+    pytest.param(b"seed = 1\n# \xff\n", ["run.cfg"], id="--config not UTF-8"),
+])
+def test_bad_config_input_refused_with_one_error_line(tmp_path, capsys, given,
+                                                      names):
+    if isinstance(given, str):
+        flags = ["--set", given]
+    else:
+        (tmp_path / "run.cfg").write_bytes(given)
+        flags = ["--config", str(tmp_path / "run.cfg")]
+    capsys.readouterr()
+    assert main(["ingest", "--input", "x", "--out-dir", str(tmp_path / "out")]
+                + flags) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert all(name in err[0] for name in names), err[0]
+
+
 def test_only_the_common_flags_set_the_run_config():
     # one home per setting: a subcommand's own flags select variants within
     # a run and never change its identity, which --seed/--set/--config own
@@ -124,6 +146,44 @@ def test_only_the_common_flags_set_the_run_config():
         for action in sub._actions:
             if common.isdisjoint(action.option_strings):
                 assert action.dest not in fields, (name, action.dest)
+
+
+def test_directory_corpus_ingests_like_its_jsonl(corpus_file, tmp_path):
+    # one file per article: the id is the file stem, the title the first
+    # line, the text the rest; files are read in file-name order, here the
+    # reverse of the corpus order
+    articles = load_articles(corpus_file)
+    articles = [dataclasses.replace(a, id=f"a{len(articles) - i:03d}")
+                for i, a in enumerate(articles)]
+    txt_dir = tmp_path / "txt"
+    txt_dir.mkdir()
+    for article in articles:
+        (txt_dir / f"{article.id}.txt").write_text(
+            f"{article.title}\n{article.text}", encoding="utf-8")
+    ordered = articles[::-1]
+    jsonl = tmp_path / "ordered.jsonl"
+    save_articles_jsonl(ordered, jsonl)
+    assert load_articles(txt_dir) == ordered
+    runs = {}
+    for name, source in (("dir", txt_dir), ("jsonl", jsonl)):
+        runs[name] = tmp_path / f"run_{name}"
+        assert main(args(runs[name], "ingest", "--input", str(source))) == 0
+    for artifact in ("corpus.jsonl", "splits.json", "vocab.txt"):
+        assert (runs["dir"] / artifact).read_bytes() == \
+            (runs["jsonl"] / artifact).read_bytes(), artifact
+
+
+def test_non_utf8_corpus_file_refused_with_one_error_line(tmp_path, capsys):
+    txt_dir = tmp_path / "txt"
+    txt_dir.mkdir()
+    (txt_dir / "a.txt").write_text("Title\nOne sentence.", encoding="utf-8")
+    (txt_dir / "b.txt").write_bytes(b"Title\nCaf\xe9 sentence.")
+    capsys.readouterr()
+    assert main(args(tmp_path / "out", "ingest", "--input", str(txt_dir))) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert "b.txt" in err[0]
+    assert not (tmp_path / "out" / "corpus.jsonl").exists()
 
 
 def test_cluster_rerun_is_bit_identical(corpus_file, tmp_path):
@@ -728,6 +788,49 @@ def test_generations_without_sentence_ends_refused_with_one_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "generations_fixed.jsonl" in err[0] and "planlm generate" in err[0]
+
+
+@pytest.mark.parametrize("damage, command", [
+    ("embeddings without the article", "actions"),
+    ("embeddings without the article", "finetune"),
+    ("embeddings without the article", "generate"),
+    ("embeddings without the article", "evaluate"),
+    ("actions.tsv without its line", "finetune"),
+    ("actions.tsv without its line", "generate"),
+    ("actions.tsv with an empty line", "finetune"),
+    ("actions.tsv with an empty line", "evaluate"),
+])
+def test_article_without_a_row_per_sentence_refused_with_one_error_line(
+        full_run, tmp_path, capsys, damage, command):
+    out = copy_of(full_run, tmp_path)
+    article_id = json.loads((out / "splits.json").read_text())["test"][0]
+    if damage.startswith("embeddings"):
+        index = storage.read_matrix_index(out / "embeddings.idx")
+        keep = [i for i, (aid, _) in enumerate(index) if aid != article_id]
+        matrix = storage.read_matrix(out / "embeddings.plmb")
+        storage.write_matrix(out / "embeddings.plmb", matrix[keep])
+        storage.write_matrix_index(out / "embeddings.idx",
+                                   [index[i] for i in keep])
+        name, producer = "embeddings.idx", "planlm embed"
+    else:
+        sequences = storage.read_action_sequences(out / "actions.tsv")
+        if "empty" in damage:
+            sequences[article_id] = []  # written as `<id>\t`
+        else:
+            del sequences[article_id]
+        storage.write_action_sequences(out / "actions.tsv", sequences)
+        name, producer = "actions.tsv", "planlm actions"
+    flags = {"actions": [], "finetune": ["--regime", "fixed"],
+             "generate": ["--regime", "fixed"],
+             "evaluate": ["--regimes", "fixed"]}[command]
+    capsys.readouterr()
+    # --force: the edit also leaves downstream artifacts stale, which would
+    # be refused first
+    assert main(args(out, command, *flags, "--force")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert repr(article_id) in err[0] and name in err[0] \
+        and producer in err[0], err[0]
 
 
 def test_run_directory_holds_only_published_artifacts(full_run):

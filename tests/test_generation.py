@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planlm import generation, nn
-from planlm.actions import assign_action, kmeans_fit
+from planlm.actions import assign_actions, kmeans_fit
 from planlm.corpus import (BOS_ID, TERMINALS, Vocabulary, detokenize,
                            split_sentences, word_tokens)
 from planlm.encoder import EncoderConfig, SentenceEncoder
@@ -117,13 +117,24 @@ def test_constant_planner_stub_matches_fixed_regime():
 
 def test_conditioning_action_constant_between_boundaries():
     base, adapter, action_set, planner, enc = tiny_world()
+    acted = []  # the action each sampled token was conditioned on
+    forward = base.forward
+
+    def spy(ids, actions=None, **kwargs):
+        acted.append(int(actions[0, -1]))
+        return forward(ids, actions=actions, **kwargs)
+
+    base.forward = spy
     cfg = GenerationConfig(max_tokens=40, temperature=1.0)
     rec = run("predicted_pa", cfg, base, adapter, action_set, planner, enc, 5)
-    terminal_id = VOCAB.id_of(".")
-    for i in range(1, len(rec.token_ids)):
-        if rec.token_actions[i] != rec.token_actions[i - 1]:
-            # the action may only switch right after a sentence boundary
-            assert rec.token_ids[i - 1] == terminal_id
+    assert len(acted) == len(rec.token_ids)
+    assert rec.sentence_ends, "no sentence closed, so no switch was checked"
+    # the action may only switch right after a sentence boundary: each
+    # closed sentence's tokens were conditioned on its planned action
+    starts = [0] + rec.sentence_ends
+    for j, planned in enumerate(rec.planned_actions):
+        assert set(acted[starts[j]:starts[j + 1]]) == {planned}
+    assert len(set(acted[starts[-1]:])) <= 1
 
 
 def test_sliding_window_never_exceeds_context(monkeypatch):
@@ -217,12 +228,12 @@ def uncached_generate(regime, config, base, adapter, action_set, planner, enc,
         record.token_ids.append(token)
         if conditioned:
             act_of_token.append(current_action)
-            record.token_actions.append(current_action)
         sentence.append(VOCAB.token_of(token))
         text = detokenize(sentence)
         if sentence[-1] in TERMINALS and _sentence_complete(text):
             z = enc.embed_sentence(text)
-            record.realized_actions.append(assign_action(z, action_set))
+            record.realized_actions.append(
+                int(assign_actions(z[None, :], action_set)[0]))
             record.sentence_ends.append(len(record.token_ids))
             if uses_planner:
                 record.planned_actions.append(current_action)
@@ -259,7 +270,6 @@ def test_cached_decoder_matches_uncached_inside_the_window(regime):
         n = len(logits)
         want = uncached_generate(regime, cfg, *world, prefix)
         assert got.to_json_dict() == want.to_json_dict()
-        assert got.token_actions == want.token_actions
         np.testing.assert_allclose(logits[:n], logits[n:], rtol=0, atol=1e-6)
         closed += len(got.sentence_ends)
         replans += len(got.planned_actions)
@@ -275,7 +285,6 @@ def test_cached_decoder_matches_uncached_inside_the_window(regime):
     for got, prefix in zip(batch, prefixes):
         want = uncached_generate(regime, cfg, *world, prefix)
         assert got.to_json_dict() == want.to_json_dict()
-        assert got.token_actions == want.token_actions
 
 
 def test_a_rows_decode_does_not_depend_on_its_batch(monkeypatch):

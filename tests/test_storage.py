@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planlm import storage
+from planlm.config import RunConfig, load_config, save_config
 from planlm.corpus import (Article, Vocabulary, load_articles_jsonl,
                            save_articles_jsonl)
 from planlm.errors import ValidationError
@@ -31,6 +32,7 @@ def _write_samples(root):
     Vocabulary(["<unk>", "<bos>", "the", "cat"]).save(root / "vocab.txt")
     save_articles_jsonl([Article("a", "t", "One. Two."),
                          Article("b", "", "Three!")], root / "corpus.jsonl")
+    save_config(RunConfig(k=16, lengths=[8, 16]), root / "config.txt")
     readers = {
         "m.plmb": storage.read_matrix,
         "m.idx": storage.read_matrix_index,
@@ -39,6 +41,7 @@ def _write_samples(root):
         "x.manifest.json": lambda p: storage.read_manifest(p.with_name("x")),
         "vocab.txt": Vocabulary.load,
         "corpus.jsonl": load_articles_jsonl,
+        "config.txt": load_config,
     }
     return {name: ((root / name).read_bytes(), read)
             for name, read in readers.items()}
@@ -52,7 +55,7 @@ def samples(tmp_path_factory):
 
 @pytest.mark.parametrize("name", ["m.plmb", "m.idx", "c.plmc", "a.tsv",
                                   "x.manifest.json", "vocab.txt",
-                                  "corpus.jsonl"])
+                                  "corpus.jsonl", "config.txt"])
 @settings(max_examples=80, deadline=None)
 @given(data=st.data())
 def test_reader_returns_or_refuses_truncated_and_corrupt_files(samples, name,
@@ -94,6 +97,7 @@ HAND_MADE = {
         "x.manifest.json", b'{"config_digest": "0", "subcommand": "embed"}'),
     "corpus record that is not an object": ("corpus.jsonl", b"[1, 2]\n"),
     "vocabulary that is not UTF-8": ("vocab.txt", b"<unk>\n<bos>\n\xff\n"),
+    "config that is not UTF-8": ("config.txt", b"k = 4\n# \xff\n"),
 }
 
 
