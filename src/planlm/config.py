@@ -158,7 +158,10 @@ def parse_text(text: str) -> RunConfig:
 def load_config(path: Path) -> RunConfig:
     with parsing(path):
         text = Path(path).read_text(encoding="utf-8")
-    return parse_text(text)
+    try:
+        return parse_text(text)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 def save_config(config: RunConfig, path: Path) -> None:

@@ -2,10 +2,9 @@
 generated text.
 
 `generate` continues a batch of prefixes in lockstep: every step samples one
-token for each row, and the rows that need no (re)fill share one batched
-one-token `BaseLM.forward`. Each row keeps everything that makes its tokens:
-its own sampler, seeded by its prefix, its actions, its planner context and
-its cache length. Every sentence a row closes is embedded once and recorded
+token for each row. Each row keeps everything that makes its tokens: its own
+sampler, seeded by its prefix, its actions, its planner context and its
+cache length. Every sentence a row closes is embedded once and recorded
 with its nearest action and where it closed; with a planner it also joins
 that row's planner context, and the row's next action is predicted and swapped
 into the adapter. Boundaries are found by the corpus sentence splitter applied
@@ -14,22 +13,22 @@ appended, as generated tokens are lowercase, so the end-of-text rule matches
 the splitter's lookahead rule).
 
 The LM decodes incrementally on one `nn.KVCache` of all rows, where each row
-has its own length and positions. A row's first forward feeds the last
-`window = context_window - 1` tokens of its prefix, alone (B=1, so no pad
-token is fed), and its keys are spliced into the cache; every later step feeds
-only the token it just sampled. A re-plan does not invalidate the cache:
-position p is conditioned on the action of token p + 1, and a cached
-position's next token already exists, so its action is fixed. Only the
-newest position is conditioned on the row's current action, which becomes
-the action of the token sampled from it. Positions are learned and absolute,
-so a full row cannot slide: once it holds `window` positions it is refilled,
-alone, from its last `window // 2` tokens, the stride `corpus_nll` scores
-with. Rows start from different prefix lengths, so they refill at different
-steps. Until a row's window first overflows, its tokens equal those of
-re-running its whole window for every token; after that, each token sees
-between `window // 2` and `window` tokens of context. A row's tokens do not
-depend on which other rows share its batch, up to the rounding of a batched
-matmul.
+has its own length and positions. Every step is one `BaseLM.forward` over all
+rows that feeds each row its newest token and, with an adapter, its current
+action. Before a row's first step, the last `window = context_window - 1`
+tokens of its prefix but the newest are prefilled into a one-row cache (B=1,
+so no pad token is fed), which is spliced into the batch's cache; a
+`<bos>`-only prefix prefills nothing. A re-plan does not invalidate the
+cache: position p is conditioned on the action of token p + 1, and a cached
+position's next token already exists, so its action is fixed. Positions are
+learned and absolute, so a full row cannot slide: once it holds `window`
+positions it is prefilled again, alone, from its last `window // 2` tokens
+but the newest, the stride `corpus_nll` scores with. Rows start from
+different prefix lengths, so they refill at different steps. Until a row's
+window first overflows, its tokens equal those of re-running its whole
+window for every token; after that, each token sees between `window // 2`
+and `window` tokens of context. A row's tokens do not depend on which other
+rows share its batch, up to the rounding of a batched matmul.
 """
 
 from __future__ import annotations
@@ -176,20 +175,19 @@ def _start(prefix: Prefix, conditioned: bool, planner: PlannerModel | None,
                 context, action)
 
 
-def _feed(base: BaseLM, adapter: ActionAdapter | None, rows: list[_Row],
-          n: int, cache: nn.KVCache) -> np.ndarray:
-    """The next-token logits of `rows` after feeding each its last `n`
-    tokens (all of them if fewer) on `cache`."""
-    w0 = [max(0, len(row.ids) - n) for row in rows]
-    ids = np.asarray([row.ids[w:] for row, w in zip(rows, w0)],
-                     dtype=np.int64)
-    if adapter is None:
-        return base.forward(ids, cache=cache).values[:, -1]
-    # position p is conditioned on the action of token p + 1
-    actions = np.asarray([row.act_of_token[w + 1:] + [row.action]
-                          for row, w in zip(rows, w0)], dtype=np.int64)
-    return base.forward(ids, adapter=adapter, actions=actions,
-                        cache=cache).values[:, -1]
+def _prefill(base: BaseLM, adapter: ActionAdapter | None, row: _Row,
+             n: int) -> nn.KVCache:
+    """A one-row cache of `row`'s last `n` tokens (all of them if fewer)
+    but its newest, which the next step feeds."""
+    cache = nn.KVCache(1)
+    w = max(0, len(row.ids) - n)
+    ids = np.asarray([row.ids[w:-1]], dtype=np.int64)
+    if ids.shape[1]:
+        # position p is conditioned on the action of token p + 1
+        actions = None if adapter is None else np.asarray(
+            [row.act_of_token[w + 1:]], dtype=np.int64)
+        base.forward(ids, adapter=adapter, actions=actions, cache=cache)
+    return cache
 
 
 def _accept(row: _Row, token: int, conditioned: bool, vocab: Vocabulary,
@@ -236,22 +234,17 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
             for prefix in prefixes]
     window = base.config.context_window - 1
     cache = nn.KVCache(len(rows))
-    logits = np.empty((len(rows), base.config.vocab_size), dtype=np.float32)
     for _ in range(config.max_tokens):
-        refill = (cache.lengths == 0) | (cache.lengths == window)
-        step = np.flatnonzero(~refill)
-        if step.size:
-            part = cache if step.size == len(rows) else cache.take(step)
-            logits[step] = _feed(base, adapter, [rows[r] for r in step], 1,
-                                 part)
-            if part is not cache:
-                cache.put(step, part)
-        for r in np.flatnonzero(refill):
+        for r in np.flatnonzero((cache.lengths == 0)
+                                | (cache.lengths == window)):
             # (re)fill from the last `window` tokens, later the last half
-            keep = window if cache.lengths[r] == 0 else max(1, window // 2)
-            part = nn.KVCache(1)
-            logits[r] = _feed(base, adapter, [rows[r]], keep, part)[0]
-            cache.put([r], part)
+            keep = window if cache.lengths[r] == 0 else window // 2
+            cache.put([r], _prefill(base, adapter, rows[r], keep))
+        ids = np.asarray([[row.ids[-1]] for row in rows], dtype=np.int64)
+        actions = None if adapter is None else np.asarray(
+            [[row.action] for row in rows], dtype=np.int64)
+        logits = base.forward(ids, adapter=adapter, actions=actions,
+                              cache=cache).values[:, -1]
         tokens = sample_tokens(logits, config.temperature, config.top_k,
                                [row.rng for row in rows])
         for row, token in zip(rows, tokens):

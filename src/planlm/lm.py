@@ -120,7 +120,7 @@ class BaseLM:
         d = config.d_model
         self.tok_emb = nn.normal_param(rng, (config.vocab_size, d))
         self.pos_emb = nn.normal_param(rng, (config.context_window, d))
-        self.blocks = [nn.Block(rng, d, config.n_heads, causal=True)
+        self.blocks = [nn.Block(rng, d, config.n_heads)
                        for _ in range(config.n_layers)]
         self.ln_f = nn.LayerNorm(d)
         self.out = nn.Linear(rng, d, config.vocab_size)

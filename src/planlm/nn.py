@@ -92,27 +92,21 @@ def _right_aligned(a: np.ndarray, width: int) -> np.ndarray:
 class KVCache:
     """The keys and values of B rows' earlier positions, outside the graph.
 
-    `layers[l]` is block l's list: empty, or its (B, heads, P, d_head) key
-    and value arrays. Rows are right-aligned: row r's `lengths[r]` positions
-    fill its last columns, and P = max(lengths), so no column is kept that
-    every row masks. The columns left of a row's positions are zeros, which
-    `causal_bias` masks.
+    `layers` is empty until a forward or a `put` fills it; then `layers[l]`
+    holds block l's (B, heads, P, d_head) key and value arrays. Rows are
+    right-aligned: row r's `lengths[r]` positions fill its last columns, and
+    P = max(lengths), so no column is kept that every row masks. The columns
+    left of a row's positions are zeros, which `causal_bias` masks. A row is
+    (re)filled by extending a one-row cache and `put`ting it in its place.
     """
 
     def __init__(self, rows: int):
         self.lengths = np.zeros(rows, dtype=np.int64)
         self.layers: list[list[np.ndarray]] = []
 
-    def take(self, rows: np.ndarray) -> "KVCache":
-        """A copy of the rows `rows` alone."""
-        part = KVCache(len(rows))
-        part.lengths = self.lengths[rows]
-        lo = int(self.lengths.max() - part.lengths.max())
-        part.layers = [[a[rows, :, lo:] for a in kv] for kv in self.layers]
-        return part
-
     def put(self, rows, part: "KVCache") -> None:
-        """Replace the rows `rows` by the rows of `part`."""
+        """Replace the rows `rows` by the rows of `part`, which holds no
+        layers when its rows hold no positions."""
         lengths = self.lengths.copy()
         lengths[rows] = part.lengths
         width = int(lengths.max())
@@ -120,10 +114,11 @@ class KVCache:
             self.layers = [[np.zeros((len(lengths),) + a.shape[1:2] + (0,)
                                      + a.shape[3:], dtype=a.dtype) for a in kv]
                            for kv in part.layers]
-        for kv, new in zip(self.layers, part.layers):
-            for j, a in enumerate(new):
+        for i, kv in enumerate(self.layers):
+            for j in range(len(kv)):
                 kv[j] = _right_aligned(kv[j], width)
-                kv[j][rows] = _right_aligned(a, width)
+                kv[j][rows] = _right_aligned(part.layers[i][j], width) \
+                    if part.layers else 0
         self.lengths = lengths
 
 
@@ -136,19 +131,17 @@ class SelfAttention:
     `cache`, when given, is this layer's list of a `KVCache`. `x` then
     holds the positions after the cached ones, and the list is extended in
     place by their keys and values. A cache holds plain arrays outside the
-    graph, so it refuses keys that require grad. `bias`, when given, is the
-    forward's `causal_bias`, built once for all layers; a causal attention
-    without one masks the future of `x` alone.
+    graph, so it refuses keys that require grad. `bias`, when given, is
+    added to the attention scores: the forward's `causal_bias`, built once
+    for all layers. Without one, every position attends to every other.
     """
 
-    def __init__(self, rng: np.random.Generator, d: int, n_heads: int,
-                 causal: bool):
+    def __init__(self, rng: np.random.Generator, d: int, n_heads: int):
         if d % n_heads != 0:
             raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
         self.d = d
         self.n_heads = n_heads
         self.d_head = d // n_heads
-        self.causal = causal
         self.wq = Linear(rng, d, d)
         self.wk = Linear(rng, d, d)
         self.wv = Linear(rng, d, d)
@@ -174,9 +167,8 @@ class SelfAttention:
                 v = Tensor(np.concatenate([cache[1], v.values], axis=2))
             cache[:] = [k.values, v.values]
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
-        if self.causal:
-            scores = scores + (causal_bias(t, dtype=x.dtype) if bias is None
-                               else bias)
+        if bias is not None:
+            scores = scores + bias
         ctx = scores.softmax() @ v
         ctx = ctx.swapaxes(1, 2).reshape(b, t, d)
         if extra_context is not None:
@@ -194,10 +186,9 @@ class SelfAttention:
 class Block:
     """Pre-norm transformer block: attention then a GELU feed-forward."""
 
-    def __init__(self, rng: np.random.Generator, d: int, n_heads: int,
-                 causal: bool):
+    def __init__(self, rng: np.random.Generator, d: int, n_heads: int):
         self.ln1 = LayerNorm(d)
-        self.attn = SelfAttention(rng, d, n_heads, causal)
+        self.attn = SelfAttention(rng, d, n_heads)
         self.ln2 = LayerNorm(d)
         self.ff1 = Linear(rng, d, 4 * d)
         self.ff2 = Linear(rng, 4 * d, d)

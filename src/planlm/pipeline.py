@@ -213,12 +213,6 @@ class RunData:
         return Vocabulary.load(self.path("vocab.txt"))
 
     @cached_property
-    def embedding_rows(self) -> tuple[np.ndarray, list[tuple[str, int]]]:
-        """The embedding matrix and its (article id, sentence index) rows."""
-        return (storage.read_matrix(self.path("embeddings.plmb")),
-                storage.read_matrix_index(self.path("embeddings.idx")))
-
-    @cached_property
     def sentence_counts(self) -> dict[str, int]:
         """The number of sentences of each corpus article, each at least 1."""
         return {a.id: len(split_sentences(a.text, a.id))
@@ -238,7 +232,9 @@ class RunData:
     @cached_property
     def embeddings(self) -> dict[str, np.ndarray]:
         """Per-article sentence embeddings, one row per sentence."""
-        embeddings = group_rows_by_article(*self.embedding_rows)
+        embeddings = group_rows_by_article(
+            storage.read_matrix(self.path("embeddings.plmb")),
+            storage.read_matrix_index(self.path("embeddings.idx")))
         self._per_sentence("embeddings.idx", embeddings, "rows")
         return embeddings
 
@@ -319,15 +315,16 @@ def step_embed(config: RunConfig, out_dir: Path, force: bool = False,
 
 def step_cluster(config: RunConfig, out_dir: Path, force: bool = False) -> dict:
     with RunData(out_dir, config, force) as data:
-        matrix, index = data.embedding_rows
+        embeddings = data.embeddings  # first, so a missing one names `embed`
         train_ids = set(data.splits["train"])
-        rows = [i for i, (aid, _) in enumerate(index) if aid in train_ids]
-        fitted = kmeans_fit(matrix[rows], k=config.k, seed=config.seed,
+        points = np.concatenate([embeddings[aid] for aid in data.by_id
+                                 if aid in train_ids])
+        fitted = kmeans_fit(points, k=config.k, seed=config.seed,
                             max_iters=config.kmeans_max_iters)
         storage.write_matrix(data.artifact("centroids.plmb"), fitted.centroids)
         return data.finish("cluster", {"k": fitted.k, "inertia": fitted.inertia,
                                        "iterations": fitted.iterations_run,
-                                       "points": len(rows)})
+                                       "points": len(points)})
 
 
 def step_actions(config: RunConfig, out_dir: Path, force: bool = False) -> dict:

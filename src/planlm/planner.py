@@ -58,7 +58,7 @@ class PlannerModel:
         self.pos = nn.normal_param(rng, (config.context_limit, d))
         self.begin = nn.normal_param(rng, (d,))
         if config.arch == "transformer":
-            self.blocks = [nn.Block(rng, d, config.n_heads, causal=False)
+            self.blocks = [nn.Block(rng, d, config.n_heads)
                            for _ in range(config.n_layers)]
             self.ln_f = nn.LayerNorm(d)
             self.mlp1 = self.mlp2 = None

@@ -302,25 +302,27 @@ def test_grad_causal_attention_composition():
     def loss(p):
         rng_ = np.random.default_rng(3)
         attn = nn.SelfAttention.__new__(nn.SelfAttention)
-        attn.d, attn.n_heads, attn.d_head, attn.causal = d, h, d // h, True
+        attn.d, attn.n_heads, attn.d_head = d, h, d // h
         attn.wq = nn.Linear(rng_, d, d)
         attn.wk = nn.Linear(rng_, d, d)
         attn.wv = nn.Linear(rng_, d, d)
         attn.wo = nn.Linear(rng_, d, d)
         attn.wq.w, attn.wk.w, attn.wv.w, attn.wo.w = p[1], p[2], p[3], p[4]
-        return (attn(p[0]) * 1.0).sum()
+        bias = nn.causal_bias(t, dtype=p[0].values.dtype)
+        return (attn(p[0], bias=bias) * 1.0).sum()
 
     _check(loss, [(1, t, d)] + [(d, d)] * 4)
 
 
 def test_causal_attention_ignores_future():
     r = rng()
-    attn = nn.SelfAttention(r, 8, 2, causal=True)
+    attn = nn.SelfAttention(r, 8, 2)
     x = r.normal(0, 1, (1, 5, 8)).astype(np.float32)
-    y1 = attn(Tensor(x)).values
+    bias = nn.causal_bias(5)
+    y1 = attn(Tensor(x), bias=bias).values
     x2 = x.copy()
     x2[0, 4, :] += 10.0
-    y2 = attn(Tensor(x2)).values
+    y2 = attn(Tensor(x2), bias=bias).values
     np.testing.assert_allclose(y1[0, :4], y2[0, :4], atol=1e-6)
     assert np.abs(y1[0, 4] - y2[0, 4]).max() > 1e-3
 

@@ -117,7 +117,9 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     pytest.param("k=abc", ["k:", "'abc'"], id="--set int"),
     pytest.param("planner_lr=fast", ["planner_lr:", "'fast'"], id="--set float"),
     pytest.param("lengths=8,x", ["lengths:", "'8,x'"], id="--set list"),
-    pytest.param(b"k = 4.5\n", ["k:", "'4.5'"], id="--config int"),
+    pytest.param(b"k = 4.5\n", ["run.cfg", "k:", "'4.5'"], id="--config int"),
+    pytest.param(b"k = 4\nk = 5\n", ["run.cfg", "line 2", "'k'"],
+                 id="--config duplicate key"),
     pytest.param(b"seed = 1\n# \xff\n", ["run.cfg"], id="--config not UTF-8"),
 ])
 def test_bad_config_input_refused_with_one_error_line(tmp_path, capsys, given,
@@ -428,7 +430,8 @@ PREPARED = {"corpus.jsonl", "splits.json", "vocab.txt", "embeddings.plmb",
 READ_BY_STEP = {
     "corpus.jsonl": set(), "splits.json": set(), "vocab.txt": set(),
     "embeddings.plmb": {"corpus.jsonl"}, "embeddings.idx": {"corpus.jsonl"},
-    "centroids.plmb": {"embeddings.plmb", "embeddings.idx", "splits.json"},
+    "centroids.plmb": {"corpus.jsonl", "embeddings.plmb", "embeddings.idx",
+                       "splits.json"},
     "actions.tsv": {"centroids.plmb", "embeddings.plmb", "embeddings.idx",
                     "corpus.jsonl"},
     "base_lm.plmc": {"corpus.jsonl", "splits.json", "vocab.txt"},
@@ -791,6 +794,7 @@ def test_generations_without_sentence_ends_refused_with_one_error_line(
 
 
 @pytest.mark.parametrize("damage, command", [
+    ("embeddings without the article", "cluster"),
     ("embeddings without the article", "actions"),
     ("embeddings without the article", "finetune"),
     ("embeddings without the article", "generate"),
@@ -820,7 +824,7 @@ def test_article_without_a_row_per_sentence_refused_with_one_error_line(
             del sequences[article_id]
         storage.write_action_sequences(out / "actions.tsv", sequences)
         name, producer = "actions.tsv", "planlm actions"
-    flags = {"actions": [], "finetune": ["--regime", "fixed"],
+    flags = {"cluster": [], "actions": [], "finetune": ["--regime", "fixed"],
              "generate": ["--regime", "fixed"],
              "evaluate": ["--regimes", "fixed"]}[command]
     capsys.readouterr()

@@ -22,9 +22,9 @@ LM_CFG = LmConfig(vocab_size=VOCAB.size, d_model=16, n_layers=1, n_heads=2,
                   context_window=12)
 
 
-def tiny_world(k=2, seed=0):
+def tiny_world(k=2, seed=0, lm_cfg=LM_CFG):
     rng = np.random.default_rng(seed)
-    base = BaseLM(LM_CFG, rng)
+    base = BaseLM(lm_cfg, rng)
     enc = SentenceEncoder(ENC_CFG)
     sample = ["The cat ran.", "The dog sat.", "Big red cat.", "The big dog ran."]
     embeddings = np.stack([enc.embed_sentence(t) for t in sample])
@@ -32,7 +32,7 @@ def tiny_world(k=2, seed=0):
     adapter = ActionAdapter(
         AdapterConfig(n_actions=k, action_dim=ENC_CFG.dim, adapted_layers=1,
                       init="centroids"),
-        LM_CFG, rng, centroids=action_set.centroids)
+        lm_cfg, rng, centroids=action_set.centroids)
     planner = PlannerModel(
         PlannerConfig(dim=ENC_CFG.dim, n_actions=k, n_layers=1, n_heads=2,
                       context_limit=8, head_init="random"),
@@ -121,7 +121,8 @@ def test_conditioning_action_constant_between_boundaries():
     forward = base.forward
 
     def spy(ids, actions=None, **kwargs):
-        acted.append(int(actions[0, -1]))
+        if ids.shape[1] == 1:  # a step; a prefill here holds 4 tokens
+            acted.append(int(actions[0, -1]))
         return forward(ids, actions=actions, **kwargs)
 
     base.forward = spy
@@ -140,8 +141,9 @@ def test_conditioning_action_constant_between_boundaries():
 def test_sliding_window_never_exceeds_context(monkeypatch):
     base, adapter, action_set, planner, enc = tiny_world()
     window = LM_CFG.context_window - 1
-    seen = []  # (cached, new) positions of each forward of one row
+    seen = []  # (cache, cached, new) positions of each forward of one row
     held = []  # (row lengths, key columns) of a cache after each change
+    parts = []  # the one-row caches `put` splices in: the prefills
     forward, put = base.forward, nn.KVCache.put
 
     def hold(cache):
@@ -149,12 +151,13 @@ def test_sliding_window_never_exceeds_context(monkeypatch):
                      {a.shape[2] for kv in cache.layers for a in kv}))
 
     def spy(ids, cache=None, **kwargs):
-        seen.append((int(cache.lengths.max()), ids.shape[1]))
+        seen.append((cache, int(cache.lengths.max()), ids.shape[1]))
         out = forward(ids, cache=cache, **kwargs)
         hold(cache)
         return out
 
     def spy_put(cache, rows, part):
+        parts.append(part)
         put(cache, rows, part)
         hold(cache)
 
@@ -162,22 +165,34 @@ def test_sliding_window_never_exceeds_context(monkeypatch):
     monkeypatch.setattr(nn.KVCache, "put", spy_put)
     cfg = GenerationConfig(max_tokens=40, temperature=1.0)
     run("predicted_pa", cfg, base, adapter, action_set, planner, enc, 4)
-    assert len(seen) == 40
-    assert max(past + new for past, new in seen) == window
-    fills = [new for past, new in seen if past == 0]
-    assert fills[0] == 1 and fills[1:] == [window // 2] * (len(fills) - 1)
-    assert len(fills) > 1, "40 tokens overflow the window, so it refills"
+    assert max(past + new for _, past, new in seen) == window
+    prefill = [any(cache is part for part in parts) for cache, _, _ in seen]
+    # a <bos>-only prefix prefills nothing: the first forward is a step
+    assert not prefill[0]
+    assert [new for (_, _, new), p in zip(seen, prefill) if not p] == [1] * 40
+    fills = [i for i, p in enumerate(prefill) if p]
+    assert fills, "40 tokens overflow the window, so it refills"
+    for i in fills:
+        # a refill prefills its last `window // 2` tokens but the newest,
+        # and a one-token step feeds the newest
+        assert seen[i][1:] == (0, window // 2 - 1)
+        assert seen[i + 1][1:] == (window // 2 - 1, 1) and not prefill[i + 1]
 
-    # rows of different prefix lengths refill at different steps
+    # a first fill prefills the prefix but its newest token; rows of
+    # different prefix lengths refill at different steps
     held.clear()
+    parts.clear()
     the = VOCAB.id_of("the")
     decode("predicted_pa", cfg, base, adapter, action_set, planner, enc,
            [Prefix(np.array([BOS_ID] + [the] * n), seed=n) for n in (0, 3, 7)])
+    assert [part.lengths.tolist() for part in parts[:3]] == [[0], [3], [7]]
     assert any(len(set(lengths)) == 3 for lengths, _ in held)
     assert max(lengths.max() for lengths, _ in held) == window
     for lengths, columns in held:
         assert lengths.max() <= window
-        assert columns == {lengths.max()}
+        # no layers until a row holds positions: a `<bos>`-only row came first
+        assert columns == {lengths.max()} or (not columns
+                                              and lengths.max() == 0)
 
 
 def sample_token(logits, temperature, top_k, rng):
@@ -245,17 +260,25 @@ def uncached_generate(regime, config, base, adapter, action_set, planner, enc,
 
 
 @pytest.mark.parametrize("regime", ["none", "fixed", "predicted_pa"])
-def test_cached_decoder_matches_uncached_inside_the_window(regime):
+def test_cached_decoder_matches_uncached_inside_the_window(regime,
+                                                           monkeypatch):
     base, adapter, action_set, planner, enc = tiny_world()
-    logits = []  # the last position's logits of every forward
-    forward = base.forward
+    logits = []  # the logits every token of one row was sampled from
+    forward, sample = base.forward, generation.sample_tokens
 
-    def spy(*args, **kwargs):
-        out = forward(*args, **kwargs)
-        logits.append(out.values[0, -1])
+    def spy(*args, cache=None, **kwargs):
+        # the reference samples from each of its forwards, which hold no cache
+        out = forward(*args, cache=cache, **kwargs)
+        if cache is None:
+            logits.append(out.values[0, -1])
         return out
 
+    def spy_sample(step_logits, *args):
+        logits.append(step_logits[0].copy())
+        return sample(step_logits, *args)
+
     base.forward = spy
+    monkeypatch.setattr(generation, "sample_tokens", spy_sample)
     window = LM_CFG.context_window - 1
     world = (base, adapter, action_set, planner, enc)
     prefixes = [Prefix(np.array([BOS_ID] + [VOCAB.id_of("the")] * (seed % 4),
@@ -268,6 +291,7 @@ def test_cached_decoder_matches_uncached_inside_the_window(regime):
         logits.clear()
         (got,) = decode(regime, cfg, *world, [prefix])
         n = len(logits)
+        assert n == cfg.max_tokens
         want = uncached_generate(regime, cfg, *world, prefix)
         assert got.to_json_dict() == want.to_json_dict()
         np.testing.assert_allclose(logits[:n], logits[n:], rtol=0, atol=1e-6)
@@ -295,19 +319,21 @@ def test_a_rows_decode_does_not_depend_on_its_batch(monkeypatch):
     a = Prefix(np.array([BOS_ID, the, cat]), seed=0)
     b = Prefix(np.array([BOS_ID, the, dog, dot, the, cat]), seed=1)
     c = Prefix(np.array([BOS_ID]), seed=2)
-    seen, takes = [], []  # logits of every step; rows of every subset step
-    sample, take = generation.sample_tokens, nn.KVCache.take
+    seen = []  # logits of every step
+    # whether each put refilled a row while another held cached positions
+    refills = []
+    sample, put = generation.sample_tokens, nn.KVCache.put
 
     def spy(logits, *args):
         seen.append(logits.copy())
         return sample(logits, *args)
 
-    def spy_take(cache, rows):
-        takes.append(len(rows))
-        return take(cache, rows)
+    def spy_put(cache, rows, part):
+        refills.append(bool((np.delete(cache.lengths, rows) > 0).any()))
+        put(cache, rows, part)
 
     monkeypatch.setattr(generation, "sample_tokens", spy)
-    monkeypatch.setattr(nn.KVCache, "take", spy_take)
+    monkeypatch.setattr(nn.KVCache, "put", spy_put)
     cfg = GenerationConfig(max_tokens=40, temperature=0.0)
     runs = []
     for batch in ([a], [a, b], [b, c, a]):
@@ -316,7 +342,7 @@ def test_a_rows_decode_does_not_depend_on_its_batch(monkeypatch):
                          planner, enc, batch)
         row = [p is a for p in batch].index(True)
         runs.append((records[row], np.stack([s[row] for s in seen])))
-    assert takes, "no row refilled while the others stepped"
+    assert any(refills), "no row refilled while the others held positions"
     (want, want_logits), rest = runs[0], runs[1:]
     assert want.sentence_ends, "no sentence closed, so no re-plan was checked"
     for got, logits in rest:
@@ -324,6 +350,56 @@ def test_a_rows_decode_does_not_depend_on_its_batch(monkeypatch):
         assert got.realized_actions == want.realized_actions
         assert got.sentence_ends == want.sentence_ends
         np.testing.assert_allclose(logits, want_logits, rtol=0, atol=1e-5)
+
+
+def test_each_step_is_one_forward_over_all_rows(monkeypatch):
+    base, adapter, action_set, planner, enc = tiny_world()
+    window = LM_CFG.context_window - 1
+    forwards = []  # (cache, ids shape) of every forward
+    parts = []  # the one-row caches `put` splices in: the prefills
+    forward, put = base.forward, nn.KVCache.put
+
+    def spy(ids, cache=None, **kwargs):
+        forwards.append((cache, ids.shape))
+        return forward(ids, cache=cache, **kwargs)
+
+    def spy_put(cache, rows, part):
+        parts.append(part)
+        put(cache, rows, part)
+
+    base.forward = spy
+    monkeypatch.setattr(nn.KVCache, "put", spy_put)
+    the = VOCAB.id_of("the")
+    prefixes = [Prefix(np.array([BOS_ID] + [the] * n), seed=n)
+                for n in (0, 3, 7)]
+    cfg = GenerationConfig(max_tokens=30, temperature=1.0)
+    decode("predicted_pa", cfg, base, adapter, action_set, planner, enc,
+           prefixes)
+    prefill = [any(cache is part for part in parts) for cache, _ in forwards]
+    steps = [(cache, shape) for (cache, shape), p in zip(forwards, prefill)
+             if not p]
+    assert [shape for _, shape in steps] == [(3, 1)] * 30
+    assert all(cache is steps[0][0] for cache, _ in steps)
+    fills = [shape for (_, shape), p in zip(forwards, prefill) if p]
+    assert len(fills) > 2, "30 tokens overflow the window, so rows refill"
+    for b, t in fills:
+        assert b == 1 and 0 < t < window
+
+
+def test_an_empty_prefill_keeps_a_rows_decode():
+    """With context_window=4, a `<bos>`-only prefix and every refill
+    (`keep == 1`) prefill nothing, while the other row holds positions."""
+    lm_cfg = LmConfig(vocab_size=VOCAB.size, d_model=16, n_layers=1,
+                      n_heads=2, context_window=4)
+    world = tiny_world(lm_cfg=lm_cfg)
+    the, cat, dot = (VOCAB.id_of(w) for w in ("the", "cat", "."))
+    prefixes = [Prefix(np.array([BOS_ID]), seed=0),
+                Prefix(np.array([BOS_ID, the, cat, dot, the]), seed=1)]
+    cfg = GenerationConfig(max_tokens=12, temperature=1.0)
+    batch = decode("predicted_pa", cfg, *world, prefixes)
+    for got, prefix in zip(batch, prefixes):
+        (want,) = decode("predicted_pa", cfg, *world, [prefix])
+        assert got.to_json_dict() == want.to_json_dict()
 
 
 @pytest.mark.parametrize("regime", ["none", "predicted_pa"])

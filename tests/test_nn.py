@@ -171,10 +171,11 @@ def test_per_row_causal_bias_is_the_scalar_bias_after_each_rows_padding(past):
         assert (bias[row, 0, :, :pad] == np.float32(nn.MASK_BIAS)).all()
 
 
-def test_cache_put_keeps_rows_right_aligned_and_take_trims():
+def test_cache_put_keeps_rows_right_aligned():
     def part(n, fill):
         c = nn.KVCache(1)
-        c.layers = [[np.full((1, 2, n, 3), fill, np.float32)] * 2]
+        if n:  # a part of no positions holds no layers
+            c.layers = [[np.full((1, 2, n, 3), fill, np.float32)] * 2]
         c.lengths[:] = n
         return c
 
@@ -189,7 +190,10 @@ def test_cache_put_keeps_rows_right_aligned_and_take_trims():
     cache.put([1], part(1, 7))
     assert cache.layers[0][0].shape[2] == 4
     assert cache.lengths.tolist() == [2, 1, 4]
-    sub = cache.take(np.array([0, 1]))
-    assert sub.lengths.tolist() == [2, 1]
-    np.testing.assert_array_equal(sub.layers[0][0],
-                                  cache.layers[0][0][:2, :, 2:])
+    # so does emptying it, though the empty part holds no layers
+    cache.put([2], part(0, 9))
+    assert cache.lengths.tolist() == [2, 1, 0]
+    for a in cache.layers[0]:
+        assert a.shape == (3, 2, 2, 3)
+        assert (a[0] == 1).all() and (a[2] == 0).all()
+        assert (a[1, :, 1:] == 7).all() and (a[1, :, :1] == 0).all()
