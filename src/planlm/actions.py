@@ -12,7 +12,6 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .corpus import Article, split_sentences
 from .errors import ValidationError
 
 
@@ -155,14 +154,15 @@ def assign_actions(matrix: np.ndarray, action_set: ActionSet) -> np.ndarray:
     return dists.argmin(axis=1)
 
 
-def inspect_cluster(action_id: int, articles: Sequence[Article],
+def inspect_cluster(action_id: int, sentences: Mapping[str, Sequence[str]],
                     action_set: ActionSet, top_n: int,
                     embeddings: Mapping[str, np.ndarray],
                     ) -> list[tuple[float, str, str, int]]:
     """The top_n corpus sentences nearest a centroid.
 
-    `embeddings` maps each article id to its sentence embeddings, in the
-    space the centroids were fitted in. Returns (distance, sentence text,
+    `sentences` maps each article id to its sentence texts, in corpus order,
+    and `embeddings` maps it to one embedding row per sentence, in the space
+    the centroids were fitted in. Returns (distance, sentence text,
     article_id, sentence_index) tuples in ascending distance; ties keep
     corpus order.
     """
@@ -170,16 +170,14 @@ def inspect_cluster(action_id: int, articles: Sequence[Article],
         raise ValidationError(f"unknown action id {action_id} (K={action_set.k})")
     centroid = action_set.centroids[action_id].astype(np.float64)
     scored: list[tuple[float, str, str, int]] = []
-    for article in articles:
-        spans = split_sentences(article.text, article.id)
-        matrix = embeddings[article.id]
-        if matrix.shape != (len(spans), action_set.dim):
+    for article_id, texts in sentences.items():
+        matrix = embeddings[article_id]
+        if matrix.shape[1] != action_set.dim:
             raise ValidationError(
-                f"embeddings of article {article.id!r} have shape "
-                f"{matrix.shape}; expected ({len(spans)}, {action_set.dim})")
-        for span, z in zip(spans, matrix):
+                f"embeddings of dim {matrix.shape[1]} do not match actions "
+                f"of dim {action_set.dim}")
+        for j, (text, z) in enumerate(zip(texts, matrix, strict=True)):
             dist = float(np.sum((z.astype(np.float64) - centroid) ** 2))
-            scored.append((dist, span.text(article.text), article.id,
-                           span.index))
+            scored.append((dist, text, article_id, j))
     scored.sort(key=lambda item: item[0])  # sort is stable: ties keep corpus order
     return scored[:top_n]

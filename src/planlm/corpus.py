@@ -51,7 +51,6 @@ class SentenceSpan:
     index: int
     char_start: int
     char_end: int
-    token_ids: tuple[int, ...] = ()
 
     def text(self, article_text: str) -> str:
         return article_text[self.char_start:self.char_end]
@@ -184,18 +183,14 @@ def tokenize(article: Article, vocab: Vocabulary) -> TokenStream:
     spans = split_sentences(article.text, article.id)
     ids: list[int] = [BOS_ID]
     sent_idx: list[int] = [0]
-    out_spans: list[SentenceSpan] = []
     for span in spans:
-        toks = word_tokens(span.text(article.text))
-        tok_ids = tuple(vocab.id_of(t) for t in toks)
-        out_spans.append(SentenceSpan(article.id, span.index, span.char_start,
-                                      span.char_end, tok_ids))
+        tok_ids = [vocab.id_of(t) for t in word_tokens(span.text(article.text))]
         ids.extend(tok_ids)
         sent_idx.extend([span.index] * len(tok_ids))
     return TokenStream(article.id,
                        np.asarray(ids, dtype=np.int32),
                        np.asarray(sent_idx, dtype=np.int32),
-                       out_spans)
+                       spans)
 
 
 def detokenize(tokens: Sequence[str]) -> str:

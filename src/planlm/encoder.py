@@ -1,8 +1,10 @@
 """Frozen deterministic sentence encoder.
 
-A sentence is lowercased, decomposed into character n-grams (orders 1 to
-`ngram_order`), hashed into a fixed bucket space with a 64-bit hash, and the
-resulting sparse term-frequency vector is multiplied by a pseudo-random
+It embeds the text units it is given and knows nothing of articles: the
+caller segments the corpus (`pipeline.RunData.sentences`). A sentence is
+lowercased, decomposed into character n-grams (orders 1 to `ngram_order`),
+hashed into a fixed bucket space with a 64-bit hash, and the resulting
+sparse term-frequency vector is multiplied by a pseudo-random
 Gaussian projection whose rows are generated on demand from `projection_seed`
 (the full buckets x dim matrix is never materialized). The output is
 L2-normalized; empty or whitespace-only text maps to the first standard basis
@@ -15,11 +17,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .corpus import Article, split_sentences
 from .errors import ValidationError
 
 
@@ -91,32 +92,6 @@ def empty_sentence_vector(dim: int) -> np.ndarray:
     return vec
 
 
-def embed_corpus(articles: Iterable[Article], config: EncoderConfig,
-                 ) -> tuple[np.ndarray, list[tuple[str, int]]]:
-    """Embed every sentence of every article, in corpus order.
-
-    Returns the (N, dim) matrix and the row index [(article_id, sentence_index)].
-    """
-    encoder = SentenceEncoder(config)
-    rows: list[np.ndarray] = []
-    index: list[tuple[str, int]] = []
-    for article in articles:
-        for span in split_sentences(article.text, article.id):
-            rows.append(encoder.embed_sentence(span.text(article.text)))
-            index.append((article.id, span.index))
-    if not rows:
-        return np.zeros((0, config.dim), dtype=np.float32), []
-    return np.stack(rows), index
-
-
-def group_rows_by_article(matrix: np.ndarray,
-                          index: Sequence[tuple[str, int]]) -> dict[str, np.ndarray]:
-    """Split a corpus embedding matrix back into per-article matrices."""
-    out: dict[str, list[int]] = {}
-    for row, (article_id, sentence_index) in enumerate(index):
-        out.setdefault(article_id, [])
-        if sentence_index != len(out[article_id]):
-            raise ValidationError(
-                f"index rows for article {article_id!r} are out of order")
-        out[article_id].append(row)
-    return {aid: matrix[rows] for aid, rows in out.items()}
+def embed_corpus(texts: Sequence[str], encoder: SentenceEncoder) -> np.ndarray:
+    """The (len(texts), dim) matrix of the texts' embeddings, in order."""
+    return np.stack([encoder.embed_sentence(text) for text in texts])

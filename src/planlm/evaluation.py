@@ -265,7 +265,6 @@ class ScoringItem:
     ids: np.ndarray
     actions: np.ndarray | None = None
     countable: np.ndarray | None = None
-    article_id: str = ""
 
 
 def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem],

@@ -222,14 +222,9 @@ def snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     return {name: p.values.copy() for name, p in params.items()}
 
 
-def restore(params: dict[str, Tensor], snap: dict[str, np.ndarray]) -> None:
-    """Put back the values of a `snapshot` of the same parameters."""
-    for name, p in params.items():
-        p.values = snap[name].copy()
-
-
 def load_params(params: dict[str, Tensor], sections: dict[str, np.ndarray]) -> None:
-    """Copy checkpoint arrays into an assembled parameter dict, by name."""
+    """Copy checkpoint arrays, or a `snapshot`, into an assembled parameter
+    dict, by name."""
     missing = sorted(set(params) - set(sections))
     if missing:
         raise KeyError(f"checkpoint is missing sections: {missing}")
@@ -329,6 +324,6 @@ def fit(trainable: dict[str, Tensor], items: Sequence[Item],
             if since_best >= patience:
                 break
     if val_metric is not None:
-        restore(trainable, best_snap)
+        load_params(trainable, best_snap)
         history["best_val_metric"] = float(best)
     return history

@@ -16,10 +16,11 @@ import json
 import os
 import shutil
 import time
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,8 +30,7 @@ from .config import RunConfig, config_digest, save_config, to_text
 from .corpus import (BOS_ID, Article, TokenStream, Vocabulary,
                      build_vocabulary, load_articles, save_articles_jsonl,
                      split_corpus, split_sentences, tokenize)
-from .encoder import EncoderConfig, SentenceEncoder, embed_corpus, \
-    group_rows_by_article
+from .encoder import EncoderConfig, SentenceEncoder, embed_corpus
 from .errors import MissingArtifactError, ValidationError, parsing
 from .evaluation import HmmCritic, ScanItem, ScoringItem, \
     corpus_latent_perplexity, corpus_perplexity, hmm_fit, noise_scan, \
@@ -113,7 +113,10 @@ class RunData:
     through `path`, which refuses (unless `force`) a file that `why_stale`
     finds not current, and records its name. Every output is written at the
     hidden path `artifact` gives; `finish` moves each onto its name, pins the
-    config and writes manifests whose inputs are exactly the recorded names.
+    config and writes manifests whose inputs are exactly the recorded names,
+    with hashes that `sha256` takes once per file and step. The corpus is
+    segmented once, into `sentences`; their order, `index`, is the row layout
+    of every per-sentence artifact, and each is checked against it on read.
     Leaving the `with` block by an exception unlinks every staged file, so a
     failed step publishes, pins and leaves behind nothing. Artifacts load
     lazily and once, and are shared: callers must not mutate them."""
@@ -137,6 +140,13 @@ class RunData:
         self.manifests: dict[str, dict | None] = {}  # every file read so far
         self.outputs: list[str] = []  # every file staged so far
         self._prepared: dict[str, list[PreparedArticle]] = {}
+        self._sha256: dict[str, str] = {}
+
+    def sha256(self, name: str) -> str:
+        """The hash of the run-directory file `name`, computed once."""
+        if name not in self._sha256:
+            self._sha256[name] = storage.file_sha256(self.out_dir / name)
+        return self._sha256[name]
 
     def path(self, name: str) -> Path:
         """The run-directory file `name`, checked and recorded on first use."""
@@ -163,7 +173,7 @@ class RunData:
                     f"{manifest['config_digest']}, current is {self.digest}")
         stale = [key for key, sha256 in manifest["inputs"].items()
                  if not (self.out_dir / key).exists()
-                 or storage.file_sha256(self.out_dir / key) != sha256]
+                 or self.sha256(key) != sha256]
         if stale:
             return (f"{name} is stale: its input {stale[0]} changed since "
                     f"`planlm {manifest['subcommand']}` made it")
@@ -181,7 +191,7 @@ class RunData:
         for name in self.outputs:
             os.replace(self.out_dir / f".{name}.tmp", self.out_dir / name)
         save_config(self.config, self.out_dir / "config.txt")
-        inputs = [self.out_dir / name for name in self.manifests]
+        inputs = {name: self.sha256(name) for name in self.manifests}
         for name in self.outputs:
             storage.write_manifest(self.out_dir / name, subcommand, self.digest,
                                    self.config.seed, inputs,
@@ -213,36 +223,56 @@ class RunData:
         return Vocabulary.load(self.path("vocab.txt"))
 
     @cached_property
-    def sentence_counts(self) -> dict[str, int]:
-        """The number of sentences of each corpus article, each at least 1."""
-        return {a.id: len(split_sentences(a.text, a.id))
+    def sentences(self) -> dict[str, list[str]]:
+        """Each corpus article's sentence texts, in corpus order: the one
+        segmentation every per-sentence artifact is laid out by."""
+        return {a.id: [span.text(a.text)
+                       for span in split_sentences(a.text, a.id)]
                 for a in self.by_id.values()}
 
-    def _per_sentence(self, name: str, rows: dict, what: str) -> None:
-        """Refuse the artifact `name` unless `rows` holds one row per
+    @cached_property
+    def index(self) -> list[tuple[str, int]]:
+        """The (article_id, sentence_index) of each per-sentence row."""
+        return [(article_id, j) for article_id, texts in self.sentences.items()
+                for j in range(len(texts))]
+
+    def _refusal(self, name: str, problem: str) -> ValidationError:
+        return ValidationError(f"{self.out_dir / name}: {problem}; rerun "
+                               f"`planlm {_producer(name)}`")
+
+    def _per_sentence(self, name: str, counts: Mapping[str, int],
+                      what: str) -> None:
+        """Refuse the artifact `name` unless `counts` holds one row per
         sentence of every corpus article."""
-        for article_id, n in self.sentence_counts.items():
-            got = len(rows.get(article_id, ()))
-            if got != n:
-                raise ValidationError(
-                    f"{self.out_dir / name}: article {article_id!r} has {got} "
-                    f"{what} for its {n} sentences; rerun "
-                    f"`planlm {_producer(name)}`")
+        for article_id, texts in self.sentences.items():
+            got = counts.get(article_id, 0)
+            if got != len(texts):
+                raise self._refusal(name, f"article {article_id!r} has {got} "
+                                    f"{what} for its {len(texts)} sentences")
 
     @cached_property
     def embeddings(self) -> dict[str, np.ndarray]:
-        """Per-article sentence embeddings, one row per sentence."""
-        embeddings = group_rows_by_article(
-            storage.read_matrix(self.path("embeddings.plmb")),
-            storage.read_matrix_index(self.path("embeddings.idx")))
-        self._per_sentence("embeddings.idx", embeddings, "rows")
-        return embeddings
+        """Per-article sentence embeddings: the rows of `embeddings.plmb`,
+        which `embeddings.idx` must list as `index` does."""
+        matrix = storage.read_matrix(self.path("embeddings.plmb"))
+        index = storage.read_matrix_index(self.path("embeddings.idx"))
+        self._per_sentence("embeddings.idx",
+                           Counter(article_id for article_id, _ in index), "rows")
+        if index != self.index:
+            raise self._refusal("embeddings.idx", "rows are not in the corpus "
+                                "order of articles and sentences")
+        if matrix.shape[0] != len(index):
+            raise self._refusal("embeddings.plmb", f"{matrix.shape[0]} rows "
+                                f"for the {len(index)} of embeddings.idx")
+        ends = np.cumsum([len(texts) for texts in self.sentences.values()])
+        return dict(zip(self.sentences, np.split(matrix, ends[:-1])))
 
     @cached_property
     def oracle(self) -> dict[str, list[int]]:
         """Per-article oracle actions, one per sentence."""
         oracle = storage.read_action_sequences(self.path("actions.tsv"))
-        self._per_sentence("actions.tsv", oracle, "actions")
+        self._per_sentence("actions.tsv", {aid: len(actions) for aid, actions
+                                           in oracle.items()}, "actions")
         return oracle
 
     @cached_property
@@ -298,16 +328,15 @@ def step_embed(config: RunConfig, out_dir: Path, force: bool = False,
     with RunData(out_dir, config, force) as data:
         if external_embeddings is not None:
             matrix = storage.read_matrix(Path(external_embeddings))
-            index = [(article_id, j) for article_id, n
-                     in data.sentence_counts.items() for j in range(n)]
-            if matrix.shape[0] != len(index):
+            if matrix.shape[0] != len(data.index):
                 raise ValidationError(
                     f"external embeddings have {matrix.shape[0]} rows; corpus has "
-                    f"{len(index)} sentences")
+                    f"{len(data.index)} sentences")
         else:
-            matrix, index = embed_corpus(data.by_id.values(), data.encoder.config)
+            matrix = embed_corpus([text for texts in data.sentences.values()
+                                   for text in texts], data.encoder)
         storage.write_matrix(data.artifact("embeddings.plmb"), matrix)
-        storage.write_matrix_index(data.artifact("embeddings.idx"), index)
+        storage.write_matrix_index(data.artifact("embeddings.idx"), data.index)
         return data.finish("embed", {"rows": int(matrix.shape[0]),
                                      "dim": int(matrix.shape[1]),
                                      "external": external_embeddings is not None})
@@ -427,17 +456,15 @@ def scoring_items(data: RunData, split: str, regime: Regime, training: bool,
     for prepared in data.prepared(split):
         acts = sentence_actions(source, prepared.oracle, prepared.embeddings,
                                 planner)
-        stream, article_id = prepared.stream, prepared.article.id
+        stream = prepared.stream
         if regime.style == "insert":
             ids, is_action = insert_style_sequence(stream, acts, data.vocab.size)
-            items.append(ScoringItem(ids=ids, countable=~is_action,
-                                     article_id=article_id))
+            items.append(ScoringItem(ids=ids, countable=~is_action))
         else:
             items.append(ScoringItem(
                 ids=stream.token_ids.astype(np.int64),
                 actions=None if acts is None
-                else per_position_actions(stream, acts),
-                article_id=article_id))
+                else per_position_actions(stream, acts)))
     return items
 
 
@@ -747,7 +774,7 @@ def step_inspect_cluster(config: RunConfig, out_dir: Path, action_id: int,
     """Read-only: pins no config and writes nothing."""
     with RunData(out_dir, config, force) as data:
         action_set = data.action_set
-        hits = inspect_cluster(action_id, data.by_id.values(), action_set, top_n,
+        hits = inspect_cluster(action_id, data.sentences, action_set, top_n,
                                data.embeddings)
         sizes = np.bincount([a for seq in data.oracle.values() for a in seq],
                             minlength=action_set.k)

@@ -173,14 +173,16 @@ def file_sha256(path: Path) -> str:
 
 
 def write_manifest(artifact_path: Path, subcommand: str, config_digest: str,
-                   seed: int | None, inputs: list[Path],
+                   seed: int | None, inputs: dict[str, str],
                    wall_time_s: float, extra: dict | None = None) -> Path:
+    """`inputs` maps the name of each file the artifact was made from to its
+    `file_sha256`."""
     manifest = {
         "artifact": Path(artifact_path).name,
         "subcommand": subcommand,
         "config_digest": config_digest,
         "seed": seed,
-        "inputs": {Path(p).name: file_sha256(p) for p in inputs},
+        "inputs": inputs,
         "wall_time_s": round(wall_time_s, 3),
         "extra": extra or {},
     }

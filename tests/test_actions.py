@@ -3,7 +3,6 @@ import pytest
 
 from planlm.actions import (ActionSet, assign_actions, inspect_cluster,
                             kmeans_fit)
-from planlm.corpus import Article
 from planlm.encoder import EncoderConfig, SentenceEncoder
 from planlm.errors import ValidationError
 
@@ -120,17 +119,24 @@ def test_inspect_cluster_sorted_and_top_hit():
     enc = SentenceEncoder(ENC_CFG)
     embeddings = np.stack([enc.embed_sentence(t) for t in texts])
     action_set = kmeans_fit(embeddings, k=3, seed=0)
-    articles = [Article("a", "", " ".join(texts))]
     target = int(assign_actions(embeddings[1:2], action_set)[0])
-    hits = inspect_cluster(target, articles, action_set, top_n=3,
+    hits = inspect_cluster(target, {"a": texts}, action_set, top_n=3,
                            embeddings={"a": embeddings})
     dists = [h[0] for h in hits]
     assert dists == sorted(dists)
-    assert hits[0][1] == "Dd ee ff."
+    assert hits[0][1:] == ("Dd ee ff.", "a", 1)
     assert hits[0][0] == pytest.approx(0.0, abs=1e-9)
+
+
+def test_inspect_cluster_refuses_a_row_count_other_than_the_sentences():
+    texts = ["Aa bb cc.", "Dd ee ff."]
+    embeddings = np.eye(3, 4, dtype=np.float32)
+    action_set = ActionSet(embeddings[:2].copy())
+    with pytest.raises(ValueError):
+        inspect_cluster(0, {"a": texts}, action_set, 1, {"a": embeddings})
 
 
 def test_inspect_cluster_unknown_id():
     action_set = ActionSet(np.zeros((2, 3), dtype=np.float32))
     with pytest.raises(ValidationError):
-        inspect_cluster(5, [], action_set, 1, {})
+        inspect_cluster(5, {}, action_set, 1, {})

@@ -3,12 +3,13 @@ import dataclasses
 import itertools
 import json
 import shutil
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from planlm import generation, pipeline, storage
+from planlm import corpus, generation, pipeline, storage
 from planlm.cli import build_parser, effective_config, main
 from planlm.config import RunConfig
 from planlm.corpus import load_articles, save_articles_jsonl
@@ -605,6 +606,45 @@ def test_path_reads_each_manifest_once(full_run, monkeypatch):
     assert read == ["lm_fixed.plmc"]
 
 
+def test_a_step_hashes_each_file_once(full_run, tmp_path, monkeypatch):
+    out = copy_of(full_run, tmp_path)
+    assert main(args(out, "finetune", "--regime", "oracle")) == 0
+    hashed = []
+    file_sha256 = storage.file_sha256
+
+    def spy(path):
+        hashed.append(Path(path).name)
+        return file_sha256(path)
+
+    monkeypatch.setattr(storage, "file_sha256", spy)
+    assert main(args(out, "scan-oracle")) == 0
+    assert "corpus.jsonl" in hashed
+    assert len(hashed) == len(set(hashed)), Counter(hashed)
+
+
+def test_a_step_splits_every_article_once(full_run, tmp_path, monkeypatch,
+                                          capsys):
+    out = copy_of(full_run, tmp_path)
+    n_articles = len(load_articles(out / "corpus.jsonl"))
+    split = corpus.split_sentences
+    calls = []
+
+    def spy(text, article_id=""):
+        calls.append(article_id)
+        return split(text, article_id)
+
+    monkeypatch.setattr(pipeline, "split_sentences", spy)
+    monkeypatch.setattr(corpus, "split_sentences", spy)
+    for command in (["embed"], ["cluster"], ["actions"],
+                    ["inspect-cluster", "--action-id", "0"]):
+        calls.clear()
+        assert main(args(out, *command)) == 0
+        splits = Counter(calls)
+        assert len(splits) == n_articles and set(splits.values()) == {1}, \
+            (command, splits)
+    capsys.readouterr()
+
+
 def test_artifact_without_manifest_refused_unless_forced(full_run, tmp_path,
                                                          capsys):
     out = copy_of(full_run, tmp_path)
@@ -753,10 +793,12 @@ def test_edit_compares_the_complete_sentences_of_both_sides(full_run, tmp_path,
     out = copy_of(full_run, tmp_path)
     config = effective_config(build_parser().parse_args(args(out, "evaluate")))
     article = pipeline.RunData(out, config).prepared("test")[0]
-    spans = article.stream.spans
-    h = len(spans) // 2
+    stream = article.stream
+    h = len(stream.spans) // 2
     # the continuation's sentences close after these counts of its tokens
-    ends = np.cumsum([len(span.token_ids) for span in spans[h:]]).tolist()
+    lengths = np.bincount(stream.sentence_index_of_token[1:],
+                          minlength=len(stream.spans))
+    ends = np.cumsum(lengths[h:]).tolist()
     oracle = article.oracle[h:]
     closed = {L: sum(end <= L for end in ends) for L in (16, 32)}
     # one sentence ends within 16 tokens, and another between 17 and 32
@@ -835,6 +877,30 @@ def test_article_without_a_row_per_sentence_refused_with_one_error_line(
     assert len(err) == 1 and err[0].startswith("error:")
     assert repr(article_id) in err[0] and name in err[0] \
         and producer in err[0], err[0]
+
+
+@pytest.mark.parametrize("damage, name", [
+    ("two articles swapped", "embeddings.idx"),
+    ("one row short", "embeddings.plmb"),
+])
+def test_embeddings_off_the_corpus_layout_refused_with_one_error_line(
+        full_run, tmp_path, capsys, damage, name):
+    out = copy_of(full_run, tmp_path)
+    if damage == "two articles swapped":
+        index = storage.read_matrix_index(out / "embeddings.idx")
+        first, last = index[0][0], index[-1][0]
+        storage.write_matrix_index(out / "embeddings.idx", (
+            [row for row in index if row[0] == last]
+            + [row for row in index if row[0] not in (first, last)]
+            + [row for row in index if row[0] == first]))
+    else:
+        matrix = storage.read_matrix(out / "embeddings.plmb")
+        storage.write_matrix(out / "embeddings.plmb", matrix[:-1])
+    capsys.readouterr()
+    assert main(args(out, "cluster")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert name in err[0] and "planlm embed" in err[0], err[0]
 
 
 def test_run_directory_holds_only_published_artifacts(full_run):

@@ -12,6 +12,11 @@ def texts(spans, source):
     return [s.text(source) for s in spans]
 
 
+def sentence_tokens(stream, j):
+    """The token ids of sentence j, without the leading <bos>."""
+    return tuple(stream.token_ids[1:][stream.sentence_index_of_token[1:] == j])
+
+
 # -- sentence splitting --------------------------------------------------------
 
 
@@ -130,15 +135,15 @@ def test_tokenize_alignment():
             vocab.id_of("c"), vocab.id_of(".")]
     assert stream.token_ids.tolist() == want
     assert stream.sentence_index_of_token.tolist() == [0, 0, 0, 0, 1, 1]
-    assert stream.spans[0].token_ids == tuple(want[1:4])
+    assert sentence_tokens(stream, 0) == tuple(want[1:4])
 
 
 def test_tokenize_oov_sentence_kept():
     a = Article("a", "", "Xx yy. Zz.")
     vocab = Vocabulary(["<unk>", "<bos>", "zz", "."])
     stream = tokenize(a, vocab)
-    assert stream.spans[0].token_ids == (corpus.UNK_ID, corpus.UNK_ID,
-                                         vocab.id_of("."))
+    assert sentence_tokens(stream, 0) == (corpus.UNK_ID, corpus.UNK_ID,
+                                          vocab.id_of("."))
 
 
 def test_tokenize_single_sentence_all_zero_indices():

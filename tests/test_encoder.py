@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from planlm import storage
-from planlm.corpus import Article
 from planlm.encoder import (EncoderConfig, SentenceEncoder, embed_corpus,
-                            empty_sentence_vector, group_rows_by_article)
+                            empty_sentence_vector)
 from planlm.errors import ValidationError
 
 CFG = EncoderConfig(dim=32, hash_buckets=4096, projection_seed=11)
@@ -63,39 +62,27 @@ def test_config_validation():
 
 
 def test_embed_corpus_shape_and_rows():
-    art = Article("a", "", "One here. Two there. Three everywhere.")
-    matrix, index = embed_corpus([art], CFG)
+    matrix = embed_corpus(["One here.", "Two there.", "Three everywhere."],
+                          SentenceEncoder(CFG))
     assert matrix.shape == (3, CFG.dim)
-    assert index == [("a", 0), ("a", 1), ("a", 2)]
-    enc = SentenceEncoder(CFG)
-    np.testing.assert_array_equal(matrix[1], enc.embed_sentence("Two there."))
+    np.testing.assert_array_equal(matrix[1], embed_sentence("Two there.", CFG))
 
 
 def test_embed_corpus_rerun_bit_identical(tmp_path):
-    arts = [Article("a", "", "Alpha one. Beta two."),
-            Article("b", "", "Gamma three.")]
+    # a fresh encoder and one with warm caches write the same bytes
+    texts = ["Alpha one.", "Beta two.", "Gamma three."]
+    encoder = SentenceEncoder(CFG)
     p1, p2 = tmp_path / "m1.plmb", tmp_path / "m2.plmb"
     for p in (p1, p2):
-        matrix, _ = embed_corpus(arts, CFG)
-        storage.write_matrix(p, matrix)
+        storage.write_matrix(p, embed_corpus(texts, encoder))
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_permuting_sentences_permutes_rows():
-    a1 = Article("a", "", "First bit. Second bit.")
-    a2 = Article("a", "", "Second bit. First bit.")
-    m1, _ = embed_corpus([a1], CFG)
-    m2, _ = embed_corpus([a2], CFG)
+    encoder = SentenceEncoder(CFG)
+    m1 = embed_corpus(["First bit.", "Second bit."], encoder)
+    m2 = embed_corpus(["Second bit.", "First bit."], encoder)
     np.testing.assert_array_equal(m1, m2[[1, 0]])
-
-
-def test_group_rows_by_article():
-    arts = [Article("a", "", "One. Two."), Article("b", "", "Three.")]
-    matrix, index = embed_corpus(arts, CFG)
-    grouped = group_rows_by_article(matrix, index)
-    assert set(grouped) == {"a", "b"}
-    assert grouped["a"].shape == (2, CFG.dim)
-    np.testing.assert_array_equal(grouped["b"][0], matrix[2])
 
 
 def test_matrix_round_trip(tmp_path):

@@ -27,7 +27,8 @@ def _write_samples(root):
                               "b": rng.normal(size=3)}, {"kind": "base"})
     storage.write_action_sequences(root / "a.tsv", {"a": [1, 2], "b": []})
     (root / "x").write_bytes(b"")
-    storage.write_manifest(root / "x", "cluster", "0123", 0, [root / "m.plmb"],
+    storage.write_manifest(root / "x", "cluster", "0123", 0,
+                           {"m.plmb": storage.file_sha256(root / "m.plmb")},
                            0.5, {"inertia": 1.0})
     Vocabulary(["<unk>", "<bos>", "the", "cat"]).save(root / "vocab.txt")
     save_articles_jsonl([Article("a", "t", "One. Two."),
@@ -117,6 +118,6 @@ def test_manifest_inputs_are_keyed_by_file_name(tmp_path):
     source = tmp_path / "in.plmb"
     storage.write_matrix(source, np.eye(2))
     artifact.write_bytes(b"")
-    storage.write_manifest(artifact, "cluster", "0123", 0, [source], 0.1)
-    inputs = storage.read_manifest(artifact)["inputs"]
-    assert inputs == {"in.plmb": storage.file_sha256(source)}
+    inputs = {"in.plmb": storage.file_sha256(source)}
+    storage.write_manifest(artifact, "cluster", "0123", 0, inputs, 0.1)
+    assert storage.read_manifest(artifact)["inputs"] == inputs
