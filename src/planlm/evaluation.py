@@ -5,7 +5,8 @@ model-facing scorers: sliding-window perplexity and the per-step action scans.
 The scorers only see a `logit_fn(ids, actions, noise) -> (B, T, V) array`
 callable (`actions` and `noise` may be None), so they work with any
 conditioning style. All of them score their rows through one length-batched
-loop.
+loop. The HMM critic is batched the same way: its fit and its scoring run one
+scaled forward (and, to fit, backward) pass per length group of sequences.
 """
 
 from __future__ import annotations
@@ -101,25 +102,59 @@ class HmmCritic:
             raise ValidationError("initial distribution does not sum to 1")
 
 
-def _scaled_forward(critic: HmmCritic,
-                    seq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rabiner's scaled forward pass over one non-empty sequence.
+def _length_groups(seqs: Sequence[np.ndarray],
+                   ) -> list[tuple[list[int], np.ndarray]]:
+    """`(index, batch)` for each length of the non-empty sequences.
 
-    Row t of `alpha` is p(state_t | o_0..o_t) and `scale[t]` is
-    p(o_t | o_0..o_t-1), so log p(seq) = sum(log(scale)) without underflow.
+    `batch` stacks the sequences of one length into an (S, T) array, in
+    first-seen order, and `index` holds their positions in `seqs`. Groups come
+    in ascending length.
     """
-    alpha = np.empty((len(seq), critic.n_states))
-    scale = np.empty(len(seq))
-    prior = critic.initial
-    for t, symbol in enumerate(seq):
-        joint = prior * critic.emission[:, symbol]
-        scale[t] = joint.sum()
-        if scale[t] == 0.0:
+    nonempty = [i for i, s in enumerate(seqs) if len(s) > 0]
+    return [(index, np.stack([seqs[i] for i in index]))
+            for index in length_batches(nonempty, lambda i: len(seqs[i]),
+                                        len(nonempty))]
+
+
+def _scaled_forward(critic: HmmCritic, batch: np.ndarray,
+                    index: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Rabiner's scaled forward pass over (S, T) equal-length sequences.
+
+    `alpha[s, t]` is p(state_t | o_0..o_t) and `scale[s, t]` is
+    p(o_t | o_0..o_t-1), so log p(sequence s) = sum(log(scale[s])) without
+    underflow. Each step updates all S rows at once. A symbol of probability
+    zero is refused, naming its sequence by `index`.
+    """
+    n_seqs, length = batch.shape
+    alpha = np.empty((n_seqs, length, critic.n_states))
+    scale = np.empty((n_seqs, length))
+    emitted = critic.emission.T[batch]  # (S, T, N): p(o_t | state)
+    prior = np.broadcast_to(critic.initial, (n_seqs, critic.n_states))
+    for t in range(length):
+        joint = prior * emitted[:, t]
+        scale[:, t] = joint.sum(axis=1)
+        if not scale[:, t].all():
+            row = np.flatnonzero(scale[:, t] == 0.0)[0]
             raise ValidationError(
-                f"symbol {symbol} at step {t} has probability zero")
-        alpha[t] = joint / scale[t]
-        prior = alpha[t] @ critic.transition
+                f"sequence {index[row]}: symbol {batch[row, t]} at step {t} "
+                f"has probability zero")
+        alpha[:, t] = joint / scale[:, t, None]
+        prior = alpha[:, t] @ critic.transition
     return alpha, scale
+
+
+def _scaled_backward(critic: HmmCritic, batch: np.ndarray,
+                     scale: np.ndarray) -> np.ndarray:
+    """Beta of the scaled forward pass, over the same (S, T) batch.
+
+    `beta[s, t]` is p(o_t+1.. | state_t) / p(o_t+1.. | o_0..o_t).
+    """
+    emitted = critic.emission.T[batch]
+    beta = np.ones_like(emitted)
+    for t in range(batch.shape[1] - 2, -1, -1):
+        beta[:, t] = ((emitted[:, t + 1] * beta[:, t + 1])
+                      @ critic.transition.T / scale[:, t + 1, None])
+    return beta
 
 
 def hmm_forward_loglik(critic: HmmCritic, sequence: Sequence[int]) -> float:
@@ -127,19 +162,22 @@ def hmm_forward_loglik(critic: HmmCritic, sequence: Sequence[int]) -> float:
     seq = np.asarray(sequence, dtype=np.int64)
     if seq.size == 0:
         raise ValidationError("cannot score an empty sequence")
-    return float(np.log(_scaled_forward(critic, seq)[1]).sum())
+    _, scale = _scaled_forward(critic, seq[None], [0])
+    return float(np.log(scale).sum())
 
 
 def corpus_latent_perplexity(critic: HmmCritic,
                              sequences: Sequence[Sequence[int]]) -> float | None:
-    """Length-weighted latent perplexity over sequences; None if all empty."""
+    """Length-weighted latent perplexity over sequences; None if all empty.
+
+    One scaled forward pass per length group scores its sequences together.
+    """
+    seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
     total_ll = 0.0
     total_len = 0
-    for seq in sequences:
-        if len(seq) == 0:
-            continue
-        total_ll += hmm_forward_loglik(critic, seq)
-        total_len += len(seq)
+    for index, batch in _length_groups(seqs):
+        total_ll += float(np.log(_scaled_forward(critic, batch, index)[1]).sum())
+        total_len += batch.size
     if total_len == 0:
         return None
     return float(np.exp(-total_ll / total_len))
@@ -149,14 +187,28 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
             seed: int, max_iters: int = 100,
             smoothing: float = 1e-6) -> HmmCritic:
     """Baum-Welch EM, scaled forward-backward, from a Dirichlet-uniform
-    random init."""
-    seqs = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) > 0]
-    if not seqs:
+    random init.
+
+    The non-empty sequences are grouped by length once. Each iteration runs
+    one batched forward and backward pass per group, in ascending length, and
+    adds the group's statistics in that order: the initial-state posteriors
+    summed over its sequences, the emission posteriors by one `np.add.at`
+    over its symbols in sequence order, and the transition posteriors by one
+    product over all its t -> t+1 steps.
+    """
+    seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
+    groups = _length_groups(seqs)
+    if not groups:
         raise ValidationError("hmm_fit needs at least one non-empty sequence")
-    for s in seqs:
-        if s.min() < 0 or s.max() >= n_symbols:
-            raise ValidationError(f"symbol out of range [0, {n_symbols})")
-    total_symbols = sum(len(s) for s in seqs)
+    symbols = np.concatenate(seqs)
+    bad = np.flatnonzero((symbols < 0) | (symbols >= n_symbols))
+    if bad.size:
+        ends = np.cumsum([len(s) for s in seqs])
+        first = int(np.searchsorted(ends, bad[0], side="right"))
+        raise ValidationError(
+            f"sequence {first}: symbol {symbols[bad[0]]} out of range "
+            f"[0, {n_symbols})")
+    total_symbols = symbols.size
 
     rng = np.random.default_rng(seed)
     critic = HmmCritic(
@@ -173,21 +225,19 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
         b_stats = np.zeros((n_states, n_symbols))
         total_ll = 0.0
 
-        for seq in seqs:
-            alpha, scale = _scaled_forward(critic, seq)
-            # beta[t] = p(o_t+1.. | state_t) / p(o_t+1.. | o_0..o_t)
-            beta = np.ones_like(alpha)
-            for t in range(len(seq) - 2, -1, -1):
-                beta[t] = critic.transition @ (
-                    critic.emission[:, seq[t + 1]] * beta[t + 1]) / scale[t + 1]
+        for index, batch in groups:
+            alpha, scale = _scaled_forward(critic, batch, index)
+            beta = _scaled_backward(critic, batch, scale)
             total_ll += float(np.log(scale).sum())
 
             gamma = alpha * beta
-            pi_stats += gamma[0]
-            np.add.at(b_stats.T, seq, gamma)
+            pi_stats += gamma[:, 0].sum(axis=0)
+            np.add.at(b_stats.T, batch.ravel(), gamma.reshape(-1, n_states))
             # xi summed over t: one product over all transitions t -> t+1
-            ahead = critic.emission[:, seq[1:]].T * beta[1:] / scale[1:, None]
-            t_stats += critic.transition * (alpha[:-1].T @ ahead)
+            ahead = (critic.emission.T[batch[:, 1:]] * beta[:, 1:]
+                     / scale[:, 1:, None]).reshape(-1, n_states)
+            t_stats += critic.transition * (
+                alpha[:, :-1].reshape(-1, n_states).T @ ahead)
 
         if total_ll < prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
             raise AssertionError(

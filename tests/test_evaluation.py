@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from planlm import evaluation
 from planlm.errors import ValidationError
 from planlm.evaluation import (HmmCritic, ScanItem, ScoringItem,
                                corpus_latent_perplexity, corpus_nll, hmm_fit,
@@ -210,6 +211,115 @@ def test_one_em_step_matches_path_enumeration():
                                    rtol=1e-10)
 
 
+def loop_forward(critic, seq):
+    """The scaled forward pass over one sequence, one step at a time."""
+    alpha = np.empty((len(seq), critic.n_states))
+    scale = np.empty(len(seq))
+    prior = critic.initial
+    for t, symbol in enumerate(seq):
+        joint = prior * critic.emission[:, symbol]
+        scale[t] = joint.sum()
+        alpha[t] = joint / scale[t]
+        prior = alpha[t] @ critic.transition
+    return alpha, scale
+
+
+def loop_hmm_fit(sequences, n_states, n_symbols, seed, max_iters,
+                 smoothing=1e-6):
+    """Baum-Welch with one forward and one backward pass per sequence."""
+    seqs = [np.asarray(s, dtype=np.int64) for s in sequences if len(s) > 0]
+    total_symbols = sum(len(s) for s in seqs)
+    rng = np.random.default_rng(seed)
+    critic = HmmCritic(
+        initial=rng.dirichlet(np.ones(n_states)),
+        transition=rng.dirichlet(np.ones(n_states), size=n_states),
+        emission=rng.dirichlet(np.ones(n_symbols), size=n_states))
+    prev_ll = -np.inf
+    iterations = 0
+    for _ in range(max_iters):
+        iterations += 1
+        pi_stats = np.zeros(n_states)
+        t_stats = np.zeros((n_states, n_states))
+        b_stats = np.zeros((n_states, n_symbols))
+        total_ll = 0.0
+        for seq in seqs:
+            alpha, scale = loop_forward(critic, seq)
+            beta = np.ones_like(alpha)
+            for t in range(len(seq) - 2, -1, -1):
+                beta[t] = critic.transition @ (
+                    critic.emission[:, seq[t + 1]] * beta[t + 1]) / scale[t + 1]
+            total_ll += float(np.log(scale).sum())
+            gamma = alpha * beta
+            pi_stats += gamma[0]
+            np.add.at(b_stats.T, seq, gamma)
+            ahead = critic.emission[:, seq[1:]].T * beta[1:] / scale[1:, None]
+            t_stats += critic.transition * (alpha[:-1].T @ ahead)
+        if total_ll < prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
+            raise AssertionError("EM log-likelihood decreased")
+        gain = (total_ll - prev_ll) / total_symbols
+        prev_ll = total_ll
+        transition = t_stats + smoothing
+        transition /= transition.sum(axis=1, keepdims=True)
+        emission = b_stats + smoothing
+        emission /= emission.sum(axis=1, keepdims=True)
+        critic = HmmCritic(initial=pi_stats / pi_stats.sum(),
+                           transition=transition, emission=emission)
+        if gain < evaluation.HMM_TOL_PER_SYMBOL:
+            break
+    critic.log_likelihood = prev_ll
+    critic.iterations_run = iterations
+    return critic
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_batched_fit_matches_the_per_sequence_loop(data):
+    n_states = data.draw(st.integers(1, 4), label="n_states")
+    n_symbols = data.draw(st.integers(2, 6), label="n_symbols")
+    seqs = data.draw(st.lists(st.lists(st.integers(0, n_symbols - 1),
+                                       min_size=1, max_size=12),
+                              min_size=1, max_size=20), label="seqs")
+    seed = data.draw(st.integers(0, 2**16), label="seed")
+    max_iters = data.draw(st.integers(1, 20), label="max_iters")
+    try:
+        want = loop_hmm_fit(seqs, n_states, n_symbols, seed, max_iters)
+    except AssertionError:  # smoothing can lower a likelihood near 1
+        with pytest.raises(AssertionError, match="EM log-likelihood decreased"):
+            hmm_fit(seqs, n_states, n_symbols, seed=seed, max_iters=max_iters)
+        return
+    got = hmm_fit(seqs, n_states, n_symbols, seed=seed, max_iters=max_iters)
+    assert got.iterations_run == want.iterations_run
+    assert got.log_likelihood == pytest.approx(want.log_likelihood, rel=1e-12)
+    # Summation order differs from the loop's at the ulp level, and the EM
+    # steps can amplify that on entries far below 1: hence the 1e-14 floor.
+    for name in ("initial", "transition", "emission"):
+        np.testing.assert_allclose(getattr(got, name), getattr(want, name),
+                                   rtol=1e-12, atol=1e-14)
+    log_p = sum(float(np.log(loop_forward(got, np.asarray(seq))[1]).sum())
+                for seq in seqs)
+    total_len = sum(len(seq) for seq in seqs)
+    assert corpus_latent_perplexity(got, seqs) == pytest.approx(
+        math.exp(-log_p / total_len), rel=1e-12)
+
+
+def test_fit_runs_one_forward_per_length_group_and_iteration(monkeypatch):
+    shapes = []
+    forward = evaluation._scaled_forward
+
+    def spy(critic, batch, index):
+        shapes.append(batch.shape)
+        return forward(critic, batch, index)
+
+    monkeypatch.setattr(evaluation, "_scaled_forward", spy)
+    rng = np.random.default_rng(0)
+    seqs = [rng.integers(0, 6, 8).tolist() for _ in range(40)]
+    for at in (0, 20, 42):
+        seqs.insert(at, rng.integers(0, 6, 5).tolist())
+    critic = hmm_fit(seqs, n_states=3, n_symbols=6, seed=0, max_iters=2)
+    assert critic.iterations_run == 2
+    assert shapes == [(3, 5), (40, 8)] * 2
+
+
 def test_single_state_fit_recovers_unigram():
     seqs = [[0, 1, 1, 2], [2, 2, 1]]
     critic = hmm_fit(seqs, n_states=1, n_symbols=4, seed=0)
@@ -278,9 +388,21 @@ def test_forward_refuses_a_sequence_of_probability_zero():
         hmm_forward_loglik(critic, [0, 0, 1])
 
 
+def test_batched_forward_names_the_impossible_sequence():
+    critic = HmmCritic(initial=np.array([1.0]), transition=np.array([[1.0]]),
+                       emission=np.array([[1.0, 0.0]]))
+    assert corpus_latent_perplexity(critic, [[0, 0, 0], [0, 0]]) == 1.0
+    with pytest.raises(ValidationError,
+                       match="^sequence 1: symbol 1 at step 2 has"):
+        corpus_latent_perplexity(critic, [[0, 0, 0], [0, 0, 1]])
+
+
 def test_fit_rejects_bad_symbols():
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError,
+                       match=r"^sequence 0: symbol 9 out of range \[0, 3\)"):
         hmm_fit([[0, 9]], n_states=2, n_symbols=3, seed=0)
+    with pytest.raises(ValidationError, match="^sequence 2: symbol -1 "):
+        hmm_fit([[0, 1], [], [-1, 2], [5]], n_states=2, n_symbols=3, seed=0)
     with pytest.raises(ValidationError):
         hmm_fit([[]], n_states=2, n_symbols=3, seed=0)
 
