@@ -1,16 +1,16 @@
 """Corpus ingestion: articles, sentence segmentation, word-level tokenization.
 
 Articles come in as JSON lines (`id`, `title`, `text`) or a directory of
-.txt files. Text units are sentences found by a deterministic rule-based
-splitter; tokens are lowercased alphanumeric runs and single punctuation
-marks mapped through a capped vocabulary.
+.txt files. A deterministic rule-based splitter cuts each into sentences,
+once; `tokenize` maps their texts to lowercased alphanumeric runs and single
+punctuation marks, through a capped vocabulary.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -47,8 +47,6 @@ class Article:
 class SentenceSpan:
     """One text unit: a half-open [char_start, char_end) slice of an article."""
 
-    article_id: str
-    index: int
     char_start: int
     char_end: int
 
@@ -67,7 +65,6 @@ class TokenStream:
     article_id: str
     token_ids: np.ndarray
     sentence_index_of_token: np.ndarray
-    spans: list[SentenceSpan] = field(default_factory=list)
 
     def __len__(self) -> int:
         return int(self.token_ids.shape[0])
@@ -91,7 +88,7 @@ def _is_sentence_boundary(text: str, i: int) -> bool:
     return j == len(text) or text[j].isupper()
 
 
-def split_sentences(text: str, article_id: str = "") -> list[SentenceSpan]:
+def split_sentences(text: str) -> list[SentenceSpan]:
     """Rule-based sentence segmentation.
 
     Splits after `.`, `!`, `?` followed by whitespace and an uppercase letter
@@ -127,7 +124,7 @@ def split_sentences(text: str, article_id: str = "") -> list[SentenceSpan]:
         i = j
     if start >= 0:
         spans.append((start, last + 1))
-    return [SentenceSpan(article_id, k, s, e) for k, (s, e) in enumerate(spans)]
+    return [SentenceSpan(s, e) for s, e in spans]
 
 
 def word_tokens(text: str) -> list[str]:
@@ -178,19 +175,19 @@ def build_vocabulary(articles: Iterable[Article], max_size: int) -> Vocabulary:
     return Vocabulary([UNK_TOKEN, BOS_TOKEN] + kept)
 
 
-def tokenize(article: Article, vocab: Vocabulary) -> TokenStream:
-    """Map each sentence's tokens through the vocabulary, <bos> first."""
-    spans = split_sentences(article.text, article.id)
+def tokenize(article: Article, vocab: Vocabulary,
+             sentences: Sequence[str]) -> TokenStream:
+    """Map the article's sentence texts, as `split_sentences` cut them,
+    through the vocabulary, <bos> first; sentence j's tokens carry index j."""
     ids: list[int] = [BOS_ID]
     sent_idx: list[int] = [0]
-    for span in spans:
-        tok_ids = [vocab.id_of(t) for t in word_tokens(span.text(article.text))]
+    for j, text in enumerate(sentences):
+        tok_ids = [vocab.id_of(t) for t in word_tokens(text)]
         ids.extend(tok_ids)
-        sent_idx.extend([span.index] * len(tok_ids))
+        sent_idx.extend([j] * len(tok_ids))
     return TokenStream(article.id,
                        np.asarray(ids, dtype=np.int32),
-                       np.asarray(sent_idx, dtype=np.int32),
-                       spans)
+                       np.asarray(sent_idx, dtype=np.int32))
 
 
 def detokenize(tokens: Sequence[str]) -> str:

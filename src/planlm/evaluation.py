@@ -116,6 +116,15 @@ def _length_groups(seqs: Sequence[np.ndarray],
                                         len(nonempty))]
 
 
+def _check_symbols(seqs: Sequence[np.ndarray], n_symbols: int) -> None:
+    """Refuse a symbol outside [0, n_symbols), naming its sequence."""
+    for i, seq in enumerate(seqs):
+        bad = seq[(seq < 0) | (seq >= n_symbols)]
+        if bad.size:
+            raise ValidationError(f"sequence {i}: symbol {bad[0]} out of "
+                                  f"range [0, {n_symbols})")
+
+
 def _scaled_forward(critic: HmmCritic, batch: np.ndarray,
                     index: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Rabiner's scaled forward pass over (S, T) equal-length sequences.
@@ -173,6 +182,7 @@ def corpus_latent_perplexity(critic: HmmCritic,
     One scaled forward pass per length group scores its sequences together.
     """
     seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
+    _check_symbols(seqs, critic.emission.shape[1])
     total_ll = 0.0
     total_len = 0
     for index, batch in _length_groups(seqs):
@@ -194,21 +204,18 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
     adds the group's statistics in that order: the initial-state posteriors
     summed over its sequences, the emission posteriors by one `np.add.at`
     over its symbols in sequence order, and the transition posteriors by one
-    product over all its t -> t+1 steps.
+    product over all its t -> t+1 steps. The `smoothing` pseudo-counts make
+    each step MAP-EM under a Dirichlet prior: it never lowers the
+    log-likelihood plus `smoothing` times the summed log transition and
+    emission probabilities, though it may lower the likelihood alone. The
+    stopping rule and `log_likelihood` use the likelihood alone.
     """
     seqs = [np.asarray(s, dtype=np.int64) for s in sequences]
     groups = _length_groups(seqs)
     if not groups:
         raise ValidationError("hmm_fit needs at least one non-empty sequence")
-    symbols = np.concatenate(seqs)
-    bad = np.flatnonzero((symbols < 0) | (symbols >= n_symbols))
-    if bad.size:
-        ends = np.cumsum([len(s) for s in seqs])
-        first = int(np.searchsorted(ends, bad[0], side="right"))
-        raise ValidationError(
-            f"sequence {first}: symbol {symbols[bad[0]]} out of range "
-            f"[0, {n_symbols})")
-    total_symbols = symbols.size
+    _check_symbols(seqs, n_symbols)
+    total_symbols = sum(len(s) for s in seqs)
 
     rng = np.random.default_rng(seed)
     critic = HmmCritic(
@@ -216,7 +223,7 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
         transition=rng.dirichlet(np.ones(n_states), size=n_states),
         emission=rng.dirichlet(np.ones(n_symbols), size=n_states))
 
-    prev_ll = -np.inf
+    prev_ll = prev_objective = -np.inf
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
@@ -239,11 +246,13 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
             t_stats += critic.transition * (
                 alpha[:, :-1].reshape(-1, n_states).T @ ahead)
 
-        if total_ll < prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
+        objective = total_ll + smoothing * float(
+            np.log(critic.transition).sum() + np.log(critic.emission).sum())
+        if objective < prev_objective - 1e-8 * max(1.0, abs(prev_objective)):
             raise AssertionError(
-                f"EM log-likelihood decreased: {prev_ll} -> {total_ll}")
+                f"EM objective decreased: {prev_objective} -> {objective}")
         gain = (total_ll - prev_ll) / total_symbols
-        prev_ll = total_ll
+        prev_ll, prev_objective = total_ll, objective
 
         transition = t_stats + smoothing
         transition /= transition.sum(axis=1, keepdims=True)

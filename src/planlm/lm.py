@@ -245,20 +245,11 @@ class ActionAdapter:
 # -- action/position alignment ---------------------------------------------------
 
 
-def select_action_for_position(stream: TokenStream, actions: Sequence[int],
-                               p: int) -> int:
-    """Action of the sentence containing token p+1 (last sentence past the end)."""
-    n = len(stream)
-    if not 0 <= p < n:
-        raise ValidationError(f"position {p} out of range [0, {n})")
-    sidx = stream.sentence_index_of_token
-    j = int(sidx[p + 1]) if p + 1 < n else int(sidx[n - 1])
-    return int(actions[j])
-
-
 def per_position_actions(stream: TokenStream,
                          actions: Sequence[int]) -> np.ndarray:
-    """Vectorized select_action_for_position over all positions."""
+    """The action position p is conditioned on: that of the sentence holding
+    token p + 1, the target it predicts; the last token's sentence at the
+    last position."""
     sidx = stream.sentence_index_of_token
     action_arr = np.asarray(actions, dtype=np.int64)
     shifted = np.concatenate([sidx[1:], sidx[-1:]])

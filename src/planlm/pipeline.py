@@ -115,11 +115,12 @@ class RunData:
     hidden path `artifact` gives; `finish` moves each onto its name, pins the
     config and writes manifests whose inputs are exactly the recorded names,
     with hashes that `sha256` takes once per file and step. The corpus is
-    segmented once, into `sentences`; their order, `index`, is the row layout
-    of every per-sentence artifact, and each is checked against it on read.
-    Leaving the `with` block by an exception unlinks every staged file, so a
-    failed step publishes, pins and leaves behind nothing. Artifacts load
-    lazily and once, and are shared: callers must not mutate them."""
+    segmented once, into `sentences`, which `tokenize` maps; their order,
+    `index`, is the row layout of every per-sentence artifact, and each is
+    checked against it on read. Leaving the `with` block by an exception
+    unlinks every staged file, so a failed step publishes, pins and leaves
+    behind nothing. Artifacts load lazily and once, and are shared: callers
+    must not mutate them."""
 
     def __init__(self, out_dir: Path, config: RunConfig, force: bool = False):
         config.validate()
@@ -226,8 +227,7 @@ class RunData:
     def sentences(self) -> dict[str, list[str]]:
         """Each corpus article's sentence texts, in corpus order: the one
         segmentation every per-sentence artifact is laid out by."""
-        return {a.id: [span.text(a.text)
-                       for span in split_sentences(a.text, a.id)]
+        return {a.id: [span.text(a.text) for span in split_sentences(a.text)]
                 for a in self.by_id.values()}
 
     @cached_property
@@ -291,14 +291,12 @@ class RunData:
 
     def prepared(self, split: str) -> list[PreparedArticle]:
         if split not in self._prepared:
-            out = []
-            for article_id in self.splits[split]:
-                article = self.by_id[article_id]
-                out.append(PreparedArticle(article,
-                                           tokenize(article, self.vocab),
-                                           self.embeddings[article_id],
-                                           self.oracle[article_id]))
-            self._prepared[split] = out
+            self._prepared[split] = [
+                PreparedArticle(self.by_id[aid],
+                                tokenize(self.by_id[aid], self.vocab,
+                                         self.sentences[aid]),
+                                self.embeddings[aid], self.oracle[aid])
+                for aid in self.splits[split]]
         return self._prepared[split]
 
 
@@ -374,7 +372,8 @@ def step_actions(config: RunConfig, out_dir: Path, force: bool = False) -> dict:
 def step_pretrain_lm(config: RunConfig, out_dir: Path,
                      force: bool = False) -> dict:
     with RunData(out_dir, config, force) as data:
-        items = [ScoringItem(ids=tokenize(data.by_id[aid], data.vocab).token_ids
+        items = [ScoringItem(ids=tokenize(data.by_id[aid], data.vocab,
+                                          data.sentences[aid]).token_ids
                              .astype(np.int64)) for aid in data.splits["train"]]
         lm_config = LmConfig(vocab_size=data.vocab.size, d_model=config.lm_dim,
                              n_layers=config.lm_layers, n_heads=config.lm_heads,
@@ -513,9 +512,8 @@ def step_finetune(config: RunConfig, out_dir: Path, regime: Regime,
         return data.finish("finetune", {"history": history, "regime": regime.key})
 
 
-def _half_split_point(stream: TokenStream) -> tuple[int, int]:
-    """(first continuation sentence, first continuation token index)."""
-    m = len(stream.spans)
+def _half_split_point(stream: TokenStream, m: int) -> tuple[int, int]:
+    """(first continuation sentence, its first token) of `m` sentences."""
     h = max(1, m // 2)
     cut = int(np.searchsorted(stream.sentence_index_of_token, h))
     return h, cut
@@ -548,9 +546,9 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
                 prefixes.append(Prefix(np.array([BOS_ID], dtype=np.int64),
                                        seed, article_id))
                 continue
-            if len(stream.spans) < 2:
+            if len(prepared.oracle) < 2:
                 continue
-            h, cut = _half_split_point(stream)
+            h, cut = _half_split_point(stream, len(prepared.oracle))
             embeddings = prepared.embeddings[:h]
             acts = sentence_actions(source, prepared.oracle[:h], embeddings,
                                     planner)
@@ -585,7 +583,9 @@ def _generation_metrics(data: RunData, regime: Regime, split: str,
     against the real continuation at each length L: `rouge2` on the first L
     tokens of each, and `edit` between the actions of the sentences that close
     within them, realized ones for the generation and oracle ones for the
-    continuation. Both sides of `edit` count complete sentences only."""
+    continuation. Both sides of `edit` count complete sentences only. A record
+    whose `realized_actions` are not action ids in [0, k), or do not pair
+    with its `sentence_ends`, is refused."""
     name = generations_name(regime)
     made = (data.manifests.get(name) or {}).get("extra", {})
     if name not in data.manifests or made.get("split", split) != split:
@@ -596,28 +596,42 @@ def _generation_metrics(data: RunData, regime: Regime, split: str,
     rouge_by_len: dict[int, list[float]] = {L: [] for L in config.lengths}
     edit_by_len: dict[int, list[float]] = {L: [] for L in config.lengths}
     rates: list[float] = []
+    out: dict = {}
     path = data.path(name)
     with parsing(path):
         records = [json.loads(line) for line in
                    path.read_text(encoding="utf-8").splitlines()]
-        if any("sentence_ends" not in record for record in records):
-            raise ValidationError(
-                f"{path} records no sentence_ends: an older planlm made it; "
-                f"rerun `planlm generate --regime {regime.key}`")
-        sequences = [record["realized_actions"] for record in records]
+        for i, record in enumerate(records):
+            if "sentence_ends" not in record:
+                raise ValidationError(
+                    f"{path} records no sentence_ends: an older planlm made "
+                    f"it; rerun `planlm generate --regime {regime.key}`")
+            actions = record["realized_actions"]
+            if any(type(a) is not int for a in actions):
+                raise ValidationError(f"{path}: record {i}: realized_actions "
+                                      f"{actions} are not all action ids")
+            if len(record["sentence_ends"]) != len(actions):
+                raise ValidationError(
+                    f"{path}: record {i} has {len(record['sentence_ends'])} "
+                    f"sentence_ends for {len(actions)} realized_actions")
+        if records:
+            try:
+                out["latent_ppl"] = corpus_latent_perplexity(
+                    critic, [record["realized_actions"] for record in records])
+            except ValidationError as exc:
+                raise ValidationError(f"{path}: {exc}") from exc
         for record in records:
             if record["plan_following_rate"] is not None:
                 rates.append(float(record["plan_following_rate"]))
             if not conditional:
                 continue
             real_article = prepared[record["article_id"]]
-            stream = real_article.stream
-            h, cut = _half_split_point(stream)
+            stream, m = real_article.stream, len(real_article.oracle)
+            h, cut = _half_split_point(stream, m)
             real = stream.token_ids[cut:].tolist()
             # continuation sentence j closes after its last token
             real_ends = np.searchsorted(stream.sentence_index_of_token,
-                                        range(h, len(stream.spans)),
-                                        side="right") - cut
+                                        range(h, m), side="right") - cut
             generated = record["token_ids"]
             for length in config.lengths:
                 ref, hyp = real[:length], generated[:length]
@@ -631,9 +645,6 @@ def _generation_metrics(data: RunData, regime: Regime, split: str,
                                          record["sentence_ends"])
                      if end <= length],
                     config.edit_base_len, len(hyp)))
-    out: dict = {}
-    if records:
-        out["latent_ppl"] = corpus_latent_perplexity(critic, sequences)
     rouge = {str(L): float(np.mean(v)) for L, v in rouge_by_len.items() if v}
     edit = {str(L): float(np.mean(v)) for L, v in edit_by_len.items() if v}
     if rouge:

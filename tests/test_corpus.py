@@ -12,6 +12,11 @@ def texts(spans, source):
     return [s.text(source) for s in spans]
 
 
+def split_and_tokenize(article, vocab):
+    return tokenize(article, vocab,
+                    texts(split_sentences(article.text), article.text))
+
+
 def sentence_tokens(stream, j):
     """The token ids of sentence j, without the leading <bos>."""
     return tuple(stream.token_ids[1:][stream.sentence_index_of_token[1:] == j])
@@ -130,7 +135,7 @@ def test_word_tokens_rule():
 def test_tokenize_alignment():
     a = Article("a", "", "A b. C.")
     vocab = build_vocabulary([a], max_size=16)
-    stream = tokenize(a, vocab)
+    stream = split_and_tokenize(a, vocab)
     want = [corpus.BOS_ID, vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("."),
             vocab.id_of("c"), vocab.id_of(".")]
     assert stream.token_ids.tolist() == want
@@ -141,15 +146,24 @@ def test_tokenize_alignment():
 def test_tokenize_oov_sentence_kept():
     a = Article("a", "", "Xx yy. Zz.")
     vocab = Vocabulary(["<unk>", "<bos>", "zz", "."])
-    stream = tokenize(a, vocab)
+    stream = split_and_tokenize(a, vocab)
     assert sentence_tokens(stream, 0) == (corpus.UNK_ID, corpus.UNK_ID,
                                           vocab.id_of("."))
+
+
+def test_tokenize_maps_the_sentences_it_is_given():
+    a = Article("a", "", "A b. C.")
+    vocab = build_vocabulary([a], max_size=16)
+    stream = tokenize(a, vocab, ["A b. C."])
+    assert stream.token_ids.tolist() == \
+        split_and_tokenize(a, vocab).token_ids.tolist()
+    assert set(stream.sentence_index_of_token.tolist()) == {0}
 
 
 def test_tokenize_single_sentence_all_zero_indices():
     a = Article("a", "", "just one sentence here")
     vocab = build_vocabulary([a], max_size=16)
-    stream = tokenize(a, vocab)
+    stream = split_and_tokenize(a, vocab)
     assert set(stream.sentence_index_of_token.tolist()) == {0}
 
 
@@ -158,7 +172,7 @@ def test_tokenize_single_sentence_all_zero_indices():
 def test_sentence_indices_non_decreasing_by_at_most_one(pieces):
     a = Article("a", "", " ".join(pieces))
     vocab = build_vocabulary([a], max_size=64)
-    idx = tokenize(a, vocab).sentence_index_of_token
+    idx = split_and_tokenize(a, vocab).sentence_index_of_token
     assert idx[0] == 0
     diffs = np.diff(idx)
     assert ((diffs == 0) | (diffs == 1)).all()
@@ -167,7 +181,7 @@ def test_sentence_indices_non_decreasing_by_at_most_one(pieces):
 def test_tokenize_is_deterministic():
     a = Article("a", "", "Some words here. And more there.")
     vocab = build_vocabulary([a], max_size=32)
-    s1, s2 = tokenize(a, vocab), tokenize(a, vocab)
+    s1, s2 = split_and_tokenize(a, vocab), split_and_tokenize(a, vocab)
     assert s1.token_ids.tobytes() == s2.token_ids.tobytes()
     assert s1.sentence_index_of_token.tobytes() == s2.sentence_index_of_token.tobytes()
 

@@ -234,7 +234,7 @@ def loop_hmm_fit(sequences, n_states, n_symbols, seed, max_iters,
         initial=rng.dirichlet(np.ones(n_states)),
         transition=rng.dirichlet(np.ones(n_states), size=n_states),
         emission=rng.dirichlet(np.ones(n_symbols), size=n_states))
-    prev_ll = -np.inf
+    prev_ll = prev_objective = -np.inf
     iterations = 0
     for _ in range(max_iters):
         iterations += 1
@@ -254,10 +254,12 @@ def loop_hmm_fit(sequences, n_states, n_symbols, seed, max_iters,
             np.add.at(b_stats.T, seq, gamma)
             ahead = critic.emission[:, seq[1:]].T * beta[1:] / scale[1:, None]
             t_stats += critic.transition * (alpha[:-1].T @ ahead)
-        if total_ll < prev_ll - 1e-8 * max(1.0, abs(prev_ll)):
-            raise AssertionError("EM log-likelihood decreased")
+        objective = total_ll + smoothing * float(
+            np.log(critic.transition).sum() + np.log(critic.emission).sum())
+        if objective < prev_objective - 1e-8 * max(1.0, abs(prev_objective)):
+            raise AssertionError("EM objective decreased")
         gain = (total_ll - prev_ll) / total_symbols
-        prev_ll = total_ll
+        prev_ll, prev_objective = total_ll, objective
         transition = t_stats + smoothing
         transition /= transition.sum(axis=1, keepdims=True)
         emission = b_stats + smoothing
@@ -283,8 +285,8 @@ def test_batched_fit_matches_the_per_sequence_loop(data):
     max_iters = data.draw(st.integers(1, 20), label="max_iters")
     try:
         want = loop_hmm_fit(seqs, n_states, n_symbols, seed, max_iters)
-    except AssertionError:  # smoothing can lower a likelihood near 1
-        with pytest.raises(AssertionError, match="EM log-likelihood decreased"):
+    except AssertionError:  # the objective can still fall by rounding
+        with pytest.raises(AssertionError, match="EM objective decreased"):
             hmm_fit(seqs, n_states, n_symbols, seed=seed, max_iters=max_iters)
         return
     got = hmm_fit(seqs, n_states, n_symbols, seed=seed, max_iters=max_iters)
@@ -300,6 +302,15 @@ def test_batched_fit_matches_the_per_sequence_loop(data):
     total_len = sum(len(seq) for seq in seqs)
     assert corpus_latent_perplexity(got, seqs) == pytest.approx(
         math.exp(-log_p / total_len), rel=1e-12)
+
+
+def test_fit_accepts_a_likelihood_the_smoothing_lowers():
+    """The pseudo-counts may lower the likelihood of a near-certain sequence;
+    only the smoothed objective must not fall."""
+    two, three = (hmm_fit([[0, 0, 0]], n_states=2, n_symbols=2, seed=3281,
+                          max_iters=n) for n in (2, 3))
+    assert three.log_likelihood < two.log_likelihood
+    assert three.iterations_run == 3
 
 
 def test_fit_runs_one_forward_per_length_group_and_iteration(monkeypatch):
@@ -395,6 +406,15 @@ def test_batched_forward_names_the_impossible_sequence():
     with pytest.raises(ValidationError,
                        match="^sequence 1: symbol 1 at step 2 has"):
         corpus_latent_perplexity(critic, [[0, 0, 0], [0, 0, 1]])
+
+
+def test_latent_perplexity_rejects_bad_symbols():
+    critic = HmmCritic(initial=np.array([1.0]), transition=np.array([[1.0]]),
+                       emission=np.full((1, 3), 1 / 3))
+    for symbol in (-1, 3):
+        with pytest.raises(ValidationError, match=rf"^sequence 1: symbol "
+                           rf"{symbol} out of range \[0, 3\)"):
+            corpus_latent_perplexity(critic, [[0, 2], [1, symbol]])
 
 
 def test_fit_rejects_bad_symbols():

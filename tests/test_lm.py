@@ -12,7 +12,7 @@ from planlm.lm import (REGIMES, ActionAdapter, AdapterConfig, BaseLM,
                        LmConfig, Regime,
                        extend_for_insert, insert_style_sequence,
                        lm_from_checkpoint, lm_meta, per_position_actions,
-                       select_action_for_position, train_lm, window_examples)
+                       train_lm, window_examples)
 
 V, D, LAYERS = 12, 16, 2
 LM_CFG = LmConfig(vocab_size=V, d_model=D, n_layers=LAYERS, n_heads=2,
@@ -37,6 +37,17 @@ def stream(ids, sidx, article_id="a"):
 
 
 # -- action/position alignment ---------------------------------------------------
+
+
+def select_action_for_position(stream, actions, p):
+    """Reference for `per_position_actions` at one position: the action of the
+    sentence containing token p+1 (the last sentence past the end)."""
+    n = len(stream)
+    if not 0 <= p < n:
+        raise ValidationError(f"position {p} out of range [0, {n})")
+    sidx = stream.sentence_index_of_token
+    j = int(sidx[p + 1]) if p + 1 < n else int(sidx[n - 1])
+    return int(actions[j])
 
 
 def test_select_action_for_position_hand_case():

@@ -91,7 +91,7 @@ def test_kmeans_recovers_sections_on_near_deterministic_cycle():
     rows = []
     row_labels = []
     for article in articles:
-        spans = split_sentences(article.text, article.id)
+        spans = split_sentences(article.text)
         for span, label in zip(spans, labels[article.id]):
             rows.append(enc.embed_sentence(span.text(article.text)))
             row_labels.append(label)
