@@ -17,6 +17,12 @@ from pathlib import Path
 from .errors import ValidationError, parsing
 
 
+# The least value of each count; smaller ones crash or act silently.
+_LEAST_VALUES = {"k": 1, "lm_batch": 1, "planner_batch": 1,
+                 "pretrain_epochs": 1, "context_window": 2, "eval_articles": 0,
+                 "scan_articles": 0, "noise_variants": 0}
+
+
 @dataclass
 class RunConfig:
     # master seed: shuffles, parameter inits, sampling
@@ -79,8 +85,10 @@ class RunConfig:
             raise ValidationError(
                 f"adapted_layers={self.adapted_layers} out of range "
                 f"[1, {self.lm_layers}]")
-        if self.k < 1:
-            raise ValidationError("k must be >= 1")
+        for name, least in _LEAST_VALUES.items():
+            if getattr(self, name) < least:
+                raise ValidationError(f"{name} must be >= {least}, got "
+                                      f"{getattr(self, name)}")
         if not self.lengths:
             raise ValidationError("lengths grid must be non-empty")
         if self.gen_max_tokens < max(self.lengths):

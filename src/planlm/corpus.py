@@ -3,7 +3,8 @@
 Articles come in as JSON lines (`id`, `title`, `text`) or a directory of
 .txt files. A deterministic rule-based splitter cuts each into sentences,
 once; `tokenize` maps their texts to lowercased alphanumeric runs and single
-punctuation marks, through a capped vocabulary.
+punctuation marks, through a capped vocabulary, to the int64 ids every model
+consumes as they are.
 """
 
 from __future__ import annotations
@@ -58,8 +59,9 @@ class SentenceSpan:
 class TokenStream:
     """Tokenized article with per-token sentence alignment.
 
-    token_ids[0] is a single <bos> carrying sentence index 0 so position 0
-    always has a defined next-token sentence.
+    `token_ids` are int64, the dtype the LM takes; `sentence_index_of_token`
+    is int32 and never decreases. token_ids[0] is a single <bos> carrying
+    sentence index 0 so position 0 always has a defined next-token sentence.
     """
 
     article_id: str
@@ -186,7 +188,7 @@ def tokenize(article: Article, vocab: Vocabulary,
         ids.extend(tok_ids)
         sent_idx.extend([j] * len(tok_ids))
     return TokenStream(article.id,
-                       np.asarray(ids, dtype=np.int32),
+                       np.asarray(ids, dtype=np.int64),
                        np.asarray(sent_idx, dtype=np.int32))
 
 

@@ -5,8 +5,9 @@ model-facing scorers: sliding-window perplexity and the per-step action scans.
 The scorers only see a `logit_fn(ids, actions, noise) -> (B, T, V) array`
 callable (`actions` and `noise` may be None), so they work with any
 conditioning style. All of them score their rows through one length-batched
-loop. The HMM critic is batched the same way: its fit and its scoring run one
-scaled forward (and, to fit, backward) pass per length group of sequences.
+loop. The HMM critic is batched the same way: its fit and its one scorer,
+`corpus_latent_perplexity`, run one scaled forward (and, to fit, backward)
+pass per length group of sequences.
 """
 
 from __future__ import annotations
@@ -125,10 +126,11 @@ def _check_symbols(seqs: Sequence[np.ndarray], n_symbols: int) -> None:
                                   f"range [0, {n_symbols})")
 
 
-def _scaled_forward(critic: HmmCritic, batch: np.ndarray,
+def _scaled_forward(critic: HmmCritic, batch: np.ndarray, emitted: np.ndarray,
                     index: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
     """Rabiner's scaled forward pass over (S, T) equal-length sequences.
 
+    `emitted` is `critic.emission.T[batch]`, (S, T, N): p(o_t | state).
     `alpha[s, t]` is p(state_t | o_0..o_t) and `scale[s, t]` is
     p(o_t | o_0..o_t-1), so log p(sequence s) = sum(log(scale[s])) without
     underflow. Each step updates all S rows at once. A symbol of probability
@@ -137,7 +139,6 @@ def _scaled_forward(critic: HmmCritic, batch: np.ndarray,
     n_seqs, length = batch.shape
     alpha = np.empty((n_seqs, length, critic.n_states))
     scale = np.empty((n_seqs, length))
-    emitted = critic.emission.T[batch]  # (S, T, N): p(o_t | state)
     prior = np.broadcast_to(critic.initial, (n_seqs, critic.n_states))
     for t in range(length):
         joint = prior * emitted[:, t]
@@ -152,27 +153,17 @@ def _scaled_forward(critic: HmmCritic, batch: np.ndarray,
     return alpha, scale
 
 
-def _scaled_backward(critic: HmmCritic, batch: np.ndarray,
+def _scaled_backward(critic: HmmCritic, emitted: np.ndarray,
                      scale: np.ndarray) -> np.ndarray:
-    """Beta of the scaled forward pass, over the same (S, T) batch.
+    """Beta of the scaled forward pass, over the same (S, T, N) `emitted`.
 
     `beta[s, t]` is p(o_t+1.. | state_t) / p(o_t+1.. | o_0..o_t).
     """
-    emitted = critic.emission.T[batch]
     beta = np.ones_like(emitted)
-    for t in range(batch.shape[1] - 2, -1, -1):
+    for t in range(emitted.shape[1] - 2, -1, -1):
         beta[:, t] = ((emitted[:, t + 1] * beta[:, t + 1])
                       @ critic.transition.T / scale[:, t + 1, None])
     return beta
-
-
-def hmm_forward_loglik(critic: HmmCritic, sequence: Sequence[int]) -> float:
-    """Log p(sequence) by the scaled forward pass."""
-    seq = np.asarray(sequence, dtype=np.int64)
-    if seq.size == 0:
-        raise ValidationError("cannot score an empty sequence")
-    _, scale = _scaled_forward(critic, seq[None], [0])
-    return float(np.log(scale).sum())
 
 
 def corpus_latent_perplexity(critic: HmmCritic,
@@ -186,7 +177,9 @@ def corpus_latent_perplexity(critic: HmmCritic,
     total_ll = 0.0
     total_len = 0
     for index, batch in _length_groups(seqs):
-        total_ll += float(np.log(_scaled_forward(critic, batch, index)[1]).sum())
+        _, scale = _scaled_forward(critic, batch, critic.emission.T[batch],
+                                   index)
+        total_ll += float(np.log(scale).sum())
         total_len += batch.size
     if total_len == 0:
         return None
@@ -233,15 +226,16 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
         total_ll = 0.0
 
         for index, batch in groups:
-            alpha, scale = _scaled_forward(critic, batch, index)
-            beta = _scaled_backward(critic, batch, scale)
+            emitted = critic.emission.T[batch]
+            alpha, scale = _scaled_forward(critic, batch, emitted, index)
+            beta = _scaled_backward(critic, emitted, scale)
             total_ll += float(np.log(scale).sum())
 
             gamma = alpha * beta
             pi_stats += gamma[:, 0].sum(axis=0)
             np.add.at(b_stats.T, batch.ravel(), gamma.reshape(-1, n_states))
             # xi summed over t: one product over all transitions t -> t+1
-            ahead = (critic.emission.T[batch[:, 1:]] * beta[:, 1:]
+            ahead = (emitted[:, 1:] * beta[:, 1:]
                      / scale[:, 1:, None]).reshape(-1, n_states)
             t_stats += critic.transition * (
                 alpha[:, :-1].reshape(-1, n_states).T @ ahead)

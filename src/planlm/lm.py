@@ -263,26 +263,22 @@ def insert_style_sequence(stream: TokenStream, actions: Sequence[int],
                           vocab_size: int) -> tuple[np.ndarray, np.ndarray]:
     """Interleave action tokens: each sentence's tokens are preceded by a_j + V.
 
-    A leading <bos> (sentence 0) stays at the very front. Returns the extended
-    id sequence and a boolean mask marking the action-token positions.
+    a_j + V goes just before sentence j's first text (non-<bos>) token, so a
+    leading <bos> (sentence 0) stays at the very front, and a sentence with
+    no text token gets no action token. Requires sentence indices that never
+    decrease, as `tokenize` makes them. Returns the extended id sequence and
+    a boolean mask marking the action-token positions.
     """
     from .corpus import BOS_ID
 
     ids = stream.token_ids
-    sidx = stream.sentence_index_of_token
-    out: list[int] = []
-    is_action: list[bool] = []
-    emitted: set[int] = set()
-    for p in range(len(ids)):
-        tok = int(ids[p])
-        j = int(sidx[p])
-        if tok != BOS_ID and j not in emitted:
-            out.append(vocab_size + int(actions[j]))
-            is_action.append(True)
-            emitted.add(j)
-        out.append(tok)
-        is_action.append(False)
-    return np.asarray(out, dtype=np.int64), np.asarray(is_action, dtype=bool)
+    text = np.flatnonzero(ids != BOS_ID)
+    sentences, first = np.unique(stream.sentence_index_of_token[text],
+                                 return_index=True)
+    starts = text[first]
+    action_ids = vocab_size + np.asarray(actions, dtype=np.int64)[sentences]
+    return (np.insert(ids, starts, action_ids),
+            np.insert(np.zeros(len(ids), dtype=bool), starts, True))
 
 
 def extend_for_insert(base: BaseLM, n_actions: int,

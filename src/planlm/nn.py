@@ -137,8 +137,9 @@ class SelfAttention:
     """
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int):
-        if d % n_heads != 0:
-            raise ValueError(f"model dim {d} not divisible by {n_heads} heads")
+        if n_heads < 1 or d % n_heads != 0:
+            raise ValidationError(
+                f"model dim {d} not divisible by {n_heads} heads")
         self.d = d
         self.n_heads = n_heads
         self.d_head = d // n_heads

@@ -373,8 +373,8 @@ def step_pretrain_lm(config: RunConfig, out_dir: Path,
                      force: bool = False) -> dict:
     with RunData(out_dir, config, force) as data:
         items = [ScoringItem(ids=tokenize(data.by_id[aid], data.vocab,
-                                          data.sentences[aid]).token_ids
-                             .astype(np.int64)) for aid in data.splits["train"]]
+                                          data.sentences[aid]).token_ids)
+                 for aid in data.splits["train"]]
         lm_config = LmConfig(vocab_size=data.vocab.size, d_model=config.lm_dim,
                              n_layers=config.lm_layers, n_heads=config.lm_heads,
                              context_window=config.context_window)
@@ -390,7 +390,7 @@ def step_pretrain_lm(config: RunConfig, out_dir: Path,
 
 
 def _planner_articles(data: RunData, split: str) -> list:
-    return [(p.embeddings.astype(np.float32), np.asarray(p.oracle))
+    return [(p.embeddings, np.asarray(p.oracle))
             for p in data.prepared(split)]
 
 
@@ -461,7 +461,7 @@ def scoring_items(data: RunData, split: str, regime: Regime, training: bool,
             items.append(ScoringItem(ids=ids, countable=~is_action))
         else:
             items.append(ScoringItem(
-                ids=stream.token_ids.astype(np.int64),
+                ids=stream.token_ids,
                 actions=None if acts is None
                 else per_position_actions(stream, acts)))
     return items
@@ -554,9 +554,8 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
                                     planner)
             token_actions = None if acts is None \
                 else acts[stream.sentence_index_of_token[:cut]]
-            prefixes.append(Prefix(stream.token_ids[:cut].astype(np.int64),
-                                   seed, article_id, token_actions,
-                                   embeddings))
+            prefixes.append(Prefix(stream.token_ids[:cut], seed, article_id,
+                                   token_actions, embeddings))
         records = generate(
             base, adapter, data.vocab,
             GenerationConfig(max_tokens=config.gen_max_tokens,
@@ -742,7 +741,7 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
         items = []
         for prepared in data.prepared(split)[:config.scan_articles]:
             items.append(ScanItem(
-                ids=prepared.stream.token_ids.astype(np.int64),
+                ids=prepared.stream.token_ids,
                 sentence_index_of_token=prepared.stream.sentence_index_of_token,
                 oracle_actions=np.asarray(prepared.oracle),
                 pp_actions=per_position_actions(prepared.stream, prepared.oracle),

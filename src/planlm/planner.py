@@ -170,8 +170,7 @@ def _logits_targets(model: PlannerModel, batch: list[Example],
     targets = np.array([actions[i] for _, actions, i in batch], dtype=np.int64)
     ctx = None
     if batch[0][2] > 0:
-        ctx = np.stack([emb[max(0, i - limit):i]
-                        for emb, _, i in batch]).astype(np.float32)
+        ctx = np.stack([emb[max(0, i - limit):i] for emb, _, i in batch])
     return model.logits_batch(ctx, len(batch)), targets
 
 

@@ -14,7 +14,7 @@ from planlm.cli import build_parser, effective_config, main
 from planlm.config import RunConfig
 from planlm.corpus import load_articles, save_articles_jsonl
 from planlm.encoder import SentenceEncoder
-from planlm.lm import BaseLM
+from planlm.lm import BaseLM, Regime
 from planlm.planner import PlannerModel
 from planlm.synthdata import default_grammar, generate_corpus
 
@@ -133,6 +133,28 @@ def test_bad_config_input_refused_with_one_error_line(tmp_path, capsys, given,
     capsys.readouterr()
     assert main(["ingest", "--input", "x", "--out-dir", str(tmp_path / "out")]
                 + flags) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert all(name in err[0] for name in names), err[0]
+
+
+@pytest.mark.parametrize("given, command, names", [
+    ("lm_heads=3", "pretrain-lm", ["model dim 32", "3 heads"]),
+    ("planner_heads=3", "train-planner", ["model dim 32", "3 heads"]),
+    ("lm_batch=0", "pretrain-lm", ["lm_batch"]),
+    ("planner_batch=0", "train-planner", ["planner_batch"]),
+    ("pretrain_epochs=0", "pretrain-lm", ["pretrain_epochs"]),
+    ("context_window=1", "pretrain-lm", ["context_window"]),
+    ("eval_articles=-1", "generate", ["eval_articles"]),
+    ("scan_articles=-2", "scan-oracle", ["scan_articles"]),
+    ("noise_variants=-1", "scan-oracle", ["noise_variants"]),
+])
+def test_bad_config_value_refused_with_one_error_line(run_dir, tmp_path,
+                                                      capsys, given, command,
+                                                      names):
+    out = copy_of(run_dir, tmp_path)
+    capsys.readouterr()
+    assert main(args(out, command, "--force") + ["--set", given]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert all(name in err[0] for name in names), err[0]
@@ -672,6 +694,17 @@ def test_tokenize_maps_the_sentences_run_data_split(run_dir):
         assert (stream.token_ids.tolist(),
                 stream.sentence_index_of_token.tolist()) == \
             split_then_tokenize(article, data.vocab), article.id
+
+
+@pytest.mark.parametrize("regime", ["none", "fixed"])
+def test_scoring_items_pass_the_streams_ids_without_a_copy(full_run, regime):
+    config = effective_config(build_parser().parse_args(args(full_run,
+                                                             "evaluate")))
+    data = pipeline.RunData(full_run, config)
+    items = pipeline.scoring_items(data, "val", Regime.named(regime),
+                                   training=False, planner=None)
+    for item, prepared in zip(items, data.prepared("val"), strict=True):
+        assert np.shares_memory(item.ids, prepared.stream.token_ids)
 
 
 def test_artifact_without_manifest_refused_unless_forced(full_run, tmp_path,

@@ -139,6 +139,7 @@ def test_tokenize_alignment():
     want = [corpus.BOS_ID, vocab.id_of("a"), vocab.id_of("b"), vocab.id_of("."),
             vocab.id_of("c"), vocab.id_of(".")]
     assert stream.token_ids.tolist() == want
+    assert stream.token_ids.dtype == np.int64  # the dtype the LM takes
     assert stream.sentence_index_of_token.tolist() == [0, 0, 0, 0, 1, 1]
     assert sentence_tokens(stream, 0) == tuple(want[1:4])
 

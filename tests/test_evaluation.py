@@ -10,9 +10,8 @@ from planlm import evaluation
 from planlm.errors import ValidationError
 from planlm.evaluation import (HmmCritic, ScanItem, ScoringItem,
                                corpus_latent_perplexity, corpus_nll, hmm_fit,
-                               hmm_forward_loglik, levenshtein, noise_scan,
-                               normalized_edit, oracle_scan,
-                               perplexity_from_nll, rouge2_f1)
+                               levenshtein, noise_scan, normalized_edit,
+                               oracle_scan, perplexity_from_nll, rouge2_f1)
 from planlm.lm import ActionAdapter, AdapterConfig, BaseLM, LmConfig
 
 
@@ -177,8 +176,9 @@ def random_critic(n, k, seed):
 def test_forward_matches_path_enumeration(n, t, seed):
     critic = random_critic(n, k=4, seed=seed)
     seq = np.random.default_rng(seed + 100).integers(0, 4, t).tolist()
-    assert hmm_forward_loglik(critic, seq) == pytest.approx(
-        enumerate_loglik(critic, seq), abs=1e-8)
+    # log p = -len * log(ppl) for a single sequence
+    loglik = -t * math.log(corpus_latent_perplexity(critic, [seq]))
+    assert loglik == pytest.approx(enumerate_loglik(critic, seq), abs=1e-8)
 
 
 def test_one_em_step_matches_path_enumeration():
@@ -317,9 +317,9 @@ def test_fit_runs_one_forward_per_length_group_and_iteration(monkeypatch):
     shapes = []
     forward = evaluation._scaled_forward
 
-    def spy(critic, batch, index):
+    def spy(critic, batch, emitted, index):
         shapes.append(batch.shape)
-        return forward(critic, batch, index)
+        return forward(critic, batch, emitted, index)
 
     monkeypatch.setattr(evaluation, "_scaled_forward", spy)
     rng = np.random.default_rng(0)
@@ -380,23 +380,21 @@ def test_fit_improves_over_random_sequences():
 def test_fit_handles_long_sequences_without_underflow():
     seq = (np.arange(10_000) % 3).tolist()
     critic = hmm_fit([seq[:200]], n_states=2, n_symbols=3, seed=0, max_iters=5)
-    ll = hmm_forward_loglik(critic, seq)
-    assert math.isfinite(ll)
-    assert ll < 0.0  # probability stays <= 1
+    ppl = corpus_latent_perplexity(critic, [seq])
+    assert math.isfinite(ppl)
+    assert ppl > 1.0  # probability stays <= 1
 
 
 def test_corpus_latent_ppl_absent_for_empty():
     critic = random_critic(2, 3, 0)
     assert corpus_latent_perplexity(critic, [[]]) is None
-    with pytest.raises(ValidationError):
-        hmm_forward_loglik(critic, [])
 
 
 def test_forward_refuses_a_sequence_of_probability_zero():
     critic = HmmCritic(initial=np.array([1.0]), transition=np.array([[1.0]]),
                        emission=np.array([[1.0, 0.0]]))
     with pytest.raises(ValidationError, match="step 2"):
-        hmm_forward_loglik(critic, [0, 0, 1])
+        corpus_latent_perplexity(critic, [[0, 0, 1]])
 
 
 def test_batched_forward_names_the_impossible_sequence():

@@ -3,10 +3,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from planlm import autodiff as ad
 from planlm import evaluation, nn, storage
-from planlm.corpus import TokenStream
+from planlm.corpus import BOS_ID, TokenStream
 from planlm.errors import ValidationError
 from planlm.lm import (REGIMES, ActionAdapter, AdapterConfig, BaseLM,
                        LmConfig, Regime,
@@ -32,7 +33,7 @@ def make_adapter(base, k=4, action_dim=8, L=1, init="random", seed=1,
 
 
 def stream(ids, sidx, article_id="a"):
-    return TokenStream(article_id, np.asarray(ids, dtype=np.int32),
+    return TokenStream(article_id, np.asarray(ids, dtype=np.int64),
                        np.asarray(sidx, dtype=np.int32))
 
 
@@ -319,6 +320,42 @@ def test_insert_round_trip():
     s = stream([1, 3, 4, 2, 2], [0, 0, 0, 1, 2])
     ext, is_action = insert_style_sequence(s, [2, 0, 1], vocab_size=5)
     np.testing.assert_array_equal(ext[~is_action], s.token_ids)
+
+
+def insert_by_loop(stream, actions, vocab_size):
+    """The reference: walk the tokens, emitting a_j + V before the first
+    non-<bos> token of each sentence j."""
+    out, is_action, emitted = [], [], set()
+    for tok, j in zip(stream.token_ids.tolist(),
+                      stream.sentence_index_of_token.tolist()):
+        if tok != BOS_ID and j not in emitted:
+            out.append(vocab_size + int(actions[j]))
+            is_action.append(True)
+            emitted.add(j)
+        out.append(tok)
+        is_action.append(False)
+    return np.asarray(out, dtype=np.int64), np.asarray(is_action, dtype=bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sentences=st.lists(st.lists(st.integers(0, 4), max_size=5),
+                          min_size=1, max_size=6),
+       leading_bos=st.booleans(), data=st.data())
+def test_insert_matches_the_per_token_loop(sentences, leading_bos, data):
+    # non-decreasing sentence indices, empty sentences skipped, and BOS_ID
+    # (token 1) free to appear inside a sentence or fill one
+    ids, sidx = ([BOS_ID], [0]) if leading_bos else ([], [])
+    for j, tokens in enumerate(sentences):
+        ids += tokens
+        sidx += [j] * len(tokens)
+    actions = data.draw(st.lists(st.integers(0, 3), min_size=len(sentences),
+                                 max_size=len(sentences)))
+    s = stream(ids, sidx)
+    ext, is_action = insert_style_sequence(s, actions, vocab_size=5)
+    want_ext, want_is_action = insert_by_loop(s, actions, vocab_size=5)
+    assert ext.dtype == np.int64 and is_action.dtype == bool
+    np.testing.assert_array_equal(ext, want_ext)
+    np.testing.assert_array_equal(is_action, want_is_action)
 
 
 def test_extend_for_insert_shapes_and_copied_rows():
