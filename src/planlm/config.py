@@ -19,7 +19,9 @@ from .errors import ValidationError, parsing
 
 # The least value of each count; smaller ones crash or act silently.
 _LEAST_VALUES = {"k": 1, "lm_batch": 1, "planner_batch": 1,
-                 "pretrain_epochs": 1, "context_window": 2, "eval_articles": 0,
+                 "pretrain_epochs": 1, "finetune_epochs": 1,
+                 "planner_epochs": 1, "context_window": 2, "edit_base_len": 1,
+                 "eval_articles": 0, "hmm_states": 1, "hmm_iters": 1,
                  "scan_articles": 0, "noise_variants": 0}
 
 
@@ -91,6 +93,9 @@ class RunConfig:
                                       f"{getattr(self, name)}")
         if not self.lengths:
             raise ValidationError("lengths grid must be non-empty")
+        if min(self.lengths) < 1:
+            raise ValidationError(f"lengths must be >= 1, got "
+                                  f"{min(self.lengths)}")
         if self.gen_max_tokens < max(self.lengths):
             raise ValidationError(
                 "gen_max_tokens must cover the largest evaluation length")

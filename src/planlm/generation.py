@@ -13,22 +13,25 @@ appended, as generated tokens are lowercase, so the end-of-text rule matches
 the splitter's lookahead rule).
 
 The LM decodes incrementally on one `nn.KVCache` of all rows, where each row
-has its own length and positions. Every step is one `BaseLM.forward` over all
-rows that feeds each row its newest token and, with an adapter, its current
-action. Before a row's first step, the last `window = context_window - 1`
-tokens of its prefix but the newest are prefilled into a one-row cache (B=1,
-so no pad token is fed), which is spliced into the batch's cache; a
-`<bos>`-only prefix prefills nothing. A re-plan does not invalidate the
-cache: position p is conditioned on the action of token p + 1, and a cached
-position's next token already exists, so its action is fixed. Positions are
-learned and absolute, so a full row cannot slide: once it holds `window`
-positions it is prefilled again, alone, from its last `window // 2` tokens
-but the newest, the stride `corpus_nll` scores with. Rows start from
-different prefix lengths, so they refill at different steps. Until a row's
-window first overflows, its tokens equal those of re-running its whole
-window for every token; after that, each token sees between `window // 2`
-and `window` tokens of context. A row's tokens do not depend on which other
-rows share its batch, up to the rounding of a batched matmul.
+has its own length and positions: its keys and values fill the first columns
+of buffers as wide as the context window. Every step is one `BaseLM.forward`
+over all rows that feeds each row its newest token and, with an adapter, its
+current action, and writes the token's keys and values right after the row's
+cached ones, in place. Before a row's first step, the last
+`window = context_window - 1` tokens of its prefix but the newest are
+prefilled into a one-row cache (B=1, so no pad token is fed), which is copied
+into the row of the batch's cache; a `<bos>`-only prefix prefills nothing. A
+re-plan does not invalidate the cache: position p is conditioned on the
+action of token p + 1, and a cached position's next token already exists, so
+its action is fixed. Positions are learned and absolute, so a full row cannot
+slide: once it holds `window` positions it is prefilled again, alone, from
+its last `window // 2` tokens but the newest, the stride `corpus_nll` scores
+with. Rows start from different prefix lengths, so they refill at different
+steps. Until a row's window first overflows, its tokens equal those of
+re-running its whole window for every token; after that, each token sees
+between `window // 2` and `window` tokens of context. A row's tokens do not
+depend on which other rows share its batch, up to the rounding of a batched
+matmul.
 """
 
 from __future__ import annotations

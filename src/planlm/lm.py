@@ -144,35 +144,41 @@ class BaseLM:
         (shared across adapted layers).
 
         `cache`, when given, is a B-row `nn.KVCache` that the call extends in
-        place. Row r's `ids` and `actions` then hold the T positions after
-        its `cache.lengths[r]` cached ones, and so do its logits. A cache
-        needs frozen parameters.
+        place; the first call gives it context-window-wide buffers. Row r's
+        `ids` and `actions` then hold the T positions after its
+        `cache.lengths[r]` cached ones, and so do its logits. Without a
+        cache, every row starts at position 0. A cache needs frozen
+        parameters.
         """
         ids = np.asarray(ids)
         b, t = ids.shape
-        past, cached, positions = 0, 0, np.arange(t)
+        cfg = self.config
+        past = np.zeros(1, dtype=np.int64)
         if cache is not None:
             if len(cache.lengths) != b:
                 raise ValidationError(
                     f"a cache of {len(cache.lengths)} rows cannot extend {b}")
             if not cache.layers:
-                cache.layers = [[] for _ in self.blocks]
-            past, cached = cache.lengths, int(cache.lengths.max())
-            positions = past[:, None] + positions
-        if cached + t > self.config.context_window:
+                shape = (b, cfg.n_heads, cfg.context_window,
+                         cfg.d_model // cfg.n_heads)
+                cache.layers = [[np.zeros(shape, self.tok_emb.values.dtype)
+                                 for _ in range(2)] for _ in self.blocks]
+            past = cache.lengths
+        cached = int(past.max())
+        if cached + t > cfg.context_window:
             raise ValidationError(
                 f"sequence of {cached + t} positions ({cached} cached) "
-                f"exceeds context window {self.config.context_window}")
-        x = ad.embedding(self.tok_emb, ids) + ad.embedding(self.pos_emb,
-                                                           positions)
+                f"exceeds context window {cfg.context_window}")
+        x = ad.embedding(self.tok_emb, ids) + ad.embedding(
+            self.pos_emb, past[:, None] + np.arange(t))
         bias = nn.causal_bias(t, past, dtype=x.dtype)
         first_adapted = adapter.layer_index(0) if adapter is not None \
-            else self.config.n_layers
+            else cfg.n_layers
         for i, block in enumerate(self.blocks):
             extra = None
             if adapter is not None and i >= first_adapted:
                 extra = adapter.reps(i - first_adapted, actions, action_noise)
-            x = block(x, extra_context=extra, bias=bias,
+            x = block(x, extra_context=extra, bias=bias, past=past,
                       cache=cache.layers[i] if cache is not None else None)
         if cache is not None:
             cache.lengths = cache.lengths + t

@@ -60,44 +60,31 @@ class LayerNorm:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
 
-def causal_bias(t: int, past: int | np.ndarray = 0,
+def causal_bias(t: int, past: Sequence[int] | np.ndarray = (0,),
                 dtype=np.float32) -> Tensor:
     """Additive bias masking attention to future positions.
 
-    With an int `past`, a (t, past + t) bias: query i sits at position
-    past + i, after `past` cached keys. With one `past` per row, the rows'
-    cached keys are right-aligned in P = max(past) columns (see `KVCache`),
-    and the (B, 1, t, P + t) bias also masks the P - past[r] columns of row
-    r's left padding.
+    The (rows, 1, t, max(past) + t) bias of t queries after each row's
+    `past[r]` cached keys (see `KVCache`): query i of row r sees the
+    columns up to past[r] + i. A forward without a cache keeps the default,
+    one row of no keys, which broadcasts over its batch.
     """
-    if np.ndim(past) == 0:
-        return Tensor(np.triu(np.full((t, past + t), MASK_BIAS, dtype=dtype),
-                              k=past + 1))
     past = np.asarray(past)
-    p = int(past.max())
-    cols = np.arange(p + t)
-    masked = ((cols > p + np.arange(t)[:, None])
-              | (cols < (p - past)[:, None, None]))
+    cols = np.arange(past.max() + t)
+    masked = cols > (past[:, None] + np.arange(t))[..., None]
     return Tensor(np.where(masked[:, None], MASK_BIAS, 0.0).astype(dtype))
-
-
-def _right_aligned(a: np.ndarray, width: int) -> np.ndarray:
-    """A copy of `a`'s last `width` key columns, zero-padded on the left."""
-    out = np.zeros(a.shape[:2] + (width,) + a.shape[3:], dtype=a.dtype)
-    n = min(width, a.shape[2])
-    out[:, :, width - n:] = a[:, :, a.shape[2] - n:]
-    return out
 
 
 class KVCache:
     """The keys and values of B rows' earlier positions, outside the graph.
 
     `layers` is empty until a forward or a `put` fills it; then `layers[l]`
-    holds block l's (B, heads, P, d_head) key and value arrays. Rows are
-    right-aligned: row r's `lengths[r]` positions fill its last columns, and
-    P = max(lengths), so no column is kept that every row masks. The columns
-    left of a row's positions are zeros, which `causal_bias` masks. A row is
-    (re)filled by extending a one-row cache and `put`ting it in its place.
+    holds block l's (B, heads, context_window, d_head) key and value
+    buffers. Row r's `lengths[r]` positions fill its first columns, and a
+    forward writes its new positions right after them, in place. The
+    columns past a row's length hold zeros or stale keys, which
+    `causal_bias` masks. A row is (re)filled by extending a one-row cache
+    and `put`ting it in its place.
     """
 
     def __init__(self, rows: int):
@@ -107,19 +94,14 @@ class KVCache:
     def put(self, rows, part: "KVCache") -> None:
         """Replace the rows `rows` by the rows of `part`, which holds no
         layers when its rows hold no positions."""
-        lengths = self.lengths.copy()
-        lengths[rows] = part.lengths
-        width = int(lengths.max())
-        if not self.layers:
-            self.layers = [[np.zeros((len(lengths),) + a.shape[1:2] + (0,)
-                                     + a.shape[3:], dtype=a.dtype) for a in kv]
+        if part.layers and not self.layers:
+            self.layers = [[np.zeros((len(self.lengths),) + a.shape[1:],
+                                     dtype=a.dtype) for a in kv]
                            for kv in part.layers]
-        for i, kv in enumerate(self.layers):
-            for j in range(len(kv)):
-                kv[j] = _right_aligned(kv[j], width)
-                kv[j][rows] = _right_aligned(part.layers[i][j], width) \
-                    if part.layers else 0
-        self.lengths = lengths
+        for kv, part_kv in zip(self.layers, part.layers):
+            for a, part_a in zip(kv, part_kv):
+                a[rows] = part_a
+        self.lengths[rows] = part.lengths
 
 
 class SelfAttention:
@@ -128,12 +110,15 @@ class SelfAttention:
     `extra_context`, when given, is added to the concatenated head outputs
     just before the output projection (the action-adapter insertion point).
 
-    `cache`, when given, is this layer's list of a `KVCache`. `x` then
-    holds the positions after the cached ones, and the list is extended in
-    place by their keys and values. A cache holds plain arrays outside the
-    graph, so it refuses keys that require grad. `bias`, when given, is
-    added to the attention scores: the forward's `causal_bias`, built once
-    for all layers. Without one, every position attends to every other.
+    `cache`, when given, is this layer's list of a `KVCache`'s key and
+    value buffers, and `past` its rows' lengths. Row r of `x` then holds
+    the t positions after its `past[r]` cached ones: their keys and values
+    are written in place at columns past[r] to past[r] + t - 1 of row r,
+    and the queries attend over the first max(past) + t columns. A cache
+    holds plain arrays outside the graph, so it refuses keys that require
+    grad. `bias`, when given, is added to the attention scores: the
+    forward's `causal_bias`, built once for all layers. Without one, every
+    position attends to every other.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int):
@@ -149,8 +134,8 @@ class SelfAttention:
         self.wo = Linear(rng, d, d)
 
     def __call__(self, x: Tensor, extra_context: Tensor | None = None,
-                 cache: list | None = None,
-                 bias: Tensor | None = None) -> Tensor:
+                 cache: list | None = None, bias: Tensor | None = None,
+                 past: np.ndarray | None = None) -> Tensor:
         b, t, d = x.shape
         h, dh = self.n_heads, self.d_head
 
@@ -163,10 +148,11 @@ class SelfAttention:
                 raise ValidationError(
                     "a K/V cache holds no graph: cached forwards need frozen "
                     "parameters")
-            if cache:
-                k = Tensor(np.concatenate([cache[0], k.values], axis=2))
-                v = Tensor(np.concatenate([cache[1], v.values], axis=2))
-            cache[:] = [k.values, v.values]
+            cols = past[:, None] + np.arange(t)
+            for buffer, new in zip(cache, (k, v)):
+                buffer[np.arange(b)[:, None], :, cols] = \
+                    new.values.swapaxes(1, 2)
+            k, v = (Tensor(buffer[:, :, :cols.max() + 1]) for buffer in cache)
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
         if bias is not None:
             scores = scores + bias
@@ -195,10 +181,10 @@ class Block:
         self.ff2 = Linear(rng, 4 * d, d)
 
     def __call__(self, x: Tensor, extra_context: Tensor | None = None,
-                 cache: list | None = None,
-                 bias: Tensor | None = None) -> Tensor:
+                 cache: list | None = None, bias: Tensor | None = None,
+                 past: np.ndarray | None = None) -> Tensor:
         x = x + self.attn(self.ln1(x), extra_context=extra_context,
-                          cache=cache, bias=bias)
+                          cache=cache, bias=bias, past=past)
         return x + self.ff2(ad.gelu(self.ff1(self.ln2(x))))
 
     def params(self, prefix: str) -> dict[str, Tensor]:

@@ -269,10 +269,16 @@ class RunData:
 
     @cached_property
     def oracle(self) -> dict[str, list[int]]:
-        """Per-article oracle actions, one per sentence."""
+        """Per-article oracle actions, one per sentence, each in [0, k)."""
         oracle = storage.read_action_sequences(self.path("actions.tsv"))
         self._per_sentence("actions.tsv", {aid: len(actions) for aid, actions
                                            in oracle.items()}, "actions")
+        k = self.config.k
+        for article_id, actions in oracle.items():
+            bad = [a for a in actions if not 0 <= a < k]
+            if bad:
+                raise self._refusal("actions.tsv", f"article {article_id!r} "
+                                    f"has action {bad[0]} outside [0, {k})")
         return oracle
 
     @cached_property
@@ -705,15 +711,10 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
             base, adapter = models[regime.key]
             items = scoring_items(data, split, regime, training=False,
                                   planner=planner)
-            if regime.actions == "fixed" and planner is not None:
-                planner_calls_before = planner.invocations
             entry["ppl"] = corpus_perplexity(
                 lambda ids, actions, _: base.forward(ids, adapter=adapter,
                                                      actions=actions).values,
                 items, base.config.context_window)
-            if regime.actions == "fixed" and planner is not None:
-                entry["planner_invocations"] = planner.invocations \
-                    - planner_calls_before
             entry.update(_generation_metrics(data, regime, split, critic))
             report["regimes"][regime.key] = entry
 

@@ -54,7 +54,6 @@ class PlannerModel:
                  centroids: np.ndarray | None = None):
         d, k = config.dim, config.n_actions
         self.config = config
-        self.invocations = 0
         self.pos = nn.normal_param(rng, (config.context_limit, d))
         self.begin = nn.normal_param(rng, (d,))
         if config.arch == "transformer":
@@ -109,7 +108,6 @@ class PlannerModel:
         if length > self.config.context_limit:
             raise ValidationError(
                 f"context of {length} exceeds limit {self.config.context_limit}")
-        self.invocations += batch
         if self.config.arch == "transformer":
             pos = ad.embedding(self.pos, np.arange(length))
             x = x + pos

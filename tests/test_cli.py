@@ -71,11 +71,6 @@ def test_pipeline_through_evaluation(run_dir):
         assert entry["ppl"] > 0
 
 
-def test_fixed_regime_evaluation_never_calls_planner(run_dir):
-    report = json.loads((run_dir / "eval_report.json").read_text())
-    assert report["regimes"]["fixed"]["planner_invocations"] == 0
-
-
 def test_missing_artifact_exit_code_names_producer(tmp_path, capsys):
     out = tmp_path / "fresh"
     code = main(["cluster", "--out-dir", str(out)] + CFG_SETS)
@@ -148,6 +143,12 @@ def test_bad_config_input_refused_with_one_error_line(tmp_path, capsys, given,
     ("eval_articles=-1", "generate", ["eval_articles"]),
     ("scan_articles=-2", "scan-oracle", ["scan_articles"]),
     ("noise_variants=-1", "scan-oracle", ["noise_variants"]),
+    ("finetune_epochs=0", "finetune", ["finetune_epochs"]),
+    ("planner_epochs=0", "train-planner", ["planner_epochs"]),
+    ("hmm_iters=0", "evaluate", ["hmm_iters"]),
+    ("hmm_states=0", "evaluate", ["hmm_states"]),
+    ("edit_base_len=0", "evaluate", ["edit_base_len"]),
+    ("lengths=0,32", "evaluate", ["lengths", "got 0"]),
 ])
 def test_bad_config_value_refused_with_one_error_line(run_dir, tmp_path,
                                                       capsys, given, command,
@@ -488,6 +489,23 @@ def copy_of(run, tmp_path, name="copy"):
     return Path(shutil.copytree(run, tmp_path / name))
 
 
+def test_fixed_regime_evaluation_never_calls_planner(full_run, tmp_path,
+                                                     monkeypatch):
+    out = copy_of(full_run, tmp_path)
+    assert main(args(out, "finetune", "--regime", "oracle")) == 0
+
+    def refuse(self, context):
+        raise AssertionError("the planner was called")
+
+    monkeypatch.setattr(PlannerModel, "predict_next_action", refuse)
+    assert main(args(out, "evaluate", "--regimes", "none,fixed,oracle")) == 0
+    report = json.loads((out / "eval_report.json").read_text())
+    assert {"none", "fixed", "oracle"} <= set(report["regimes"])
+    # the planned regime does call it
+    with pytest.raises(AssertionError, match="planner was called"):
+        main(args(out, "evaluate", "--regimes", "predicted_pa"))
+
+
 def test_manifests_record_exactly_the_files_each_step_read(full_run):
     for artifact, read in READ_BY_STEP.items():
         manifest = storage.read_manifest(full_run / artifact)
@@ -521,12 +539,16 @@ def test_finetune_refuses_centroids_of_another_config(full_run, tmp_path,
 def test_inspect_cluster_refuses_another_config_and_pins_nothing(run_dir,
                                                                  capsys):
     pinned = (run_dir / "config.txt").read_bytes()
-    other = args(run_dir, "inspect-cluster", "--action-id", "0") + [
-        "--set", "k=4"]
+    command = args(run_dir, "inspect-cluster", "--action-id", "0")
+    other = command + ["--set", "hmm_iters=3"]
     capsys.readouterr()
     assert main(other) == 1
     assert "force" in capsys.readouterr().err
     assert main(other + ["--force"]) == 0
+    assert (run_dir / "config.txt").read_bytes() == pinned
+    # --force skips the staleness checks, not the range of the actions
+    assert main(command + ["--set", "k=4", "--force"]) == 1
+    assert "outside [0, 4)" in capsys.readouterr().err
     assert (run_dir / "config.txt").read_bytes() == pinned
 
 
@@ -548,7 +570,7 @@ def test_evaluate_scores_generations_as_they_were_made(full_run, tmp_path):
     assert main(args(out, "generate", "--regime", "fixed", "--split",
                      "val")) == 0
     entry = fixed_entry()
-    assert set(entry) == {"ppl", "planner_invocations"}
+    assert set(entry) == {"ppl"}
     entry = fixed_entry("--split", "val")
     assert "rouge2" in entry and "edit" in entry and "latent_ppl" in entry
 
@@ -959,6 +981,27 @@ def test_article_without_a_row_per_sentence_refused_with_one_error_line(
     assert len(err) == 1 and err[0].startswith("error:")
     assert repr(article_id) in err[0] and name in err[0] \
         and producer in err[0], err[0]
+
+
+@pytest.mark.parametrize("command", [
+    ["finetune", "--regime", "oracle"], ["train-planner"],
+    ["evaluate", "--regimes", "fixed"]],
+    ids=["finetune", "train-planner", "evaluate"])
+@pytest.mark.parametrize("action", [99, -1])
+def test_action_outside_the_clusters_refused_with_one_error_line(
+        full_run, tmp_path, capsys, command, action):
+    out = copy_of(full_run, tmp_path)
+    article_id = json.loads((out / "splits.json").read_text())["train"][0]
+    sequences = storage.read_action_sequences(out / "actions.tsv")
+    sequences[article_id][-1] = action
+    storage.write_action_sequences(out / "actions.tsv", sequences)
+    capsys.readouterr()
+    assert main(args(out, *command, "--force")) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert all(word in err[0] for word in (
+        "actions.tsv", repr(article_id), f"action {action} outside [0, 8)",
+        "planlm actions")), err[0]
 
 
 @pytest.mark.parametrize("damage, name", [

@@ -190,9 +190,10 @@ def test_sliding_window_never_exceeds_context(monkeypatch):
     assert max(lengths.max() for lengths, _ in held) == window
     for lengths, columns in held:
         assert lengths.max() <= window
-        # no layers until a row holds positions: a `<bos>`-only row came first
-        assert columns == {lengths.max()} or (not columns
-                                              and lengths.max() == 0)
+        # no layers until a row holds positions: a `<bos>`-only row came
+        # first; then every layer's buffers are as wide as the window
+        assert columns == {LM_CFG.context_window} or (
+            not columns and lengths.max() == 0)
 
 
 def sample_token(logits, temperature, top_k, rng):

@@ -176,7 +176,7 @@ def test_cached_rows_of_different_lengths_match_their_own_forwards(
         base.forward(ids[row:row + 1, :n], adapter=adapter,
                      actions=actions[row:row + 1, :n], cache=part)
         cache.put([row], part)
-    assert cache.layers[0][0].shape[2] == 11
+    assert cache.layers[0][0].shape[2] == LM_CFG.context_window
     step = base.forward(np.stack([ids[0, 5:6], ids[1, 11:12]]),
                         adapter=adapter,
                         actions=np.stack([actions[0, 5:6], actions[1, 11:12]]),
@@ -187,6 +187,44 @@ def test_cached_rows_of_different_lengths_match_their_own_forwards(
                             actions=actions[row:row + 1, :n]).values
         np.testing.assert_allclose(step[row, -1], full[0, -1],
                                    rtol=0, atol=1e-6)
+
+
+@settings(max_examples=30, deadline=None)
+@given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+       t=st.integers(1, 2), steps=st.integers(1, 2),
+       with_adapter=st.booleans(), seed=st.integers(0, 2**16))
+def test_rows_of_random_cached_lengths_step_like_their_own_forwards(
+        lengths, t, steps, with_adapter, seed):
+    """Rows prefilled to random lengths, then stepped together `t` tokens at
+    a time, give each row the logits of its own uncached forward."""
+    base = make_base(seed=9)
+    adapter = make_adapter(base, L=2, seed=10) if with_adapter else None
+    ids, actions = random_inputs(np.random.default_rng(seed), b=len(lengths),
+                                 t=LM_CFG.context_window)
+
+    def forward(rows, lo, hi, cache=None):
+        """The forward of each row's positions lo[r]:hi[r]."""
+        def pick(a):
+            return np.stack([a[r, lo[i]:hi[i]] for i, r in enumerate(rows)])
+
+        return base.forward(pick(ids), adapter=adapter, cache=cache,
+                            actions=pick(actions) if adapter else None).values
+
+    cache = nn.KVCache(len(lengths))
+    for row, n in enumerate(lengths):
+        part = nn.KVCache(1)
+        if n:
+            forward([row], [0], [n], cache=part)
+        cache.put([row], part)
+    rows = range(len(lengths))
+    for s in range(steps):
+        at = [n + s * t for n in lengths]
+        step = forward(rows, at, [p + t for p in at], cache=cache)
+        assert cache.lengths.tolist() == [p + t for p in at]
+        for row, p in enumerate(at):
+            full = forward([row], [0], [p + t])
+            np.testing.assert_allclose(step[row], full[0, p:], rtol=0,
+                                       atol=1e-6)
 
 
 def test_cached_forward_refuses_positions_past_the_window():

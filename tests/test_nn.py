@@ -161,21 +161,33 @@ def test_length_batches_order_is_deterministic_per_seed():
 
 @pytest.mark.parametrize("past", [[0], [4], [0, 3, 5], [2, 2]])
 def test_per_row_causal_bias_is_the_scalar_bias_after_each_rows_padding(past):
+    """Row r's bias is the causal bias of its own `past[r]` keys, and it
+    masks the columns that only longer rows fill."""
     t, p = 3, max(past)
     bias = nn.causal_bias(t, np.array(past)).values
     assert bias.shape == (len(past), 1, t, p + t)
     for row, n in enumerate(past):
-        pad = p - n
-        np.testing.assert_array_equal(bias[row, 0, :, pad:],
-                                      nn.causal_bias(t, n).values)
-        assert (bias[row, 0, :, :pad] == np.float32(nn.MASK_BIAS)).all()
+        np.testing.assert_array_equal(
+            bias[row, 0],
+            np.triu(np.full((t, p + t), nn.MASK_BIAS, np.float32), k=n + 1))
+        assert (bias[row, 0, :, n + t:] == np.float32(nn.MASK_BIAS)).all()
 
 
-def test_cache_put_keeps_rows_right_aligned():
+def test_causal_bias_without_a_cache_is_one_row_for_the_batch():
+    np.testing.assert_array_equal(
+        nn.causal_bias(4).values,
+        np.triu(np.full((1, 1, 4, 4), nn.MASK_BIAS, np.float32), k=1))
+
+
+def test_cache_put_keeps_rows_left_aligned():
+    width = 6
+
     def part(n, fill):
         c = nn.KVCache(1)
         if n:  # a part of no positions holds no layers
-            c.layers = [[np.full((1, 2, n, 3), fill, np.float32)] * 2]
+            keys = np.zeros((1, 2, width, 3), np.float32)
+            keys[:, :, :n] = fill
+            c.layers = [[keys, keys.copy()]]
         c.lengths[:] = n
         return c
 
@@ -183,17 +195,19 @@ def test_cache_put_keeps_rows_right_aligned():
     for row, n in enumerate((2, 5, 4)):
         cache.put([row], part(n, row + 1))
     keys = cache.layers[0][0]
-    assert keys.shape == (3, 2, 5, 3)
+    assert keys.shape == (3, 2, width, 3)
     assert [(keys[r, 0, :, 0] != 0).sum() for r in range(3)] == [2, 5, 4]
-    assert (keys[0, :, 3:] == 1).all() and (keys[0, :, :3] == 0).all()
-    # refilling the longest row drops the columns no row uses
+    assert (keys[0, :, :2] == 1).all() and (keys[0, :, 2:] == 0).all()
+    # refilling the longest row copies that row alone, into the same buffers
     cache.put([1], part(1, 7))
-    assert cache.layers[0][0].shape[2] == 4
+    assert cache.layers[0][0] is keys and keys.shape[2] == width
     assert cache.lengths.tolist() == [2, 1, 4]
-    # so does emptying it, though the empty part holds no layers
+    # emptying a row sets its length alone: the empty part holds no layers,
+    # and the row's stale keys stay behind for `causal_bias` to mask
     cache.put([2], part(0, 9))
     assert cache.lengths.tolist() == [2, 1, 0]
     for a in cache.layers[0]:
-        assert a.shape == (3, 2, 2, 3)
-        assert (a[0] == 1).all() and (a[2] == 0).all()
-        assert (a[1, :, 1:] == 7).all() and (a[1, :, :1] == 0).all()
+        assert a.shape == (3, 2, width, 3)
+        assert (a[0, :, :2] == 1).all() and (a[0, :, 2:] == 0).all()
+        assert (a[2, :, :4] == 3).all() and (a[2, :, 4:] == 0).all()
+        assert (a[1, :, :1] == 7).all() and (a[1, :, 1:] == 0).all()

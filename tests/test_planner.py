@@ -148,14 +148,6 @@ def test_predict_actions_length_and_determinism():
     assert all(0 <= a < K for a in a1)
 
 
-def test_invocation_counter_counts_forwards():
-    model = make_model()
-    model.invocations = 0
-    model.forward_probs(np.zeros((2, D), dtype=np.float32))
-    model.forward_probs(np.zeros((0, D), dtype=np.float32))
-    assert model.invocations == 2
-
-
 def test_checkpoint_round_trip(tmp_path):
     centroids = unit_prototypes()
     model = make_model(seed=9, head_init="centroids", centroids=centroids)
