@@ -18,11 +18,14 @@ from .errors import ValidationError, parsing
 
 
 # The least value of each count; smaller ones crash or act silently.
-_LEAST_VALUES = {"k": 1, "lm_batch": 1, "planner_batch": 1,
+_LEAST_VALUES = {"ngram_order": 1, "k": 1, "kmeans_max_iters": 1,
+                 "lm_dim": 1, "lm_batch": 1, "planner_batch": 1,
                  "pretrain_epochs": 1, "finetune_epochs": 1,
                  "planner_epochs": 1, "context_window": 2, "edit_base_len": 1,
-                 "eval_articles": 0, "hmm_states": 1, "hmm_iters": 1,
-                 "scan_articles": 0, "noise_variants": 0}
+                 "top_k": 0, "eval_articles": 0, "hmm_states": 1,
+                 "hmm_iters": 1, "scan_articles": 0, "noise_variants": 0}
+# Learning rates must be positive; `not rate > 0` refuses nan too.
+_POSITIVE_RATES = ("planner_lr", "lm_lr")
 
 
 @dataclass
@@ -90,6 +93,10 @@ class RunConfig:
         for name, least in _LEAST_VALUES.items():
             if getattr(self, name) < least:
                 raise ValidationError(f"{name} must be >= {least}, got "
+                                      f"{getattr(self, name)}")
+        for name in _POSITIVE_RATES:
+            if not getattr(self, name) > 0:
+                raise ValidationError(f"{name} must be > 0, got "
                                       f"{getattr(self, name)}")
         if not self.lengths:
             raise ValidationError("lengths grid must be non-empty")

@@ -4,23 +4,25 @@ Pure metrics (perplexity aggregation, ROUGE-2, edit distance, HMM critic) plus
 model-facing scorers: sliding-window perplexity and the per-step action scans.
 The scorers only see a `logit_fn(ids, actions, noise) -> (B, T, V) array`
 callable (`actions` and `noise` may be None), so they work with any
-conditioning style. All of them score their rows through one length-batched
-loop. The HMM critic is batched the same way: its fit and its one scorer,
+conditioning style; the scans also pass it `cache=`, a `KVCache` that the
+call extends. All of them score their rows through one length-batched loop.
+The HMM critic is batched the same way: its fit and its one scorer,
 `corpus_latent_perplexity`, run one scaled forward (and, to fit, backward)
 pass per length group of sequences.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .nn import length_batches
+from .nn import KVCache, length_batches
 
 
 # -- surface metrics -----------------------------------------------------------
@@ -267,13 +269,24 @@ def hmm_fit(sequences: Sequence[Sequence[int]], n_states: int, n_symbols: int,
 # -- scoring LM rows -------------------------------------------------------------
 
 
-LogitFn = Callable[[np.ndarray, np.ndarray | None, np.ndarray | None],
-                   np.ndarray]
+# logit_fn(ids, actions, noise, cache=None) -> (B, T, V) logits. `cache`, when
+# given, is a B-row `KVCache` that the call extends: row b's ids then follow
+# its `cache.lengths[b]` cached positions.
+LogitFn = Callable[..., np.ndarray]
 
-# One LM row: input ids, conditioning actions or None, action noise or None,
-# the positions whose next-token predictions are scored, and those tokens.
-Row = tuple[np.ndarray, np.ndarray | None, np.ndarray | None, np.ndarray,
-            np.ndarray]
+
+class Row(NamedTuple):
+    """One LM row: input ids, conditioning actions or None, action noise or
+    None, the positions whose next-token predictions are scored, and those
+    tokens. `prefix`, when given, is a one-row `KVCache` and a count n: the
+    row's ids then follow the cache's first n positions."""
+
+    ids: np.ndarray
+    actions: np.ndarray | None
+    noise: np.ndarray | None
+    positions: np.ndarray
+    targets: np.ndarray
+    prefix: tuple[KVCache, int] | None = None
 
 
 def _nll_rows(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -290,17 +303,32 @@ def _scored_rows(logit_fn: LogitFn,
     """Yield (row index, NLL at its scored positions), in batch order.
 
     Up to 64 rows of one length share an LM call; equal-length rows keep
-    their order.
+    their order. Rows without a prefix take an uncached call. The rows of a
+    call with prefixes (all or none of them have one) first copy their
+    prefixes into one B-row `KVCache`, one `put` per run of adjacent rows
+    with the same prefix, and the call extends it. One `_nll_rows` call
+    scores the positions of all rows of a call.
     """
-    for batch in length_batches(range(len(rows)), lambda r: len(rows[r][0]),
+    for batch in length_batches(range(len(rows)), lambda r: len(rows[r].ids),
                                 64):
-        ids, actions, noise = (None if rows[batch[0]][f] is None
-                               else np.stack([rows[r][f] for r in batch])
+        picked = [rows[r] for r in batch]
+        ids, actions, noise = (None if picked[0][f] is None
+                               else np.stack([row[f] for row in picked])
                                for f in range(3))
-        logits = logit_fn(ids, actions, noise)
-        for b, r in enumerate(batch):
-            _, _, _, positions, targets = rows[r]
-            yield r, _nll_rows(logits[b, positions], targets)
+        if picked[0].prefix is None:
+            logits = logit_fn(ids, actions, noise)
+        else:
+            cache = KVCache(len(batch))
+            for (part, n), run in itertools.groupby(
+                    range(len(batch)), lambda b: picked[b].prefix):
+                cache.put(list(run), part, length=n)
+            logits = logit_fn(ids, actions, noise, cache=cache)
+        counts = [len(row.positions) for row in picked]
+        nll = _nll_rows(
+            logits[np.repeat(np.arange(len(batch)), counts),
+                   np.concatenate([row.positions for row in picked])],
+            np.concatenate([row.targets for row in picked]))
+        yield from zip(batch, np.split(nll, np.cumsum(counts)[:-1]))
 
 
 # -- sliding-window perplexity ---------------------------------------------------
@@ -351,8 +379,8 @@ def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem],
                 if item.actions is not None else None
             if counted.any():
                 positions = np.flatnonzero(counted)
-                rows.append((inputs, acts, None, positions,
-                             ids[s + 1 + positions]))
+                rows.append(Row(inputs, acts, None, positions,
+                                ids[s + 1 + positions]))
             if s + window >= n:
                 break
             s += stride
@@ -399,35 +427,60 @@ class ScanResult:
 def _sentence_scores(logit_fn: LogitFn, items: Sequence[ScanItem],
                      window: int, variants: Callable):
     """Yield (item, sentence index j, mean NLL of sentence j's tokens under
-    each variant) for every scoreable sentence, scoring one sentence's rows
-    at a time.
+    each variant) for every scoreable sentence, in order.
 
-    The row ends at the sentence's last token and keeps at most `window`
-    positions. `variants(oracle actions of the row, positions predicting
-    sentence j)` gives each variant's (actions, noise or None).
+    Sentence j is scored on a window that ends at its last token and keeps
+    at most `window` positions. Every variant conditions the positions
+    before the window's first one that predicts sentence j (p0) on oracle
+    actions, so by causality their keys and values are the same in every
+    variant. One B=1 forward per item and window start caches them, over
+    the longest such prefix of the sentences that share the start. Each
+    variant's row holds the window's positions from p0 on, after the first
+    p0 positions of that cache. `variants(oracle actions of those positions,
+    the ones among them that predict sentence j)` gives each variant's
+    (actions, noise or None), in sentence order. All sentences' rows are
+    then scored together, so one LM call batches many sentences and items.
     """
+    rows: list[Row] = []
+    sentences = []  # (item, j, slice of its rows)
     for item in items:
         ids = np.asarray(item.ids)
+        oracle = np.asarray(item.pp_actions)
         sidx = np.asarray(item.sentence_index_of_token)
+        spans = []  # (j, window start, scored token positions)
         for j in range(len(item.oracle_actions)):
             token_pos = np.flatnonzero(sidx == j)
             token_pos = token_pos[token_pos >= 1]  # tokens with a predicting position
             if token_pos.size == 0:
                 continue
-            wend = int(token_pos.max()) + 1
-            wstart = max(0, wend - window)
+            wstart = max(0, int(token_pos[-1]) + 1 - window)
             token_pos = token_pos[token_pos >= wstart + 1]  # sentence longer than window
-            if token_pos.size == 0:
-                continue
-            predicting = token_pos - 1 - wstart
-            rows = [(ids[wstart:wend], actions, noise, predicting,
-                     ids[token_pos])
-                    for actions, noise in variants(
-                        item.pp_actions[wstart:wend], predicting)]
-            nll = np.empty(len(rows))
-            for r, row_nll in _scored_rows(logit_fn, rows):
-                nll[r] = row_nll.mean()
-            yield item, j, nll
+            if token_pos.size:
+                spans.append((j, wstart, token_pos))
+
+        prefixes = {}
+        for wstart in dict.fromkeys(w for _, w, _ in spans):
+            end = max(int(t[0]) - 1 for _, w, t in spans if w == wstart)
+            prefixes[wstart] = KVCache(1)
+            if end > wstart:
+                logit_fn(ids[None, wstart:end], oracle[None, wstart:end], None,
+                         cache=prefixes[wstart])
+
+        for j, wstart, token_pos in spans:
+            first, wend = int(token_pos[0]) - 1, int(token_pos[-1]) + 1
+            predicting = token_pos - 1 - first
+            start = len(rows)
+            rows.extend(Row(ids[first:wend], actions, noise, predicting,
+                            ids[token_pos], (prefixes[wstart], first - wstart))
+                        for actions, noise in variants(oracle[first:wend],
+                                                       predicting))
+            sentences.append((item, j, slice(start, len(rows))))
+
+    nll = np.empty(len(rows))
+    for r, row_nll in _scored_rows(logit_fn, rows):
+        nll[r] = row_nll.mean()
+    for item, j, span in sentences:
+        yield item, j, nll[span]
 
 
 def oracle_scan(logit_fn: LogitFn, items: Sequence[ScanItem], k: int,
@@ -435,8 +488,9 @@ def oracle_scan(logit_fn: LogitFn, items: Sequence[ScanItem], k: int,
     """Score every sentence under each of the K actions.
 
     For sentence j the conditioning action is replaced at exactly the
-    positions predicting its tokens; earlier positions keep oracle actions.
-    Rows of the result are sorted ascending, so rank 1 is the per-step best.
+    positions predicting its tokens; earlier positions keep oracle actions
+    (the shared prefix cache of `_sentence_scores`). Rows of the result are
+    sorted ascending, so rank 1 is the per-step best.
     """
     def variants(oracle, predicting):
         actions = np.tile(oracle, (k, 1))
@@ -480,7 +534,8 @@ def noise_scan(logit_fn: LogitFn, items: Sequence[ScanItem],
 
     Each variant draws one noise vector (shared across adapted layers) added
     to the oracle action embedding at the sentence's positions; conditioning
-    elsewhere stays oracle.
+    elsewhere stays oracle (the shared prefix cache of `_sentence_scores`).
+    The sentences draw their noise in order, before any row is scored.
     """
     rng = np.random.default_rng(seed)
 

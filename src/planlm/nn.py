@@ -84,24 +84,27 @@ class KVCache:
     forward writes its new positions right after them, in place. The
     columns past a row's length hold zeros or stale keys, which
     `causal_bias` masks. A row is (re)filled by extending a one-row cache
-    and `put`ting it in its place.
+    and `put`ting it, or its first positions, in its place.
     """
 
     def __init__(self, rows: int):
         self.lengths = np.zeros(rows, dtype=np.int64)
         self.layers: list[list[np.ndarray]] = []
 
-    def put(self, rows, part: "KVCache") -> None:
+    def put(self, rows, part: "KVCache", length: int | None = None) -> None:
         """Replace the rows `rows` by the rows of `part`, which holds no
-        layers when its rows hold no positions."""
+        layers when its rows hold no positions. With `length`, they take
+        only the first `length` positions of `part`'s rows, and the columns
+        after those keep what they held."""
         if part.layers and not self.layers:
             self.layers = [[np.zeros((len(self.lengths),) + a.shape[1:],
                                      dtype=a.dtype) for a in kv]
                            for kv in part.layers]
+        cols = slice(None) if length is None else slice(length)
         for kv, part_kv in zip(self.layers, part.layers):
             for a, part_a in zip(kv, part_kv):
-                a[rows] = part_a
-        self.lengths[rows] = part.lengths
+                a[rows, :, cols] = part_a[:, :, cols]
+        self.lengths[rows] = part.lengths if length is None else length
 
 
 class SelfAttention:

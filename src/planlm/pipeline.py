@@ -735,9 +735,9 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
         action_set = data.action_set
         base, adapter = data.lm(Regime("oracle"))
 
-        def logit_fn(ids, actions, noise):
+        def logit_fn(ids, actions, noise, cache=None):
             return base.forward(ids, adapter=adapter, actions=actions,
-                                action_noise=noise).values
+                                action_noise=noise, cache=cache).values
 
         items = []
         for prepared in data.prepared(split)[:config.scan_articles]:

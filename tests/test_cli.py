@@ -149,6 +149,14 @@ def test_bad_config_input_refused_with_one_error_line(tmp_path, capsys, given,
     ("hmm_states=0", "evaluate", ["hmm_states"]),
     ("edit_base_len=0", "evaluate", ["edit_base_len"]),
     ("lengths=0,32", "evaluate", ["lengths", "got 0"]),
+    ("ngram_order=0", "embed", ["ngram_order"]),
+    ("lm_dim=0", "pretrain-lm", ["lm_dim"]),
+    ("kmeans_max_iters=0", "cluster", ["kmeans_max_iters"]),
+    ("top_k=-3", "generate", ["top_k"]),
+    ("lm_lr=0", "finetune", ["lm_lr"]),
+    ("lm_lr=-1", "finetune", ["lm_lr"]),
+    ("lm_lr=nan", "finetune", ["lm_lr"]),
+    ("planner_lr=-0.5", "train-planner", ["planner_lr"]),
 ])
 def test_bad_config_value_refused_with_one_error_line(run_dir, tmp_path,
                                                       capsys, given, command,

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 from functools import lru_cache
 
 import numpy as np
@@ -453,7 +454,9 @@ def scan_logit_fn(uses_actions):
     emb = rng.normal(size=(SCAN_K, SCAN_DIM))
     proj = rng.normal(size=(SCAN_DIM, SCAN_V))
 
-    def logit_fn(ids, actions, noise):
+    def logit_fn(ids, actions, noise, cache=None):
+        # each position's logits depend on its own token and action alone,
+        # so a cache of earlier positions changes nothing
         if not uses_actions:
             return tok[ids]
         action_emb = emb[actions] if noise is None else emb[actions] + noise
@@ -486,9 +489,9 @@ def tiny_lm():
         AdapterConfig(n_actions=REF_K, action_dim=REF_DIM, adapted_layers=2,
                       init="random"), cfg, np.random.default_rng(14))
 
-    def logit_fn(ids, actions, noise):
+    def logit_fn(ids, actions, noise, cache=None):
         return base.forward(ids, adapter=adapter, actions=actions,
-                            action_noise=noise).values
+                            action_noise=noise, cache=cache).values
 
     return logit_fn
 
@@ -587,6 +590,11 @@ def test_corpus_nll_matches_one_call_per_window():
 
 
 def test_oracle_scan_matches_one_call_per_action():
+    """The scan scores each variant's suffix on a shared oracle-prefix
+    cache; the reference forwards each variant's whole window uncached.
+    `reference_items` holds a sentence longer than the window (a1's 10
+    tokens, window 8) and sentences whose first predicting position is the
+    window's first (each article's first sentence, and a1's long one)."""
     logit_fn = tiny_lm()
     items = reference_items()
 
@@ -623,6 +631,9 @@ def test_oracle_scan_matches_one_call_per_action():
 
 
 def test_noise_scan_matches_one_call_per_draw():
+    """As the oracle scan test, for noise variants: the cached suffixes
+    match whole uncached windows over the same `reference_items`, and the
+    draws come in the same order."""
     logit_fn = tiny_lm()
     items = reference_items()
     rng = np.random.default_rng(17)
@@ -640,3 +651,53 @@ def test_noise_scan_matches_one_call_per_draw():
     got = noise_scan(logit_fn, items, n_variants=5, sigma=0.3,
                      action_dim=REF_DIM, window=REF_WINDOW, seed=17)
     np.testing.assert_array_equal(got, np.exp(ranked.mean(axis=0)))
+
+
+@pytest.mark.parametrize("scan", ["oracle", "noise"])
+def test_scans_prefill_once_per_window_start(scan, monkeypatch):
+    """One B=1 forward per item and window start caches the oracle prefix
+    before the sentences' latest first predicting position. Then each batch
+    of at most 64 equal-length variant suffixes takes one call."""
+    logit_fn = tiny_lm()
+    items = reference_items()
+    calls = []  # (ids, cache lengths, cache has layers) as each forward starts
+    forward = BaseLM.forward
+
+    def spy(self, ids, *args, cache=None, **kwargs):
+        calls.append((ids.copy(), cache.lengths.copy(), bool(cache.layers)))
+        return forward(self, ids, *args, cache=cache, **kwargs)
+
+    monkeypatch.setattr(BaseLM, "forward", spy)
+    if scan == "oracle":
+        n_variants = REF_K
+        oracle_scan(logit_fn, items, REF_K, REF_WINDOW)
+    else:
+        n_variants = 5
+        noise_scan(logit_fn, items, n_variants, sigma=0.3,
+                   action_dim=REF_DIM, window=REF_WINDOW, seed=17)
+
+    want_prefills, suffix_rows = [], Counter()
+    for item in items:
+        ends: dict[int, int] = {}
+        for j in range(len(item.oracle_actions)):
+            token_pos = np.flatnonzero(item.sentence_index_of_token == j)
+            end = token_pos.max() + 1
+            start = max(0, end - REF_WINDOW)
+            first = max(1, start + 1, token_pos.min()) - 1
+            ends[start] = max(ends.get(start, start), first)
+            suffix_rows[end - first] += n_variants
+        want_prefills += [item.ids[None, start:end]
+                          for start, end in ends.items() if end > start]
+    want_suffixes = sorted((min(64, n - i), length)
+                           for length, n in suffix_rows.items()
+                           for i in range(0, n, 64))
+
+    prefills = [ids for ids, lengths, layers in calls
+                if len(ids) == 1 and not lengths.any() and not layers]
+    assert len(prefills) == len(want_prefills) == 5
+    for got, want in zip(prefills, want_prefills):
+        np.testing.assert_array_equal(got, want)
+    suffixes = sorted(ids.shape for ids, lengths, layers in calls
+                      if len(ids) > 1)
+    assert suffixes == want_suffixes
+    assert len(calls) == len(prefills) + len(suffixes)

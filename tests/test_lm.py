@@ -227,6 +227,39 @@ def test_rows_of_random_cached_lengths_step_like_their_own_forwards(
                                        atol=1e-6)
 
 
+@pytest.mark.parametrize("with_adapter", [False, True])
+def test_putting_a_caches_first_positions_matches_prefilling_only_those(
+        with_adapter):
+    """Rows that take the first n positions of one longer cache, then step
+    together, give the logits of caches prefilled with only those n."""
+    base = make_base(seed=9)
+    adapter = make_adapter(base, L=2, seed=10) if with_adapter else None
+    ids, actions = random_inputs(np.random.default_rng(5), b=1, t=12)
+
+    def forward(lo, hi, cache):
+        return base.forward(ids[:, lo:hi], adapter=adapter, cache=cache,
+                            actions=actions[:, lo:hi] if adapter else None)
+
+    longer = nn.KVCache(1)
+    forward(0, 9, longer)
+    firsts, t = (4, 0, 9), 3
+    cache = nn.KVCache(len(firsts))
+    for row, n in enumerate(firsts):
+        cache.put([row], longer, length=n)
+    assert cache.lengths.tolist() == list(firsts)
+    step = base.forward(np.concatenate([ids[:, n:n + t] for n in firsts]),
+                        adapter=adapter, cache=cache,
+                        actions=np.concatenate([actions[:, n:n + t]
+                                                for n in firsts])
+                        if adapter else None).values
+    for row, n in enumerate(firsts):
+        only = nn.KVCache(1)
+        if n:
+            forward(0, n, only)
+        np.testing.assert_allclose(step[row], forward(n, n + t, only).values[0],
+                                   rtol=0, atol=1e-6)
+
+
 def test_cached_forward_refuses_positions_past_the_window():
     base = make_base()
     cache = nn.KVCache(1)
