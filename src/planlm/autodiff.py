@@ -15,9 +15,34 @@ in-place updates on buffers they allocated themselves, in the same operation
 order as the plain expressions, so every value is bitwise the same; backward
 leaves the buffers saved by forward intact, so it may run again.
 
+A tensor's first gradient is a buffer it owns, and later ones are added into
+it in place. So an op may hand a gradient over (`accumulate_grad(grad,
+owned=True)`) only when its backward has just allocated it and keeps no other
+reference to it: `matmul`'s products, `mul`'s and `scale`'s products, a
+broadcast sum, and the `softmax`, `gelu`, `layer_norm`, `cross_entropy` and
+`embedding` gradients. Anything else is copied: views (`reshape`,
+`swapaxes`), read-only `broadcast_to` results (`reduce_sum`), a `g` passed
+straight through (`add`), and a gradient of another dtype. Owning one of
+those would make the next `+=` write into another node's gradient.
+
 `matmul` of any input by a matrix (`(..., k) @ (k, n)`: a Linear layer, or a
 2-D product such as the planner head) runs as one `(rows, k)` GEMM instead of
 one per leading index, and its weight gradient sums all rows in one GEMM.
+With a `bias` it is a whole Linear layer in one node: the bias is added in
+place into the fresh GEMM output, and its gradient is summed from the same
+`g`.
+
+`softmax` may scale its input and add a constant mask to it (attention
+scores) in its own output buffer, and its backward scales the gradient in
+place, so the attention weights are one node. `gelu` runs in blocks of
+`_BLOCK` elements, so that a block's temporaries stay in cache.
+`embedding`'s backward adds each table row's gradients in the order their ids
+occur, as `np.add.at` does, so the two are bitwise equal; it adds the k-th
+occurrences of all rows together, not one id at a time.
+
+`Adam` keeps one flat moment, gradient and scratch buffer per parameter
+dtype, so a step is a fixed number of numpy calls over all parameters at
+once, and one update per parameter.
 
 Importing this module raises glibc's mmap and trim thresholds (`mallopt`), so
 that multi-MB array buffers come from the heap and a freed one stays mapped
@@ -40,6 +65,18 @@ import numpy as np
 DEBUG_CHECKS = False
 
 _FLOAT_DTYPES = (np.float32, np.float64)
+
+# elements per block of `gelu`: large, since each block costs a round of
+# numpy calls, and a power of two, so that every block but the last is a
+# whole number of SIMD vectors
+_BLOCK = 1 << 16
+
+# `_scatter_rows` calls `np.add.at` for at most this many ids, and takes
+# its padded layout when that visits fewer elements than this many per
+# numpy call of its other layout (what one call costs; both measured on
+# 2 CPUs with numpy 2.4.6)
+_FEW_IDS = 64
+_CALL_ELEMENTS = 400
 
 # glibc mallopt parameters: mmap threshold at its 64-bit maximum, trim at 1 GiB
 _M_TRIM_THRESHOLD = -1
@@ -107,9 +144,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.values)
 
-    def accumulate_grad(self, grad: np.ndarray) -> None:
+    def accumulate_grad(self, grad: np.ndarray, owned: bool = False) -> None:
+        """Add `grad` to this tensor's gradient. With `owned`, the caller
+        hands over a buffer that nothing else references, and a first
+        gradient of this tensor's dtype is kept instead of copied."""
         if self.grad is None:
-            self.grad = grad.astype(self.values.dtype, copy=True)
+            if owned and grad.dtype == self.values.dtype:
+                self.grad = grad
+            else:
+                self.grad = grad.astype(self.values.dtype, copy=True)
         else:
             self.grad += grad
 
@@ -156,12 +199,23 @@ class Tensor:
 
 def _node(values: np.ndarray, parents: tuple[Tensor, ...],
           backward: Callable[[np.ndarray], None], what: str) -> Tensor:
-    _check_finite(values, what)
-    out = Tensor(values)
-    if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = parents
-        out._backward = backward
+    """An op's output. `values` is a float array the op made, so `Tensor`'s
+    conversion is skipped, and the graph is kept only when a parent requires
+    grad."""
+    if DEBUG_CHECKS:
+        _check_finite(values, what)
+    out = Tensor.__new__(Tensor)
+    out.values = values
+    out.grad = None
+    out.requires_grad = False
+    out._parents = ()
+    out._backward = None
+    for p in parents:
+        if p.requires_grad:
+            out.requires_grad = True
+            out._parents = parents
+            out._backward = backward
+            break
     return out
 
 
@@ -176,6 +230,13 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _accumulate_sum(t: Tensor, g: np.ndarray) -> None:
+    """Add `g`, summed down to `t`'s shape, to `t`'s gradient; a sum is a
+    fresh buffer, `g` itself is not."""
+    grad = _unbroadcast(g, t.shape)
+    t.accumulate_grad(grad, owned=grad is not g)
+
+
 # -- elementwise and structural ops -----------------------------------------
 
 
@@ -184,9 +245,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g, a.shape))
+            _accumulate_sum(a, g)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g, b.shape))
+            _accumulate_sum(b, g)
 
     return _node(out, (a, b), backward, "add")
 
@@ -196,9 +257,9 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(g * b.values, a.shape))
+            a.accumulate_grad(_unbroadcast(g * b.values, a.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(g * a.values, b.shape))
+            b.accumulate_grad(_unbroadcast(g * a.values, b.shape), owned=True)
 
     return _node(out, (a, b), backward, "mul")
 
@@ -208,46 +269,59 @@ def scale(a: Tensor, c: float) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
-            a.accumulate_grad(g * c)
+            a.accumulate_grad(g * c, owned=True)
 
     return _node(out, (a,), backward, "scale")
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """`a @ b`, plus `bias` over the last axis when given (a Linear layer).
+    A bias needs a matrix `b`; it is added into the product's own buffer,
+    which keeps the product's dtype."""
     if a.ndim < 1 or b.ndim < 2 or a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul shape mismatch: {a.shape} @ {b.shape}")
     if b.ndim == 2:
-        return _matmul_rows(a, b)
+        return _matmul_rows(a, b, bias)
+    if bias is not None:
+        raise ShapeError(f"matmul bias needs a matrix, got {b.shape}")
     out = np.matmul(a.values, b.values)
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             ga = np.matmul(g, np.swapaxes(b.values, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
+            a.accumulate_grad(_unbroadcast(ga, a.shape), owned=True)
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.values, -1, -2), g)
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
+            b.accumulate_grad(_unbroadcast(gb, b.shape), owned=True)
 
     return _node(out, (a, b), backward, "matmul")
 
 
-def _matmul_rows(a: Tensor, b: Tensor) -> Tensor:
-    """`(..., k) @ (k, n)` as one `(rows, k) @ (k, n)` GEMM."""
+def _matmul_rows(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
+    """`(..., k) @ (k, n) + bias` as one `(rows, k) @ (k, n)` GEMM."""
     lead = a.shape[:-1]
     k, n = b.shape
+    if bias is not None and bias.shape != (n,):
+        raise ShapeError(f"matmul bias shape {bias.shape} != ({n},)")
     # not reshape(-1, k): that cannot infer rows when k == 0
     rows = math.prod(lead)
     a2 = a.values.reshape(rows, k)
-    out = (a2 @ b.values).reshape(*lead, n)
+    out = a2 @ b.values
+    parents = (a, b)
+    if bias is not None:
+        out += bias.values
+        parents = (a, b, bias)
 
     def backward(g: np.ndarray) -> None:
         g2 = g.reshape(rows, n)
         if a.requires_grad:
-            a.accumulate_grad((g2 @ b.values.T).reshape(a.shape))
+            a.accumulate_grad((g2 @ b.values.T).reshape(a.shape), owned=True)
         if b.requires_grad:
-            b.accumulate_grad(a2.T @ g2)
+            b.accumulate_grad(a2.T @ g2, owned=True)
+        if bias is not None and bias.requires_grad:
+            _accumulate_sum(bias, g)
 
-    return _node(out, (a, b), backward, "matmul")
+    return _node(out.reshape(*lead, n), parents, backward, "matmul")
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
@@ -297,9 +371,19 @@ def reduce_mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 # -- nonlinearities ----------------------------------------------------------
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    out = a.values - a.values.max(axis=-1, keepdims=True)
+def softmax(a: Tensor, scale: float | None = None,
+            bias: np.ndarray | None = None) -> Tensor:
+    """Softmax over the last axis of `a * scale + bias`.
+
+    `scale` is a Python float (a numpy float64 would promote float32 input
+    to float64), and `bias` a constant that broadcasts to `a`'s shape, such
+    as an attention mask; no gradient flows to it. Both are applied in the
+    output's own buffer.
+    """
+    out = a.values * scale if scale is not None else a.values.copy()
+    if bias is not None:
+        out += bias
+    out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
@@ -309,7 +393,9 @@ def softmax(a: Tensor) -> Tensor:
             inner = grad.sum(axis=-1, keepdims=True)
             np.subtract(g, inner, out=grad)
             grad *= out
-            a.accumulate_grad(grad)
+            if scale is not None:
+                grad *= scale
+            a.accumulate_grad(grad, owned=True)
 
     return _node(out, (a,), backward, "softmax")
 
@@ -318,38 +404,63 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 _GELU_A = 0.044715
 
 
+def _blocks(*arrays: np.ndarray):
+    """Matching slices of at most `_BLOCK` elements of equal-shape arrays, in
+    row-major order; an array written through them must be C-contiguous."""
+    flat = [x.reshape(-1) for x in arrays]
+    for start in range(0, flat[0].size, _BLOCK):
+        yield [x[start:start + _BLOCK] for x in flat]
+
+
 def gelu(a: Tensor) -> Tensor:
     """GELU with the tanh approximation."""
     # 0.5 x (1 + tanh(c (x + a x^3))), evaluated in that order
     x = a.values
-    t = x * x
-    t *= x
-    t *= _GELU_A
-    t += x
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = x * 0.5
-    out *= t + 1.0
+    t = np.empty(x.shape, x.dtype)
+    out = np.empty(x.shape, x.dtype)
+    scratch = np.empty(min(x.size, _BLOCK), x.dtype)
+    for xb, tb, ob in _blocks(x, t, out):
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= _GELU_A
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.multiply(xb, 0.5, out=ob)
+        ob *= np.add(tb, 1.0, out=scratch[:tb.size])
 
     def backward(g: np.ndarray) -> None:
         if a.requires_grad:
             # 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 a x^2), times g
-            du = x * x
-            du *= 3.0 * _GELU_A
-            du += 1.0
-            du *= _GELU_C
-            grad = t * t
-            np.subtract(1.0, grad, out=grad)
-            part = x * 0.5
-            part *= grad
-            part *= du
-            np.add(t, 1.0, out=grad)
-            grad *= 0.5
-            grad += part
-            grad *= g
-            a.accumulate_grad(grad)
+            grad = np.empty(x.shape, x.dtype)
+            du = np.empty(min(x.size, _BLOCK), x.dtype)
+            part = np.empty_like(du)
+            for xb, tb, gb, rb in _blocks(x, t, g, grad):
+                d, p = du[:xb.size], part[:xb.size]
+                np.multiply(xb, xb, out=d)
+                d *= 3.0 * _GELU_A
+                d += 1.0
+                d *= _GELU_C
+                np.multiply(tb, tb, out=rb)
+                np.subtract(1.0, rb, out=rb)
+                np.multiply(xb, 0.5, out=p)
+                p *= rb
+                p *= d
+                np.add(tb, 1.0, out=rb)
+                rb *= 0.5
+                rb += p
+                rb *= gb
+            a.accumulate_grad(grad, owned=True)
 
     return _node(out, (a,), backward, "gelu")
+
+
+def _mean_last(x: np.ndarray) -> np.ndarray:
+    """`x.mean(axis=-1, keepdims=True)` as `ndarray.mean` computes it (a sum,
+    then a division by the count as an intp), without its Python wrapper."""
+    total = np.add.reduce(x, axis=-1, keepdims=True)
+    return np.true_divide(total, np.intp(x.shape[-1]), out=total,
+                          casting="unsafe")
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -359,8 +470,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
             f"layer_norm parameter shape {gain.shape}/{bias.shape} "
             f"does not match input {a.shape}")
     x = a.values
-    xhat = x - x.mean(axis=-1, keepdims=True)
-    var = (xhat * xhat).mean(axis=-1, keepdims=True)
+    xhat = x - _mean_last(x)
+    var = _mean_last(xhat * xhat)
     inv = 1.0 / np.sqrt(var + eps)
     xhat *= inv
     out = xhat * gain.values
@@ -369,20 +480,20 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     def backward(g: np.ndarray) -> None:
         lead = tuple(range(g.ndim - 1))
         if gain.requires_grad:
-            gain.accumulate_grad((g * xhat).sum(axis=lead))
+            gain.accumulate_grad((g * xhat).sum(axis=lead), owned=True)
         if bias.requires_grad:
-            bias.accumulate_grad(g.sum(axis=lead))
+            bias.accumulate_grad(g.sum(axis=lead), owned=True)
         if a.requires_grad:
             # inv * (gx - mean(gx) - xhat * mean(gx * xhat))
             gx = g * gain.values
-            m1 = gx.mean(axis=-1, keepdims=True)
+            m1 = _mean_last(gx)
             tmp = gx * xhat
-            m2 = tmp.mean(axis=-1, keepdims=True)
+            m2 = _mean_last(tmp)
             gx -= m1
             np.multiply(xhat, m2, out=tmp)
             gx -= tmp
             gx *= inv
-            a.accumulate_grad(gx)
+            a.accumulate_grad(gx, owned=True)
 
     return _node(out, (a, gain, bias), backward, "layer_norm")
 
@@ -398,11 +509,63 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
 
     def backward(g: np.ndarray) -> None:
         if table.requires_grad:
-            grad = np.zeros_like(table.values)
-            np.add.at(grad, ids, g)
-            table.accumulate_grad(grad)
+            table.accumulate_grad(_scatter_rows(table.values, ids, g),
+                                  owned=True)
 
     return _node(out, (table,), backward, "embedding")
+
+
+def _scatter_rows(table: np.ndarray, ids: np.ndarray,
+                  g: np.ndarray) -> np.ndarray:
+    """`np.add.at(np.zeros_like(table), ids, g)`, bit for bit.
+
+    `np.add.at` adds each id's gradient to its row from zero, in id order,
+    one id at a time, which is slow past a few dozen ids. Beyond `_FEW_IDS`
+    ids are stable-sorted instead, so each row's occurrences keep their
+    order, and the k-th occurrences of all rows are added together, for
+    k = 0, 1, ... Two layouts do that, and the cheaper one is taken:
+    - few (row, column) pairs: a zero-padded (ranks + 1, rows, ...) buffer,
+      whose `np.add.accumulate` over the ranks is every row's running sum
+      from zero (the padding adds zeros, which moves no sum);
+    - otherwise the rows, ranked by occurrence count, so that the rows with
+      a k-th occurrence come first; their k-th gradients are laid out as one
+      contiguous block, and each rank is one in-place add.
+    """
+    flat = ids.reshape(-1)
+    grads = g.reshape(flat.shape + table.shape[1:])
+    grad = np.zeros_like(table)
+    if flat.size <= _FEW_IDS:
+        np.add.at(grad, flat, grads)
+        return grad
+    order = np.argsort(flat, kind="stable")
+    rows, first, counts = np.unique(flat[order], return_index=True,
+                                    return_counts=True)
+    row_of = np.repeat(np.arange(len(rows)), counts)
+    rank = np.arange(flat.size) - first[row_of]
+    depth = int(counts.max())
+    padded = len(rows) * math.prod(table.shape[1:]) * (depth + 1)
+    if padded < _CALL_ELEMENTS * depth:
+        sums = np.zeros((depth + 1,) + (len(rows),) + table.shape[1:],
+                        table.dtype)
+        sums[rank + 1, row_of] = grads[order]
+        np.add.accumulate(sums, axis=0, out=sums)
+        grad[rows] = sums[-1]
+        return grad
+    # slot[j]: where row j is in the ranking by descending count
+    ranking = np.argsort(-counts, kind="stable")
+    slot = np.empty_like(ranking)
+    slot[ranking] = np.arange(len(rows))
+    # width[k] rows have a k-th occurrence; their block begins at start[k]
+    width = np.searchsorted(-counts[ranking], -np.arange(depth))
+    start = np.cumsum(width) - width
+    layout = np.empty_like(order)
+    layout[start[rank] + slot[row_of]] = order
+    laid = grads[layout]
+    total = np.zeros((len(rows),) + table.shape[1:], table.dtype)
+    for s, w in zip(start.tolist(), width.tolist()):
+        total[:w] += laid[s:s + w]
+    grad[rows[ranking]] = total
+    return grad
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray,
@@ -441,7 +604,7 @@ def cross_entropy(logits: Tensor, targets: np.ndarray,
             probs = e / z
             probs[rows, flat_targets] -= 1.0
             probs *= (weights / total)[:, None] * g
-            logits.accumulate_grad(probs.reshape(logits.shape))
+            logits.accumulate_grad(probs.reshape(logits.shape), owned=True)
 
     return _node(out, (logits,), backward, "cross_entropy")
 
@@ -479,7 +642,13 @@ def backward(loss: Tensor) -> None:
 
 
 class Adam:
-    """Adam with bias correction; grads are cleared after each step."""
+    """Adam with bias correction; grads are cleared after each step.
+
+    The parameters of one dtype share flat moment, gradient and scratch
+    buffers: a step gathers their gradients (zeros for a parameter without
+    one), updates all moments with one numpy call per operation, and
+    subtracts each parameter's slice of the step from it.
+    """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 1e-4,
                  beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
@@ -489,26 +658,24 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.step_count = 0
-        self._m = [np.zeros_like(p.values) for p in self.params]
-        self._v = [np.zeros_like(p.values) for p in self.params]
-        sizes: dict[np.dtype, int] = {}
+        by_dtype: dict[np.dtype, list[Tensor]] = {}
         for p in self.params:
-            sizes[p.dtype] = max(sizes.get(p.dtype, 0), p.size)
-        self._scratch = {dtype: (np.empty(n, dtype), np.empty(n, dtype))
-                         for dtype, n in sizes.items()}
+            by_dtype.setdefault(p.dtype, []).append(p)
+        # per dtype: its parameters, then flat m, v, grad, step and den
+        self._groups = [
+            (group,) + tuple(np.zeros(sum(p.size for p in group), dtype)
+                             for _ in range(5))
+            for dtype, group in by_dtype.items()]
 
     def step(self) -> None:
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1**self.step_count
         bc2 = 1.0 - b2**self.step_count
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if g is None:
-                g = np.zeros_like(p.values)
-            # views of two scratch buffers shared by all parameters
-            step, den = (w[:p.size].reshape(p.shape)
-                         for w in self._scratch[p.dtype])
+        for group, m, v, g, step, den in self._groups:
+            np.concatenate([p.grad.reshape(-1) if p.grad is not None
+                            else np.zeros(p.size, g.dtype) for p in group],
+                           out=g)
             m *= b1
             m += np.multiply(g, 1.0 - b1, out=step)
             v *= b2
@@ -522,7 +689,10 @@ class Adam:
             np.sqrt(den, out=den)
             den += self.eps
             step /= den
-            p.values -= step
+            offset = 0
+            for p in group:
+                p.values -= step[offset:offset + p.size].reshape(p.shape)
+                offset += p.size
         self.zero_grad()
 
     def zero_grad(self) -> None:

@@ -135,7 +135,14 @@ def sample_tokens(logits: np.ndarray, temperature: float, top_k: int,
     logits -= logits.max(axis=-1, keepdims=True)
     probs = np.exp(logits)
     probs /= probs.sum(axis=-1, keepdims=True)
-    return [int(rng.choice(v, p=p)) for rng, p in zip(rngs, probs)]
+    # `Generator.choice(v, p=p)` for every row at once: the same cdf, one
+    # `random()` per row, and the count of cdf entries at or below it
+    cdf = probs.cumsum(axis=-1)
+    if np.isnan(cdf[:, -1]).any():
+        raise ValueError("probabilities contain NaN")
+    cdf /= cdf[:, -1:]
+    u = np.array([rng.random() for rng in rngs])
+    return (cdf <= u[:, None]).sum(axis=-1).tolist()
 
 
 def _sentence_complete(text: str) -> bool:

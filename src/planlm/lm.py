@@ -301,7 +301,7 @@ def extend_for_insert(base: BaseLM, n_actions: int,
                                        np.zeros(n_actions, np.float32)])
     extended = BaseLM(replace(base.config,
                               vocab_size=base.config.vocab_size + n_actions),
-                      np.random.default_rng(0))
+                      nn.UNDRAWN)
     nn.load_params(extended.params_dict(), snap)
     return extended
 
@@ -403,13 +403,15 @@ def lm_from_checkpoint(sections: dict[str, np.ndarray], meta: dict,
     """(network, adapter) of a base, adapter or insert LM checkpoint.
 
     The adapter is None unless the checkpoint holds one. An insert LM's
-    network has the extended vocabulary.
+    network has the extended vocabulary. Like every loader, it builds the
+    models with `nn.UNDRAWN`, so no random init is drawn only to be
+    overwritten.
     """
     kind = meta.get("kind")
     if kind not in ("base_lm", "adapter_lm", "insert_lm"):
         raise ValidationError(f"checkpoint of kind {kind!r} is not an LM")
     lm_config = LmConfig(**meta["lm_config"])
-    base = BaseLM(lm_config, np.random.default_rng(0))
+    base = BaseLM(lm_config, nn.UNDRAWN)
     params = base.params_dict()
     adapter = None
     if kind == "adapter_lm":
@@ -417,8 +419,7 @@ def lm_from_checkpoint(sections: dict[str, np.ndarray], meta: dict,
         table = next((v for k, v in sections.items()
                       if k.endswith(".e_a")), None)
         adapter = ActionAdapter(AdapterConfig(**meta["adapter_config"]),
-                                lm_config, np.random.default_rng(0),
-                                centroids=table)
+                                lm_config, nn.UNDRAWN, centroids=table)
         params.update(adapter.params_dict())
     nn.load_params(params, sections)
     return base, adapter

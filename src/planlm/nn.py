@@ -24,7 +24,22 @@ Item = TypeVar("Item")
 
 def normal_param(rng: np.random.Generator, shape: tuple[int, ...],
                  std: float = INIT_STD) -> Tensor:
-    return Tensor(rng.normal(0.0, std, size=shape).astype(np.float32))
+    values = rng.normal(0.0, std, size=shape)
+    return Tensor(values.astype(np.float32, copy=False))
+
+
+class _Undrawn:
+    """Stands in for the `np.random.Generator` of a model that is built only
+    to have its parameters loaded (`load_params`) right after: `normal`
+    allocates a parameter without drawing its values."""
+
+    def normal(self, loc: float, scale: float, size: tuple[int, ...]
+               ) -> np.ndarray:
+        return np.empty(size, dtype=np.float32)
+
+
+# what the checkpoint loaders build their models with
+UNDRAWN = _Undrawn()
 
 
 def zeros_param(shape: tuple[int, ...]) -> Tensor:
@@ -41,7 +56,7 @@ class Linear:
         self.b = zeros_param((d_out,))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return (x @ self.w) + self.b
+        return ad.matmul(x, self.w, self.b)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
@@ -122,6 +137,10 @@ class SelfAttention:
     grad. `bias`, when given, is added to the attention scores: the
     forward's `causal_bias`, built once for all layers. Without one, every
     position attends to every other.
+
+    Each projection is one `matmul` node with its bias, and the scores are
+    scaled by 1/sqrt(d_head) and masked inside the one `softmax` node, so a
+    training step keeps no separate scaled or masked score buffers.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int):
@@ -156,10 +175,10 @@ class SelfAttention:
                 buffer[np.arange(b)[:, None], :, cols] = \
                     new.values.swapaxes(1, 2)
             k, v = (Tensor(buffer[:, :, :cols.max() + 1]) for buffer in cache)
-        scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(dh))
-        if bias is not None:
-            scores = scores + bias
-        ctx = scores.softmax() @ v
+        weights = ad.softmax(q @ k.swapaxes(-1, -2),
+                             scale=float(1.0 / np.sqrt(dh)),
+                             bias=None if bias is None else bias.values)
+        ctx = weights @ v
         ctx = ctx.swapaxes(1, 2).reshape(b, t, d)
         if extra_context is not None:
             ctx = ctx + extra_context

@@ -249,8 +249,7 @@ def planner_from_checkpoint(sections: dict[str, np.ndarray],
     if meta.get("kind") != "planner":
         raise ValidationError("checkpoint is not a planner")
     # the saved head stands in for the centroids it started from
-    model = PlannerModel(PlannerConfig(**meta["config"]),
-                         np.random.default_rng(0),
+    model = PlannerModel(PlannerConfig(**meta["config"]), nn.UNDRAWN,
                          centroids=sections.get("planner.w_o"))
     nn.load_params(model.params_dict(), sections)
     return model

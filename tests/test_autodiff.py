@@ -159,13 +159,33 @@ def _cross_entropy_ref(logits, targets, mask, g):
     return out, [probs.reshape(logits.shape)]
 
 
-def _float32s(data, shape):
-    """Generic float32 values (hypothesis would mostly pick exact ones such
-    as 0.0 and 1.0, whose products round the same in any order)."""
+def _float32s(data, shape, dtype=np.float32):
+    """Generic float values, float32 unless `dtype` says otherwise
+    (hypothesis would mostly pick exact ones such as 0.0 and 1.0, whose
+    products round the same in any order)."""
     seed = data.draw(st.integers(0, 2**32 - 1))
     scale = data.draw(st.sampled_from([1e-3, 1.0, 30.0]))
-    return np.random.default_rng(seed).normal(0.0, scale, shape).astype(
-        np.float32)
+    return np.random.default_rng(seed).normal(0.0, scale, shape).astype(dtype)
+
+
+def _masked_softmax_ref(x, scale, bias, g):
+    out, [grad] = _softmax_ref(x * scale + bias, g)
+    return out, [grad * scale]
+
+
+def _matmul_bias_ref(x, w, b, g):
+    """The unfused Linear: the one-GEMM product, then a broadcast add."""
+    k, n = w.shape
+    x2, g2 = x.reshape(-1, k), g.reshape(-1, n)
+    return ((x2 @ w).reshape(g.shape) + b,
+            [(g2 @ w.T).reshape(x.shape), x2.T @ g2,
+             g.sum(axis=tuple(range(g.ndim - 1)))])
+
+
+def _embedding_ref(table, ids, g):
+    grad = np.zeros_like(table)
+    np.add.at(grad, ids, g)
+    return table[ids], [grad]
 
 
 def _same_bits(got, want):
@@ -174,32 +194,92 @@ def _same_bits(got, want):
     assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("op", ["softmax", "gelu", "layer_norm",
-                                "cross_entropy"])
-@settings(max_examples=40, deadline=None)
-@given(data=st.data())
-def test_in_place_kernels_match_the_plain_formulas(op, data):
+# op -> (forward on the input tensors, reference(*inputs, g)); the
+# gradients that merely pass `g` on must still be copies of it
+STRUCTURAL = {
+    "add": (lambda t: t[0] + t[1], lambda a, b, g: (a + b, [g, g])),
+    "add_broadcast": (lambda t: t[0] + t[1], lambda a, b, g: (
+        a + b, [g, g.sum(axis=tuple(range(g.ndim - 1)))])),
+    "mul": (lambda t: t[0] * t[1], lambda a, b, g: (a * b, [g * b, g * a])),
+    "scale": (lambda t: t[0] * 0.5, lambda a, g: (a * 0.5, [g * 0.5])),
+    "reshape": (lambda t: t[0].reshape(-1),
+                lambda a, g: (a.reshape(-1), [g.reshape(a.shape)])),
+    "swapaxes": (lambda t: t[0].swapaxes(0, -1), lambda a, g: (
+        np.swapaxes(a, 0, -1), [np.swapaxes(g, 0, -1)])),
+    "sum": (lambda t: t[0].sum(axis=-1), lambda a, g: (
+        a.sum(axis=-1), [np.broadcast_to(g[..., None], a.shape)])),
+}
+
+
+def _kernel_case(op, data):
+    """One drawn example of `op`: its float inputs, the op applied to their
+    tensors, and the plain formulas' (output, input gradients) given `g`."""
     shape = data.draw(hnp.array_shapes(min_dims=1, max_dims=3, max_side=6))
-    inputs = [_float32s(data, shape)]
-    if op == "layer_norm":
-        inputs += [_float32s(data, shape[-1:]) for _ in range(2)]
-    before = [x.copy() for x in inputs]
-    tensors = [Tensor(x, requires_grad=True) for x in inputs]
+    if op == "matmul_bias":
+        shape = data.draw(hnp.array_shapes(min_dims=2, max_dims=3,
+                                           max_side=6))
+        n = data.draw(st.integers(1, 6))
+        inputs = [_float32s(data, shape), _float32s(data, (shape[-1], n)),
+                  _float32s(data, (n,))]
+        return inputs, lambda t: ad.matmul(*t), \
+            lambda g: _matmul_bias_ref(*inputs, g)
+    if op == "softmax_masked":
+        scale = data.draw(st.sampled_from([0.125, 0.5, float(1 / np.sqrt(3))]))
+        mask_shape = tuple(data.draw(st.sampled_from([1, n])) for n in shape)
+        bias = np.where(data.draw(hnp.arrays(bool, mask_shape)),
+                        nn.MASK_BIAS, 0.0).astype(np.float32)
+        inputs = [_float32s(data, shape)]
+        return inputs, lambda t: ad.softmax(t[0], scale=scale, bias=bias), \
+            lambda g: _masked_softmax_ref(inputs[0], scale, bias, g)
+    if op == "embedding":
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        rows, width = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 64))
+        n = data.draw(st.integers(0, 400))
+        r = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        ids = r.integers(0, rows, n)
+        if data.draw(st.booleans()):
+            ids[:] = r.integers(0, rows)
+        if n % 2 == 0 and data.draw(st.booleans()):
+            ids = ids.reshape(2, n // 2)
+        inputs = [_float32s(data, (rows, width), dtype)]
+        return inputs, lambda t: ad.embedding(t[0], ids), \
+            lambda g: _embedding_ref(inputs[0], ids, g)
     if op == "cross_entropy":
         targets = data.draw(hnp.arrays(np.int64, shape[:-1],
                                        elements=st.integers(0, shape[-1] - 1)))
         mask = data.draw(hnp.arrays(np.float32, shape[:-1],
                                     elements=st.sampled_from([0.0, 1.0])))
         mask.reshape(-1)[0] = 1.0
-        out = ad.cross_entropy(tensors[0], targets, mask)
-        g = _float32s(data, ())
-        want, grads = _cross_entropy_ref(inputs[0], targets, mask, g)
-    else:
-        out = getattr(ad, op)(*tensors)
-        g = _float32s(data, out.shape)
-        ref = {"softmax": _softmax_ref, "gelu": _gelu_ref,
-               "layer_norm": _layer_norm_ref}[op]
-        want, grads = ref(*inputs, g)
+        inputs = [_float32s(data, shape)]
+        return inputs, lambda t: ad.cross_entropy(t[0], targets, mask), \
+            lambda g: _cross_entropy_ref(inputs[0], targets, mask, g)
+    if op in STRUCTURAL:
+        n_in = 2 if op in ("add", "add_broadcast", "mul") else 1
+        inputs = [_float32s(data, shape) for _ in range(n_in)]
+        if op == "add_broadcast":
+            inputs = [inputs[0], _float32s(data, shape[-1:])]
+        forward, ref = STRUCTURAL[op]
+        return inputs, forward, lambda g: ref(*inputs, g)
+    inputs = [_float32s(data, shape)]
+    if op == "layer_norm":
+        inputs += [_float32s(data, shape[-1:]) for _ in range(2)]
+    ref = {"softmax": _softmax_ref, "gelu": _gelu_ref,
+           "layer_norm": _layer_norm_ref}[op]
+    return inputs, lambda t: getattr(ad, op)(*t), lambda g: ref(*inputs, g)
+
+
+@pytest.mark.parametrize("op", ["softmax", "softmax_masked", "gelu",
+                                "layer_norm", "cross_entropy", "matmul_bias",
+                                "embedding", *STRUCTURAL])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_in_place_kernels_match_the_plain_formulas(op, data):
+    inputs, forward, ref = _kernel_case(op, data)
+    before = [x.copy() for x in inputs]
+    tensors = [Tensor(x, requires_grad=True) for x in inputs]
+    out = forward(tensors)
+    g = _float32s(data, out.shape, out.dtype)
+    want, grads = ref(g)
     _same_bits(out.values, want)
 
     before.append(g.copy())
@@ -208,6 +288,7 @@ def test_in_place_kernels_match_the_plain_formulas(op, data):
         _same_bits(t.grad, grad)
     # an op writes into neither its inputs nor the upstream gradient, and
     # keeps its saved buffers, so a second backward adds the same gradients
+    # (this also checks that a gradient a tensor owns is no other's buffer)
     out._backward(g)
     for t, grad in zip(tensors, grads):
         _same_bits(t.grad, grad + grad)
@@ -274,6 +355,19 @@ def test_grad_reduce_mean_axis():
 
 def test_grad_softmax():
     _check(lambda p: (p[0].softmax() * p[1]).sum(), [(4, 6), (4, 6)])
+
+
+def test_grad_softmax_scaled_and_masked():
+    mask = nn.causal_bias(4).values
+    _check(lambda p: (ad.softmax(p[0], scale=0.5, bias=mask) * p[1]).sum(),
+           [(1, 2, 4, 4), (1, 2, 4, 4)])
+
+
+def test_grad_matmul_with_bias():
+    _check(lambda p: (ad.matmul(p[0], p[1], p[2]) * p[3]).sum(),
+           [(2, 3, 4), (4, 5), (5,), (2, 3, 5)])
+    _check(lambda p: (ad.matmul(p[0], p[1], p[2]) * p[3]).sum(),
+           [(3, 4), (4, 2), (2,), (3, 2)])
 
 
 def test_grad_gelu():
@@ -381,17 +475,21 @@ def _adam_reference_step(values, grads, m, v, t, lr, b1=0.9, b2=0.999,
 
 
 def test_adam_step_matches_the_allocating_reference():
+    """Also with parameters of two dtypes, which `Adam` keeps in separate
+    flat buffers."""
     r = rng()
-    shapes = [(4, 5), (5,), (3, 2, 2), (1,)]
-    start = [r.normal(0, 1, s).astype(np.float32) for s in shapes]
+    shapes = [(4, 5), (5,), (3, 2, 2), (1,), (2, 3)]
+    dtypes = [np.float32, np.float32, np.float64, np.float32, np.float64]
+    start = [r.normal(0, 1, s).astype(d) for s, d in zip(shapes, dtypes)]
     params = [Tensor(x.copy(), requires_grad=True) for x in start]
     opt = Adam(params, lr=3e-2)
     ref = [x.copy() for x in start]
     m = [np.zeros_like(x) for x in start]
     v = [np.zeros_like(x) for x in start]
     for t in range(1, 7):
-        grads = [r.normal(0, 1, s).astype(np.float32) for s in shapes]
+        grads = [r.normal(0, 1, s).astype(d) for s, d in zip(shapes, dtypes)]
         grads[1] = None if t % 3 == 0 else grads[1]
+        grads[4] = None if t % 2 == 0 else grads[4]
         for p, g in zip(params, grads):
             p.grad = None if g is None else g.copy()
         opt.step()

@@ -540,9 +540,16 @@ def test_unknown_regime_key_refused():
             Regime.named(key)
 
 
-def test_adapter_checkpoint_regime_round_trip(tmp_path):
+def same_params(got, want):
+    assert got.keys() == want.keys()
+    for name, tensor in want.items():
+        assert got[name].values.tobytes() == tensor.values.tobytes(), name
+
+
+def test_adapter_checkpoint_regime_round_trip(tmp_path, request):
     base = make_base(seed=16)
     adapter = make_adapter(base, k=4, L=2, seed=17)
+    request.getfixturevalue("no_normal_draws")
     regime = Regime("predicted_oa")
     path = tmp_path / "lm.plmc"
     sections = {**{k: v.values for k, v in base.params_dict().items()},
@@ -554,14 +561,17 @@ def test_adapter_checkpoint_regime_round_trip(tmp_path):
     assert Regime(**meta["regime"]) == regime
     assert base2.config == base.config
     assert adapter2.config == adapter.config
+    same_params(base2.params_dict(), base.params_dict())
+    same_params(adapter2.params_dict(), adapter.params_dict())
     ids, actions = random_inputs(np.random.default_rng(3))
     np.testing.assert_allclose(
         base2.forward(ids, adapter=adapter2, actions=actions).values,
         base.forward(ids, adapter=adapter, actions=actions).values, atol=1e-7)
 
 
-def test_base_lm_checkpoint_round_trip(tmp_path):
+def test_base_lm_checkpoint_round_trip(tmp_path, request):
     base = make_base(seed=18)
+    request.getfixturevalue("no_normal_draws")
     path = tmp_path / "base.plmc"
     storage.write_checkpoint(path, {k: v.values for k, v in
                                     base.params_dict().items()},
@@ -571,14 +581,20 @@ def test_base_lm_checkpoint_round_trip(tmp_path):
     assert meta["kind"] == "base_lm" and "regime" not in meta
     assert adapter2 is None
     assert base2.config == base.config
+    same_params(base2.params_dict(), base.params_dict())
     ids = np.random.default_rng(4).integers(0, V, (1, 5))
     np.testing.assert_array_equal(base2.forward(ids).values,
                                   base.forward(ids).values)
 
 
-def test_insert_lm_checkpoint_round_trip(tmp_path):
+def test_insert_lm_checkpoint_round_trip(tmp_path, request):
     base = make_base(seed=19)
-    extended = extend_for_insert(base, 3, np.random.default_rng(5))
+    want = extend_for_insert(base, 3, np.random.default_rng(5))
+    rng = np.random.default_rng(5)
+    request.getfixturevalue("no_normal_draws")
+    # only the new rows are drawn, from the caller's generator
+    extended = extend_for_insert(base, 3, rng)
+    same_params(extended.params_dict(), want.params_dict())
     regime = Regime("oracle", style="insert", locus="internal")
     path = tmp_path / "insert.plmc"
     storage.write_checkpoint(path, {k: v.values for k, v in
@@ -590,6 +606,7 @@ def test_insert_lm_checkpoint_round_trip(tmp_path):
     assert Regime(**meta["regime"]) == regime
     assert adapter2 is None
     assert base2.config == extended.config
+    same_params(base2.params_dict(), extended.params_dict())
     ids = np.random.default_rng(6).integers(0, V + 3, (1, 5))
     np.testing.assert_array_equal(base2.forward(ids).values,
                                   extended.forward(ids).values)

@@ -148,16 +148,20 @@ def test_predict_actions_length_and_determinism():
     assert all(0 <= a < K for a in a1)
 
 
-def test_checkpoint_round_trip(tmp_path):
+def test_checkpoint_round_trip(tmp_path, request):
     centroids = unit_prototypes()
     model = make_model(seed=9, head_init="centroids", centroids=centroids)
+    ctx = np.random.default_rng(1).normal(0, 1, (3, D)).astype(np.float32)
+    request.getfixturevalue("no_normal_draws")
     path = tmp_path / "planner.plmc"
     sections = {k: v.values for k, v in model.params_dict().items()}
     storage.write_checkpoint(path, sections, planner_meta(model))
     loaded_sections, meta = storage.read_checkpoint(path)
     restored = planner_from_checkpoint(loaded_sections, meta)
     assert restored.config == model.config
-    ctx = np.random.default_rng(1).normal(0, 1, (3, D)).astype(np.float32)
+    for name, tensor in model.params_dict().items():
+        assert restored.params_dict()[name].values.tobytes() \
+            == tensor.values.tobytes()
     np.testing.assert_array_equal(restored.forward_probs(ctx),
                                   model.forward_probs(ctx))
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from planlm.synthdata import load_labels
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,3 +44,26 @@ def test_run_regime_comparison_refuses_unknown_regime_before_any_work(
     assert done.returncode != 0
     assert "bogus" in done.stderr and "insert_internal_oracle" in done.stderr
     assert not (tmp_path / "work").exists()
+
+
+def test_bench_pairs_pairs_head_with_itself(tmp_path):
+    """One pair of the cheapest workload, HEAD against this checkout (the
+    same outputs), gives a well-formed record and no verdict."""
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
+                      capture_output=True).returncode != 0:
+        pytest.skip("not a git checkout")
+    done = run_script("bench_pairs.py", "--parent", "HEAD", "--workload",
+                      "infer-adapter", "--seed", "3", "--pairs", "1",
+                      "--seconds", "0", "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    [path] = tmp_path.glob("BENCH_*_infer-adapter.json")
+    [record] = json.loads(path.read_text())["comparisons"]
+    assert record["correct"] and record["fingerprints_equal"]
+    assert len(record["runs"]) == 1 and record["runs"][0]["first"] == "parent"
+    metrics = record["metrics"]
+    assert {"wall_s", "setup_s", "step.scan_oracle"} <= metrics.keys()
+    for m in metrics.values():
+        assert m["wins"] + m["losses"] + m["ties"] == 1
+        assert m["parent_q1"] == m["parent_q3"] == m["parent_median"] > 0
+        assert m["verdict"] == "unresolved"
+    assert record["env"]["numpy"] and record["env"]["blas_threads"] >= 1
