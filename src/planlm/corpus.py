@@ -71,6 +71,14 @@ class TokenStream:
     def __len__(self) -> int:
         return int(self.token_ids.shape[0])
 
+    @property
+    def target_sentence(self) -> np.ndarray:
+        """Per position p, the sentence of token p + 1, the target p
+        predicts; the last position keeps its own sentence. Position p is
+        conditioned on this sentence's action."""
+        sidx = self.sentence_index_of_token
+        return np.concatenate([sidx[1:], sidx[-1:]])
+
 
 def _is_sentence_boundary(text: str, i: int) -> bool:
     """Does the terminal character at `i` end a sentence?"""

@@ -21,6 +21,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
+from .corpus import TokenStream
 from .errors import ValidationError
 from .nn import KVCache, length_batches
 
@@ -401,16 +402,8 @@ def corpus_perplexity(logit_fn: LogitFn, items: Sequence[ScoringItem],
 
 # -- per-step action scans ---------------------------------------------------------
 
-
-@dataclass
-class ScanItem:
-    """One article prepared for the per-sentence action scans."""
-
-    ids: np.ndarray
-    sentence_index_of_token: np.ndarray
-    oracle_actions: np.ndarray            # one per sentence
-    pp_actions: np.ndarray                # oracle action per position
-    article_id: str = ""
+# an article the scans score: its tokens and its oracle action per sentence
+ScanArticle = tuple[TokenStream, Sequence[int]]
 
 
 @dataclass
@@ -424,31 +417,33 @@ class ScanResult:
     n_sentences: int = 0
 
 
-def _sentence_scores(logit_fn: LogitFn, items: Sequence[ScanItem],
+def _sentence_scores(logit_fn: LogitFn, articles: Sequence[ScanArticle],
                      window: int, variants: Callable):
-    """Yield (item, sentence index j, mean NLL of sentence j's tokens under
-    each variant) for every scoreable sentence, in order.
+    """Yield (article id, oracle action of sentence j, mean NLL of sentence
+    j's tokens under each variant) for every scoreable sentence of the
+    articles, in order.
 
     Sentence j is scored on a window that ends at its last token and keeps
     at most `window` positions. Every variant conditions the positions
     before the window's first one that predicts sentence j (p0) on oracle
     actions, so by causality their keys and values are the same in every
-    variant. One B=1 forward per item and window start caches them, over
+    variant. One B=1 forward per article and window start caches them, over
     the longest such prefix of the sentences that share the start. Each
     variant's row holds the window's positions from p0 on, after the first
     p0 positions of that cache. `variants(oracle actions of those positions,
     the ones among them that predict sentence j)` gives each variant's
     (actions, noise or None), in sentence order. All sentences' rows are
-    then scored together, so one LM call batches many sentences and items.
+    then scored together, so one LM call batches many sentences and articles.
     """
     rows: list[Row] = []
-    sentences = []  # (item, j, slice of its rows)
-    for item in items:
-        ids = np.asarray(item.ids)
-        oracle = np.asarray(item.pp_actions)
-        sidx = np.asarray(item.sentence_index_of_token)
+    sentences = []  # (article id, oracle action of j, slice of its rows)
+    for stream, sentence_oracle in articles:
+        ids = stream.token_ids
+        sidx = stream.sentence_index_of_token
+        oracle = np.asarray(sentence_oracle,
+                            dtype=np.int64)[stream.target_sentence]
         spans = []  # (j, window start, scored token positions)
-        for j in range(len(item.oracle_actions)):
+        for j in range(len(sentence_oracle)):
             token_pos = np.flatnonzero(sidx == j)
             token_pos = token_pos[token_pos >= 1]  # tokens with a predicting position
             if token_pos.size == 0:
@@ -474,16 +469,17 @@ def _sentence_scores(logit_fn: LogitFn, items: Sequence[ScanItem],
                             ids[token_pos], (prefixes[wstart], first - wstart))
                         for actions, noise in variants(oracle[first:wend],
                                                        predicting))
-            sentences.append((item, j, slice(start, len(rows))))
+            sentences.append((stream.article_id, int(sentence_oracle[j]),
+                              slice(start, len(rows))))
 
     nll = np.empty(len(rows))
     for r, row_nll in _scored_rows(logit_fn, rows):
         nll[r] = row_nll.mean()
-    for item, j, span in sentences:
-        yield item, j, nll[span]
+    for article_id, action, span in sentences:
+        yield article_id, action, nll[span]
 
 
-def oracle_scan(logit_fn: LogitFn, items: Sequence[ScanItem], k: int,
+def oracle_scan(logit_fn: LogitFn, articles: Sequence[ScanArticle], k: int,
                 window: int) -> ScanResult:
     """Score every sentence under each of the K actions.
 
@@ -501,9 +497,10 @@ def oracle_scan(logit_fn: LogitFn, items: Sequence[ScanItem], k: int,
     oracle_nll: list[float] = []
     ranks: list[int] = []
     by_article: dict[str, list[int]] = {}
-    for item, j, nll in _sentence_scores(logit_fn, items, window, variants):
-        oracle = nll[int(item.oracle_actions[j])]
-        by_article.setdefault(item.article_id, []).append(len(per_sentence))
+    for article_id, action, nll in _sentence_scores(logit_fn, articles,
+                                                    window, variants):
+        oracle = nll[action]
+        by_article.setdefault(article_id, []).append(len(per_sentence))
         per_sentence.append(np.sort(nll))
         oracle_nll.append(float(oracle))
         ranks.append(1 + int((nll < oracle).sum()))
@@ -526,7 +523,7 @@ def oracle_scan(logit_fn: LogitFn, items: Sequence[ScanItem], k: int,
     return result
 
 
-def noise_scan(logit_fn: LogitFn, items: Sequence[ScanItem],
+def noise_scan(logit_fn: LogitFn, articles: Sequence[ScanArticle],
                n_variants: int, sigma: float, action_dim: int, window: int,
                seed: int) -> np.ndarray:
     """Perplexity at each rank when every sentence is scored under Gaussian
@@ -548,7 +545,7 @@ def noise_scan(logit_fn: LogitFn, items: Sequence[ScanItem],
         return [(oracle, row) for row in noise]
 
     per_sentence = [np.sort(nll) for _, _, nll in _sentence_scores(
-        logit_fn, items, window, variants)]
+        logit_fn, articles, window, variants)]
     if not per_sentence:
         raise ValidationError("noise_scan saw no scoreable sentences")
     return np.exp(np.stack(per_sentence).mean(axis=0))

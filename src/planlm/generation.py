@@ -25,10 +25,11 @@ re-plan does not invalidate the cache: position p is conditioned on the
 action of token p + 1, and a cached position's next token already exists, so
 its action is fixed. Positions are learned and absolute, so a full row cannot
 slide: once it holds `window` positions it is prefilled again, alone, from
-its last `window // 2` tokens but the newest, the stride `corpus_nll` scores
-with. Rows start from different prefix lengths, so they refill at different
-steps. Until a row's window first overflows, its tokens equal those of
-re-running its whole window for every token; after that, each token sees
+its last `window // 2` tokens but the newest. At a context window of 64
+that keeps 31 tokens, one fewer than the stride of 32 that `corpus_nll`
+slides by. Rows start from different prefix lengths, so they refill at
+different steps. Until a row's window first overflows, its tokens equal those
+of re-running its whole window for every token; after that, each token sees
 between `window // 2` and `window` tokens of context. A row's tokens do not
 depend on which other rows share its batch, up to the rounding of a batched
 matmul.
@@ -237,8 +238,11 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
     `action_set` to `realized_actions` and the count of tokens generated so
     far to `sentence_ends`. Tokens are conditioned on actions only with an
     `adapter`: on the `planner`'s next action when one is given, else on
-    FIXED_ACTION_ID. Only a planner's actions are `planned_actions`.
+    FIXED_ACTION_ID. Only a planner's actions are `planned_actions`. No
+    prefixes give no records, without a forward.
     """
+    if not prefixes:
+        return Generations()
     conditioned = adapter is not None
     rows = [_start(prefix, conditioned, planner, encoder.config.dim)
             for prefix in prefixes]

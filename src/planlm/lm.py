@@ -13,7 +13,8 @@ Two conditioning styles:
   supplying them (`insert_external_predicted_pa`).
 
 The action merged at position p is the action of the text unit containing the
-token at position p+1, because the prediction at p scores that next token.
+token at position p+1, because the prediction at p scores that next token
+(`TokenStream.target_sentence`).
 """
 
 from __future__ import annotations
@@ -248,18 +249,17 @@ class ActionAdapter:
         return float(flat.std())
 
 
-# -- action/position alignment ---------------------------------------------------
+# -- scoring ----------------------------------------------------------------------
 
 
-def per_position_actions(stream: TokenStream,
-                         actions: Sequence[int]) -> np.ndarray:
-    """The action position p is conditioned on: that of the sentence holding
-    token p + 1, the target it predicts; the last token's sentence at the
-    last position."""
-    sidx = stream.sentence_index_of_token
-    action_arr = np.asarray(actions, dtype=np.int64)
-    shifted = np.concatenate([sidx[1:], sidx[-1:]])
-    return action_arr[shifted]
+def logit_fn(base: BaseLM,
+             adapter: ActionAdapter | None) -> evaluation.LogitFn:
+    """`base` with `adapter` as the scorers call it: the logits of a forward
+    of the rows' ids, actions, action noise and cache."""
+    def logits(ids, actions, noise, cache=None):
+        return base.forward(ids, adapter=adapter, actions=actions,
+                            action_noise=noise, cache=cache).values
+    return logits
 
 
 # -- insert style ------------------------------------------------------------------
@@ -371,9 +371,8 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
             base.forward(ids, adapter=adapter, actions=actions), targets, mask)
 
     def val_perplexity() -> float:
-        return evaluation.corpus_perplexity(
-            lambda i, a, _: base.forward(i, adapter=adapter, actions=a).values,
-            val_items, window)
+        return evaluation.corpus_perplexity(logit_fn(base, adapter),
+                                            val_items, window)
 
     return nn.fit(trainable, examples, lambda ex: len(ex.inputs), batch_loss,
                   batch_size, lr, max_epochs, patience, seed,

@@ -32,13 +32,13 @@ from .corpus import (BOS_ID, Article, TokenStream, Vocabulary,
                      split_corpus, split_sentences, tokenize)
 from .encoder import EncoderConfig, SentenceEncoder, embed_corpus
 from .errors import MissingArtifactError, ValidationError, parsing
-from .evaluation import HmmCritic, ScanItem, ScoringItem, \
+from .evaluation import HmmCritic, ScoringItem, \
     corpus_latent_perplexity, corpus_perplexity, hmm_fit, noise_scan, \
     normalized_edit, oracle_scan, rouge2_f1
 from .generation import GenerationConfig, Prefix, generate
 from .lm import (FIXED_ACTION_ID, ActionAdapter, AdapterConfig, BaseLM,
                  LmConfig, Regime, extend_for_insert, insert_style_sequence,
-                 lm_from_checkpoint, lm_meta, per_position_actions, train_lm)
+                 lm_from_checkpoint, lm_meta, logit_fn, train_lm)
 from .planner import (PlannerConfig, PlannerModel, evaluate_planner,
                       planner_from_checkpoint, planner_meta,
                       predict_actions_for_article, train_planner)
@@ -469,7 +469,7 @@ def scoring_items(data: RunData, split: str, regime: Regime, training: bool,
             items.append(ScoringItem(
                 ids=stream.token_ids,
                 actions=None if acts is None
-                else per_position_actions(stream, acts)))
+                else acts[stream.target_sentence]))
     return items
 
 
@@ -698,9 +698,11 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
         if data.why_stale(report_path.name, manifest) is None:
             with parsing(report_path):
                 previous = json.loads(report_path.read_text(encoding="utf-8"))
-                if not isinstance(previous, dict):
+                if not isinstance(previous, dict) or not isinstance(
+                        previous.get("regimes", {}), dict):
                     raise ValidationError(
-                        f"{report_path}: cannot parse: expected a JSON object")
+                        f"{report_path}: cannot parse: expected a JSON "
+                        "object whose \"regimes\" is an object")
             if previous.get("split") == split:
                 report["regimes"] = previous.get("regimes", {})
                 for name in manifest["inputs"]:
@@ -711,10 +713,8 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
             base, adapter = models[regime.key]
             items = scoring_items(data, split, regime, training=False,
                                   planner=planner)
-            entry["ppl"] = corpus_perplexity(
-                lambda ids, actions, _: base.forward(ids, adapter=adapter,
-                                                     actions=actions).values,
-                items, base.config.context_window)
+            entry["ppl"] = corpus_perplexity(logit_fn(base, adapter), items,
+                                             base.config.context_window)
             entry.update(_generation_metrics(data, regime, split, critic))
             report["regimes"][regime.key] = entry
 
@@ -735,24 +735,14 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
         action_set = data.action_set
         base, adapter = data.lm(Regime("oracle"))
 
-        def logit_fn(ids, actions, noise, cache=None):
-            return base.forward(ids, adapter=adapter, actions=actions,
-                                action_noise=noise, cache=cache).values
-
-        items = []
-        for prepared in data.prepared(split)[:config.scan_articles]:
-            items.append(ScanItem(
-                ids=prepared.stream.token_ids,
-                sentence_index_of_token=prepared.stream.sentence_index_of_token,
-                oracle_actions=np.asarray(prepared.oracle),
-                pp_actions=per_position_actions(prepared.stream, prepared.oracle),
-                article_id=prepared.article.id))
-
+        scorer = logit_fn(base, adapter)
+        articles = [(p.stream, p.oracle)
+                    for p in data.prepared(split)[:config.scan_articles]]
         window = base.config.context_window
-        oracle_result = oracle_scan(logit_fn, items, action_set.k, window)
+        oracle_result = oracle_scan(scorer, articles, action_set.k, window)
         n_variants = config.noise_variants or action_set.k
         sigma = adapter.embedding_std()
-        noise_curve = noise_scan(logit_fn, items, n_variants, sigma,
+        noise_curve = noise_scan(scorer, articles, n_variants, sigma,
                                  action_set.dim, window, seed=config.seed)
 
         def write_curve(name, ppl_at_rank):

@@ -117,7 +117,7 @@ class PlannerModel:
         else:
             pooled = x.mean(axis=1)
             pooled = self.mlp2(ad.gelu(self.mlp1(pooled)))
-        return (pooled @ self.w_o.swapaxes(0, 1)) + self.b
+        return ad.matmul(pooled, self.w_o.swapaxes(0, 1), self.b)
 
     def forward_probs(self, context: np.ndarray) -> np.ndarray:
         """Probability vector over actions given sentence embeddings so far.

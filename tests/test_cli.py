@@ -583,7 +583,8 @@ def test_evaluate_scores_generations_as_they_were_made(full_run, tmp_path):
     assert "rouge2" in entry and "edit" in entry and "latent_ppl" in entry
 
 
-@pytest.mark.parametrize("damage", ["truncate", "not an object"])
+@pytest.mark.parametrize("damage", ["truncate", "not an object",
+                                    "regimes not an object"])
 def test_corrupt_previous_report_refused_with_one_error_line(full_run, tmp_path,
                                                             capsys, damage):
     out = copy_of(full_run, tmp_path)
@@ -591,8 +592,11 @@ def test_corrupt_previous_report_refused_with_one_error_line(full_run, tmp_path,
     if damage == "truncate":
         raw = report.read_bytes()
         report.write_bytes(raw[:len(raw) // 2])
-    else:
+    elif damage == "not an object":
         report.write_text("[]\n")
+    else:
+        previous = json.loads(report.read_text())
+        report.write_text(json.dumps(previous | {"regimes": []}) + "\n")
     capsys.readouterr()
     assert main(args(out, "evaluate", "--regimes", "fixed")) == 1
     err = capsys.readouterr().err.splitlines()
@@ -776,6 +780,17 @@ def test_generate_decodes_the_split_in_lockstep(full_run, tmp_path,
     assert len(records) >= 3
     assert sum(len(r["token_ids"]) for r in records) == 32 * len(records)
     assert widths.count(1) <= 32  # gen_max_tokens
+
+
+def test_generate_without_articles_writes_no_records(full_run, tmp_path):
+    out = copy_of(full_run, tmp_path)
+    no_articles = ["--force", "--set", "eval_articles=0"]
+    assert main(args(out, "generate", "--regime", "fixed") + no_articles) == 0
+    assert read_records(out / "generations_fixed.jsonl") == []
+    assert main(args(out, "evaluate", "--regimes", "fixed") + no_articles) \
+        == 0
+    entry = json.loads((out / "eval_report.json").read_text())["regimes"]
+    assert entry["fixed"]["plan_following_rate"] is None
 
 
 def test_only_a_planners_actions_are_planned(full_run, tmp_path,

@@ -9,11 +9,13 @@ from hypothesis import given, settings, strategies as st
 
 from planlm import evaluation
 from planlm.errors import ValidationError
-from planlm.evaluation import (HmmCritic, ScanItem, ScoringItem,
+from planlm.corpus import TokenStream
+from planlm.evaluation import (HmmCritic, ScoringItem,
                                corpus_latent_perplexity, corpus_nll, hmm_fit,
                                levenshtein, noise_scan, normalized_edit,
                                oracle_scan, perplexity_from_nll, rouge2_f1)
-from planlm.lm import ActionAdapter, AdapterConfig, BaseLM, LmConfig
+from planlm.lm import (ActionAdapter, AdapterConfig, BaseLM, LmConfig,
+                       logit_fn)
 
 
 # -- levenshtein ---------------------------------------------------------------
@@ -432,20 +434,23 @@ def test_fit_rejects_bad_symbols():
 SCAN_V, SCAN_K, SCAN_DIM = 7, 3, 4
 
 
+def random_scan_articles(rng, k, sentence_lengths):
+    """(stream, oracle actions) of articles a0, a1, ...: <bos>, then
+    sentences of the given lengths of random tokens, with random actions."""
+    articles = []
+    for n, lengths in enumerate(sentence_lengths):
+        sidx = np.concatenate([[0], np.repeat(np.arange(len(lengths)),
+                                              lengths)])
+        oracle = rng.integers(0, k, len(lengths))
+        ids = np.concatenate([[1], rng.integers(2, SCAN_V, len(sidx) - 1)])
+        articles.append((TokenStream(f"a{n}", ids, sidx), oracle))
+    return articles
+
+
 def scan_items():
-    """Two articles: <bos> then sentences of 3-4 tokens, oracle actions set."""
-    rng = np.random.default_rng(11)
-    items = []
-    for n, sentence_lengths in enumerate(([4, 3, 4], [3, 4, 3, 3])):
-        sidx = np.repeat(np.arange(len(sentence_lengths)), sentence_lengths)
-        sidx = np.concatenate([[0], sidx])
-        oracle = rng.integers(0, SCAN_K, len(sentence_lengths))
-        items.append(ScanItem(
-            ids=np.concatenate([[1], rng.integers(2, SCAN_V, len(sidx) - 1)]),
-            sentence_index_of_token=sidx, oracle_actions=oracle,
-            pp_actions=oracle[np.concatenate([sidx[1:], sidx[-1:]])],
-            article_id=f"a{n}"))
-    return items
+    """Two articles of sentences of 3-4 tokens."""
+    return random_scan_articles(np.random.default_rng(11), SCAN_K,
+                                ([4, 3, 4], [3, 4, 3, 3]))
 
 
 def scan_logit_fn(uses_actions):
@@ -480,20 +485,15 @@ REF_WINDOW, REF_K, REF_DIM = 8, 4, 6
 
 
 def tiny_lm():
-    """A frozen two-layer LM with a random adapter on both layers, and its
-    logit_fn."""
+    """The logit_fn of a frozen two-layer LM with a random adapter on both
+    layers."""
     cfg = LmConfig(vocab_size=SCAN_V, d_model=16, n_layers=2, n_heads=2,
                    context_window=REF_WINDOW)
     base = BaseLM(cfg, np.random.default_rng(13))
     adapter = ActionAdapter(
         AdapterConfig(n_actions=REF_K, action_dim=REF_DIM, adapted_layers=2,
                       init="random"), cfg, np.random.default_rng(14))
-
-    def logit_fn(ids, actions, noise, cache=None):
-        return base.forward(ids, adapter=adapter, actions=actions,
-                            action_noise=noise, cache=cache).values
-
-    return logit_fn
+    return logit_fn(base, adapter)
 
 
 def one_row(logit_fn, ids, actions, noise=None):
@@ -535,13 +535,15 @@ def reference_corpus_nll(logit_fn, items, window):
     return float(total), sum(w[2] for w in windows)
 
 
-def reference_sentence_nll(logit_fn, item, window, variant):
+def reference_sentence_nll(logit_fn, article, window, variant):
     """Mean NLL of each sentence's tokens for each variant, one call per
     variant: `variant(actions, predicting)` edits the window's oracle actions
     and returns (actions, noise or None)."""
+    stream, oracle = article
+    ids, pp_actions = stream.token_ids, oracle[stream.target_sentence]
     out = []
-    for j in range(len(item.oracle_actions)):
-        token_pos = np.flatnonzero(item.sentence_index_of_token == j)
+    for j in range(len(oracle)):
+        token_pos = np.flatnonzero(stream.sentence_index_of_token == j)
         token_pos = token_pos[token_pos >= 1]
         if token_pos.size == 0:
             continue
@@ -550,29 +552,17 @@ def reference_sentence_nll(logit_fn, item, window, variant):
         token_pos = token_pos[token_pos >= start + 1]
         predicting = token_pos - 1 - start
         nll = []
-        for actions, noise in variant(item.pp_actions[start:end], predicting):
-            logits = one_row(logit_fn, item.ids[start:end], actions, noise)
-            nll.append(row_nll(logits[predicting],
-                               item.ids[token_pos]).mean())
-        out.append((item.article_id, int(item.oracle_actions[j]),
-                    np.asarray(nll)))
+        for actions, noise in variant(pp_actions[start:end], predicting):
+            logits = one_row(logit_fn, ids[start:end], actions, noise)
+            nll.append(row_nll(logits[predicting], ids[token_pos]).mean())
+        out.append((stream.article_id, int(oracle[j]), np.asarray(nll)))
     return out
 
 
 def reference_items():
     """Articles longer than the window, with one sentence longer than it."""
-    rng = np.random.default_rng(15)
-    items = []
-    for n, lengths in enumerate(([4, 3, 5, 4], [3, 10, 3], [2, 2, 3])):
-        sidx = np.concatenate([[0], np.repeat(np.arange(len(lengths)),
-                                              lengths)])
-        oracle = rng.integers(0, REF_K, len(lengths))
-        items.append(ScanItem(
-            ids=np.concatenate([[1], rng.integers(2, SCAN_V, len(sidx) - 1)]),
-            sentence_index_of_token=sidx, oracle_actions=oracle,
-            pp_actions=oracle[np.concatenate([sidx[1:], sidx[-1:]])],
-            article_id=f"a{n}"))
-    return items
+    return random_scan_articles(np.random.default_rng(15), REF_K,
+                                ([4, 3, 5, 4], [3, 10, 3], [2, 2, 3]))
 
 
 def test_corpus_nll_matches_one_call_per_window():
@@ -677,16 +667,16 @@ def test_scans_prefill_once_per_window_start(scan, monkeypatch):
                    action_dim=REF_DIM, window=REF_WINDOW, seed=17)
 
     want_prefills, suffix_rows = [], Counter()
-    for item in items:
+    for stream, oracle in items:
         ends: dict[int, int] = {}
-        for j in range(len(item.oracle_actions)):
-            token_pos = np.flatnonzero(item.sentence_index_of_token == j)
+        for j in range(len(oracle)):
+            token_pos = np.flatnonzero(stream.sentence_index_of_token == j)
             end = token_pos.max() + 1
             start = max(0, end - REF_WINDOW)
             first = max(1, start + 1, token_pos.min()) - 1
             ends[start] = max(ends.get(start, start), first)
             suffix_rows[end - first] += n_variants
-        want_prefills += [item.ids[None, start:end]
+        want_prefills += [stream.token_ids[None, start:end]
                           for start, end in ends.items() if end > start]
     want_suffixes = sorted((min(64, n - i), length)
                            for length, n in suffix_rows.items()

@@ -387,6 +387,21 @@ def test_each_step_is_one_forward_over_all_rows(monkeypatch):
         assert b == 1 and 0 < t < window
 
 
+@pytest.mark.parametrize("regime", ["none", "predicted_pa"])
+def test_no_prefixes_give_no_records_and_no_forward(regime):
+    base, adapter, action_set, planner, enc = tiny_world()
+    forwards = []
+
+    def spy(*args, **kwargs):
+        forwards.append(args)
+        raise AssertionError("no row to forward")
+
+    base.forward = spy
+    records = decode(regime, GenerationConfig(max_tokens=5), base, adapter,
+                     action_set, planner, enc, [])
+    assert records == [] and forwards == []
+
+
 def test_an_empty_prefill_keeps_a_rows_decode():
     """With context_window=4, a `<bos>`-only prefix and every refill
     (`keep == 1`) prefill nothing, while the other row holds positions."""

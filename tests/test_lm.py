@@ -12,8 +12,8 @@ from planlm.errors import ValidationError
 from planlm.lm import (REGIMES, ActionAdapter, AdapterConfig, BaseLM,
                        LmConfig, Regime,
                        extend_for_insert, insert_style_sequence,
-                       lm_from_checkpoint, lm_meta, per_position_actions,
-                       train_lm, window_examples)
+                       lm_from_checkpoint, lm_meta, train_lm,
+                       window_examples)
 
 V, D, LAYERS = 12, 16, 2
 LM_CFG = LmConfig(vocab_size=V, d_model=D, n_layers=LAYERS, n_heads=2,
@@ -41,8 +41,9 @@ def stream(ids, sidx, article_id="a"):
 
 
 def select_action_for_position(stream, actions, p):
-    """Reference for `per_position_actions` at one position: the action of the
-    sentence containing token p+1 (the last sentence past the end)."""
+    """Reference for `TokenStream.target_sentence` at one position: the
+    action of the sentence containing token p+1 (the last sentence past the
+    end)."""
     n = len(stream)
     if not 0 <= p < n:
         raise ValidationError(f"position {p} out of range [0, {n})")
@@ -59,17 +60,17 @@ def test_select_action_for_position_hand_case():
     assert select_action_for_position(s, oracle, 4) == 2  # past the end
 
 
-def test_per_position_actions_matches_scalar_rule():
+def test_target_sentence_matches_scalar_rule():
     s = stream([9] * 6, [0, 0, 1, 1, 2, 2])
-    oracle = [5, 3, 8]
-    vec = per_position_actions(s, oracle)
+    oracle = np.array([5, 3, 8])
+    vec = oracle[s.target_sentence]
     want = [select_action_for_position(s, oracle, p) for p in range(6)]
     assert vec.tolist() == want
 
 
 def test_single_sentence_article_constant_action():
     s = stream([9, 9, 9], [0, 0, 0])
-    assert per_position_actions(s, [4]).tolist() == [4, 4, 4]
+    assert np.array([4])[s.target_sentence].tolist() == [4, 4, 4]
 
 
 # -- adapter forward ---------------------------------------------------------------

@@ -11,10 +11,11 @@ import pytest
 from planlm import autodiff as ad
 from planlm import evaluation, nn
 from planlm.actions import kmeans_fit
-from planlm.corpus import BOS_ID, Vocabulary
+from planlm.corpus import BOS_ID, TokenStream, Vocabulary
 from planlm.encoder import EncoderConfig, SentenceEncoder
 from planlm.generation import GenerationConfig, Prefix, generate
-from planlm.lm import ActionAdapter, AdapterConfig, BaseLM, LmConfig, train_lm
+from planlm.lm import (ActionAdapter, AdapterConfig, BaseLM, LmConfig,
+                       logit_fn, train_lm)
 from planlm.planner import (PlannerConfig, PlannerModel, evaluate_planner,
                             train_planner)
 
@@ -121,20 +122,14 @@ def test_scoring_and_sampling_after_training_build_no_graph(graph_nodes):
     base, adapter, planner, action_set = trained_world()
     graph_nodes[0] = 0
 
-    def logit_fn(ids, actions, noise, cache=None):
-        return base.forward(ids, adapter=adapter, actions=actions,
-                            action_noise=noise, cache=cache).values
-
-    evaluation.corpus_nll(logit_fn, lm_items(2, seed=5), WINDOW)
+    scorer = logit_fn(base, adapter)
+    evaluation.corpus_nll(scorer, lm_items(2, seed=5), WINDOW)
     rng = np.random.default_rng(6)
-    sidx = np.concatenate([[0], np.repeat(np.arange(3), 5)])
-    oracle = np.array([0, 1, 0])
-    scan_items = [evaluation.ScanItem(
-        ids=np.concatenate([[BOS_ID], rng.integers(2, VOCAB.size, 15)]),
-        sentence_index_of_token=sidx, oracle_actions=oracle,
-        pp_actions=oracle[np.concatenate([sidx[1:], sidx[-1:]])])]
-    evaluation.oracle_scan(logit_fn, scan_items, K, WINDOW)
-    evaluation.noise_scan(logit_fn, scan_items, n_variants=2, sigma=0.1,
+    articles = [(TokenStream(
+        "a", np.concatenate([[BOS_ID], rng.integers(2, VOCAB.size, 15)]),
+        np.concatenate([[0], np.repeat(np.arange(3), 5)])), [0, 1, 0])]
+    evaluation.oracle_scan(scorer, articles, K, WINDOW)
+    evaluation.noise_scan(scorer, articles, n_variants=2, sigma=0.1,
                           action_dim=DIM, window=WINDOW, seed=0)
     planner.forward_probs(np.zeros((2, DIM), dtype=np.float32))
     evaluate_planner(planner, plans(2, seed=7))

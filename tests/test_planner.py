@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from planlm import storage
+from planlm import autodiff as ad
+from planlm import nn, storage
 from planlm.errors import ValidationError
 from planlm.planner import (PlannerConfig, PlannerModel, evaluate_planner,
                             planner_from_checkpoint, planner_meta,
@@ -113,6 +114,47 @@ def test_uniform_scores_rank_one():
     protos = unit_prototypes()
     data = cycle_articles(20, 8, protos, seed=2)
     assert evaluate_planner(model, data).average_rank == 1.0
+
+
+def head_run(arch, monkeypatch, two_nodes):
+    """Logits, parameter gradients and node count of one `logits_batch`
+    call and a backward; with `two_nodes`, the head is a `matmul` node and
+    then an `add` node, as the reference."""
+    model = make_model(arch=arch)
+    rng = np.random.default_rng(7)
+    model.b.values[:] = rng.normal(0, 1, K)
+    params = model.params_dict()
+    nn.set_trainable(params, True)
+    matmul, node, nodes = ad.matmul, ad._node, [0]
+
+    def matmul_then_add(a, b, bias=None):
+        if two_nodes and bias is model.b:
+            return matmul(a, b) + bias
+        return matmul(a, b, bias)
+
+    def counting(*args):
+        nodes[0] += 1
+        return node(*args)
+
+    monkeypatch.setattr(ad, "matmul", matmul_then_add)
+    monkeypatch.setattr(ad, "_node", counting)
+    logits = model.logits_batch(rng.normal(0, 1, (3, 4, D)), 3)
+    ad.backward((logits * ad.Tensor(rng.normal(0, 1, (3, K)))).sum())
+    monkeypatch.undo()
+    return logits.values, {n: p.grad for n, p in params.items()}, nodes[0]
+
+
+@pytest.mark.parametrize("arch", ["transformer", "mlp"])
+def test_head_is_one_node_equal_to_matmul_then_add(arch, monkeypatch):
+    logits, grads, nodes = head_run(arch, monkeypatch, two_nodes=False)
+    want_logits, want_grads, want_nodes = head_run(arch, monkeypatch,
+                                                   two_nodes=True)
+    np.testing.assert_array_equal(logits, want_logits)
+    assert grads.keys() == want_grads.keys()
+    for name, grad in grads.items():
+        np.testing.assert_array_equal(grad, want_grads[name], err_msg=name)
+    assert grads["planner.b"] is not None
+    assert nodes == want_nodes - 1
 
 
 def test_training_reduces_loss_and_improves_accuracy():
