@@ -5,10 +5,12 @@
         --seed 1 --pairs 10 --seconds 20
 
 The parent revision is exported with `git archive` (local git only) into a
-temporary directory. Each pair runs the parent's and this checkout's own
-`perfbench/run.py --trace 0` once, each in its own process and from its own
-tree; even pairs run the parent first and odd pairs the change first, so a
-drift of the host's speed does not favour one side.
+temporary directory, and so is `--change REV` when given; without it the
+change is this checkout, uncommitted changes included. Each pair runs the
+parent's and the change's own `perfbench/run.py --trace 0` once, each in its
+own process and from its own tree; even pairs run the parent first and odd
+pairs the change first, so a drift of the host's speed does not favour one
+side.
 
 For `wall_s`, `setup_s` and each step's median time over a run's passes, it
 reports the parent's and the change's median over the pairs, the parent's
@@ -23,11 +25,12 @@ loss is the same rule the other way round. Anything else is "unresolved":
 the pairs do not tell the two apart.
 
 The record is added to `BENCH_<short-sha>_<workload>.json` in `--out` (by
-default the repository root), where `<short-sha>` is this checkout's commit,
-with `-dirty` appended when tracked files hold uncommitted changes (as `git
-describe --dirty` does); each invocation appends one comparison, with the
-CPUs, numpy version, BLAS and its thread count that perfbench reported. The exit code is 0 when every
-run was correct and every fingerprint equal.
+default the repository root), where `<short-sha>` is the change's commit,
+with `-dirty` appended when the change is this checkout and its tracked files
+hold uncommitted changes (as `git describe --dirty` does); each invocation
+appends one comparison, with the CPUs, numpy version, BLAS and its thread
+count that perfbench reported. The exit code is 0 when every run was
+correct and every fingerprint equal.
 """
 
 from __future__ import annotations
@@ -55,15 +58,26 @@ def git(*args: str, cwd: Path = ROOT) -> str:
                           capture_output=True, text=True).stdout.strip()
 
 
-def export(rev: str, dest: Path) -> None:
-    """The files of `rev`, as committed, under `dest`."""
-    archive = dest / "tree.tar"
+def change_identity(change: str | None, cwd: Path = ROOT) -> tuple[str, bool]:
+    """The short sha of the change's commit (`change`, or HEAD when the
+    change is the checkout at `cwd`), and whether the change is that
+    checkout with uncommitted changes to tracked files."""
+    sha = git("rev-parse", "--short", f"{change or 'HEAD'}^{{commit}}", cwd=cwd)
+    dirty = change is None and bool(
+        git("status", "--porcelain", "--untracked-files=no", cwd=cwd))
+    return sha, dirty
+
+
+def export(rev: str, dest: Path) -> Path:
+    """The files of `rev`, as committed, under `dest`; returns `dest`."""
+    archive = dest.with_name(dest.name + ".tar")
     with archive.open("wb") as fh:
         subprocess.run(["git", "archive", "--format=tar", rev], cwd=ROOT,
                        check=True, stdout=fh)
     with tarfile.open(archive) as tar:
-        tar.extractall(dest / "tree", filter="data")
+        tar.extractall(dest, filter="data")
     archive.unlink()
+    return dest
 
 
 def parse_run(stdout: str) -> dict:
@@ -143,6 +157,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--parent", required=True, help="git revision")
+    parser.add_argument("--change", help="git revision (default: this "
+                        "checkout, uncommitted changes included)")
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
@@ -155,12 +171,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--pairs must be at least 1")
 
     parent_sha = git("rev-parse", "--short", f"{args.parent}^{{commit}}")
-    change_sha = git("rev-parse", "--short", "HEAD")
-    dirty = bool(git("status", "--porcelain", "--untracked-files=no"))
+    change_sha, dirty = change_identity(args.change)
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
-        export(args.parent, Path(tmp))
-        trees = {"parent": Path(tmp) / "tree", "change": ROOT}
+        trees = {"parent": export(args.parent, Path(tmp) / "parent"),
+                 "change": ROOT if args.change is None
+                 else export(args.change, Path(tmp) / "change")}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair: dict = {"pair": i, "first": order[0]}
@@ -180,7 +196,8 @@ def main(argv: list[str] | None = None) -> int:
     env = runs[0]["change"]["env"]
     record = {
         "parent": {"rev": args.parent, "sha": parent_sha},
-        "change": {"sha": change_sha, "uncommitted_changes": dirty},
+        "change": {"rev": args.change, "sha": change_sha,
+                   "uncommitted_changes": dirty},
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
         "seconds": args.seconds,
         "rule": f"gain: at least {MIN_PAIRS} pairs, the change wins >= "

@@ -37,8 +37,10 @@ scores) in its own output buffer, and its backward scales the gradient in
 place, so the attention weights are one node. `gelu` runs in blocks of
 `_BLOCK` elements, so that a block's temporaries stay in cache.
 `embedding`'s backward adds each table row's gradients in the order their ids
-occur, as `np.add.at` does, so the two are bitwise equal; it adds the k-th
-occurrences of all rows together, not one id at a time.
+occur, as `np.add.at` does, so the two are bitwise equal, in as few numpy
+calls as rows or ranks (a row's k-th occurrence has rank k): with fewer rows
+than ranks, one sequential reduce per row; otherwise the k-th occurrences of
+all rows together, one add per rank.
 
 `Adam` keeps one flat moment, gradient and scratch buffer per parameter
 dtype, so a step is a fixed number of numpy calls over all parameters at
@@ -71,12 +73,9 @@ _FLOAT_DTYPES = (np.float32, np.float64)
 # whole number of SIMD vectors
 _BLOCK = 1 << 16
 
-# `_scatter_rows` calls `np.add.at` for at most this many ids, and takes
-# its padded layout when that visits fewer elements than this many per
-# numpy call of its other layout (what one call costs; both measured on
+# `_scatter_rows` calls `np.add.at` for at most this many ids (measured on
 # 2 CPUs with numpy 2.4.6)
 _FEW_IDS = 64
-_CALL_ELEMENTS = 400
 
 # glibc mallopt parameters: mmap threshold at its 64-bit maximum, trim at 1 GiB
 _M_TRIM_THRESHOLD = -1
@@ -522,11 +521,13 @@ def _scatter_rows(table: np.ndarray, ids: np.ndarray,
     `np.add.at` adds each id's gradient to its row from zero, in id order,
     one id at a time, which is slow past a few dozen ids. Beyond `_FEW_IDS`
     ids are stable-sorted instead, so each row's occurrences keep their
-    order, and the k-th occurrences of all rows are added together, for
-    k = 0, 1, ... Two layouts do that, and the cheaper one is taken:
-    - few (row, column) pairs: a zero-padded (ranks + 1, rows, ...) buffer,
-      whose `np.add.accumulate` over the ranks is every row's running sum
-      from zero (the padding adds zeros, which moves no sum);
+    order, and one of two layouts adds them in min(rows, ranks) numpy calls,
+    where rank k holds every row's k-th occurrence:
+    - fewer rows than ranks (an adapter's k-row table, or one action id for
+      every position): each row's segment is one `np.add.reduce` over axis
+      0 from zero, which runs down each column in order, as `np.add.at`
+      does. A row of width 1 would reduce pairwise, so it takes the other
+      layout;
     - otherwise the rows, ranked by occurrence count, so that the rows with
       a k-th occurrence come first; their k-th gradients are laid out as one
       contiguous block, and each rank is one in-place add.
@@ -540,17 +541,15 @@ def _scatter_rows(table: np.ndarray, ids: np.ndarray,
     order = np.argsort(flat, kind="stable")
     rows, first, counts = np.unique(flat[order], return_index=True,
                                     return_counts=True)
+    depth = int(counts.max())
+    if len(rows) < depth and math.prod(table.shape[1:]) > 1:
+        ordered = grads[order]
+        for row, s, n in zip(rows.tolist(), first.tolist(), counts.tolist()):
+            np.add.reduce(ordered[s:s + n], axis=0, out=grad[row],
+                          initial=0)
+        return grad
     row_of = np.repeat(np.arange(len(rows)), counts)
     rank = np.arange(flat.size) - first[row_of]
-    depth = int(counts.max())
-    padded = len(rows) * math.prod(table.shape[1:]) * (depth + 1)
-    if padded < _CALL_ELEMENTS * depth:
-        sums = np.zeros((depth + 1,) + (len(rows),) + table.shape[1:],
-                        table.dtype)
-        sums[rank + 1, row_of] = grads[order]
-        np.add.accumulate(sums, axis=0, out=sums)
-        grad[rows] = sums[-1]
-        return grad
     # slot[j]: where row j is in the ranking by descending count
     ranking = np.argsort(-counts, kind="stable")
     slot = np.empty_like(ranking)

@@ -18,12 +18,14 @@ from .errors import ValidationError, parsing
 
 
 # The least value of each count; smaller ones crash or act silently.
-_LEAST_VALUES = {"ngram_order": 1, "k": 1, "kmeans_max_iters": 1,
-                 "lm_dim": 1, "lm_batch": 1, "planner_batch": 1,
-                 "pretrain_epochs": 1, "finetune_epochs": 1,
-                 "planner_epochs": 1, "context_window": 2, "edit_base_len": 1,
-                 "top_k": 0, "eval_articles": 0, "hmm_states": 1,
-                 "hmm_iters": 1, "scan_articles": 0, "noise_variants": 0}
+_LEAST_VALUES = {"vocab_size": 3, "ngram_order": 1, "k": 1,
+                 "kmeans_max_iters": 1, "lm_dim": 1, "lm_batch": 1,
+                 "planner_batch": 1, "pretrain_epochs": 1,
+                 "finetune_epochs": 1, "planner_epochs": 1,
+                 "planner_patience": 1, "finetune_patience": 1,
+                 "context_window": 2, "edit_base_len": 1, "top_k": 0,
+                 "eval_articles": 0, "hmm_states": 1, "hmm_iters": 1,
+                 "scan_articles": 0, "noise_variants": 0}
 # Learning rates must be positive; `not rate > 0` refuses nan too.
 _POSITIVE_RATES = ("planner_lr", "lm_lr")
 

@@ -5,7 +5,11 @@ Two conditioning styles:
 * adapter: per adapted layer l (the last L layers), an action embedding table
   and a projection produce r_p = W_A E_A(a_{p+1}), added elementwise to the
   attention context at every position just before the attention output
-  projection. No gating. The base LM stays frozen while adapters train.
+  projection. No gating. A forward of at least k positions without action
+  noise projects the k-row table once, E_A W_A^T, and each position takes
+  its action's row. The base LM stays frozen while adapters train, so what
+  a forward computes before the first adapted layer's representation is
+  added is computed once per training window (`BaseLM.prefix`, `train_lm`).
 * insert: the vocabulary is extended by one token per action and each
   sentence's tokens are preceded by its action token; all parameters train.
   It has two regimes: the LM as an internal planner learning the oracle
@@ -137,12 +141,13 @@ class BaseLM:
     def forward(self, ids: np.ndarray, adapter: "ActionAdapter | None" = None,
                 actions: np.ndarray | None = None,
                 action_noise: np.ndarray | None = None,
-                cache: nn.KVCache | None = None) -> Tensor:
+                cache: nn.KVCache | None = None,
+                prefix: tuple[np.ndarray, np.ndarray] | None = None) -> Tensor:
         """(B, T) token ids -> (B, T, V) logits.
 
         With an adapter, `actions` holds the per-position conditioning action
-        ids; `action_noise` optionally perturbs the looked-up action embedding
-        (shared across adapted layers).
+        ids; `action_noise` optionally perturbs each position's action
+        embedding (shared across adapted layers).
 
         `cache`, when given, is a B-row `nn.KVCache` that the call extends in
         place; the first call gives it context-window-wide buffers. Row r's
@@ -150,6 +155,11 @@ class BaseLM:
         `cache.lengths[r]` cached ones, and so do its logits. Without a
         cache, every row starts at position 0. A cache needs frozen
         parameters.
+
+        A forward is `_front` (the embeddings and the blocks no adapter
+        changes), then the adapted blocks and the head. `prefix`, when given,
+        is `prefix(ids, adapter.layer_index(0))` computed earlier, and the
+        call computes only what follows it.
         """
         ids = np.asarray(ids)
         b, t = ids.shape
@@ -170,20 +180,52 @@ class BaseLM:
             raise ValidationError(
                 f"sequence of {cached + t} positions ({cached} cached) "
                 f"exceeds context window {cfg.context_window}")
-        x = ad.embedding(self.tok_emb, ids) + ad.embedding(
-            self.pos_emb, past[:, None] + np.arange(t))
-        bias = nn.causal_bias(t, past, dtype=x.dtype)
+        if prefix is not None and (adapter is None or cache is not None):
+            raise ValidationError("a prefix resumes an adapter forward "
+                                  "without a cache")
+        bias = nn.causal_bias(t, past, dtype=self.tok_emb.values.dtype)
         first_adapted = adapter.layer_index(0) if adapter is not None \
             else cfg.n_layers
-        for i, block in enumerate(self.blocks):
-            extra = None
-            if adapter is not None and i >= first_adapted:
-                extra = adapter.reps(i - first_adapted, actions, action_noise)
-            x = block(x, extra_context=extra, bias=bias, past=past,
-                      cache=cache.layers[i] if cache is not None else None)
+        if prefix is None:
+            x, ctx = self._front(ids, first_adapted, past, bias, cache), None
+        else:
+            x, ctx = (Tensor(part) for part in prefix)
+        for i in range(first_adapted, cfg.n_layers):
+            extra = adapter.reps(i - first_adapted, actions, action_noise)
+            x = self.blocks[i](
+                x, extra_context=extra, bias=bias, past=past, ctx=ctx,
+                cache=cache.layers[i] if cache is not None else None)
+            ctx = None
         if cache is not None:
             cache.lengths = cache.lengths + t
         return self.out(self.ln_f(x))
+
+    def _front(self, ids: np.ndarray, layers: int, past: np.ndarray,
+               bias: Tensor, cache: nn.KVCache | None = None) -> Tensor:
+        """The embeddings of `ids` after `past` cached positions, through the
+        first `layers` blocks."""
+        x = ad.embedding(self.tok_emb, ids) + ad.embedding(
+            self.pos_emb, past[:, None] + np.arange(ids.shape[1]))
+        for i, block in enumerate(self.blocks[:layers]):
+            x = block(x, bias=bias, past=past,
+                      cache=cache.layers[i] if cache is not None else None)
+        return x
+
+    def prefix(self, ids: np.ndarray, layer: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+        """What a forward of `ids` without a cache computes before block
+        `layer` adds an adapter's representation to its attention context:
+        the (B, T, d_model) residual stream entering that block and that
+        context, as plain arrays. Neither depends on an adapter whose first
+        layer is `layer`, so while the base is frozen they can be computed
+        once and passed to `forward` as its `prefix`."""
+        ids = np.asarray(ids)
+        past = np.zeros(1, dtype=np.int64)
+        bias = nn.causal_bias(ids.shape[1], past,
+                              dtype=self.tok_emb.values.dtype)
+        x = self._front(ids, layer, past, bias)
+        block = self.blocks[layer]
+        return x.values, block.attn.context(block.ln1(x), bias=bias).values
 
 
 class ActionAdapter:
@@ -221,13 +263,27 @@ class ActionAdapter:
 
     def reps(self, slot: int, actions: np.ndarray,
              action_noise: np.ndarray | None = None) -> Tensor:
-        """r = W_A E_A(a) for one adapted layer, shape (B, T, d_model)."""
+        """r = W_A (E_A(a) + noise) for one adapted layer, (B, T, d_model).
+
+        A call of at least k positions without noise projects the k-row
+        table once, E_A W_A^T (k, d_model), and each position takes its
+        action's row: it multiplies k rows by W_A instead of B*T, and its
+        backward scatters into k rows. A row holds the same dot products as
+        the projection of the looked-up embedding. A call of fewer positions
+        (a cached decode step) or with noise (the noise scan) looks each
+        position's embedding up, adds the noise and projects it.
+        """
         if actions is None:
             raise ValidationError("adapter forward requires per-position actions")
-        emb = ad.embedding(self.table(slot), np.asarray(actions))
+        w_t = self.w_a[slot].swapaxes(0, 1)
+        actions = np.asarray(actions)
+        table = self.table(slot)
+        if action_noise is None and actions.size >= table.shape[0]:
+            return ad.embedding(table @ w_t, actions)
+        emb = ad.embedding(table, actions)
         if action_noise is not None:
             emb = emb + Tensor(action_noise.astype(np.float32, copy=False))
-        return emb @ self.w_a[slot].swapaxes(0, 1)
+        return emb @ w_t
 
     def layer_index(self, slot: int) -> int:
         return self.lm_config.n_layers - self.config.adapted_layers + slot
@@ -252,13 +308,25 @@ class ActionAdapter:
 # -- scoring ----------------------------------------------------------------------
 
 
-def logit_fn(base: BaseLM,
-             adapter: ActionAdapter | None) -> evaluation.LogitFn:
+def logit_fn(base: BaseLM, adapter: ActionAdapter | None,
+             prefixes: dict | None = None) -> evaluation.LogitFn:
     """`base` with `adapter` as the scorers call it: the logits of a forward
-    of the rows' ids, actions, action noise and cache."""
+    of the rows' ids, actions, action noise and cache.
+
+    With `prefixes`, a dict, each uncached call resumes from its id batch's
+    `BaseLM.prefix`, computed on the first call and kept there; valid only
+    while the base stays frozen.
+    """
     def logits(ids, actions, noise, cache=None):
+        prefix = None
+        if prefixes is not None and cache is None:
+            key = (ids.shape, ids.tobytes())
+            if key not in prefixes:
+                prefixes[key] = base.prefix(ids, adapter.layer_index(0))
+            prefix = prefixes[key]
         return base.forward(ids, adapter=adapter, actions=actions,
-                            action_noise=noise, cache=cache).values
+                            action_noise=noise, cache=cache,
+                            prefix=prefix).values
     return logits
 
 
@@ -315,6 +383,8 @@ class WindowExample:
     targets: np.ndarray
     actions: np.ndarray | None
     mask: np.ndarray | None
+    # `BaseLM.prefix` of `inputs`, while an adapter trains on a frozen base
+    prefix: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def window_examples(ids: np.ndarray, window: int,
@@ -352,6 +422,17 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
     external insert planner's action tokens are inputs, never targets). With
     `val_items`, training early-stops on their perplexity (see `nn.fit`);
     without them it runs exactly `max_epochs` epochs.
+
+    With an adapter, each window's `BaseLM.prefix` is computed once before
+    training and every step resumes from it; the val metric keeps each row
+    batch's prefix (`logit_fn`'s `prefixes`). Both stay until training
+    ends, two float32 (T, d_model) arrays per window or row: 8 * d_model
+    bytes per training token (2 KiB at d_model 256), and about twice that
+    per val token, which the val rows' half-stride windows hold about twice.
+    At the default config on a 2,000-article corpus (1,800 training
+    articles, 128k window tokens) that is about 280 MB. Results equal
+    those of full forwards bit for bit, except that a batch of one 1-token
+    window takes one-row matrix products, which may round differently.
     """
     window = base.config.context_window
     examples = [ex for item in items
@@ -359,6 +440,13 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
                                           pp_actions=item.actions,
                                           countable=item.countable)]
     trainable = base.params_dict() if adapter is None else adapter.params_dict()
+    if adapter is not None:
+        for batch in nn.length_batches(examples, lambda ex: len(ex.inputs),
+                                       batch_size):
+            x, ctx = base.prefix(np.stack([ex.inputs for ex in batch]),
+                                 adapter.layer_index(0))
+            for ex, x_row, ctx_row in zip(batch, x, ctx):
+                ex.prefix = (x_row, ctx_row)
 
     def batch_loss(batch: list[WindowExample]) -> Tensor:
         ids = np.stack([ex.inputs for ex in batch])
@@ -367,12 +455,17 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
             if batch[0].actions is not None else None
         mask = np.stack([ex.mask for ex in batch]) \
             if batch[0].mask is not None else None
+        prefix = tuple(np.stack(part) for part in
+                       zip(*(ex.prefix for ex in batch))) \
+            if adapter is not None else None
         return ad.cross_entropy(
-            base.forward(ids, adapter=adapter, actions=actions), targets, mask)
+            base.forward(ids, adapter=adapter, actions=actions, prefix=prefix),
+            targets, mask)
+
+    val_logits = logit_fn(base, adapter, {} if adapter is not None else None)
 
     def val_perplexity() -> float:
-        return evaluation.corpus_perplexity(logit_fn(base, adapter),
-                                            val_items, window)
+        return evaluation.corpus_perplexity(val_logits, val_items, window)
 
     return nn.fit(trainable, examples, lambda ex: len(ex.inputs), batch_loss,
                   batch_size, lr, max_epochs, patience, seed,

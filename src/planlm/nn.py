@@ -141,6 +141,9 @@ class SelfAttention:
     Each projection is one `matmul` node with its bias, and the scores are
     scaled by 1/sqrt(d_head) and masked inside the one `softmax` node, so a
     training step keeps no separate scaled or masked score buffers.
+
+    `ctx`, when given, is `context` of this layer's input computed earlier;
+    the call then only adds `extra_context` and projects, and ignores `x`.
     """
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int):
@@ -155,9 +158,21 @@ class SelfAttention:
         self.wv = Linear(rng, d, d)
         self.wo = Linear(rng, d, d)
 
-    def __call__(self, x: Tensor, extra_context: Tensor | None = None,
+    def __call__(self, x: Tensor | None, extra_context: Tensor | None = None,
                  cache: list | None = None, bias: Tensor | None = None,
-                 past: np.ndarray | None = None) -> Tensor:
+                 past: np.ndarray | None = None,
+                 ctx: Tensor | None = None) -> Tensor:
+        if ctx is None:
+            ctx = self.context(x, cache=cache, bias=bias, past=past)
+        if extra_context is not None:
+            ctx = ctx + extra_context
+        return self.wo(ctx)
+
+    def context(self, x: Tensor, cache: list | None = None,
+                bias: Tensor | None = None,
+                past: np.ndarray | None = None) -> Tensor:
+        """The heads' outputs, concatenated, (B, T, d): what `extra_context`
+        is added to before the output projection."""
         b, t, d = x.shape
         h, dh = self.n_heads, self.d_head
 
@@ -178,11 +193,7 @@ class SelfAttention:
         weights = ad.softmax(q @ k.swapaxes(-1, -2),
                              scale=float(1.0 / np.sqrt(dh)),
                              bias=None if bias is None else bias.values)
-        ctx = weights @ v
-        ctx = ctx.swapaxes(1, 2).reshape(b, t, d)
-        if extra_context is not None:
-            ctx = ctx + extra_context
-        return self.wo(ctx)
+        return (weights @ v).swapaxes(1, 2).reshape(b, t, d)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
@@ -193,7 +204,11 @@ class SelfAttention:
 
 
 class Block:
-    """Pre-norm transformer block: attention then a GELU feed-forward."""
+    """Pre-norm transformer block: attention then a GELU feed-forward.
+
+    `ctx`, when given, is the attention context of `x` computed earlier
+    (`SelfAttention.context` of `ln1(x)`), and the block resumes from it.
+    """
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int):
         self.ln1 = LayerNorm(d)
@@ -204,9 +219,11 @@ class Block:
 
     def __call__(self, x: Tensor, extra_context: Tensor | None = None,
                  cache: list | None = None, bias: Tensor | None = None,
-                 past: np.ndarray | None = None) -> Tensor:
-        x = x + self.attn(self.ln1(x), extra_context=extra_context,
-                          cache=cache, bias=bias, past=past)
+                 past: np.ndarray | None = None,
+                 ctx: Tensor | None = None) -> Tensor:
+        normed = self.ln1(x) if ctx is None else None
+        x = x + self.attn(normed, extra_context=extra_context, cache=cache,
+                          bias=bias, past=past, ctx=ctx)
         return x + self.ff2(ad.gelu(self.ff1(self.ln2(x))))
 
     def params(self, prefix: str) -> dict[str, Tensor]:

@@ -231,7 +231,7 @@ def _kernel_case(op, data):
         inputs = [_float32s(data, shape)]
         return inputs, lambda t: ad.softmax(t[0], scale=scale, bias=bias), \
             lambda g: _masked_softmax_ref(inputs[0], scale, bias, g)
-    if op == "embedding":
+    if op.startswith("embedding"):
         dtype = data.draw(st.sampled_from([np.float32, np.float64]))
         rows, width = data.draw(st.integers(1, 40)), data.draw(st.integers(1, 64))
         n = data.draw(st.integers(0, 400))
@@ -239,6 +239,16 @@ def _kernel_case(op, data):
         ids = r.integers(0, rows, n)
         if data.draw(st.booleans()):
             ids[:] = r.integers(0, rows)
+        # past `_FEW_IDS` ids: at least as many distinct rows as ranks (one
+        # add per rank), fewer (one reduce per row), or fewer at width 1
+        # (which adds per rank)
+        if op == "embedding_per_rank":
+            rows, n = data.draw(st.integers(20, 40)), data.draw(st.integers(65, 400))
+            ids = r.permutation(np.arange(n) % rows)
+        elif op != "embedding":
+            rows, n = data.draw(st.integers(1, 8)), data.draw(st.integers(65, 400))
+            ids = r.integers(0, rows, n)
+            width = 1 if op == "embedding_width_1" else data.draw(st.integers(2, 64))
         if n % 2 == 0 and data.draw(st.booleans()):
             ids = ids.reshape(2, n // 2)
         inputs = [_float32s(data, (rows, width), dtype)]
@@ -270,7 +280,9 @@ def _kernel_case(op, data):
 
 @pytest.mark.parametrize("op", ["softmax", "softmax_masked", "gelu",
                                 "layer_norm", "cross_entropy", "matmul_bias",
-                                "embedding", *STRUCTURAL])
+                                "embedding", "embedding_per_row",
+                                "embedding_per_rank", "embedding_width_1",
+                                *STRUCTURAL])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_in_place_kernels_match_the_plain_formulas(op, data):

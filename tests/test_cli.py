@@ -2,6 +2,7 @@ import argparse
 import dataclasses
 import itertools
 import json
+import os
 import shutil
 from collections import Counter
 from pathlib import Path
@@ -157,6 +158,10 @@ def test_bad_config_input_refused_with_one_error_line(tmp_path, capsys, given,
     ("lm_lr=-1", "finetune", ["lm_lr"]),
     ("lm_lr=nan", "finetune", ["lm_lr"]),
     ("planner_lr=-0.5", "train-planner", ["planner_lr"]),
+    ("vocab_size=0", "pretrain-lm", ["vocab_size", "got 0"]),
+    ("vocab_size=2", "finetune", ["vocab_size", "got 2"]),
+    ("finetune_patience=0", "finetune", ["finetune_patience"]),
+    ("planner_patience=-1", "train-planner", ["planner_patience"]),
 ])
 def test_bad_config_value_refused_with_one_error_line(run_dir, tmp_path,
                                                       capsys, given, command,
@@ -495,6 +500,45 @@ def full_run(tmp_path_factory, corpus_file):
 
 def copy_of(run, tmp_path, name="copy"):
     return Path(shutil.copytree(run, tmp_path / name))
+
+
+# `full_run`'s outputs as last recorded; rewrite it after a change that moves
+# outputs on purpose, and quote the diff in CHANGES.md:
+#   PLANLM_REWRITE_FINGERPRINT=1 python -m pytest tests/test_cli.py -k fingerprint
+FINGERPRINT = Path(__file__).with_name("quality_fingerprint.json")
+
+
+def quality_fingerprint(run: Path) -> dict:
+    """Each regime's val and test ppl, the planner's accuracy and rank, and
+    the sha256 of `actions.tsv` and of each generations file."""
+    fp = {}
+    planner = storage.read_manifest(run / "planner.plmc")["extra"]
+    fp["planner.val_accuracy"] = planner["val_accuracy"]
+    fp["planner.val_average_rank"] = planner["val_average_rank"]
+    for path in sorted(run.glob("lm_*.plmc")):
+        history = storage.read_manifest(path)["extra"]["history"]
+        fp[f"finetune.{path.stem}.best_val_ppl"] = history["best_val_metric"]
+    report = json.loads((run / "eval_report.json").read_text())
+    for key, entry in sorted(report["regimes"].items()):
+        fp[f"evaluate.{key}.ppl"] = entry["ppl"]
+    fp["evaluate.planner.accuracy"] = report["planner"]["accuracy"]
+    fp["evaluate.planner.average_rank"] = report["planner"]["average_rank"]
+    for path in [run / "actions.tsv"] + sorted(run.glob("generations_*.jsonl")):
+        fp[f"sha256.{path.name}"] = storage.file_sha256(path)
+    return fp
+
+
+def test_quality_fingerprint_matches_the_checked_in_one(full_run):
+    """Outputs move only on purpose: floats must have the same `repr`, and
+    every moved key is listed, old -> new."""
+    fp = quality_fingerprint(full_run)
+    if os.environ.get("PLANLM_REWRITE_FINGERPRINT") == "1":
+        FINGERPRINT.write_text(json.dumps(fp, indent=1, sort_keys=True) + "\n")
+    recorded = json.loads(FINGERPRINT.read_text())
+    moved = [f"{key}: {recorded.get(key)!r} -> {fp.get(key)!r}"
+             for key in sorted(recorded.keys() | fp.keys())
+             if repr(recorded.get(key)) != repr(fp.get(key))]
+    assert not moved, "outputs moved:\n" + "\n".join(moved)
 
 
 def test_fixed_regime_evaluation_never_calls_planner(full_run, tmp_path,

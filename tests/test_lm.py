@@ -7,13 +7,16 @@ from hypothesis import given, settings, strategies as st
 
 from planlm import autodiff as ad
 from planlm import evaluation, nn, storage
+from planlm.autodiff import Tensor
 from planlm.corpus import BOS_ID, TokenStream
 from planlm.errors import ValidationError
 from planlm.lm import (REGIMES, ActionAdapter, AdapterConfig, BaseLM,
                        LmConfig, Regime,
                        extend_for_insert, insert_style_sequence,
-                       lm_from_checkpoint, lm_meta, train_lm,
+                       lm_from_checkpoint, lm_meta, logit_fn, train_lm,
                        window_examples)
+
+from gradcheck import max_relative_error
 
 V, D, LAYERS = 12, 16, 2
 LM_CFG = LmConfig(vocab_size=V, d_model=D, n_layers=LAYERS, n_heads=2,
@@ -93,6 +96,78 @@ def test_zero_adapter_equals_base_lm():
         conditioned = base.forward(ids, adapter=adapter, actions=actions).values
         plain = base.forward(ids).values
         assert np.abs(conditioned - plain).max() <= 1e-6
+
+
+def lookup_then_project(adapter, slot, actions, noise=None):
+    """W_A (E_A(a) + noise), each position's embedding projected on its own."""
+    emb = adapter.table(slot).values[actions]
+    if noise is not None:
+        emb = emb + noise
+    return emb @ adapter.w_a[slot].values.T
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("shape", [(1, 1), (1, 4), (1, 5), (3, 7), (4, 30)])
+def test_reps_match_lookup_then_project(shape, noisy, monkeypatch):
+    """A call of at least k = 5 positions without noise takes the projected
+    table's rows: the same dot products as projecting each looked-up
+    embedding, summed in whatever order the matrix products take, so they
+    agree within the float32 rounding bound of a d-term dot product,
+    d * eps * sum_i |e_i w_i|. A call of fewer positions, or with noise,
+    projects each looked-up (noisy) embedding, which is the reference, bit
+    for bit. Which table a call looks its rows up in tells the two apart."""
+    looked_up, plain = [], ad.embedding
+
+    def embedding(table, ids):
+        looked_up.append(table.shape)
+        return plain(table, ids)
+
+    monkeypatch.setattr(ad, "embedding", embedding)
+    rng = np.random.default_rng(21)
+    base = make_base()
+    adapter = make_adapter(base, k=5, action_dim=8, L=2, init="random")
+    for slot, w in enumerate(adapter.w_a):
+        w.values = rng.normal(0, 1, w.shape).astype(np.float32)
+        adapter.table(slot).values = rng.normal(
+            0, 1, adapter.table(slot).shape).astype(np.float32)
+    actions = rng.integers(0, 5, shape)
+    noise = rng.normal(0, 0.3, shape + (8,)).astype(np.float32) \
+        if noisy else None
+    projected_table = not noisy and actions.size >= 5
+    for slot in range(2):
+        looked_up.clear()
+        got = adapter.reps(slot, actions, noise).values
+        assert looked_up == [(5, D) if projected_table else (5, 8)]
+        want = lookup_then_project(adapter, slot, actions, noise)
+        if not projected_table:
+            np.testing.assert_array_equal(got, want)
+            continue
+        eps = np.finfo(np.float32).eps
+        bound = 8 * eps * (np.abs(adapter.table(slot).values[actions])
+                           @ np.abs(adapter.w_a[slot].values.T))
+        assert np.all(np.abs(got - want) <= bound)
+        projected = adapter.table(slot).values @ adapter.w_a[slot].values.T
+        np.testing.assert_array_equal(got, projected[actions])
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_grad_adapter_reps(noisy):
+    """Gradcheck of E_A and W_A through `reps`, with 80 ids into 3 rows, so
+    the table's gradient takes the one-reduce-per-row scatter."""
+    rng = np.random.default_rng(22)
+    base = make_base()
+    adapter = make_adapter(base, k=3, action_dim=4, L=1)
+    actions = rng.integers(0, 3, (2, 40))
+    noise = rng.normal(0, 0.3, (2, 40, 4)) if noisy else None
+    weights = Tensor(rng.normal(0, 1, (2, 40, D)))
+
+    def loss(params):
+        adapter.e_a[0], adapter.w_a[0] = params
+        return (adapter.reps(0, actions, noise) * weights).sum()
+
+    params = [rng.normal(0, 1, (3, 4)).astype(np.float32),
+              rng.normal(0, 1, (D, 4)).astype(np.float32)]
+    assert max_relative_error(loss, params) <= 1e-3
 
 
 def test_logit_shape_is_len_by_vocab():
@@ -363,6 +438,77 @@ def test_finetune_adapter_freezes_base_and_learns():
     assert not any(p.requires_grad
                    for p in {**base.params_dict(),
                              **adapter.params_dict()}.values())
+
+
+def train_with_full_forwards(base, items, val_items, adapter, batch_size,
+                             lr, max_epochs, patience, seed):
+    """`train_lm`'s adapter training, with every forward from the ids."""
+    window = base.config.context_window
+    examples = [ex for item in items
+                for ex in window_examples(item.ids, window,
+                                          pp_actions=item.actions)]
+
+    def batch_loss(batch):
+        ids = np.stack([ex.inputs for ex in batch])
+        actions = np.stack([ex.actions for ex in batch])
+        return ad.cross_entropy(base.forward(ids, adapter=adapter,
+                                             actions=actions),
+                                np.stack([ex.targets for ex in batch]))
+
+    def val_perplexity():
+        return evaluation.corpus_perplexity(logit_fn(base, adapter),
+                                            val_items, window)
+
+    return nn.fit(adapter.params_dict(), examples, lambda ex: len(ex.inputs),
+                  batch_loss, batch_size, lr, max_epochs, patience, seed,
+                  val_metric=val_perplexity)
+
+
+@pytest.mark.parametrize("adapted", [1, 2])
+def test_adapter_training_resumes_from_the_frozen_prefix(adapted):
+    """Resuming each step's and each val row's forward from its frozen
+    prefix trains exactly as full forwards do. The windows have 1 to 16
+    tokens: two 1-token ones (items of 18 tokens), which share a batch in
+    both runs, and length groups cut into batches of 4 and a remainder."""
+    rng = np.random.default_rng(23)
+    lengths = [18, 18, 40, 25, 33, 7, 50, 12, 30, 21, 9, 44]
+    items = [evaluation.ScoringItem(ids=rng.integers(0, V, n),
+                                    actions=rng.integers(0, 3, n))
+             for n in lengths]
+    runs = []
+    for train in (train_lm, train_with_full_forwards):
+        base = make_base(seed=24)
+        adapter = make_adapter(base, k=3, L=adapted, seed=25)
+        history = train(base, items[:9], items[9:], adapter=adapter,
+                        batch_size=4, lr=3e-3, max_epochs=3, patience=3,
+                        seed=26)
+        runs.append((history, adapter.params_dict()))
+    (got_history, got), (want_history, want) = runs
+    assert got_history == want_history
+    assert len(got_history["val_metric"]) == 3
+    for name in want:
+        np.testing.assert_array_equal(got[name].values, want[name].values)
+
+
+def test_val_metric_with_kept_prefixes_equals_the_plain_scorer():
+    """Kept prefixes are found by their rows' ids: the 120-token items make
+    over 128 rows of 16 tokens, so two 64-row batches share a shape."""
+    rng = np.random.default_rng(27)
+    base = make_base()
+    adapter = make_adapter(base, k=3, L=1)
+    items = [evaluation.ScoringItem(ids=rng.integers(0, V, n),
+                                    actions=rng.integers(0, 3, n))
+             for n in (5, 17, 23) + (120,) * 10]
+    want = evaluation.corpus_perplexity(logit_fn(base, adapter), items, 16)
+    prefixes = {}
+    kept = logit_fn(base, adapter, prefixes)
+    assert evaluation.corpus_perplexity(kept, items, 16) == want
+    computed = dict(prefixes)
+    assert computed
+    # a second pass computes nothing and scores the same
+    assert evaluation.corpus_perplexity(kept, items, 16) == want
+    assert prefixes.keys() == computed.keys()
+    assert all(prefixes[key] is computed[key] for key in computed)
 
 
 # -- insert style -----------------------------------------------------------------------

@@ -63,6 +63,24 @@ def val_graph_nodes(monkeypatch, graph_nodes):
     return per_call
 
 
+@pytest.fixture
+def prefix_graph_nodes(monkeypatch, graph_nodes):
+    """The graph nodes built inside each `BaseLM.prefix` call, which must
+    return plain arrays."""
+    per_call = []
+    prefix = BaseLM.prefix
+
+    def counted(self, ids, layer):
+        before = graph_nodes[0]
+        out = prefix(self, ids, layer)
+        assert all(type(part) is np.ndarray for part in out)
+        per_call.append(graph_nodes[0] - before)
+        return out
+
+    monkeypatch.setattr(BaseLM, "prefix", counted)
+    return per_call
+
+
 def lm_items(n, seed):
     rng = np.random.default_rng(seed)
     items = []
@@ -109,11 +127,15 @@ def all_params(base, adapter, planner):
 
 
 def test_training_builds_graphs_but_validation_and_the_result_do_not(
-        val_graph_nodes, graph_nodes):
+        val_graph_nodes, prefix_graph_nodes, graph_nodes):
     base, adapter, planner, _ = trained_world()
     assert graph_nodes[0] > 0  # the training steps did build graphs
     # start score plus one score per epoch, for each of the three fits
     assert val_graph_nodes == [0] * 9
+    # the adapter fit's frozen prefixes, each computed once: its training
+    # windows (six of 12 tokens and six of 8, in batches of at most 4) and
+    # its two batches of val rows (of 9 and of 12 tokens)
+    assert prefix_graph_nodes == [0] * 6
     assert not any(p.requires_grad or p.grad is not None
                    for p in all_params(base, adapter, planner).values())
 
