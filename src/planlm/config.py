@@ -15,6 +15,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError, parsing
+from .lm import ADAPTER_INITS
+from .nn import check_heads
+from .planner import ARCHS, HEAD_INITS
 
 
 # The least value of each count; smaller ones crash or act silently.
@@ -23,11 +26,15 @@ _LEAST_VALUES = {"vocab_size": 3, "ngram_order": 1, "k": 1,
                  "planner_batch": 1, "pretrain_epochs": 1,
                  "finetune_epochs": 1, "planner_epochs": 1,
                  "planner_patience": 1, "finetune_patience": 1,
+                 "planner_context": 1,
                  "context_window": 2, "edit_base_len": 1, "top_k": 0,
                  "eval_articles": 0, "hmm_states": 1, "hmm_iters": 1,
                  "scan_articles": 0, "noise_variants": 0}
 # Learning rates must be positive; `not rate > 0` refuses nan too.
 _POSITIVE_RATES = ("planner_lr", "lm_lr")
+# The values each choice accepts, as the models that read it define them.
+_CHOICES = {"planner_arch": ARCHS, "planner_head_init": HEAD_INITS,
+            "adapter_init": ADAPTER_INITS}
 
 
 @dataclass
@@ -100,6 +107,22 @@ class RunConfig:
             if not getattr(self, name) > 0:
                 raise ValidationError(f"{name} must be > 0, got "
                                       f"{getattr(self, name)}")
+        if not self.temperature >= 0:
+            raise ValidationError(f"temperature must be >= 0, got "
+                                  f"{self.temperature}")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValidationError(f"{name} must be one of "
+                                      f"{', '.join(allowed)}, got "
+                                      f"{getattr(self, name)!r}")
+        heads = {"lm_heads": self.lm_dim}
+        if self.planner_arch == "transformer":
+            heads["planner_heads"] = self.encoder_dim
+        for name, dim in heads.items():
+            try:
+                check_heads(dim, getattr(self, name))
+            except ValidationError as exc:
+                raise ValidationError(f"{name}: {exc}") from None
         if not self.lengths:
             raise ValidationError("lengths grid must be non-empty")
         if min(self.lengths) < 1:

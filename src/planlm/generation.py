@@ -162,23 +162,22 @@ class _Row:
     rng: np.random.Generator
     ids: list[int]
     act_of_token: list[int]
-    context: np.ndarray | None
+    context: list[np.ndarray]
     action: int | None
 
 
-def _start(prefix: Prefix, conditioned: bool, planner: PlannerModel | None,
-           dim: int) -> _Row:
+def _start(prefix: Prefix, conditioned: bool,
+           planner: PlannerModel | None) -> _Row:
     if prefix.ids is None or len(prefix.ids) == 0:
         raise ValidationError("generation requires a prefix")
     ids = [int(t) for t in prefix.ids]
     act_of_token = [FIXED_ACTION_ID] * len(ids) \
         if prefix.token_actions is None \
         else [int(a) for a in prefix.token_actions]
-    context, action = None, FIXED_ACTION_ID if conditioned else None
+    context = [] if prefix.sentence_embeddings is None \
+        else list(prefix.sentence_embeddings)
+    action = FIXED_ACTION_ID if conditioned else None
     if planner is not None:
-        context = prefix.sentence_embeddings
-        if context is None:
-            context = np.zeros((0, dim), dtype=np.float32)
         action = planner.predict_next_action(context)
     return _Row(GenerationRecord(article_id=prefix.article_id,
                                  prefix_len=len(ids)),
@@ -223,7 +222,7 @@ def _accept(row: _Row, token: int, conditioned: bool, vocab: Vocabulary,
     record.sentence_ends.append(len(record.token_ids))
     if planner is not None:
         record.planned_actions.append(row.action)
-        row.context = np.vstack([row.context, z[None, :]])
+        row.context.append(z)
         row.action = planner.predict_next_action(row.context)
 
 
@@ -244,8 +243,7 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
     if not prefixes:
         return Generations()
     conditioned = adapter is not None
-    rows = [_start(prefix, conditioned, planner, encoder.config.dim)
-            for prefix in prefixes]
+    rows = [_start(prefix, conditioned, planner) for prefix in prefixes]
     window = base.config.context_window - 1
     cache = nn.KVCache(len(rows))
     for _ in range(config.max_tokens):

@@ -110,12 +110,15 @@ class LmConfig:
     context_window: int = 128
 
 
+ADAPTER_INITS = ("centroids", "random")
+
+
 @dataclass(frozen=True)
 class AdapterConfig:
     n_actions: int
     action_dim: int
     adapted_layers: int          # L: adapters live in the last L layers
-    init: str = "centroids"      # "centroids" | "random"
+    init: str = "centroids"      # one of ADAPTER_INITS
     share_tables: bool = False
 
 
@@ -237,7 +240,7 @@ class ActionAdapter:
             raise ValidationError(
                 f"adapted_layers={config.adapted_layers} out of range for "
                 f"{lm_config.n_layers} layers")
-        if config.init not in ("centroids", "random"):
+        if config.init not in ADAPTER_INITS:
             raise ValidationError(f"unknown adapter init {config.init!r}")
         self.config = config
         self.lm_config = lm_config

@@ -122,6 +122,12 @@ class KVCache:
         self.lengths[rows] = part.lengths if length is None else length
 
 
+def check_heads(d: int, n_heads: int) -> None:
+    """Refuse a head count that does not split the model dim evenly."""
+    if n_heads < 1 or d % n_heads != 0:
+        raise ValidationError(f"model dim {d} not divisible by {n_heads} heads")
+
+
 class SelfAttention:
     """Multi-head scaled dot-product self-attention.
 
@@ -147,9 +153,7 @@ class SelfAttention:
     """
 
     def __init__(self, rng: np.random.Generator, d: int, n_heads: int):
-        if n_heads < 1 or d % n_heads != 0:
-            raise ValidationError(
-                f"model dim {d} not divisible by {n_heads} heads")
+        check_heads(d, n_heads)
         self.d = d
         self.n_heads = n_heads
         self.d_head = d // n_heads
@@ -250,14 +254,17 @@ def snapshot(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 
 def load_params(params: dict[str, Tensor], sections: dict[str, np.ndarray]) -> None:
     """Copy checkpoint arrays, or a `snapshot`, into an assembled parameter
-    dict, by name."""
-    missing = sorted(set(params) - set(sections))
-    if missing:
-        raise KeyError(f"checkpoint is missing sections: {missing}")
+    dict, by name; the sections must be exactly the parameters, shape for
+    shape."""
+    for problem, names in (("is missing", set(params) - set(sections)),
+                           ("has unexpected", set(sections) - set(params))):
+        if names:
+            raise ValidationError(
+                f"checkpoint {problem} sections: {sorted(names)}")
     for name, tensor in params.items():
         arr = sections[name]
         if arr.shape != tensor.shape:
-            raise ad.ShapeError(
+            raise ValidationError(
                 f"section {name} shape {arr.shape} != expected {tensor.shape}")
         tensor.values = arr.astype(np.float32, copy=True)
 

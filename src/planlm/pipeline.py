@@ -285,15 +285,22 @@ class RunData:
     def action_set(self) -> ActionSet:
         return ActionSet(storage.read_matrix(self.path("centroids.plmb")))
 
+    def _model(self, name: str, load):
+        """`load` of the checkpoint `name`; a model it does not fit is
+        refused with the step that rebuilds it."""
+        sections, meta = storage.read_checkpoint(self.path(name))
+        try:
+            return load(sections, meta)
+        except ValidationError as exc:
+            raise self._refusal(name, str(exc)) from None
+
     @cached_property
     def planner(self) -> PlannerModel:
-        return planner_from_checkpoint(
-            *storage.read_checkpoint(self.path("planner.plmc")))
+        return self._model("planner.plmc", planner_from_checkpoint)
 
     def lm(self, regime: Regime) -> tuple[BaseLM, ActionAdapter | None]:
         """The network and adapter a regime is scored with (see `lm_name`)."""
-        return lm_from_checkpoint(
-            *storage.read_checkpoint(self.path(lm_name(regime))))
+        return self._model(lm_name(regime), lm_from_checkpoint)
 
     def prepared(self, split: str) -> list[PreparedArticle]:
         if split not in self._prepared:

@@ -4,8 +4,12 @@ Each context sentence embedding gets an absolute position embedding added, a
 small Transformer encoder (full self-attention, no causal mask) contextualizes
 the set, the outputs are mean-pooled, and a linear head scores the K actions.
 The head matrix is initialized with the action centroids so that action
-geometry is available from step zero. An empty context is represented by a
-single learned "begin" embedding.
+geometry is available from step zero.
+
+Training, evaluation, teacher-forced actions and decoding re-plans all ask
+`next_action_logits`, under one context rule: a context keeps only its last
+`context_limit` sentences, and an empty one is a single learned "begin"
+embedding.
 """
 
 from __future__ import annotations
@@ -23,6 +27,9 @@ from .errors import ValidationError
 # one training/eval example: per-article (sentence embeddings, action ids)
 ArticlePlan = tuple[np.ndarray, np.ndarray]
 
+ARCHS = ("transformer", "mlp")     # "mlp": a single pooled vector
+HEAD_INITS = ("centroids", "random")
+
 
 @dataclass(frozen=True)
 class PlannerConfig:
@@ -31,13 +38,13 @@ class PlannerConfig:
     n_layers: int = 2
     n_heads: int = 4
     context_limit: int = 64          # most recent sentences kept
-    arch: str = "transformer"        # "transformer" | "mlp" (single pooled vector)
-    head_init: str = "centroids"     # "centroids" | "random"
+    arch: str = "transformer"        # one of ARCHS
+    head_init: str = "centroids"     # one of HEAD_INITS
 
     def __post_init__(self):
-        if self.arch not in ("transformer", "mlp"):
+        if self.arch not in ARCHS:
             raise ValidationError(f"unknown planner arch {self.arch!r}")
-        if self.head_init not in ("centroids", "random"):
+        if self.head_init not in HEAD_INITS:
             raise ValidationError(f"unknown head init {self.head_init!r}")
         if self.context_limit < 1:
             raise ValidationError("context_limit must be >= 1")
@@ -93,17 +100,14 @@ class PlannerModel:
 
     # -- forward -----------------------------------------------------------------
 
-    def _context_batch(self, contexts: np.ndarray | None, batch: int) -> Tensor:
-        """(B, L, d) inputs; None means the learned begin embedding (L = 1)."""
+    def logits_batch(self, contexts: np.ndarray | None, batch: int) -> Tensor:
+        """(B, K) scores of (B, L, d) contexts, or of the begin embedding."""
         d = self.config.dim
         if contexts is None:
             zero = Tensor(np.zeros((batch, 1, d), dtype=np.float32))
-            return zero + self.begin.reshape(1, 1, d)
-        return Tensor(contexts.astype(np.float32, copy=False))
-
-    def logits_batch(self, contexts: np.ndarray | None, batch: int) -> Tensor:
-        """Scores over actions for a batch of equal-length contexts."""
-        x = self._context_batch(contexts, batch)
+            x = zero + self.begin.reshape(1, 1, d)
+        else:
+            x = Tensor(contexts.astype(np.float32, copy=False))
         length = x.shape[1]
         if length > self.config.context_limit:
             raise ValidationError(
@@ -119,22 +123,16 @@ class PlannerModel:
             pooled = self.mlp2(ad.gelu(self.mlp1(pooled)))
         return ad.matmul(pooled, self.w_o.swapaxes(0, 1), self.b)
 
-    def forward_probs(self, context: np.ndarray) -> np.ndarray:
-        """Probability vector over actions given sentence embeddings so far.
+    def next_action_logits(self, contexts: Sequence) -> Tensor:
+        """(B, K) scores of the action after each of B contexts, sequences of
+        sentence embeddings: each keeps its last `context_limit`, as many for
+        every context, and an empty one scores the begin embedding."""
+        kept = [c[-self.config.context_limit:] for c in contexts]
+        return self.logits_batch(np.stack(kept) if len(kept[0]) else None,
+                                 len(kept))
 
-        Keeps only the most recent context_limit sentences; an empty context
-        uses the learned begin embedding.
-        """
-        context = np.asarray(context, dtype=np.float32)
-        if context.size == 0:
-            logits = self.logits_batch(None, 1)
-        else:
-            kept = context[-self.config.context_limit:]
-            logits = self.logits_batch(kept[None, :, :], 1)
-        return logits.softmax().values[0]
-
-    def predict_next_action(self, context: np.ndarray) -> int:
-        return int(self.forward_probs(context).argmax())
+    def predict_next_action(self, context: Sequence[np.ndarray]) -> int:
+        return int(self.next_action_logits([context]).values[0].argmax())
 
 
 def predict_actions_for_article(model: PlannerModel,
@@ -164,12 +162,8 @@ def _examples(articles: Sequence[ArticlePlan]) -> list[Example]:
 def _logits_targets(model: PlannerModel, batch: list[Example],
                     ) -> tuple[Tensor, np.ndarray]:
     """Action scores and targets of examples with equal context length."""
-    limit = model.config.context_limit
     targets = np.array([actions[i] for _, actions, i in batch], dtype=np.int64)
-    ctx = None
-    if batch[0][2] > 0:
-        ctx = np.stack([emb[max(0, i - limit):i] for emb, _, i in batch])
-    return model.logits_batch(ctx, len(batch)), targets
+    return model.next_action_logits([emb[:i] for emb, _, i in batch]), targets
 
 
 def _scored_batches(model: PlannerModel, articles: Sequence[ArticlePlan],

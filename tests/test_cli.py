@@ -162,16 +162,28 @@ def test_bad_config_input_refused_with_one_error_line(tmp_path, capsys, given,
     ("vocab_size=2", "finetune", ["vocab_size", "got 2"]),
     ("finetune_patience=0", "finetune", ["finetune_patience"]),
     ("planner_patience=-1", "train-planner", ["planner_patience"]),
+    # refused by the first step, not by the one that builds the model
+    ("planner_arch=foo", "embed", ["planner_arch", "got 'foo'"]),
+    ("planner_head_init=foo", "embed", ["planner_head_init", "got 'foo'"]),
+    ("adapter_init=foo", "embed", ["adapter_init", "got 'foo'"]),
+    ("temperature=-1", "embed", ["temperature", "got -1.0"]),
+    ("temperature=nan", "cluster", ["temperature", "got nan"]),
+    ("planner_context=0", "embed", ["planner_context", "got 0"]),
+    ("lm_heads=3", "embed", ["lm_heads:", "model dim 32", "3 heads"]),
+    ("planner_heads=3", "embed", ["planner_heads:", "model dim 32",
+                                  "3 heads"]),
 ])
 def test_bad_config_value_refused_with_one_error_line(run_dir, tmp_path,
                                                       capsys, given, command,
                                                       names):
     out = copy_of(run_dir, tmp_path)
+    pinned = (out / "config.txt").read_text()
     capsys.readouterr()
     assert main(args(out, command, "--force") + ["--set", given]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert all(name in err[0] for name in names), err[0]
+    assert (out / "config.txt").read_text() == pinned
 
 
 def test_only_the_common_flags_set_the_run_config():
@@ -509,8 +521,9 @@ FINGERPRINT = Path(__file__).with_name("quality_fingerprint.json")
 
 
 def quality_fingerprint(run: Path) -> dict:
-    """Each regime's val and test ppl, the planner's accuracy and rank, and
-    the sha256 of `actions.tsv` and of each generations file."""
+    """Each regime's val and test ppl, the planner's accuracy and rank, the
+    sha256 of `actions.tsv` and of each generations file, and the scalar
+    values of `scan_summary.json`."""
     fp = {}
     planner = storage.read_manifest(run / "planner.plmc")["extra"]
     fp["planner.val_accuracy"] = planner["val_accuracy"]
@@ -525,13 +538,26 @@ def quality_fingerprint(run: Path) -> dict:
     fp["evaluate.planner.average_rank"] = report["planner"]["average_rank"]
     for path in [run / "actions.tsv"] + sorted(run.glob("generations_*.jsonl")):
         fp[f"sha256.{path.name}"] = storage.file_sha256(path)
+    summary = json.loads((run / "scan_summary.json").read_text())
+    for key, value in sorted(summary.items()):
+        if isinstance(value, (int, float)):
+            fp[f"scan.{key}"] = value
     return fp
 
 
-def test_quality_fingerprint_matches_the_checked_in_one(full_run):
+def test_quality_fingerprint_matches_the_checked_in_one(full_run, tmp_path):
     """Outputs move only on purpose: floats must have the same `repr`, and
-    every moved key is listed, old -> new."""
-    fp = quality_fingerprint(full_run)
+    every moved key is listed, old -> new. Beyond `full_run`, it runs the
+    scans and decodes with the planner. In `full_run`'s 32 tokens the
+    one-epoch LM closes no sentence, so that decoder runs longer, on every
+    test article, to re-plan at the sentences it closes."""
+    out = copy_of(full_run, tmp_path)
+    assert main(args(out, "finetune", "--regime", "oracle")) == 0
+    assert main(args(out, "scan-oracle")) == 0
+    assert main(args(out, "generate", "--regime", "predicted_pa", "--force")
+                + ["--set", "gen_max_tokens=256", "--set", "eval_articles=6"]) \
+        == 0
+    fp = quality_fingerprint(out)
     if os.environ.get("PLANLM_REWRITE_FINGERPRINT") == "1":
         FINGERPRINT.write_text(json.dumps(fp, indent=1, sort_keys=True) + "\n")
     recorded = json.loads(FINGERPRINT.read_text())
@@ -983,6 +1009,37 @@ def test_generations_without_sentence_ends_refused_with_one_error_line(
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
     assert "generations_fixed.jsonl" in err[0] and "planlm generate" in err[0]
+
+
+@pytest.mark.parametrize("name, section, value, regime, producer, names", [
+    ("base_lm.plmc", "lm.ln_f.gain", None, "none", "pretrain-lm",
+     ["missing sections", "lm.ln_f.gain"]),
+    ("base_lm.plmc", "lm.ln_f.gain", np.ones(31), "none", "pretrain-lm",
+     ["lm.ln_f.gain", "(31,)", "(32,)"]),
+    ("base_lm.plmc", "lm.unused", np.ones(4), "none", "pretrain-lm",
+     ["unexpected sections", "lm.unused"]),
+    ("lm_predicted_pa.plmc", "lm.unused", np.ones(4), "predicted_pa",
+     "finetune", ["unexpected sections", "lm.unused"]),
+    ("planner.plmc", "planner.begin", None, "predicted_pa", "train-planner",
+     ["missing sections", "planner.begin"]),
+])
+def test_checkpoint_not_fitting_its_model_refused_with_one_error_line(
+        full_run, tmp_path, capsys, name, section, value, regime, producer,
+        names):
+    # a section of `value` replaces `section`; None deletes it
+    out = copy_of(full_run, tmp_path)
+    sections, meta = storage.read_checkpoint(out / name)
+    if value is None:
+        del sections[section]
+    else:
+        sections[section] = value
+    storage.write_checkpoint(out / name, sections, meta)
+    capsys.readouterr()
+    assert main(args(out, "evaluate", "--regimes", regime)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert name in err[0] and f"planlm {producer}" in err[0], err[0]
+    assert all(n in err[0] for n in names), err[0]
 
 
 @pytest.mark.parametrize("realized, ends", [

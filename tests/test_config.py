@@ -52,6 +52,15 @@ def test_validation_bounds():
     RunConfig().validate()
 
 
+def test_heads_checked_only_where_a_model_splits_them():
+    # the mlp planner has no attention, so its head count splits nothing
+    RunConfig(planner_arch="mlp", planner_heads=3).validate()
+    with pytest.raises(ValidationError, match="planner_heads: model dim 256"):
+        RunConfig(planner_heads=3).validate()
+    with pytest.raises(ValidationError, match="lm_heads: model dim 256"):
+        RunConfig(lm_heads=0).validate()
+
+
 def test_comments_and_blank_lines_ignored():
     config = parse_text("# a comment\n\nk = 12\n")
     assert config.k == 12

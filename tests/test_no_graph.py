@@ -153,7 +153,7 @@ def test_scoring_and_sampling_after_training_build_no_graph(graph_nodes):
     evaluation.oracle_scan(scorer, articles, K, WINDOW)
     evaluation.noise_scan(scorer, articles, n_variants=2, sigma=0.1,
                           action_dim=DIM, window=WINDOW, seed=0)
-    planner.forward_probs(np.zeros((2, DIM), dtype=np.float32))
+    planner.next_action_logits([np.zeros((2, DIM), dtype=np.float32)])
     evaluate_planner(planner, plans(2, seed=7))
     generate(base, adapter, VOCAB, GenerationConfig(max_tokens=16), ENC,
              action_set, [Prefix(np.array([BOS_ID]), seed=0)], planner=planner)

@@ -39,32 +39,36 @@ def cycle_articles(n_articles, length, protos, seed=0, noise=0.02):
     return out
 
 
+def scores(model, context):
+    """The action scores `next_action_logits` gives one context."""
+    return model.next_action_logits([context]).values[0]
+
+
 def test_zero_head_gives_uniform_distribution():
     model = make_model()
     model.w_o.values[:] = 0.0
     model.b.values[:] = 0.0
-    probs = model.forward_probs(np.random.default_rng(0).normal(0, 1, (3, D)))
-    np.testing.assert_allclose(probs, 1.0 / K, atol=1e-7)
+    logits = scores(model, np.random.default_rng(0).normal(0, 1, (3, D)))
+    np.testing.assert_array_equal(logits, np.zeros(K, dtype=np.float32))
 
 
-def test_output_is_probability_vector():
+def test_scores_are_finite_for_every_context_length():
     model = make_model()
     rng = np.random.default_rng(5)
-    for length in (0, 1, 4, 6):
-        probs = model.forward_probs(rng.normal(0, 1, (length, D)))
-        assert probs.shape == (K,)
-        assert (probs >= 0).all()
-        assert abs(probs.sum() - 1.0) <= 1e-5
-        assert np.isfinite(probs).all()
+    for length in (0, 1, 4, 6, 9):
+        logits = model.next_action_logits(
+            [rng.normal(0, 1, (length, D)) for _ in range(3)]).values
+        assert logits.shape == (3, K)
+        assert np.isfinite(logits).all()
 
 
 def test_permuting_sentences_with_their_positions_is_invariant():
     model = make_model(seed=3)
     ctx = np.random.default_rng(7).normal(0, 1, (3, D)).astype(np.float32)
-    before = model.forward_probs(ctx)
+    before = scores(model, ctx)
     # swap sentences 0 and 1 together with their position embeddings
     model.pos.values[[0, 1]] = model.pos.values[[1, 0]]
-    after = model.forward_probs(ctx[[1, 0, 2]])
+    after = scores(model, ctx[[1, 0, 2]])
     np.testing.assert_allclose(before, after, atol=1e-5)
 
 
@@ -73,9 +77,8 @@ def test_context_truncated_to_most_recent_window():
     rng = np.random.default_rng(11)
     recent = rng.normal(0, 1, (6, D)).astype(np.float32)
     junk = rng.normal(0, 1, (4, D)).astype(np.float32)
-    np.testing.assert_allclose(model.forward_probs(recent),
-                               model.forward_probs(np.vstack([junk, recent])),
-                               atol=1e-7)
+    np.testing.assert_array_equal(scores(model, recent),
+                                  scores(model, np.vstack([junk, recent])))
 
 
 def test_centroid_head_init_is_exact():
@@ -190,6 +193,21 @@ def test_predict_actions_length_and_determinism():
     assert all(0 <= a < K for a in a1)
 
 
+def test_predicted_actions_equal_the_argmax_of_each_prefixs_distribution():
+    # the per-prefix rule, written out: the last `context_limit` rows of the
+    # prefix, or the begin embedding for the empty one, then a softmax
+    model = make_model(seed=4)
+    limit = model.config.context_limit
+    z = cycle_articles(1, limit + 4, unit_prototypes(), seed=6)[0][0]
+    want = []
+    for i in range(len(z)):
+        context = z[max(0, i - limit):i]
+        logits = model.logits_batch(context[None] if i else None, 1)
+        want.append(int(logits.softmax().values[0].argmax()))
+    assert predict_actions_for_article(model, z) == want
+    assert len(set(want)) > 1
+
+
 def test_checkpoint_round_trip(tmp_path, request):
     centroids = unit_prototypes()
     model = make_model(seed=9, head_init="centroids", centroids=centroids)
@@ -204,8 +222,7 @@ def test_checkpoint_round_trip(tmp_path, request):
     for name, tensor in model.params_dict().items():
         assert restored.params_dict()[name].values.tobytes() \
             == tensor.values.tobytes()
-    np.testing.assert_array_equal(restored.forward_probs(ctx),
-                                  model.forward_probs(ctx))
+    np.testing.assert_array_equal(scores(restored, ctx), scores(model, ctx))
 
 
 def test_oversized_context_rejected_at_batch_level():
