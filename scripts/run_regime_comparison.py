@@ -3,8 +3,10 @@
 
 Builds the corpus, runs the full pipeline, finetunes the LM under several
 action regimes with one matched budget, and prints the resulting validation
-perplexities plus generation metrics. Repeats over several master seeds so
-orderings are averaged rather than single-draw.
+perplexities plus generation metrics. When `oracle` is among the regimes it
+also runs the oracle scan and prints its `mean_oracle_rank`. Each seed's
+lines end with that seed's ordering of the regimes by perplexity. Repeats
+over several master seeds so orderings are averaged rather than single-draw.
 """
 
 import argparse
@@ -33,7 +35,9 @@ def desk_config(seed: int) -> RunConfig:
 
 
 def run_one_seed(corpus_path: Path, out_dir: Path, seed: int,
-                 regimes: list[Regime]) -> dict:
+                 regimes: list[Regime]) -> tuple[dict, dict | None]:
+    """The val `eval_report.json` of one seed, and its `scan_summary.json`
+    (None without the `oracle` regime)."""
     config = desk_config(seed)
     pipeline.step_ingest(config, out_dir, corpus_path)
     pipeline.step_embed(config, out_dir)
@@ -47,7 +51,30 @@ def run_one_seed(corpus_path: Path, out_dir: Path, seed: int,
     for regime in regimes:
         if regime.key in ("fixed", "predicted_pa"):
             pipeline.step_generate(config, out_dir, regime, split="val")
-    return pipeline.step_evaluate(config, out_dir, regimes, split="val")
+    report = pipeline.step_evaluate(config, out_dir, regimes, split="val")
+    scan = None
+    if any(regime.key == "oracle" for regime in regimes):
+        scan = pipeline.step_scan_oracle(config, out_dir, split="val")
+    return report, scan
+
+
+def seed_lines(report: dict, scan: dict | None,
+               regimes: list[Regime]) -> list[str]:
+    """What one seed prints: each regime's ppl and generation metrics, the
+    scan's `mean_oracle_rank`, and the regimes ordered by ppl."""
+    lines = []
+    for regime in regimes:
+        entry = report["regimes"][regime.key]
+        extras = "".join(
+            f" {key}={entry[key]:.4f}" if isinstance(entry.get(key), float)
+            else ""
+            for key in ("latent_ppl", "plan_following_rate"))
+        lines.append(f"  {regime.key:28s} ppl={entry['ppl']:8.3f}{extras}")
+    if scan is not None:
+        lines.append(f"  mean_oracle_rank={scan['mean_oracle_rank']:.4f}")
+    ordered = sorted(regimes, key=lambda r: report["regimes"][r.key]["ppl"])
+    lines.append("  ppl order: " + " < ".join(r.key for r in ordered))
+    return lines
 
 
 def main() -> None:
@@ -78,18 +105,13 @@ def main() -> None:
     save_articles_jsonl(articles, corpus_path)
 
     seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    reports = {}
+    reports, scans = {}, {}
     for seed in seeds:
         out_dir = args.work_dir / f"seed{seed}"
         print(f"== seed {seed} ==")
-        reports[seed] = run_one_seed(corpus_path, out_dir, seed, regimes)
-        for regime in regimes:
-            entry = reports[seed]["regimes"][regime.key]
-            extras = "".join(
-                f" {key}={entry[key]:.4f}" if isinstance(entry.get(key), float)
-                else ""
-                for key in ("latent_ppl", "plan_following_rate"))
-            print(f"  {regime.key:28s} ppl={entry['ppl']:8.3f}{extras}")
+        reports[seed], scans[seed] = run_one_seed(corpus_path, out_dir, seed,
+                                                  regimes)
+        print("\n".join(seed_lines(reports[seed], scans[seed], regimes)))
 
     summary = {
         regime.key: {
@@ -101,6 +123,7 @@ def main() -> None:
     (args.work_dir / "summary.json").write_text(
         json.dumps({"per_seed": {str(s): reports[s]["regimes"]
                                  for s in seeds},
+                    "scan": {str(s): scans[s] for s in seeds},
                     "summary": summary}, indent=2, sort_keys=True))
 
 

@@ -303,15 +303,19 @@ def _scored_rows(logit_fn: LogitFn,
                  rows: Sequence[Row]) -> Iterator[tuple[int, np.ndarray]]:
     """Yield (row index, NLL at its scored positions), in batch order.
 
-    Up to 64 rows of one length share an LM call; equal-length rows keep
-    their order. Rows without a prefix take an uncached call. The rows of a
-    call with prefixes (all or none of them have one) first copy their
+    Up to 64 rows of one length and one cached length (0 without a prefix)
+    share an LM call, so every row of a call attends over as many columns as
+    it would alone; rows of one call keep their order. Rows without a prefix
+    take an uncached call. The rows of a call with prefixes first copy their
     prefixes into one B-row `KVCache`, one `put` per run of adjacent rows
     with the same prefix, and the call extends it. One `_nll_rows` call
     scores the positions of all rows of a call.
     """
-    for batch in length_batches(range(len(rows)), lambda r: len(rows[r].ids),
-                                64):
+    def shape(r: int) -> tuple[int, int]:
+        prefix = rows[r].prefix
+        return len(rows[r].ids), 0 if prefix is None else prefix[1]
+
+    for batch in length_batches(range(len(rows)), shape, 64):
         picked = [rows[r] for r in batch]
         ids, actions, noise = (None if picked[0][f] is None
                                else np.stack([row[f] for row in picked])

@@ -269,16 +269,18 @@ def load_params(params: dict[str, Tensor], sections: dict[str, np.ndarray]) -> N
         tensor.values = arr.astype(np.float32, copy=True)
 
 
-def length_batches(items: Sequence[Item], length: Callable[[Item], int],
+def length_batches(items: Sequence[Item],
+                   length: Callable[[Item], int | tuple[int, ...]],
                    batch_size: int, rng: np.random.Generator | None = None,
                    ) -> list[list[Item]]:
-    """Batches of at most `batch_size` items that share one `length(item)`.
+    """Batches of at most `batch_size` items that share one `length(item)`,
+    an int or a tuple of ints.
 
     Without an rng, items keep their order and batches come in ascending
     length. With one, each length group is permuted before it is cut, and then
     the batches are permuted.
     """
-    groups: dict[int, list[Item]] = {}
+    groups: dict = {}
     for item in items:
         groups.setdefault(length(item), []).append(item)
     batches = []

@@ -647,7 +647,8 @@ def test_noise_scan_matches_one_call_per_draw():
 def test_scans_prefill_once_per_window_start(scan, monkeypatch):
     """One B=1 forward per item and window start caches the oracle prefix
     before the sentences' latest first predicting position. Then each batch
-    of at most 64 equal-length variant suffixes takes one call."""
+    of at most 64 variant suffixes of one length and one cached length takes
+    one call."""
     logit_fn = tiny_lm()
     items = reference_items()
     calls = []  # (ids, cache lengths, cache has layers) as each forward starts
@@ -675,11 +676,11 @@ def test_scans_prefill_once_per_window_start(scan, monkeypatch):
             start = max(0, end - REF_WINDOW)
             first = max(1, start + 1, token_pos.min()) - 1
             ends[start] = max(ends.get(start, start), first)
-            suffix_rows[end - first] += n_variants
+            suffix_rows[end - first, first - start] += n_variants
         want_prefills += [stream.token_ids[None, start:end]
                           for start, end in ends.items() if end > start]
     want_suffixes = sorted((min(64, n - i), length)
-                           for length, n in suffix_rows.items()
+                           for (length, _), n in suffix_rows.items()
                            for i in range(0, n, 64))
 
     prefills = [ids for ids, lengths, layers in calls
@@ -691,3 +692,24 @@ def test_scans_prefill_once_per_window_start(scan, monkeypatch):
                       if len(ids) > 1)
     assert suffixes == want_suffixes
     assert len(calls) == len(prefills) + len(suffixes)
+
+
+def test_scan_rows_of_mixed_cached_lengths_score_as_their_own_forwards():
+    """Rows of one length after prefixes of different cached lengths, scored
+    together, give each row's one-row score bit for bit: a row never attends
+    over the masked columns of a row with a longer prefix."""
+    logit_fn = tiny_lm()
+    rng = np.random.default_rng(18)
+    rows = []
+    for n in (0, 1, 3, 5, 2, 4, 4, 1):
+        ids = rng.integers(0, SCAN_V, n + 3)
+        actions = rng.integers(0, REF_K, n + 3)
+        prefix = evaluation.KVCache(1)
+        if n:
+            logit_fn(ids[None, :n], actions[None, :n], None, cache=prefix)
+        rows.append(evaluation.Row(ids[n:], actions[n:], None,
+                                   np.arange(2), ids[n + 1:], (prefix, n)))
+    together = dict(evaluation._scored_rows(logit_fn, rows))
+    for r, row in enumerate(rows):
+        [(_, alone)] = evaluation._scored_rows(logit_fn, [row])
+        np.testing.assert_array_equal(together[r], alone)
