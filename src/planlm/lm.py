@@ -127,14 +127,13 @@ class BaseLM:
         self.config = config
         d = config.d_model
         self.tok_emb = nn.normal_param(rng, (config.vocab_size, d))
-        self.pos_emb = nn.normal_param(rng, (config.context_window, d))
         self.blocks = [nn.Block(rng, d, config.n_heads)
                        for _ in range(config.n_layers)]
         self.ln_f = nn.LayerNorm(d)
         self.out = nn.Linear(rng, d, config.vocab_size)
 
     def params_dict(self) -> dict[str, Tensor]:
-        out = {"lm.tok_emb": self.tok_emb, "lm.pos_emb": self.pos_emb}
+        out = {"lm.tok_emb": self.tok_emb}
         for i, block in enumerate(self.blocks):
             out.update(block.params(f"lm.layer{i}"))
         out.update(self.ln_f.params("lm.ln_f"))
@@ -186,7 +185,7 @@ class BaseLM:
         if prefix is not None and (adapter is None or cache is not None):
             raise ValidationError("a prefix resumes an adapter forward "
                                   "without a cache")
-        bias = nn.causal_bias(t, past, dtype=self.tok_emb.values.dtype)
+        bias = self._bias(t, past)
         first_adapted = adapter.layer_index(0) if adapter is not None \
             else cfg.n_layers
         if prefix is None:
@@ -203,12 +202,16 @@ class BaseLM:
             cache.lengths = cache.lengths + t
         return self.out(self.ln_f(x))
 
+    def _bias(self, t: int, past: np.ndarray) -> np.ndarray:
+        cfg = self.config
+        return nn.attention_bias(t, past, cfg.n_heads, cfg.context_window,
+                                 dtype=self.tok_emb.values.dtype)
+
     def _front(self, ids: np.ndarray, layers: int, past: np.ndarray,
-               bias: Tensor, cache: nn.KVCache | None = None) -> Tensor:
-        """The embeddings of `ids` after `past` cached positions, through the
-        first `layers` blocks."""
-        x = ad.embedding(self.tok_emb, ids) + ad.embedding(
-            self.pos_emb, past[:, None] + np.arange(ids.shape[1]))
+               bias: np.ndarray, cache: nn.KVCache | None = None) -> Tensor:
+        """The token embeddings of `ids`, through the first `layers` blocks;
+        positions enter only through `bias`."""
+        x = ad.embedding(self.tok_emb, ids)
         for i, block in enumerate(self.blocks[:layers]):
             x = block(x, bias=bias, past=past,
                       cache=cache.layers[i] if cache is not None else None)
@@ -224,8 +227,7 @@ class BaseLM:
         once and passed to `forward` as its `prefix`."""
         ids = np.asarray(ids)
         past = np.zeros(1, dtype=np.int64)
-        bias = nn.causal_bias(ids.shape[1], past,
-                              dtype=self.tok_emb.values.dtype)
+        bias = self._bias(ids.shape[1], past)
         x = self._front(ids, layer, past, bias)
         block = self.blocks[layer]
         return x.values, block.attn.context(block.ln1(x), bias=bias).values

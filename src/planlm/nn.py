@@ -1,7 +1,8 @@
 """Transformer building blocks shared by the planner and the language model.
 
-Pre-layer-norm blocks, learned position embeddings, Gaussian(0, 0.02) init
-for projections and embeddings, zeros for biases.
+Pre-layer-norm blocks, Gaussian(0, 0.02) init for projections and
+embeddings, zeros for biases, and the language model's one attention rule,
+`attention_bias`. The planner keeps learned position embeddings of its own.
 """
 
 from __future__ import annotations
@@ -75,19 +76,27 @@ class LayerNorm:
         return {f"{prefix}.gain": self.gain, f"{prefix}.bias": self.bias}
 
 
-def causal_bias(t: int, past: Sequence[int] | np.ndarray = (0,),
-                dtype=np.float32) -> Tensor:
-    """Additive bias masking attention to future positions.
+def attention_bias(t: int, past: Sequence[int] | np.ndarray, n_heads: int,
+                   window: int, dtype=np.float32) -> np.ndarray:
+    """The additive attention bias of every LM forward: causal, a band of
+    `window` positions, and linear in the query-key distance (ALiBi; Press,
+    Smith and Lewis, "Train Short, Test Long", arXiv 2108.12409).
 
-    The (rows, 1, t, max(past) + t) bias of t queries after each row's
-    `past[r]` cached keys (see `KVCache`): query i of row r sees the
-    columns up to past[r] + i. A forward without a cache keeps the default,
-    one row of no keys, which broadcasts over its batch.
+    The (rows, n_heads, t, max(past) + t) bias of t queries after each row's
+    `past[r]` cached keys (see `KVCache`). Query i of row r sits at column
+    past[r] + i, at distance d = past[r] + i - c from column c. It sees the
+    columns with 0 <= d < window, itself included, each with bias -m_h * d
+    in head h = 1..H, where m_h = 2^(-8h/H); every other column is masked.
+    A bias depends only on distances, so a key keeps its value when the
+    columns before it are dropped. A forward without a cache passes
+    `past=(0,)`, one row that broadcasts over its batch.
     """
     past = np.asarray(past)
-    cols = np.arange(past.max() + t)
-    masked = cols > (past[:, None] + np.arange(t))[..., None]
-    return Tensor(np.where(masked[:, None], MASK_BIAS, 0.0).astype(dtype))
+    d = (past[:, None] + np.arange(t))[:, :, None] - np.arange(past.max() + t)
+    slopes = 2.0 ** (-8.0 * np.arange(1, n_heads + 1) / n_heads)
+    seen = ((d >= 0) & (d < window))[:, None]
+    return np.where(seen, -slopes[:, None, None] * d[:, None],
+                    MASK_BIAS).astype(dtype)
 
 
 class KVCache:
@@ -98,7 +107,7 @@ class KVCache:
     buffers. Row r's `lengths[r]` positions fill its first columns, and a
     forward writes its new positions right after them, in place. The
     columns past a row's length hold zeros or stale keys, which
-    `causal_bias` masks. A row is (re)filled by extending a one-row cache
+    `attention_bias` masks. A row is (re)filled by extending a one-row cache
     and `put`ting it, or its first positions, in its place.
     """
 
@@ -141,7 +150,7 @@ class SelfAttention:
     and the queries attend over the first max(past) + t columns. A cache
     holds plain arrays outside the graph, so it refuses keys that require
     grad. `bias`, when given, is added to the attention scores: the
-    forward's `causal_bias`, built once for all layers. Without one, every
+    forward's `attention_bias`, built once for all layers. Without one, every
     position attends to every other.
 
     Each projection is one `matmul` node with its bias, and the scores are
@@ -163,7 +172,7 @@ class SelfAttention:
         self.wo = Linear(rng, d, d)
 
     def __call__(self, x: Tensor | None, extra_context: Tensor | None = None,
-                 cache: list | None = None, bias: Tensor | None = None,
+                 cache: list | None = None, bias: np.ndarray | None = None,
                  past: np.ndarray | None = None,
                  ctx: Tensor | None = None) -> Tensor:
         if ctx is None:
@@ -173,7 +182,7 @@ class SelfAttention:
         return self.wo(ctx)
 
     def context(self, x: Tensor, cache: list | None = None,
-                bias: Tensor | None = None,
+                bias: np.ndarray | None = None,
                 past: np.ndarray | None = None) -> Tensor:
         """The heads' outputs, concatenated, (B, T, d): what `extra_context`
         is added to before the output projection."""
@@ -196,7 +205,7 @@ class SelfAttention:
             k, v = (Tensor(buffer[:, :, :cols.max() + 1]) for buffer in cache)
         weights = ad.softmax(q @ k.swapaxes(-1, -2),
                              scale=float(1.0 / np.sqrt(dh)),
-                             bias=None if bias is None else bias.values)
+                             bias=bias)
         return (weights @ v).swapaxes(1, 2).reshape(b, t, d)
 
     def params(self, prefix: str) -> dict[str, Tensor]:
@@ -222,7 +231,7 @@ class Block:
         self.ff2 = Linear(rng, 4 * d, d)
 
     def __call__(self, x: Tensor, extra_context: Tensor | None = None,
-                 cache: list | None = None, bias: Tensor | None = None,
+                 cache: list | None = None, bias: np.ndarray | None = None,
                  past: np.ndarray | None = None,
                  ctx: Tensor | None = None) -> Tensor:
         normed = self.ln1(x) if ctx is None else None
