@@ -1,7 +1,7 @@
 """Quantitative evaluation.
 
 Pure metrics (perplexity aggregation, ROUGE-2, edit distance, HMM critic) plus
-model-facing scorers: sliding-window perplexity and the per-step action scans.
+model-facing scorers: perplexity and the per-step action scans.
 The scorers only see a `logit_fn(ids, actions, noise) -> (B, T, V) array`
 callable (`actions` and `noise` may be None), so they work with any
 conditioning style; the scans also pass it `cache=`, a `KVCache` that the
@@ -336,7 +336,7 @@ def _scored_rows(logit_fn: LogitFn,
         yield from zip(batch, np.split(nll, np.cumsum(counts)[:-1]))
 
 
-# -- sliding-window perplexity ---------------------------------------------------
+# -- perplexity -------------------------------------------------------------------
 
 
 @dataclass
@@ -353,42 +353,26 @@ class ScoringItem:
     countable: np.ndarray | None = None
 
 
-def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem],
-               window: int) -> tuple[float, int]:
-    """Total NLL and token count, sliding windows with half-window scoring.
+def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem]
+               ) -> tuple[float, int]:
+    """Total NLL and count of the items' countable targets, each scored
+    once.
 
-    Every scoreable target is counted exactly once: the first window counts
-    all its targets, later windows only the fresh tail beyond the previous
-    window's coverage.
+    Each item is one row, forwarded whole: the LM's one attention rule
+    (`nn.attention_bias`) gives every position the last `context_window`
+    positions, so target t is predicted from the context that decoding
+    (`generation.generate`) gives a token sampled at t. The rows' attention
+    scores take (rows, heads, T, T) floats for items of T tokens.
     """
-    if window < 2:
-        raise ValidationError("window must be >= 2")
-    stride = window // 2
-
-    rows: list[Row] = []
+    rows = []
     for item in items:
         ids = np.asarray(item.ids)
-        n = len(ids)
-        s = 0
-        while True:
-            count_from = 1 if s == 0 else s + window - stride
-            if count_from > n - 1:
-                break
-            inputs = ids[s:s + window]
-            n_targets = min(len(inputs), n - 1 - s)
-            absolute = np.arange(s + 1, s + 1 + n_targets)
-            counted = (absolute >= count_from) & (absolute <= s + window - 1)
-            if item.countable is not None:
-                counted &= item.countable[absolute]
-            acts = item.actions[s:s + len(inputs)] \
-                if item.actions is not None else None
-            if counted.any():
-                positions = np.flatnonzero(counted)
-                rows.append(Row(inputs, acts, None, positions,
-                                ids[s + 1 + positions]))
-            if s + window >= n:
-                break
-            s += stride
+        counted = np.ones(max(len(ids) - 1, 0), dtype=bool) \
+            if item.countable is None else item.countable[1:]
+        positions = np.flatnonzero(counted)
+        if positions.size:
+            rows.append(Row(ids, item.actions, None, positions,
+                            ids[positions + 1]))
 
     total = np.float64(0.0)
     count = 0
@@ -398,9 +382,9 @@ def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem],
     return float(total), count
 
 
-def corpus_perplexity(logit_fn: LogitFn, items: Sequence[ScoringItem],
-                      window: int) -> float:
-    total, count = corpus_nll(logit_fn, items, window)
+def corpus_perplexity(logit_fn: LogitFn,
+                      items: Sequence[ScoringItem]) -> float:
+    total, count = corpus_nll(logit_fn, items)
     return perplexity_from_nll(total, count)
 
 

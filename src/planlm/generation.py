@@ -13,26 +13,22 @@ appended, as generated tokens are lowercase, so the end-of-text rule matches
 the splitter's lookahead rule).
 
 The LM decodes incrementally on one `nn.KVCache` of all rows, where each row
-has its own length and positions: its keys and values fill the first columns
-of buffers as wide as the context window. Every step is one `BaseLM.forward`
-over all rows that feeds each row its newest token and, with an adapter, its
-current action, and writes the token's keys and values right after the row's
-cached ones, in place. Before a row's first step, the last
-`window = context_window - 1` tokens of its prefix but the newest are
+has its own length: its keys and values fill the first columns of its
+buffers. Before the first step, each row's prefix but its newest token is
 prefilled into a one-row cache (B=1, so no pad token is fed), which is copied
-into the row of the batch's cache; a `<bos>`-only prefix prefills nothing. A
-re-plan does not invalidate the cache: position p is conditioned on the
+into the row of the batch's cache; a `<bos>`-only prefix prefills nothing.
+Every step is then one `BaseLM.forward` over all rows that feeds each row its
+newest token and, with an adapter, its current action, and writes the
+token's keys and values right after the row's cached ones, in place. No row
+is ever prefilled again. The LM's one attention rule (`nn.attention_bias`)
+lets a position see the last `context_window` positions, and its bias
+depends only on distances, so a full row drops its oldest position and keeps
+the keys it has (`KVCache.slide`). Each sampled token therefore sees the
+context that `evaluation.corpus_nll` gives a scored token at the same place.
+A re-plan does not invalidate the cache: position p is conditioned on the
 action of token p + 1, and a cached position's next token already exists, so
-its action is fixed. Positions are learned and absolute, so a full row cannot
-slide: once it holds `window` positions it is prefilled again, alone, from
-its last `window // 2` tokens but the newest. At a context window of 64
-that keeps 31 tokens, one fewer than the stride of 32 that `corpus_nll`
-slides by. Rows start from different prefix lengths, so they refill at
-different steps. Until a row's window first overflows, its tokens equal those
-of re-running its whole window for every token; after that, each token sees
-between `window // 2` and `window` tokens of context. A row's tokens do not
-depend on which other rows share its batch, up to the rounding of a batched
-matmul.
+its action is fixed. A row's tokens do not depend on which other rows share
+its batch, up to the rounding of a batched matmul.
 """
 
 from __future__ import annotations
@@ -185,17 +181,16 @@ def _start(prefix: Prefix, conditioned: bool,
                 context, action)
 
 
-def _prefill(base: BaseLM, adapter: ActionAdapter | None, row: _Row,
-             n: int) -> nn.KVCache:
-    """A one-row cache of `row`'s last `n` tokens (all of them if fewer)
-    but its newest, which the next step feeds."""
+def _prefill(base: BaseLM, adapter: ActionAdapter | None,
+             row: _Row) -> nn.KVCache:
+    """A one-row cache of `row`'s tokens but its newest, which the first
+    step feeds."""
     cache = nn.KVCache(1)
-    w = max(0, len(row.ids) - n)
-    ids = np.asarray([row.ids[w:-1]], dtype=np.int64)
+    ids = np.asarray([row.ids[:-1]], dtype=np.int64)
     if ids.shape[1]:
         # position p is conditioned on the action of token p + 1
         actions = None if adapter is None else np.asarray(
-            [row.act_of_token[w + 1:]], dtype=np.int64)
+            [row.act_of_token[1:]], dtype=np.int64)
         base.forward(ids, adapter=adapter, actions=actions, cache=cache)
     return cache
 
@@ -244,14 +239,10 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
         return Generations()
     conditioned = adapter is not None
     rows = [_start(prefix, conditioned, planner) for prefix in prefixes]
-    window = base.config.context_window - 1
     cache = nn.KVCache(len(rows))
+    for r, row in enumerate(rows):
+        cache.put([r], _prefill(base, adapter, row))
     for _ in range(config.max_tokens):
-        for r in np.flatnonzero((cache.lengths == 0)
-                                | (cache.lengths == window)):
-            # (re)fill from the last `window` tokens, later the last half
-            keep = window if cache.lengths[r] == 0 else window // 2
-            cache.put([r], _prefill(base, adapter, rows[r], keep))
         ids = np.asarray([[row.ids[-1]] for row in rows], dtype=np.int64)
         actions = None if adapter is None else np.asarray(
             [[row.action] for row in rows], dtype=np.int64)

@@ -151,9 +151,18 @@ class BaseLM:
         ids; `action_noise` optionally perturbs each position's action
         embedding (shared across adapted layers).
 
+        Every forward attends by one rule, `nn.attention_bias`: each
+        position sees the last `context_window` positions, itself included,
+        with a bias linear in their distance. So a forward of any length is
+        valid, and a row of T > context_window tokens is scored as a cache
+        that slides would score it. Through L layers a position's logits
+        depend on its last L * (context_window - 1) + 1 tokens.
+
         `cache`, when given, is a B-row `nn.KVCache` that the call extends in
-        place; the first call gives it context-window-wide buffers. Row r's
-        `ids` and `actions` then hold the T positions after its
+        place; the first call gives it context-window-wide buffers. The call
+        first drops each row's positions before its last
+        `context_window - 1` (`KVCache.slide`), which no new position can
+        see. Row r's `ids` and `actions` then hold the T positions after its
         `cache.lengths[r]` cached ones, and so do its logits. Without a
         cache, every row starts at position 0. A cache needs frozen
         parameters.
@@ -176,12 +185,8 @@ class BaseLM:
                          cfg.d_model // cfg.n_heads)
                 cache.layers = [[np.zeros(shape, self.tok_emb.values.dtype)
                                  for _ in range(2)] for _ in self.blocks]
+            cache.slide(cfg.context_window - 1)
             past = cache.lengths
-        cached = int(past.max())
-        if cached + t > cfg.context_window:
-            raise ValidationError(
-                f"sequence of {cached + t} positions ({cached} cached) "
-                f"exceeds context window {cfg.context_window}")
         if prefix is not None and (adapter is None or cache is not None):
             raise ValidationError("a prefix resumes an adapter forward "
                                   "without a cache")
@@ -432,8 +437,8 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
     training and every step resumes from it; the val metric keeps each row
     batch's prefix (`logit_fn`'s `prefixes`). Both stay until training
     ends, two float32 (T, d_model) arrays per window or row: 8 * d_model
-    bytes per training token (2 KiB at d_model 256), and about twice that
-    per val token, which the val rows' half-stride windows hold about twice.
+    bytes per training token (2 KiB at d_model 256), and as much per val
+    token, which its article's row holds once.
     At the default config on a 2,000-article corpus (1,800 training
     articles, 128k window tokens) that is about 280 MB. Results equal
     those of full forwards bit for bit, except that a batch of one 1-token
@@ -470,7 +475,7 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
     val_logits = logit_fn(base, adapter, {} if adapter is not None else None)
 
     def val_perplexity() -> float:
-        return evaluation.corpus_perplexity(val_logits, val_items, window)
+        return evaluation.corpus_perplexity(val_logits, val_items)
 
     return nn.fit(trainable, examples, lambda ex: len(ex.inputs), batch_loss,
                   batch_size, lr, max_epochs, patience, seed,

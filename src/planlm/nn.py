@@ -99,16 +99,26 @@ def attention_bias(t: int, past: Sequence[int] | np.ndarray, n_heads: int,
                     MASK_BIAS).astype(dtype)
 
 
+def widened(buffer: np.ndarray, width: int) -> np.ndarray:
+    """`buffer`, a (B, heads, columns, d_head) key or value buffer, or a
+    copy with zero columns appended up to `width` when it has fewer."""
+    short = width - buffer.shape[2]
+    return buffer if short <= 0 else np.pad(
+        buffer, ((0, 0), (0, 0), (0, short), (0, 0)))
+
+
 class KVCache:
-    """The keys and values of B rows' earlier positions, outside the graph.
+    """The keys and values of B rows' latest positions, outside the graph.
 
     `layers` is empty until a forward or a `put` fills it; then `layers[l]`
-    holds block l's (B, heads, context_window, d_head) key and value
-    buffers. Row r's `lengths[r]` positions fill its first columns, and a
-    forward writes its new positions right after them, in place. The
-    columns past a row's length hold zeros or stale keys, which
-    `attention_bias` masks. A row is (re)filled by extending a one-row cache
-    and `put`ting it, or its first positions, in its place.
+    holds block l's (B, heads, columns, d_head) key and value buffers. Row
+    r's `lengths[r]` positions fill its first columns, oldest first, and a
+    forward writes its new positions right after them, in place, widening
+    the buffers when they are too narrow. The columns past a row's length
+    hold zeros or stale keys, which `attention_bias` masks. `slide` drops a
+    row's oldest positions; the bias depends only on distances, so the
+    keys it keeps stay valid. A row is (re)filled by extending a one-row
+    cache and `put`ting it, or its first positions, in its place.
     """
 
     def __init__(self, rows: int):
@@ -124,11 +134,24 @@ class KVCache:
             self.layers = [[np.zeros((len(self.lengths),) + a.shape[1:],
                                      dtype=a.dtype) for a in kv]
                            for kv in part.layers]
-        cols = slice(None) if length is None else slice(length)
         for kv, part_kv in zip(self.layers, part.layers):
-            for a, part_a in zip(kv, part_kv):
-                a[rows, :, cols] = part_a[:, :, cols]
+            for i, part_a in enumerate(part_kv):
+                n = part_a.shape[2] if length is None else length
+                kv[i] = widened(kv[i], n)
+                kv[i][rows, :, :n] = part_a[:, :, :n]
         self.lengths[rows] = part.lengths if length is None else length
+
+    def slide(self, keep: int) -> None:
+        """Keep only the last `keep` positions of each row, moved to its
+        first columns."""
+        rows = np.flatnonzero(self.lengths > keep)
+        if rows.size == 0:
+            return
+        cols = (self.lengths[rows] - keep)[:, None] + np.arange(keep)
+        for kv in self.layers:
+            for a in kv:
+                a[rows, :, :keep] = a[rows[:, None], :, cols].swapaxes(1, 2)
+        self.lengths[rows] = keep
 
 
 def check_heads(d: int, n_heads: int) -> None:
@@ -146,8 +169,9 @@ class SelfAttention:
     `cache`, when given, is this layer's list of a `KVCache`'s key and
     value buffers, and `past` its rows' lengths. Row r of `x` then holds
     the t positions after its `past[r]` cached ones: their keys and values
-    are written in place at columns past[r] to past[r] + t - 1 of row r,
-    and the queries attend over the first max(past) + t columns. A cache
+    are written in place at columns past[r] to past[r] + t - 1 of row r
+    (the buffers are widened first if they are narrower), and the queries
+    attend over the first max(past) + t columns. A cache
     holds plain arrays outside the graph, so it refuses keys that require
     grad. `bias`, when given, is added to the attention scores: the
     forward's `attention_bias`, built once for all layers. Without one, every
@@ -199,10 +223,12 @@ class SelfAttention:
                     "a K/V cache holds no graph: cached forwards need frozen "
                     "parameters")
             cols = past[:, None] + np.arange(t)
-            for buffer, new in zip(cache, (k, v)):
-                buffer[np.arange(b)[:, None], :, cols] = \
+            width = int(cols.max()) + 1
+            for i, new in enumerate((k, v)):
+                cache[i] = widened(cache[i], width)
+                cache[i][np.arange(b)[:, None], :, cols] = \
                     new.values.swapaxes(1, 2)
-            k, v = (Tensor(buffer[:, :, :cols.max() + 1]) for buffer in cache)
+            k, v = (Tensor(buffer[:, :, :width]) for buffer in cache)
         weights = ad.softmax(q @ k.swapaxes(-1, -2),
                              scale=float(1.0 / np.sqrt(dh)),
                              bias=bias)

@@ -720,8 +720,7 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
             base, adapter = models[regime.key]
             items = scoring_items(data, split, regime, training=False,
                                   planner=planner)
-            entry["ppl"] = corpus_perplexity(logit_fn(base, adapter), items,
-                                             base.config.context_window)
+            entry["ppl"] = corpus_perplexity(logit_fn(base, adapter), items)
             entry.update(_generation_metrics(data, regime, split, critic))
             report["regimes"][regime.key] = entry
 

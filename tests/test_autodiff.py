@@ -370,7 +370,7 @@ def test_grad_softmax():
 
 
 def test_grad_softmax_scaled_and_masked():
-    mask = nn.causal_bias(4).values
+    mask = nn.attention_bias(4, (0,), 2, 3)
     _check(lambda p: (ad.softmax(p[0], scale=0.5, bias=mask) * p[1]).sum(),
            [(1, 2, 4, 4), (1, 2, 4, 4)])
 
@@ -414,7 +414,7 @@ def test_grad_causal_attention_composition():
         attn.wv = nn.Linear(rng_, d, d)
         attn.wo = nn.Linear(rng_, d, d)
         attn.wq.w, attn.wk.w, attn.wv.w, attn.wo.w = p[1], p[2], p[3], p[4]
-        bias = nn.causal_bias(t, dtype=p[0].values.dtype)
+        bias = nn.attention_bias(t, (0,), h, t, dtype=p[0].values.dtype)
         return (attn(p[0], bias=bias) * 1.0).sum()
 
     _check(loss, [(1, t, d)] + [(d, d)] * 4)
@@ -424,7 +424,7 @@ def test_causal_attention_ignores_future():
     r = rng()
     attn = nn.SelfAttention(r, 8, 2)
     x = r.normal(0, 1, (1, 5, 8)).astype(np.float32)
-    bias = nn.causal_bias(5)
+    bias = nn.attention_bias(5, (0,), 2, 5)
     y1 = attn(Tensor(x), bias=bias).values
     x2 = x.copy()
     x2[0, 4, :] += 10.0

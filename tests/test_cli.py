@@ -550,14 +550,24 @@ def test_quality_fingerprint_matches_the_checked_in_one(full_run, tmp_path):
     every moved key is listed, old -> new. Beyond `full_run`, it runs the
     scans and decodes with the planner. In `full_run`'s 32 tokens the
     one-epoch LM closes no sentence, so that decoder runs longer, on every
-    test article, to re-plan at the sentences it closes."""
+    test article, to re-plan at the sentences it closes; `evaluate` then
+    scores those generations (`latent_ppl`, `edit` and
+    `plan_following_rate`)."""
     out = copy_of(full_run, tmp_path)
     assert main(args(out, "finetune", "--regime", "oracle")) == 0
     assert main(args(out, "scan-oracle")) == 0
+    longer = ["--set", "gen_max_tokens=256", "--set", "eval_articles=6"]
     assert main(args(out, "generate", "--regime", "predicted_pa", "--force")
-                + ["--set", "gen_max_tokens=256", "--set", "eval_articles=6"]) \
-        == 0
+                + longer) == 0
     fp = quality_fingerprint(out)
+    assert main(args(out, "evaluate", "--regimes", "predicted_pa", "--force")
+                + longer) == 0
+    entry = json.loads((out / "eval_report.json").read_text())["regimes"][
+        "predicted_pa"]
+    for key, value in (("latent_ppl", entry["latent_ppl"]),
+                       ("edit.mean", entry["edit"]["mean"]),
+                       ("plan_following_rate", entry["plan_following_rate"])):
+        fp[f"generations_256.predicted_pa.{key}"] = value
     if os.environ.get("PLANLM_REWRITE_FINGERPRINT") == "1":
         FINGERPRINT.write_text(json.dumps(fp, indent=1, sort_keys=True) + "\n")
     recorded = json.loads(FINGERPRINT.read_text())

@@ -510,29 +510,21 @@ def row_nll(logits, targets):
     return lse - logits[np.arange(len(targets)), targets]
 
 
-def reference_corpus_nll(logit_fn, items, window):
-    """Target t is counted in the first half-stride window whose last counted
-    target (start + window - 1) reaches it. Windows are added shortest first,
-    in a stable order: the order the batched scorer adds them in."""
-    stride = window // 2
-    windows = []
+def reference_corpus_nll(logit_fn, items):
+    """Each item's countable targets scored on one call of that item alone,
+    the items added shortest first, in a stable order: the order the batched
+    scorer adds its rows in."""
+    rows = []
     for item in items:
-        by_start: dict[int, list[int]] = {}
-        for t in range(1, len(item.ids)):
-            if item.countable is None or item.countable[t]:
-                start = stride * max(0, -(-(t - window + 1) // stride))
-                by_start.setdefault(start, []).append(t)
-        for start, targets in by_start.items():
-            logits = one_row(logit_fn, item.ids[start:start + window],
-                             item.actions[start:start + window])
-            targets = np.asarray(targets)
-            nll = row_nll(logits[targets - 1 - start], item.ids[targets])
-            windows.append((len(item.ids[start:start + window]), nll.sum(),
-                            len(targets)))
+        targets = np.flatnonzero(item.countable[1:]) + 1
+        logits = one_row(logit_fn, item.ids, item.actions)
+        rows.append((len(item.ids),
+                     row_nll(logits[targets - 1], item.ids[targets]).sum(),
+                     len(targets)))
     total = np.float64(0.0)
-    for _, window_total, _ in sorted(windows, key=lambda w: w[0]):
-        total += window_total
-    return float(total), sum(w[2] for w in windows)
+    for _, row_total, _ in sorted(rows, key=lambda r: r[0]):
+        total += row_total
+    return float(total), sum(r[2] for r in rows)
 
 
 def reference_sentence_nll(logit_fn, article, window, variant):
@@ -565,18 +557,46 @@ def reference_items():
                                 ([4, 3, 5, 4], [3, 10, 3], [2, 2, 3]))
 
 
-def test_corpus_nll_matches_one_call_per_window():
+def test_corpus_nll_matches_one_call_per_article():
+    """Rows batched by length, most of them longer than the window, score
+    as one-row calls do, bit for bit."""
     logit_fn = tiny_lm()
     rng = np.random.default_rng(16)
     items = []
-    for n in (21, 5, 13, 9, 30):
+    for n in (21, 5, 13, 21, 9, 30, 13, 1):
         countable = rng.random(n) < 0.8
         items.append(ScoringItem(ids=rng.integers(0, SCAN_V, n),
                                  actions=rng.integers(0, REF_K, n),
                                  countable=countable))
-    got = corpus_nll(logit_fn, items, REF_WINDOW)
-    assert got == reference_corpus_nll(logit_fn, items, REF_WINDOW)
+    got = corpus_nll(logit_fn, items)
+    assert got == reference_corpus_nll(logit_fn, items)
     assert got[1] == sum(int(item.countable[1:].sum()) for item in items)
+
+
+def test_corpus_nll_scores_each_target_on_its_last_window_tokens():
+    """With one layer, the band gives target t exactly the `window` tokens
+    before it: its NLL equals that of an uncached forward of those tokens
+    alone. The two differ in rounding only, since the whole row's softmax
+    and `weights @ v` reduce over masked columns as well, so they agree to
+    float32 precision, not bit for bit. (Through L layers target t depends
+    on its last L * (window - 1) + 1 tokens.)"""
+    cfg = LmConfig(vocab_size=SCAN_V, d_model=16, n_layers=1, n_heads=2,
+                   context_window=REF_WINDOW)
+    base = BaseLM(cfg, np.random.default_rng(19))
+    adapter = ActionAdapter(
+        AdapterConfig(n_actions=REF_K, action_dim=REF_DIM, adapted_layers=1,
+                      init="random"), cfg, np.random.default_rng(20))
+    scorer = logit_fn(base, adapter)
+    rng = np.random.default_rng(21)
+    ids, actions = rng.integers(0, SCAN_V, 30), rng.integers(0, REF_K, 30)
+    for t in range(1, len(ids)):
+        only_t = np.arange(len(ids)) == t
+        got, count = corpus_nll(scorer, [ScoringItem(ids, actions, only_t)])
+        lo = max(0, t - REF_WINDOW)
+        logits = one_row(scorer, ids[lo:t], actions[lo:t])
+        want = row_nll(logits[-1:], ids[t:t + 1])[0]
+        assert count == 1
+        assert got == pytest.approx(want, rel=1e-6, abs=0)
 
 
 def test_oracle_scan_matches_one_call_per_action():

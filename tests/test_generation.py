@@ -139,9 +139,13 @@ def test_conditioning_action_constant_between_boundaries():
 
 
 def test_sliding_window_never_exceeds_context(monkeypatch):
+    """Each row is prefilled once, with its prefix but the newest token; a
+    full row then drops its oldest position before each step, so no row
+    holds more than `context_window` positions and none is prefilled
+    again."""
     base, adapter, action_set, planner, enc = tiny_world()
-    window = LM_CFG.context_window - 1
-    seen = []  # (cache, cached, new) positions of each forward of one row
+    window = LM_CFG.context_window
+    seen = []  # (cache, new positions) of each forward
     held = []  # (row lengths, key columns) of a cache after each change
     parts = []  # the one-row caches `put` splices in: the prefills
     forward, put = base.forward, nn.KVCache.put
@@ -151,7 +155,7 @@ def test_sliding_window_never_exceeds_context(monkeypatch):
                      {a.shape[2] for kv in cache.layers for a in kv}))
 
     def spy(ids, cache=None, **kwargs):
-        seen.append((cache, int(cache.lengths.max()), ids.shape[1]))
+        seen.append((cache, ids.shape[1]))
         out = forward(ids, cache=cache, **kwargs)
         hold(cache)
         return out
@@ -164,36 +168,22 @@ def test_sliding_window_never_exceeds_context(monkeypatch):
     base.forward = spy
     monkeypatch.setattr(nn.KVCache, "put", spy_put)
     cfg = GenerationConfig(max_tokens=40, temperature=1.0)
-    run("predicted_pa", cfg, base, adapter, action_set, planner, enc, 4)
-    assert max(past + new for _, past, new in seen) == window
-    prefill = [any(cache is part for part in parts) for cache, _, _ in seen]
-    # a <bos>-only prefix prefills nothing: the first forward is a step
-    assert not prefill[0]
-    assert [new for (_, _, new), p in zip(seen, prefill) if not p] == [1] * 40
-    fills = [i for i, p in enumerate(prefill) if p]
-    assert fills, "40 tokens overflow the window, so it refills"
-    for i in fills:
-        # a refill prefills its last `window // 2` tokens but the newest,
-        # and a one-token step feeds the newest
-        assert seen[i][1:] == (0, window // 2 - 1)
-        assert seen[i + 1][1:] == (window // 2 - 1, 1) and not prefill[i + 1]
-
-    # a first fill prefills the prefix but its newest token; rows of
-    # different prefix lengths refill at different steps
-    held.clear()
-    parts.clear()
     the = VOCAB.id_of("the")
     decode("predicted_pa", cfg, base, adapter, action_set, planner, enc,
            [Prefix(np.array([BOS_ID] + [the] * n), seed=n) for n in (0, 3, 7)])
-    assert [part.lengths.tolist() for part in parts[:3]] == [[0], [3], [7]]
+    # a `<bos>`-only prefix prefills nothing
+    assert [part.lengths.tolist() for part in parts] == [[0], [3], [7]]
+    steps = [new for cache, new in seen
+             if not any(cache is part for part in parts)]
+    assert steps == [1] * 40
     assert any(len(set(lengths)) == 3 for lengths, _ in held)
-    assert max(lengths.max() for lengths, _ in held) == window
+    # 40 tokens overflow the window: every row fills it and slides
+    assert held[-1][0].tolist() == [window] * 3
     for lengths, columns in held:
         assert lengths.max() <= window
         # no layers until a row holds positions: a `<bos>`-only row came
         # first; then every layer's buffers are as wide as the window
-        assert columns == {LM_CFG.context_window} or (
-            not columns and lengths.max() == 0)
+        assert columns == {window} or (not columns and lengths.max() == 0)
 
 
 def sample_token(logits, temperature, top_k, rng):
@@ -215,11 +205,11 @@ def sample_token(logits, temperature, top_k, rng):
 
 
 def uncached_generate(regime, config, base, adapter, action_set, planner, enc,
-                      prefix):
-    """The decoder of one row without a cache: it re-runs the last `window`
-    tokens for every sampled token, with no prefix actions or embeddings."""
+                      prefix, window=None):
+    """The decoder of one row without a cache: it re-runs the row's last
+    `window` tokens (all of them when None) for every sampled token, with
+    no prefix actions or embeddings."""
     conditioned, uses_planner = regime != "none", regime == "predicted_pa"
-    window = base.config.context_window - 1
     rng = np.random.default_rng(prefix.seed)
     ids = [int(t) for t in prefix.ids]
     act_of_token = [FIXED_ACTION_ID] * len(ids)
@@ -230,7 +220,7 @@ def uncached_generate(regime, config, base, adapter, action_set, planner, enc,
     record = GenerationRecord(article_id="", prefix_len=len(ids))
     sentence = []
     for _ in range(config.max_tokens):
-        w0 = max(0, len(ids) - window)
+        w0 = 0 if window is None else max(0, len(ids) - window)
         win = np.asarray([ids[w0:]], dtype=np.int64)
         if conditioned:
             pp = np.asarray([act_of_token[w0 + 1:] + [current_action]],
@@ -312,16 +302,40 @@ def test_cached_decoder_matches_uncached_inside_the_window(regime,
         assert got.to_json_dict() == want.to_json_dict()
 
 
+@pytest.mark.parametrize("regime", ["none", "fixed", "predicted_pa"])
+def test_cached_decoder_matches_uncached_past_the_window(regime):
+    """Rows decoded far past the window, which slide: with one layer, every
+    token is the one sampled from an uncached forward of the row's last
+    `context_window` tokens. With two layers the reference forwards the
+    whole row, because through L layers the band lets a token see its last
+    L * (context_window - 1) + 1 tokens."""
+    the = VOCAB.id_of("the")
+    closed = 0
+    for n_layers, window in ((1, LM_CFG.context_window), (2, None)):
+        world = tiny_world(lm_cfg=LmConfig(
+            vocab_size=VOCAB.size, d_model=16, n_layers=n_layers, n_heads=2,
+            context_window=LM_CFG.context_window))
+        for seed in range(4):
+            prefix = Prefix(np.array([BOS_ID] + [the] * (2 * seed)), seed)
+            cfg = GenerationConfig(max_tokens=36, temperature=1.0)
+            (got,) = decode(regime, cfg, *world, [prefix])
+            want = uncached_generate(regime, cfg, *world, prefix, window)
+            assert got.to_json_dict() == want.to_json_dict()
+            closed += len(got.sentence_ends)
+    if regime != "none":
+        assert closed > 0, "no sentence closed, so no action was checked"
+
+
 def test_a_rows_decode_does_not_depend_on_its_batch(monkeypatch):
-    """context_window=12 makes every row refill, and rows of different
-    prefix lengths refill at different steps."""
+    """context_window=12 makes every row slide, and rows of different
+    prefix lengths start sliding at different steps."""
     base, adapter, action_set, planner, enc = tiny_world()
     the, cat, dog, dot = (VOCAB.id_of(w) for w in ("the", "cat", "dog", "."))
     a = Prefix(np.array([BOS_ID, the, cat]), seed=0)
     b = Prefix(np.array([BOS_ID, the, dog, dot, the, cat]), seed=1)
     c = Prefix(np.array([BOS_ID]), seed=2)
     seen = []  # logits of every step
-    # whether each put refilled a row while another held cached positions
+    # whether each put filled a row while another held cached positions
     refills = []
     sample, put = generation.sample_tokens, nn.KVCache.put
 
@@ -343,7 +357,7 @@ def test_a_rows_decode_does_not_depend_on_its_batch(monkeypatch):
                          planner, enc, batch)
         row = [p is a for p in batch].index(True)
         runs.append((records[row], np.stack([s[row] for s in seen])))
-    assert any(refills), "no row refilled while the others held positions"
+    assert any(refills), "no row was filled while the others held positions"
     (want, want_logits), rest = runs[0], runs[1:]
     assert want.sentence_ends, "no sentence closed, so no re-plan was checked"
     for got, logits in rest:
@@ -355,7 +369,6 @@ def test_a_rows_decode_does_not_depend_on_its_batch(monkeypatch):
 
 def test_each_step_is_one_forward_over_all_rows(monkeypatch):
     base, adapter, action_set, planner, enc = tiny_world()
-    window = LM_CFG.context_window - 1
     forwards = []  # (cache, ids shape) of every forward
     parts = []  # the one-row caches `put` splices in: the prefills
     forward, put = base.forward, nn.KVCache.put
@@ -381,10 +394,10 @@ def test_each_step_is_one_forward_over_all_rows(monkeypatch):
              if not p]
     assert [shape for _, shape in steps] == [(3, 1)] * 30
     assert all(cache is steps[0][0] for cache, _ in steps)
+    # 30 tokens overflow the window, yet each row is prefilled only once,
+    # before the first step: a `<bos>`-only row prefills nothing
     fills = [shape for (_, shape), p in zip(forwards, prefill) if p]
-    assert len(fills) > 2, "30 tokens overflow the window, so rows refill"
-    for b, t in fills:
-        assert b == 1 and 0 < t < window
+    assert fills == [(1, 3), (1, 7)] and prefill[:2] == [True, True]
 
 
 @pytest.mark.parametrize("regime", ["none", "predicted_pa"])

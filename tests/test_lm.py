@@ -218,9 +218,18 @@ def test_shared_tables_flag():
 
 
 def test_context_window_enforced():
+    """The window is a band, so a forward may be longer than it: through L
+    layers a position's logits depend on its last L * (W - 1) + 1 tokens and
+    on no earlier one."""
     base = make_base()
-    with pytest.raises(ValidationError):
-        base.forward(np.zeros((1, 17), dtype=np.int64))
+    ids = np.random.default_rng(3).integers(0, V, (1, 40))
+    reach = LAYERS * (LM_CFG.context_window - 1)
+    logits = base.forward(ids).values
+    changed = ids.copy()
+    changed[0, 0] = (ids[0, 0] + 1) % V
+    other = base.forward(changed).values
+    np.testing.assert_array_equal(other[0, reach + 1:], logits[0, reach + 1:])
+    assert np.abs(other[0, reach] - logits[0, reach]).max() > 1e-6
 
 
 @pytest.mark.parametrize("with_adapter", [False, True])
@@ -266,17 +275,19 @@ def test_cached_rows_of_different_lengths_match_their_own_forwards(
 
 
 @settings(max_examples=30, deadline=None)
-@given(lengths=st.lists(st.integers(0, 12), min_size=1, max_size=4),
+@given(lengths=st.lists(st.integers(0, 30), min_size=1, max_size=4),
        t=st.integers(1, 2), steps=st.integers(1, 2),
        with_adapter=st.booleans(), seed=st.integers(0, 2**16))
 def test_rows_of_random_cached_lengths_step_like_their_own_forwards(
         lengths, t, steps, with_adapter, seed):
-    """Rows prefilled to random lengths, then stepped together `t` tokens at
-    a time, give each row the logits of its own uncached forward."""
+    """Rows prefilled to random lengths, some past the window, then stepped
+    together `t` tokens at a time, give each row the logits of its own
+    uncached forward; each call first slides the rows to W - 1 positions."""
     base = make_base(seed=9)
     adapter = make_adapter(base, L=2, seed=10) if with_adapter else None
     ids, actions = random_inputs(np.random.default_rng(seed), b=len(lengths),
-                                 t=LM_CFG.context_window)
+                                 t=34)
+    keep = LM_CFG.context_window - 1
 
     def forward(rows, lo, hi, cache=None):
         """The forward of each row's positions lo[r]:hi[r]."""
@@ -296,7 +307,7 @@ def test_rows_of_random_cached_lengths_step_like_their_own_forwards(
     for s in range(steps):
         at = [n + s * t for n in lengths]
         step = forward(rows, at, [p + t for p in at], cache=cache)
-        assert cache.lengths.tolist() == [p + t for p in at]
+        assert cache.lengths.tolist() == [min(p, keep) + t for p in at]
         for row, p in enumerate(at):
             full = forward([row], [0], [p + t])
             np.testing.assert_allclose(step[row], full[0, p:], rtol=0,
@@ -336,13 +347,26 @@ def test_putting_a_caches_first_positions_matches_prefilling_only_those(
                                    rtol=0, atol=1e-6)
 
 
-def test_cached_forward_refuses_positions_past_the_window():
-    base = make_base()
-    cache = nn.KVCache(1)
-    base.forward(np.zeros((1, 10), dtype=np.int64), cache=cache)
-    base.forward(np.zeros((1, 6), dtype=np.int64), cache=cache)
-    with pytest.raises(ValidationError, match="16 cached"):
-        base.forward(np.zeros((1, 1), dtype=np.int64), cache=cache)
+@pytest.mark.parametrize("with_adapter", [False, True])
+def test_a_full_cache_row_drops_its_oldest_positions(with_adapter):
+    """Rows prefilled past the window (the buffers widen), then stepped a
+    token at a time, keep their last W - 1 positions before each call and
+    give the logits of one uncached forward of the whole row."""
+    base = make_base(seed=9)
+    adapter = make_adapter(base, L=2, seed=10) if with_adapter else None
+    window = LM_CFG.context_window
+    ids, actions = random_inputs(np.random.default_rng(6), b=2, t=40)
+    full = base.forward(ids, adapter=adapter, actions=actions).values
+    cache = nn.KVCache(2)
+    parts = []
+    for lo, hi in [(0, 20)] + [(p, p + 1) for p in range(20, 40)]:
+        parts.append(base.forward(ids[:, lo:hi], adapter=adapter,
+                                  actions=actions[:, lo:hi],
+                                  cache=cache).values)
+        assert cache.lengths.tolist() == [hi if lo == 0 else window] * 2
+    assert cache.layers[0][0].shape[2] == 20
+    np.testing.assert_allclose(np.concatenate(parts, axis=1), full,
+                               rtol=0, atol=1e-6)
 
 
 def test_cached_forward_refuses_trainable_parameters():
@@ -398,7 +422,7 @@ def test_pretrain_learns_and_beats_unigram():
     assert history["train_loss"][-1] < history["train_loss"][0]
     items = [evaluation.ScoringItem(ids=ids) for ids in val]
     ppl = evaluation.corpus_perplexity(lambda i, a, _: base.forward(i).values,
-                                       items, LM_CFG.context_window)
+                                       items)
     assert ppl < math.exp(unigram_nll(train, val, V))
 
 
@@ -457,7 +481,7 @@ def train_with_full_forwards(base, items, val_items, adapter, batch_size,
 
     def val_perplexity():
         return evaluation.corpus_perplexity(logit_fn(base, adapter),
-                                            val_items, window)
+                                            val_items)
 
     return nn.fit(adapter.params_dict(), examples, lambda ex: len(ex.inputs),
                   batch_loss, batch_size, lr, max_epochs, patience, seed,
@@ -499,14 +523,14 @@ def test_val_metric_with_kept_prefixes_equals_the_plain_scorer():
     items = [evaluation.ScoringItem(ids=rng.integers(0, V, n),
                                     actions=rng.integers(0, 3, n))
              for n in (5, 17, 23) + (120,) * 10]
-    want = evaluation.corpus_perplexity(logit_fn(base, adapter), items, 16)
+    want = evaluation.corpus_perplexity(logit_fn(base, adapter), items)
     prefixes = {}
     kept = logit_fn(base, adapter, prefixes)
-    assert evaluation.corpus_perplexity(kept, items, 16) == want
+    assert evaluation.corpus_perplexity(kept, items) == want
     computed = dict(prefixes)
     assert computed
     # a second pass computes nothing and scores the same
-    assert evaluation.corpus_perplexity(kept, items, 16) == want
+    assert evaluation.corpus_perplexity(kept, items) == want
     assert prefixes.keys() == computed.keys()
     assert all(prefixes[key] is computed[key] for key in computed)
 
@@ -776,7 +800,7 @@ def test_uniform_model_perplexity_equals_vocab_size():
     rng = np.random.default_rng(6)
     items = [evaluation.ScoringItem(ids=rng.integers(0, V, 40)) for _ in range(3)]
     ppl = evaluation.corpus_perplexity(lambda i, a, _: base.forward(i).values,
-                                       items, window=8)
+                                       items)
     assert ppl == pytest.approx(V, rel=1e-5)
 
 
@@ -790,7 +814,7 @@ def test_sliding_window_counts_every_target_once():
     for n in (2, 5, 8, 9, 17):
         ids = (np.arange(n) % 3).astype(np.int64)
         items = [evaluation.ScoringItem(ids=ids)]
-        total, count = evaluation.corpus_nll(logit_fn, items, window=8)
+        total, count = evaluation.corpus_nll(logit_fn, items)
         assert count == n - 1
         want = -sum(math.log(probs[ids[t]]) for t in range(1, n))
         assert total == pytest.approx(want, rel=1e-5)
@@ -803,6 +827,6 @@ def test_countable_mask_limits_scoring():
     ids = np.arange(8) % 4
     countable = np.array([True, True, False, True, False, True, True, True])
     items = [evaluation.ScoringItem(ids=ids, countable=countable)]
-    total, count = evaluation.corpus_nll(logit_fn, items, window=8)
+    total, count = evaluation.corpus_nll(logit_fn, items)
     assert count == int(countable[1:].sum())
     assert total == pytest.approx(count * math.log(4), rel=1e-6)

@@ -161,22 +161,30 @@ def test_length_batches_order_is_deterministic_per_seed():
 
 @pytest.mark.parametrize("past", [[0], [4], [0, 3, 5], [2, 2]])
 def test_per_row_causal_bias_is_the_scalar_bias_after_each_rows_padding(past):
-    """Row r's bias is the causal bias of its own `past[r]` keys, and it
+    """Row r's bias is the bias of its own `past[r]` keys alone, and it
     masks the columns that only longer rows fill."""
-    t, p = 3, max(past)
-    bias = nn.causal_bias(t, np.array(past)).values
-    assert bias.shape == (len(past), 1, t, p + t)
+    t, p, heads, window = 3, max(past), 2, 4
+    bias = nn.attention_bias(t, np.array(past), heads, window)
+    assert bias.shape == (len(past), heads, t, p + t)
     for row, n in enumerate(past):
         np.testing.assert_array_equal(
-            bias[row, 0],
-            np.triu(np.full((t, p + t), nn.MASK_BIAS, np.float32), k=n + 1))
-        assert (bias[row, 0, :, n + t:] == np.float32(nn.MASK_BIAS)).all()
+            bias[row, :, :, :n + t],
+            nn.attention_bias(t, np.array([n]), heads, window)[0])
+        assert (bias[row, :, :, n + t:] == np.float32(nn.MASK_BIAS)).all()
 
 
 def test_causal_bias_without_a_cache_is_one_row_for_the_batch():
-    np.testing.assert_array_equal(
-        nn.causal_bias(4).values,
-        np.triu(np.full((1, 1, 4, 4), nn.MASK_BIAS, np.float32), k=1))
+    """Hand values: head h of H adds -2^(-8h/H) per position of distance,
+    and a query sees the last `window` positions, itself included."""
+    m = nn.MASK_BIAS
+    distance = np.array([[0, m, m, m], [1, 0, m, m], [2, 1, 0, m],
+                         [m, 2, 1, 0]])
+    bias = nn.attention_bias(4, (0,), 2, 3)
+    assert bias.shape == (1, 2, 4, 4) and bias.dtype == np.float32
+    for h, slope in enumerate((2.0 ** -4, 2.0 ** -8)):
+        np.testing.assert_array_equal(
+            bias[0, h], np.where(distance == m, m, -slope * distance)
+            .astype(np.float32))
 
 
 def test_cache_put_keeps_rows_left_aligned():
@@ -203,7 +211,7 @@ def test_cache_put_keeps_rows_left_aligned():
     assert cache.layers[0][0] is keys and keys.shape[2] == width
     assert cache.lengths.tolist() == [2, 1, 4]
     # emptying a row sets its length alone: the empty part holds no layers,
-    # and the row's stale keys stay behind for `causal_bias` to mask
+    # and the row's stale keys stay behind for `attention_bias` to mask
     cache.put([2], part(0, 9))
     assert cache.lengths.tolist() == [2, 1, 0]
     for a in cache.layers[0]:

@@ -134,8 +134,8 @@ def test_training_builds_graphs_but_validation_and_the_result_do_not(
     assert val_graph_nodes == [0] * 9
     # the adapter fit's frozen prefixes, each computed once: its training
     # windows (six of 12 tokens and six of 8, in batches of at most 4) and
-    # its two batches of val rows (of 9 and of 12 tokens)
-    assert prefix_graph_nodes == [0] * 6
+    # its one batch of val rows (both val articles, 21 tokens each)
+    assert prefix_graph_nodes == [0] * 5
     assert not any(p.requires_grad or p.grad is not None
                    for p in all_params(base, adapter, planner).values())
 
@@ -145,7 +145,7 @@ def test_scoring_and_sampling_after_training_build_no_graph(graph_nodes):
     graph_nodes[0] = 0
 
     scorer = logit_fn(base, adapter)
-    evaluation.corpus_nll(scorer, lm_items(2, seed=5), WINDOW)
+    evaluation.corpus_nll(scorer, lm_items(2, seed=5))
     rng = np.random.default_rng(6)
     articles = [(TokenStream(
         "a", np.concatenate([[BOS_ID], rng.integers(2, VOCAB.size, 15)]),
