@@ -512,7 +512,7 @@ def lm_from_checkpoint(sections: dict[str, np.ndarray], meta: dict,
     kind = meta.get("kind")
     if kind not in ("base_lm", "adapter_lm", "insert_lm"):
         raise ValidationError(f"checkpoint of kind {kind!r} is not an LM")
-    lm_config = LmConfig(**meta["lm_config"])
+    lm_config = nn.config_from_meta(meta, "lm_config", LmConfig)
     base = BaseLM(lm_config, nn.UNDRAWN)
     params = base.params_dict()
     adapter = None
@@ -520,8 +520,9 @@ def lm_from_checkpoint(sections: dict[str, np.ndarray], meta: dict,
         # any saved action table stands in for the centroids it started from
         table = next((v for k, v in sections.items()
                       if k.endswith(".e_a")), None)
-        adapter = ActionAdapter(AdapterConfig(**meta["adapter_config"]),
-                                lm_config, nn.UNDRAWN, centroids=table)
+        adapter = ActionAdapter(
+            nn.config_from_meta(meta, "adapter_config", AdapterConfig),
+            lm_config, nn.UNDRAWN, centroids=table)
         params.update(adapter.params_dict())
     nn.load_params(params, sections)
     return base, adapter

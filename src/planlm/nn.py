@@ -304,6 +304,17 @@ def load_params(params: dict[str, Tensor], sections: dict[str, np.ndarray]) -> N
         tensor.values = arr.astype(np.float32, copy=True)
 
 
+def config_from_meta(meta: dict, key: str, cls: type[Item]) -> Item:
+    """`cls(**meta[key])`: a model config from checkpoint metadata. A
+    missing key, or fields that do not make a `cls`, is refused."""
+    if not isinstance(meta.get(key), dict):
+        raise ValidationError(f"checkpoint metadata has no {key!r} object")
+    try:
+        return cls(**meta[key])
+    except TypeError as exc:
+        raise ValidationError(f"checkpoint metadata {key!r}: {exc}") from None
+
+
 def length_batches(items: Sequence[Item],
                    length: Callable[[Item], int | tuple[int, ...]],
                    batch_size: int, rng: np.random.Generator | None = None,

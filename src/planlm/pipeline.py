@@ -140,7 +140,7 @@ class RunData:
             projection_seed=config.projection_seed))
         self.manifests: dict[str, dict | None] = {}  # every file read so far
         self.outputs: list[str] = []  # every file staged so far
-        self._prepared: dict[str, list[PreparedArticle]] = {}
+        self._prepared: dict[str, PreparedArticle] = {}  # by article id
         self._sha256: dict[str, str] = {}
 
     def sha256(self, name: str) -> str:
@@ -302,15 +302,19 @@ class RunData:
         """The network and adapter a regime is scored with (see `lm_name`)."""
         return self._model(lm_name(regime), lm_from_checkpoint)
 
-    def prepared(self, split: str) -> list[PreparedArticle]:
-        if split not in self._prepared:
-            self._prepared[split] = [
-                PreparedArticle(self.by_id[aid],
-                                tokenize(self.by_id[aid], self.vocab,
-                                         self.sentences[aid]),
-                                self.embeddings[aid], self.oracle[aid])
-                for aid in self.splits[split]]
-        return self._prepared[split]
+    def prepared(self, split: str, n: int | None = None
+                 ) -> list[PreparedArticle]:
+        """The first `n` articles of `split` (all of them when None), each
+        tokenized once, when first taken."""
+        out = []
+        for aid in self.splits[split][:n]:
+            if aid not in self._prepared:
+                self._prepared[aid] = PreparedArticle(
+                    self.by_id[aid],
+                    tokenize(self.by_id[aid], self.vocab, self.sentences[aid]),
+                    self.embeddings[aid], self.oracle[aid])
+            out.append(self._prepared[aid])
+        return out
 
 
 # -- steps ----------------------------------------------------------------------
@@ -551,7 +555,7 @@ def step_generate(config: RunConfig, out_dir: Path, regime: Regime,
         base, adapter = data.lm(regime)
 
         prefixes = []
-        prepared_split = data.prepared(split)[:config.eval_articles]
+        prepared_split = data.prepared(split, config.eval_articles)
         for i, prepared in enumerate(prepared_split):
             seed, article_id = config.seed * 100003 + i, prepared.article.id
             stream = prepared.stream
@@ -743,7 +747,7 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
 
         scorer = logit_fn(base, adapter)
         articles = [(p.stream, p.oracle)
-                    for p in data.prepared(split)[:config.scan_articles]]
+                    for p in data.prepared(split, config.scan_articles)]
         window = base.config.context_window
         oracle_result = oracle_scan(scorer, articles, action_set.k, window)
         n_variants = config.noise_variants or action_set.k

@@ -786,6 +786,29 @@ def test_a_step_splits_every_article_once(full_run, tmp_path, monkeypatch,
     capsys.readouterr()
 
 
+def test_a_step_tokenizes_only_the_articles_it_takes(full_run, tmp_path,
+                                                    monkeypatch):
+    """`generate` takes the first `eval_articles` test articles and
+    `scan-oracle` the first `scan_articles`; each tokenizes those alone,
+    once each."""
+    out = copy_of(full_run, tmp_path)
+    assert main(args(out, "finetune", "--regime", "oracle")) == 0
+    test_ids = json.loads((out / "splits.json").read_text())["test"]
+    tokenize = pipeline.tokenize
+    calls = []
+
+    def spy(article, *rest):
+        calls.append(article.id)
+        return tokenize(article, *rest)
+
+    monkeypatch.setattr(pipeline, "tokenize", spy)
+    for command, n in ((["generate", "--regime", "fixed"], 3),
+                       (["scan-oracle"], 2)):
+        calls.clear()
+        assert main(args(out, *command)) == 0
+        assert calls == test_ids[:n], command
+
+
 def split_then_tokenize(article, vocab):
     """Reference for `tokenize`: split the article's text, then map each
     sentence's tokens, tagged with the sentence's index, after one <bos>."""
@@ -1032,6 +1055,10 @@ def test_generations_without_sentence_ends_refused_with_one_error_line(
      "finetune", ["unexpected sections", "lm.unused"]),
     ("planner.plmc", "planner.begin", None, "predicted_pa", "train-planner",
      ["missing sections", "planner.begin"]),
+    # the learned positions of an LM pretrained before attention took
+    # relative positions
+    ("base_lm.plmc", "lm.pos_emb", np.zeros((32, 32), np.float32), "none",
+     "pretrain-lm", ["unexpected sections", "lm.pos_emb"]),
 ])
 def test_checkpoint_not_fitting_its_model_refused_with_one_error_line(
         full_run, tmp_path, capsys, name, section, value, regime, producer,
@@ -1050,6 +1077,25 @@ def test_checkpoint_not_fitting_its_model_refused_with_one_error_line(
     assert len(err) == 1 and err[0].startswith("error:")
     assert name in err[0] and f"planlm {producer}" in err[0], err[0]
     assert all(n in err[0] for n in names), err[0]
+
+
+@pytest.mark.parametrize("name, key, regime, producer", [
+    ("planner.plmc", "config", "predicted_pa", "train-planner"),
+    ("base_lm.plmc", "lm_config", "none", "pretrain-lm"),
+    ("lm_fixed.plmc", "adapter_config", "fixed", "finetune"),
+])
+def test_checkpoint_metadata_without_a_key_refused_with_one_error_line(
+        full_run, tmp_path, capsys, name, key, regime, producer):
+    out = copy_of(full_run, tmp_path)
+    sections, meta = storage.read_checkpoint(out / name)
+    del meta[key]
+    storage.write_checkpoint(out / name, sections, meta)
+    capsys.readouterr()
+    assert main(args(out, "evaluate", "--regimes", regime)) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    assert name in err[0] and f"planlm {producer}" in err[0], err[0]
+    assert repr(key) in err[0], err[0]
 
 
 @pytest.mark.parametrize("realized, ends", [

@@ -99,3 +99,32 @@ def test_bench_pairs_pairs_head_with_itself(tmp_path):
         assert m["parent_q1"] == m["parent_q3"] == m["parent_median"] > 0
         assert m["verdict"] == "unresolved"
     assert record["env"]["numpy"] and record["env"]["blas_threads"] >= 1
+
+
+def test_run_regime_comparison_prints_a_seeds_metrics_and_ordering():
+    """A canned report and scan summary, no training: each regime's line,
+    the scan's mean oracle rank and the ppl ordering."""
+    spec = importlib.util.spec_from_file_location(
+        "run_regime_comparison", ROOT / "scripts" / "run_regime_comparison.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    regimes = [script.Regime.named(key)
+               for key in ("none", "fixed", "oracle", "predicted_pa")]
+    report = {"regimes": {
+        "none": {"ppl": 2.2}, "fixed": {"ppl": 2.1, "latent_ppl": 900.5,
+                                        "plan_following_rate": None},
+        "oracle": {"ppl": 1.9},
+        "predicted_pa": {"ppl": 2.0, "latent_ppl": 800.25,
+                         "plan_following_rate": 0.1875}}}
+    lines = script.seed_lines(report, {"mean_oracle_rank": 1.375}, regimes)
+    assert lines == [
+        "  none                         ppl=   2.200",
+        "  fixed                        ppl=   2.100 latent_ppl=900.5000",
+        "  oracle                       ppl=   1.900",
+        "  predicted_pa                 ppl=   2.000 latent_ppl=800.2500"
+        " plan_following_rate=0.1875",
+        "  mean_oracle_rank=1.3750",
+        "  ppl order: oracle < predicted_pa < fixed < none",
+    ]
+    assert script.seed_lines(report, None, regimes[:2]) == [
+        lines[0], lines[1], "  ppl order: fixed < none"]
