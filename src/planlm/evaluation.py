@@ -312,8 +312,7 @@ def _scored_rows(logit_fn: LogitFn,
     scores the positions of all rows of a call.
     """
     def shape(r: int) -> tuple[int, int]:
-        prefix = rows[r].prefix
-        return len(rows[r].ids), 0 if prefix is None else prefix[1]
+        return len(rows[r].ids), rows[r].prefix[1] if rows[r].prefix else 0
 
     for batch in length_batches(range(len(rows)), shape, 64):
         picked = [rows[r] for r in batch]
@@ -355,24 +354,22 @@ class ScoringItem:
 
 def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem]
                ) -> tuple[float, int]:
-    """Total NLL and count of the items' countable targets, each scored
-    once.
+    """Total NLL and count of the items' countable targets, each scored once.
 
     Each item is one row, forwarded whole: the LM's one attention rule
-    (`nn.attention_bias`) gives every position the last `context_window`
-    positions, so target t is predicted from the context that decoding
-    (`generation.generate`) gives a token sampled at t. The rows' attention
-    scores take (rows, heads, T, T) floats for items of T tokens.
+    (`nn.attention_bias`) predicts target t from the context that decoding
+    gives a token sampled at t. A row of T tokens takes (heads, T, T)
+    attention scores.
     """
     rows = []
     for item in items:
         ids = np.asarray(item.ids)
-        counted = np.ones(max(len(ids) - 1, 0), dtype=bool) \
-            if item.countable is None else item.countable[1:]
-        positions = np.flatnonzero(counted)
-        if positions.size:
-            rows.append(Row(ids, item.actions, None, positions,
-                            ids[positions + 1]))
+        targets = np.arange(1, len(ids))
+        if item.countable is not None:
+            targets = targets[item.countable[1:]]
+        if targets.size:
+            rows.append(Row(ids, item.actions, None, targets - 1,
+                            ids[targets]))
 
     total = np.float64(0.0)
     count = 0
@@ -380,12 +377,6 @@ def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem]
         total += nll.sum()
         count += len(nll)
     return float(total), count
-
-
-def corpus_perplexity(logit_fn: LogitFn,
-                      items: Sequence[ScoringItem]) -> float:
-    total, count = corpus_nll(logit_fn, items)
-    return perplexity_from_nll(total, count)
 
 
 # -- per-step action scans ---------------------------------------------------------

@@ -12,19 +12,15 @@ incrementally to the row's generated suffix (an uppercase sentinel is
 appended, as generated tokens are lowercase, so the end-of-text rule matches
 the splitter's lookahead rule).
 
-The LM decodes incrementally on one `nn.KVCache` of all rows, where each row
-has its own length: its keys and values fill the first columns of its
-buffers. Before the first step, each row's prefix but its newest token is
-prefilled into a one-row cache (B=1, so no pad token is fed), which is copied
-into the row of the batch's cache; a `<bos>`-only prefix prefills nothing.
-Every step is then one `BaseLM.forward` over all rows that feeds each row its
-newest token and, with an adapter, its current action, and writes the
-token's keys and values right after the row's cached ones, in place. No row
-is ever prefilled again. The LM's one attention rule (`nn.attention_bias`)
-lets a position see the last `context_window` positions, and its bias
-depends only on distances, so a full row drops its oldest position and keeps
-the keys it has (`KVCache.slide`). Each sampled token therefore sees the
-context that `evaluation.corpus_nll` gives a scored token at the same place.
+The LM decodes on one `nn.KVCache` of all rows, each with its own length.
+Each row's prefix but its newest token is prefilled once, into a one-row
+cache (B=1, so no pad token is fed) copied into the row; a `<bos>`-only
+prefix prefills nothing. Then every step is one `BaseLM.forward` over all
+rows that feeds each row its newest token and, with an adapter, its current
+action. A position sees the last `context_window` positions by a bias of
+distances alone (`nn.attention_bias`), so a full row drops its oldest
+position and keeps its other keys (`KVCache.slide`), and a sampled token
+sees the context `evaluation.corpus_nll` gives a scored token at its place.
 A re-plan does not invalidate the cache: position p is conditioned on the
 action of token p + 1, and a cached position's next token already exists, so
 its action is fixed. A row's tokens do not depend on which other rows share
@@ -151,13 +147,13 @@ def _sentence_complete(text: str) -> bool:
 
 @dataclass
 class _Row:
-    """One prefix's decoding state. `action` is the action its next token is
-    conditioned on, None without an adapter or a planner."""
+    """One prefix's decoding state: `newest` is the token its next step
+    feeds, and `action` the action its next token is conditioned on, None
+    without an adapter or a planner."""
 
     record: GenerationRecord
     rng: np.random.Generator
-    ids: list[int]
-    act_of_token: list[int]
+    newest: int
     context: list[np.ndarray]
     action: int | None
 
@@ -166,45 +162,41 @@ def _start(prefix: Prefix, conditioned: bool,
            planner: PlannerModel | None) -> _Row:
     if prefix.ids is None or len(prefix.ids) == 0:
         raise ValidationError("generation requires a prefix")
-    ids = [int(t) for t in prefix.ids]
-    act_of_token = [FIXED_ACTION_ID] * len(ids) \
-        if prefix.token_actions is None \
-        else [int(a) for a in prefix.token_actions]
     context = [] if prefix.sentence_embeddings is None \
         else list(prefix.sentence_embeddings)
     action = FIXED_ACTION_ID if conditioned else None
     if planner is not None:
         action = planner.predict_next_action(context)
     return _Row(GenerationRecord(article_id=prefix.article_id,
-                                 prefix_len=len(ids)),
-                np.random.default_rng(prefix.seed), ids, act_of_token,
+                                 prefix_len=len(prefix.ids)),
+                np.random.default_rng(prefix.seed), int(prefix.ids[-1]),
                 context, action)
 
 
 def _prefill(base: BaseLM, adapter: ActionAdapter | None,
-             row: _Row) -> nn.KVCache:
-    """A one-row cache of `row`'s tokens but its newest, which the first
-    step feeds."""
+             prefix: Prefix) -> nn.KVCache:
+    """A one-row cache of the prefix's tokens but its newest, which the
+    first step feeds."""
     cache = nn.KVCache(1)
-    ids = np.asarray([row.ids[:-1]], dtype=np.int64)
+    ids = np.asarray(prefix.ids, dtype=np.int64)[None, :-1]
     if ids.shape[1]:
         # position p is conditioned on the action of token p + 1
         actions = None if adapter is None else np.asarray(
-            [row.act_of_token[1:]], dtype=np.int64)
+            prefix.token_actions if prefix.token_actions is not None
+            else np.full(len(prefix.ids), FIXED_ACTION_ID),
+            dtype=np.int64)[None, 1:]
         base.forward(ids, adapter=adapter, actions=actions, cache=cache)
     return cache
 
 
-def _accept(row: _Row, token: int, conditioned: bool, vocab: Vocabulary,
+def _accept(row: _Row, token: int, vocab: Vocabulary,
             encoder: SentenceEncoder, action_set: ActionSet,
             planner: PlannerModel | None) -> None:
     """Append `token` to `row`; if it closes a sentence, record it and, with
     a planner, re-plan."""
     record = row.record
-    row.ids.append(token)
+    row.newest = token
     record.token_ids.append(token)
-    if conditioned:
-        row.act_of_token.append(row.action)
     if vocab.token_of(token) not in TERMINALS:
         return
     start = record.sentence_ends[-1] if record.sentence_ends else 0
@@ -237,13 +229,13 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
     """
     if not prefixes:
         return Generations()
-    conditioned = adapter is not None
-    rows = [_start(prefix, conditioned, planner) for prefix in prefixes]
+    rows = [_start(prefix, adapter is not None, planner)
+            for prefix in prefixes]
     cache = nn.KVCache(len(rows))
-    for r, row in enumerate(rows):
-        cache.put([r], _prefill(base, adapter, row))
+    for r, prefix in enumerate(prefixes):
+        cache.put([r], _prefill(base, adapter, prefix))
     for _ in range(config.max_tokens):
-        ids = np.asarray([[row.ids[-1]] for row in rows], dtype=np.int64)
+        ids = np.asarray([[row.newest] for row in rows], dtype=np.int64)
         actions = None if adapter is None else np.asarray(
             [[row.action] for row in rows], dtype=np.int64)
         logits = base.forward(ids, adapter=adapter, actions=actions,
@@ -251,8 +243,7 @@ def generate(base: BaseLM, adapter: ActionAdapter | None, vocab: Vocabulary,
         tokens = sample_tokens(logits, config.temperature, config.top_k,
                                [row.rng for row in rows])
         for row, token in zip(rows, tokens):
-            _accept(row, token, conditioned, vocab, encoder, action_set,
-                    planner)
+            _accept(row, token, vocab, encoder, action_set, planner)
 
     for row in rows:
         row.record.text = detokenize([vocab.token_of(t)

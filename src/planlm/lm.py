@@ -18,7 +18,8 @@ Two conditioning styles:
 
 The action merged at position p is the action of the text unit containing the
 token at position p+1, because the prediction at p scores that next token
-(`TokenStream.target_sentence`).
+(`TokenStream.target_sentence`). The LM has no position table: training,
+scoring, decoding and the scans attend by one rule, `nn.attention_bias`.
 """
 
 from __future__ import annotations
@@ -151,21 +152,18 @@ class BaseLM:
         ids; `action_noise` optionally perturbs each position's action
         embedding (shared across adapted layers).
 
-        Every forward attends by one rule, `nn.attention_bias`: each
-        position sees the last `context_window` positions, itself included,
-        with a bias linear in their distance. So a forward of any length is
-        valid, and a row of T > context_window tokens is scored as a cache
-        that slides would score it. Through L layers a position's logits
-        depend on its last L * (context_window - 1) + 1 tokens.
+        Each position sees the last `context_window` positions, with a bias
+        linear in their distance (`nn.attention_bias`), so a forward of any
+        length is valid; through L layers a position's logits depend on its
+        last L * (context_window - 1) + 1 tokens.
 
         `cache`, when given, is a B-row `nn.KVCache` that the call extends in
         place; the first call gives it context-window-wide buffers. The call
-        first drops each row's positions before its last
-        `context_window - 1` (`KVCache.slide`), which no new position can
-        see. Row r's `ids` and `actions` then hold the T positions after its
-        `cache.lengths[r]` cached ones, and so do its logits. Without a
-        cache, every row starts at position 0. A cache needs frozen
-        parameters.
+        first keeps each row's last `context_window - 1` positions
+        (`KVCache.slide`). Row r's `ids` and `actions` then hold the T
+        positions after its `cache.lengths[r]` cached ones, and so do its
+        logits. Without a cache, every row starts at position 0. A cache
+        needs frozen parameters.
 
         A forward is `_front` (the embeddings and the blocks no adapter
         changes), then the adapted blocks and the head. `prefix`, when given,
@@ -190,7 +188,7 @@ class BaseLM:
         if prefix is not None and (adapter is None or cache is not None):
             raise ValidationError("a prefix resumes an adapter forward "
                                   "without a cache")
-        bias = self._bias(t, past)
+        bias = nn.attention_bias(t, past, cfg.n_heads, cfg.context_window)
         first_adapted = adapter.layer_index(0) if adapter is not None \
             else cfg.n_layers
         if prefix is None:
@@ -207,12 +205,7 @@ class BaseLM:
             cache.lengths = cache.lengths + t
         return self.out(self.ln_f(x))
 
-    def _bias(self, t: int, past: np.ndarray) -> np.ndarray:
-        cfg = self.config
-        return nn.attention_bias(t, past, cfg.n_heads, cfg.context_window,
-                                 dtype=self.tok_emb.values.dtype)
-
-    def _front(self, ids: np.ndarray, layers: int, past: np.ndarray,
+    def _front(self, ids: np.ndarray, layers: int, past: np.ndarray | None,
                bias: np.ndarray, cache: nn.KVCache | None = None) -> Tensor:
         """The token embeddings of `ids`, through the first `layers` blocks;
         positions enter only through `bias`."""
@@ -231,9 +224,9 @@ class BaseLM:
         layer is `layer`, so while the base is frozen they can be computed
         once and passed to `forward` as its `prefix`."""
         ids = np.asarray(ids)
-        past = np.zeros(1, dtype=np.int64)
-        bias = self._bias(ids.shape[1], past)
-        x = self._front(ids, layer, past, bias)
+        bias = nn.attention_bias(ids.shape[1], (0,), self.config.n_heads,
+                                 self.config.context_window)
+        x = self._front(ids, layer, None, bias)
         block = self.blocks[layer]
         return x.values, block.attn.context(block.ln1(x), bias=bias).values
 
@@ -436,11 +429,9 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
     With an adapter, each window's `BaseLM.prefix` is computed once before
     training and every step resumes from it; the val metric keeps each row
     batch's prefix (`logit_fn`'s `prefixes`). Both stay until training
-    ends, two float32 (T, d_model) arrays per window or row: 8 * d_model
-    bytes per training token (2 KiB at d_model 256), and as much per val
-    token, which its article's row holds once.
-    At the default config on a 2,000-article corpus (1,800 training
-    articles, 128k window tokens) that is about 280 MB. Results equal
+    ends, two float32 (T, d_model) arrays per window or val article: 8 *
+    d_model bytes per token (2 KiB at d_model 256), about 280 MB for the
+    1,800 training articles of a default 2,000-article corpus. Results equal
     those of full forwards bit for bit, except that a batch of one 1-token
     window takes one-row matrix products, which may round differently.
     """
@@ -475,7 +466,8 @@ def train_lm(base: BaseLM, items: Sequence[evaluation.ScoringItem],
     val_logits = logit_fn(base, adapter, {} if adapter is not None else None)
 
     def val_perplexity() -> float:
-        return evaluation.corpus_perplexity(val_logits, val_items)
+        return evaluation.perplexity_from_nll(
+            *evaluation.corpus_nll(val_logits, val_items))
 
     return nn.fit(trainable, examples, lambda ex: len(ex.inputs), batch_loss,
                   batch_size, lr, max_epochs, patience, seed,

@@ -1,13 +1,12 @@
 """Transformer building blocks shared by the planner and the language model.
 
-Pre-layer-norm blocks, Gaussian(0, 0.02) init for projections and
-embeddings, zeros for biases, and the language model's one attention rule,
-`attention_bias`. The planner keeps learned position embeddings of its own.
+Pre-layer-norm blocks, Gaussian(0, 0.02) init, zero biases, and the LM's one
+attention rule, `attention_bias`; the planner learns its own positions.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
@@ -77,31 +76,27 @@ class LayerNorm:
 
 
 def attention_bias(t: int, past: Sequence[int] | np.ndarray, n_heads: int,
-                   window: int, dtype=np.float32) -> np.ndarray:
-    """The additive attention bias of every LM forward: causal, a band of
-    `window` positions, and linear in the query-key distance (ALiBi; Press,
-    Smith and Lewis, "Train Short, Test Long", arXiv 2108.12409).
+                   window: int) -> np.ndarray:
+    """The one attention rule of the LM: causal, a band of `window`
+    positions, and linear in the query-key distance (ALiBi; Press, Smith and
+    Lewis, "Train Short, Test Long", arXiv 2108.12409).
 
-    The (rows, n_heads, t, max(past) + t) bias of t queries after each row's
-    `past[r]` cached keys (see `KVCache`). Query i of row r sits at column
-    past[r] + i, at distance d = past[r] + i - c from column c. It sees the
-    columns with 0 <= d < window, itself included, each with bias -m_h * d
-    in head h = 1..H, where m_h = 2^(-8h/H); every other column is masked.
-    A bias depends only on distances, so a key keeps its value when the
-    columns before it are dropped. A forward without a cache passes
-    `past=(0,)`, one row that broadcasts over its batch.
+    The float32 (rows, n_heads, t, max(past) + t) bias of t queries after
+    each row's `past[r]` cached keys (see `KVCache`): query i of row r sees
+    column c at distance d = past[r] + i - c when 0 <= d < window, with bias
+    -m_h * d in head h = 1..H, m_h = 2^(-8h/H), and every other column is
+    masked. A forward without a cache passes `past=(0,)`, which broadcasts.
     """
     past = np.asarray(past)
     d = (past[:, None] + np.arange(t))[:, :, None] - np.arange(past.max() + t)
     slopes = 2.0 ** (-8.0 * np.arange(1, n_heads + 1) / n_heads)
     seen = ((d >= 0) & (d < window))[:, None]
     return np.where(seen, -slopes[:, None, None] * d[:, None],
-                    MASK_BIAS).astype(dtype)
+                    MASK_BIAS).astype(np.float32)
 
 
 def widened(buffer: np.ndarray, width: int) -> np.ndarray:
-    """`buffer`, a (B, heads, columns, d_head) key or value buffer, or a
-    copy with zero columns appended up to `width` when it has fewer."""
+    """A (B, heads, columns, d_head) buffer of at least `width` columns."""
     short = width - buffer.shape[2]
     return buffer if short <= 0 else np.pad(
         buffer, ((0, 0), (0, 0), (0, short), (0, 0)))
@@ -113,12 +108,11 @@ class KVCache:
     `layers` is empty until a forward or a `put` fills it; then `layers[l]`
     holds block l's (B, heads, columns, d_head) key and value buffers. Row
     r's `lengths[r]` positions fill its first columns, oldest first, and a
-    forward writes its new positions right after them, in place, widening
-    the buffers when they are too narrow. The columns past a row's length
-    hold zeros or stale keys, which `attention_bias` masks. `slide` drops a
-    row's oldest positions; the bias depends only on distances, so the
-    keys it keeps stay valid. A row is (re)filled by extending a one-row
-    cache and `put`ting it, or its first positions, in its place.
+    forward writes its new positions right after them, in place. The
+    columns past a row's length hold zeros or stale keys, which
+    `attention_bias` masks; its bias depends only on distances, so keys stay
+    valid when `slide` drops older positions. A row is filled by extending a
+    one-row cache and `put`ting it, or its first positions, in its place.
     """
 
     def __init__(self, rows: int):
@@ -142,11 +136,8 @@ class KVCache:
         self.lengths[rows] = part.lengths if length is None else length
 
     def slide(self, keep: int) -> None:
-        """Keep only the last `keep` positions of each row, moved to its
-        first columns."""
+        """Move each row's last `keep` positions to its first columns."""
         rows = np.flatnonzero(self.lengths > keep)
-        if rows.size == 0:
-            return
         cols = (self.lengths[rows] - keep)[:, None] + np.arange(keep)
         for kv in self.layers:
             for a in kv:
@@ -169,13 +160,12 @@ class SelfAttention:
     `cache`, when given, is this layer's list of a `KVCache`'s key and
     value buffers, and `past` its rows' lengths. Row r of `x` then holds
     the t positions after its `past[r]` cached ones: their keys and values
-    are written in place at columns past[r] to past[r] + t - 1 of row r
-    (the buffers are widened first if they are narrower), and the queries
-    attend over the first max(past) + t columns. A cache
-    holds plain arrays outside the graph, so it refuses keys that require
-    grad. `bias`, when given, is added to the attention scores: the
-    forward's `attention_bias`, built once for all layers. Without one, every
-    position attends to every other.
+    are written in place at columns past[r] to past[r] + t - 1 of row r,
+    widening the buffers if needed, and the queries attend over the first
+    max(past) + t columns. A cache holds plain arrays outside the graph, so
+    it refuses keys that require grad. `bias`, when given, is added to the
+    attention scores: the forward's `attention_bias`, built once for all
+    layers. Without one, every position attends to every other.
 
     Each projection is one `matmul` node with its bias, and the scores are
     scaled by 1/sqrt(d_head) and masked inside the one `softmax` node, so a
@@ -305,18 +295,13 @@ def load_params(params: dict[str, Tensor], sections: dict[str, np.ndarray]) -> N
 
 
 def config_from_meta(meta: dict, key: str, cls: type[Item]) -> Item:
-    """`cls(**meta[key])`: a model config from checkpoint metadata. A
-    missing key, or fields that do not make a `cls`, is refused."""
+    """`cls(**meta[key])`; refuses checkpoint metadata without the key."""
     if not isinstance(meta.get(key), dict):
         raise ValidationError(f"checkpoint metadata has no {key!r} object")
-    try:
-        return cls(**meta[key])
-    except TypeError as exc:
-        raise ValidationError(f"checkpoint metadata {key!r}: {exc}") from None
+    return cls(**meta[key])
 
 
-def length_batches(items: Sequence[Item],
-                   length: Callable[[Item], int | tuple[int, ...]],
+def length_batches(items: Sequence[Item], length: Callable[[Item], Any],
                    batch_size: int, rng: np.random.Generator | None = None,
                    ) -> list[list[Item]]:
     """Batches of at most `batch_size` items that share one `length(item)`,

@@ -33,8 +33,8 @@ from .corpus import (BOS_ID, Article, TokenStream, Vocabulary,
 from .encoder import EncoderConfig, SentenceEncoder, embed_corpus
 from .errors import MissingArtifactError, ValidationError, parsing
 from .evaluation import HmmCritic, ScoringItem, \
-    corpus_latent_perplexity, corpus_perplexity, hmm_fit, noise_scan, \
-    normalized_edit, oracle_scan, rouge2_f1
+    corpus_latent_perplexity, corpus_nll, hmm_fit, noise_scan, \
+    normalized_edit, oracle_scan, perplexity_from_nll, rouge2_f1
 from .generation import GenerationConfig, Prefix, generate
 from .lm import (FIXED_ACTION_ID, ActionAdapter, AdapterConfig, BaseLM,
                  LmConfig, Regime, extend_for_insert, insert_style_sequence,
@@ -724,7 +724,8 @@ def step_evaluate(config: RunConfig, out_dir: Path, regimes: Sequence[Regime],
             base, adapter = models[regime.key]
             items = scoring_items(data, split, regime, training=False,
                                   planner=planner)
-            entry["ppl"] = corpus_perplexity(logit_fn(base, adapter), items)
+            entry["ppl"] = perplexity_from_nll(
+                *corpus_nll(logit_fn(base, adapter), items))
             entry.update(_generation_metrics(data, regime, split, critic))
             report["regimes"][regime.key] = entry
 

@@ -244,7 +244,6 @@ def planner_from_checkpoint(sections: dict[str, np.ndarray],
         raise ValidationError("checkpoint is not a planner")
     # the saved head stands in for the centroids it started from
     model = PlannerModel(nn.config_from_meta(meta, "config", PlannerConfig),
-                         nn.UNDRAWN,
-                         centroids=sections.get("planner.w_o"))
+                         nn.UNDRAWN, centroids=sections.get("planner.w_o"))
     nn.load_params(model.params_dict(), sections)
     return model

@@ -414,7 +414,7 @@ def test_grad_causal_attention_composition():
         attn.wv = nn.Linear(rng_, d, d)
         attn.wo = nn.Linear(rng_, d, d)
         attn.wq.w, attn.wk.w, attn.wv.w, attn.wo.w = p[1], p[2], p[3], p[4]
-        bias = nn.attention_bias(t, (0,), h, t, dtype=p[0].values.dtype)
+        bias = nn.attention_bias(t, (0,), h, t)
         return (attn(p[0], bias=bias) * 1.0).sum()
 
     _check(loss, [(1, t, d)] + [(d, d)] * 4)

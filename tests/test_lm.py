@@ -23,6 +23,10 @@ LM_CFG = LmConfig(vocab_size=V, d_model=D, n_layers=LAYERS, n_heads=2,
                   context_window=16)
 
 
+def corpus_ppl(logit_fn, items):
+    return evaluation.perplexity_from_nll(*evaluation.corpus_nll(logit_fn, items))
+
+
 def make_base(seed=0, cfg=LM_CFG):
     return BaseLM(cfg, np.random.default_rng(seed))
 
@@ -421,8 +425,7 @@ def test_pretrain_learns_and_beats_unigram():
     assert history["train_loss"][0] < math.log(V) + 0.5
     assert history["train_loss"][-1] < history["train_loss"][0]
     items = [evaluation.ScoringItem(ids=ids) for ids in val]
-    ppl = evaluation.corpus_perplexity(lambda i, a, _: base.forward(i).values,
-                                       items)
+    ppl = corpus_ppl(lambda i, a, _: base.forward(i).values, items)
     assert ppl < math.exp(unigram_nll(train, val, V))
 
 
@@ -480,8 +483,7 @@ def train_with_full_forwards(base, items, val_items, adapter, batch_size,
                                 np.stack([ex.targets for ex in batch]))
 
     def val_perplexity():
-        return evaluation.corpus_perplexity(logit_fn(base, adapter),
-                                            val_items)
+        return corpus_ppl(logit_fn(base, adapter), val_items)
 
     return nn.fit(adapter.params_dict(), examples, lambda ex: len(ex.inputs),
                   batch_loss, batch_size, lr, max_epochs, patience, seed,
@@ -523,14 +525,14 @@ def test_val_metric_with_kept_prefixes_equals_the_plain_scorer():
     items = [evaluation.ScoringItem(ids=rng.integers(0, V, n),
                                     actions=rng.integers(0, 3, n))
              for n in (5, 17, 23) + (120,) * 10]
-    want = evaluation.corpus_perplexity(logit_fn(base, adapter), items)
+    want = corpus_ppl(logit_fn(base, adapter), items)
     prefixes = {}
     kept = logit_fn(base, adapter, prefixes)
-    assert evaluation.corpus_perplexity(kept, items) == want
+    assert corpus_ppl(kept, items) == want
     computed = dict(prefixes)
     assert computed
     # a second pass computes nothing and scores the same
-    assert evaluation.corpus_perplexity(kept, items) == want
+    assert corpus_ppl(kept, items) == want
     assert prefixes.keys() == computed.keys()
     assert all(prefixes[key] is computed[key] for key in computed)
 
@@ -799,8 +801,7 @@ def test_uniform_model_perplexity_equals_vocab_size():
         p.values[:] = 0.0
     rng = np.random.default_rng(6)
     items = [evaluation.ScoringItem(ids=rng.integers(0, V, 40)) for _ in range(3)]
-    ppl = evaluation.corpus_perplexity(lambda i, a, _: base.forward(i).values,
-                                       items)
+    ppl = corpus_ppl(lambda i, a, _: base.forward(i).values, items)
     assert ppl == pytest.approx(V, rel=1e-5)
 
 
