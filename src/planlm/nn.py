@@ -95,7 +95,7 @@ def attention_bias(t: int, past: Sequence[int] | np.ndarray, n_heads: int,
                     MASK_BIAS).astype(np.float32)
 
 
-def widened(buffer: np.ndarray, width: int) -> np.ndarray:
+def _widened(buffer: np.ndarray, width: int) -> np.ndarray:
     """A (B, heads, columns, d_head) buffer of at least `width` columns."""
     short = width - buffer.shape[2]
     return buffer if short <= 0 else np.pad(
@@ -131,7 +131,7 @@ class KVCache:
         for kv, part_kv in zip(self.layers, part.layers):
             for i, part_a in enumerate(part_kv):
                 n = part_a.shape[2] if length is None else length
-                kv[i] = widened(kv[i], n)
+                kv[i] = _widened(kv[i], n)
                 kv[i][rows, :, :n] = part_a[:, :, :n]
         self.lengths[rows] = part.lengths if length is None else length
 
@@ -215,7 +215,7 @@ class SelfAttention:
             cols = past[:, None] + np.arange(t)
             width = int(cols.max()) + 1
             for i, new in enumerate((k, v)):
-                cache[i] = widened(cache[i], width)
+                cache[i] = _widened(cache[i], width)
                 cache[i][np.arange(b)[:, None], :, cols] = \
                     new.values.swapaxes(1, 2)
             k, v = (Tensor(buffer[:, :, :width]) for buffer in cache)
