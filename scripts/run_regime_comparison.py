@@ -4,9 +4,10 @@
 Builds the corpus, runs the full pipeline, finetunes the LM under several
 action regimes with one matched budget, and prints the resulting validation
 perplexities plus generation metrics. When `oracle` is among the regimes it
-also runs the oracle scan and prints its `mean_oracle_rank`. Each seed's
-lines end with that seed's ordering of the regimes by perplexity. Repeats
-over several master seeds so orderings are averaged rather than single-draw.
+also runs the oracle scan and prints its `mean_oracle_rank` and
+`mean_oracle_margin`. Each seed's lines end with that seed's ordering of the
+regimes by perplexity. Repeats over several master seeds so orderings are
+averaged rather than single-draw.
 """
 
 import argparse
@@ -61,7 +62,8 @@ def run_one_seed(corpus_path: Path, out_dir: Path, seed: int,
 def seed_lines(report: dict, scan: dict | None,
                regimes: list[Regime]) -> list[str]:
     """What one seed prints: each regime's ppl and generation metrics, the
-    scan's `mean_oracle_rank`, and the regimes ordered by ppl."""
+    scan's `mean_oracle_rank` and `mean_oracle_margin`, and the regimes
+    ordered by ppl."""
     lines = []
     for regime in regimes:
         entry = report["regimes"][regime.key]
@@ -71,7 +73,8 @@ def seed_lines(report: dict, scan: dict | None,
             for key in ("latent_ppl", "plan_following_rate"))
         lines.append(f"  {regime.key:28s} ppl={entry['ppl']:8.3f}{extras}")
     if scan is not None:
-        lines.append(f"  mean_oracle_rank={scan['mean_oracle_rank']:.4f}")
+        lines.append(f"  mean_oracle_rank={scan['mean_oracle_rank']:.4f}"
+                     f" mean_oracle_margin={scan['mean_oracle_margin']:.6f}")
     ordered = sorted(regimes, key=lambda r: report["regimes"][r.key]["ppl"])
     lines.append("  ppl order: " + " < ".join(r.key for r in ordered))
     return lines

@@ -5,7 +5,10 @@ model-facing scorers: perplexity and the per-step action scans.
 The scorers only see a `logit_fn(ids, actions, noise) -> (B, T, V) array`
 callable (`actions` and `noise` may be None), so they work with any
 conditioning style; the scans also pass it `cache=`, a `KVCache` that the
-call extends. All of them score their rows through one length-batched loop.
+call extends. All of them score their rows through one length-batched loop,
+and every scored token sees the context of the LM's one attention rule: a
+row of each article in `corpus_nll`, and in the scans an `oracle_pass` of
+it, continued from each sentence's first predicting position.
 The HMM critic is batched the same way: its fit and its one scorer,
 `corpus_latent_perplexity`, run one scaled forward (and, to fit, backward)
 pass per length group of sequences.
@@ -16,7 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -279,15 +282,15 @@ LogitFn = Callable[..., np.ndarray]
 class Row(NamedTuple):
     """One LM row: input ids, conditioning actions or None, action noise or
     None, the positions whose next-token predictions are scored, and those
-    tokens. `prefix`, when given, is a one-row `KVCache` and a count n: the
-    row's ids then follow the cache's first n positions."""
+    tokens. `prefix`, when given, is a one-row `KVCache` whose positions the
+    row's ids follow."""
 
     ids: np.ndarray
     actions: np.ndarray | None
     noise: np.ndarray | None
     positions: np.ndarray
     targets: np.ndarray
-    prefix: tuple[KVCache, int] | None = None
+    prefix: KVCache | None = None
 
 
 def _nll_rows(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
@@ -307,12 +310,13 @@ def _scored_rows(logit_fn: LogitFn,
     share an LM call, so every row of a call attends over as many columns as
     it would alone; rows of one call keep their order. Rows without a prefix
     take an uncached call. The rows of a call with prefixes first copy their
-    prefixes into one B-row `KVCache`, one `put` per run of adjacent rows
-    with the same prefix, and the call extends it. One `_nll_rows` call
-    scores the positions of all rows of a call.
+    prefixes into one B-row `KVCache`, as wide as one prefix, one `put` per
+    run of adjacent rows with the same prefix, and the call extends it. One
+    `_nll_rows` call scores the positions of all rows of a call.
     """
     def shape(r: int) -> tuple[int, int]:
-        return len(rows[r].ids), rows[r].prefix[1] if rows[r].prefix else 0
+        prefix = rows[r].prefix
+        return len(rows[r].ids), 0 if prefix is None else int(prefix.lengths[0])
 
     for batch in length_batches(range(len(rows)), shape, 64):
         picked = [rows[r] for r in batch]
@@ -323,9 +327,9 @@ def _scored_rows(logit_fn: LogitFn,
             logits = logit_fn(ids, actions, noise)
         else:
             cache = KVCache(len(batch))
-            for (part, n), run in itertools.groupby(
-                    range(len(batch)), lambda b: picked[b].prefix):
-                cache.put(list(run), part, length=n)
+            for part, run in itertools.groupby(range(len(batch)),
+                                               lambda b: picked[b].prefix):
+                cache.put(list(run), part)
             logits = logit_fn(ids, actions, noise, cache=cache)
         counts = [len(row.positions) for row in picked]
         nll = _nll_rows(
@@ -381,8 +385,22 @@ def corpus_nll(logit_fn: LogitFn, items: Sequence[ScoringItem]
 
 # -- per-step action scans ---------------------------------------------------------
 
-# an article the scans score: its tokens and its oracle action per sentence
-ScanArticle = tuple[TokenStream, Sequence[int]]
+# an article the scans score: its tokens, oracle actions and `oracle_pass`
+ScanArticle = tuple[TokenStream, Sequence[int], KVCache]
+
+
+def oracle_pass(logit_fn: LogitFn, stream: TokenStream,
+                sentence_oracle: Sequence[int]) -> KVCache:
+    """The cache of one B=1 forward of the article's tokens but the last,
+    each position conditioned on the oracle action of the sentence it
+    predicts: the context both scans continue. The forward takes (heads,
+    T, T) attention scores, as `corpus_nll`'s row of the article does."""
+    cache = KVCache(1)
+    oracle = np.asarray(sentence_oracle, dtype=np.int64)[stream.target_sentence]
+    if len(stream.token_ids) > 1:
+        logit_fn(stream.token_ids[None, :-1], oracle[None, :-1], None,
+                 cache=cache)
+    return cache
 
 
 @dataclass
@@ -390,141 +408,109 @@ class ScanResult:
     ppl_at_rank: np.ndarray               # (K,)
     oracle_ppl: float
     mean_oracle_rank: float
+    mean_oracle_margin: float             # nats per token
     nearest_rank: int                     # rank whose PPL is nearest oracle's
-    per_article_rank1_ppl: dict[str, float] = field(default_factory=dict)
-    per_article_oracle_ppl: dict[str, float] = field(default_factory=dict)
-    n_sentences: int = 0
+    per_article_rank1_ppl: dict[str, float]
+    per_article_oracle_ppl: dict[str, float]
+    n_sentences: int
 
 
 def _sentence_scores(logit_fn: LogitFn, articles: Sequence[ScanArticle],
-                     window: int, variants: Callable):
-    """Yield (article id, oracle action of sentence j, mean NLL of sentence
-    j's tokens under each variant) for every scoreable sentence of the
-    articles, in order.
+                     variants: Callable
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The article id and oracle action of every scoreable sentence of the
+    articles, in order, and the (sentences, variants) mean NLL of each
+    sentence's tokens under each variant.
 
-    Sentence j is scored on a window that ends at its last token and keeps
-    at most `window` positions. Every variant conditions the positions
-    before the window's first one that predicts sentence j (p0) on oracle
-    actions, so by causality their keys and values are the same in every
-    variant. One B=1 forward per article and window start caches them, over
-    the longest such prefix of the sentences that share the start. Each
-    variant's row holds the window's positions from p0 on, after the first
-    p0 positions of that cache. `variants(oracle actions of those positions,
-    the ones among them that predict sentence j)` gives each variant's
-    (actions, noise or None), in sentence order. All sentences' rows are
-    then scored together, so one LM call batches many sentences and articles.
+    The scans read the LM's one attention rule: every token of sentence j
+    is scored on the context that `corpus_nll` and decoding give it. The
+    positions p0 to p1 predict sentence j's tokens, and each variant's row
+    holds them, after the positions of the article's `oracle_pass` before
+    p0 that a forward keeps, the last min(p0, context_window - 1) of them
+    (`KVCache.before`). Every variant conditions the positions before p0 on
+    oracle actions, so by causality their keys and values are the pass's.
+    `variants(oracle action of sentence j, row length)` gives each
+    variant's (actions, noise or None) for the row, in sentence order. All
+    sentences' rows are then scored together, so one LM call batches many
+    sentences and articles.
     """
     rows: list[Row] = []
-    sentences = []  # (article id, oracle action of j, slice of its rows)
-    for stream, sentence_oracle in articles:
+    owners, actions = [], []
+    for stream, sentence_oracle, cache in articles:
         ids = stream.token_ids
-        sidx = stream.sentence_index_of_token
-        oracle = np.asarray(sentence_oracle,
-                            dtype=np.int64)[stream.target_sentence]
-        spans = []  # (j, window start, scored token positions)
-        for j in range(len(sentence_oracle)):
-            token_pos = np.flatnonzero(sidx == j)
-            token_pos = token_pos[token_pos >= 1]  # tokens with a predicting position
-            if token_pos.size == 0:
+        for j, action in enumerate(sentence_oracle):
+            predicting = np.flatnonzero(stream.sentence_index_of_token == j) - 1
+            predicting = predicting[predicting >= 0]
+            if predicting.size == 0:
                 continue
-            wstart = max(0, int(token_pos[-1]) + 1 - window)
-            token_pos = token_pos[token_pos >= wstart + 1]  # sentence longer than window
-            if token_pos.size:
-                spans.append((j, wstart, token_pos))
-
-        prefixes = {}
-        for wstart in dict.fromkeys(w for _, w, _ in spans):
-            end = max(int(t[0]) - 1 for _, w, t in spans if w == wstart)
-            prefixes[wstart] = KVCache(1)
-            if end > wstart:
-                logit_fn(ids[None, wstart:end], oracle[None, wstart:end], None,
-                         cache=prefixes[wstart])
-
-        for j, wstart, token_pos in spans:
-            first, wend = int(token_pos[0]) - 1, int(token_pos[-1]) + 1
-            predicting = token_pos - 1 - first
-            start = len(rows)
-            rows.extend(Row(ids[first:wend], actions, noise, predicting,
-                            ids[token_pos], (prefixes[wstart], first - wstart))
-                        for actions, noise in variants(oracle[first:wend],
-                                                       predicting))
-            sentences.append((stream.article_id, int(sentence_oracle[j]),
-                              slice(start, len(rows))))
+            prefix = cache.before(int(predicting[0]))
+            rows.extend(Row(ids[predicting], row_actions, noise,
+                            predicting - predicting[0], ids[predicting + 1],
+                            prefix)
+                        for row_actions, noise in variants(int(action),
+                                                           len(predicting)))
+            owners.append(stream.article_id)
+            actions.append(int(action))
+    if not owners:
+        raise ValidationError("the scans saw no scoreable sentences")
 
     nll = np.empty(len(rows))
     for r, row_nll in _scored_rows(logit_fn, rows):
         nll[r] = row_nll.mean()
-    for article_id, action, span in sentences:
-        yield article_id, action, nll[span]
+    return np.asarray(owners), np.asarray(actions), nll.reshape(len(owners), -1)
 
 
-def oracle_scan(logit_fn: LogitFn, articles: Sequence[ScanArticle], k: int,
-                window: int) -> ScanResult:
+def oracle_scan(logit_fn: LogitFn, articles: Sequence[ScanArticle],
+                k: int) -> ScanResult:
     """Score every sentence under each of the K actions.
 
     For sentence j the conditioning action is replaced at exactly the
     positions predicting its tokens; earlier positions keep oracle actions
-    (the shared prefix cache of `_sentence_scores`). Rows of the result are
-    sorted ascending, so rank 1 is the per-step best.
+    (the article's `oracle_pass`, which `_sentence_scores` continues). Rows
+    of the result are sorted ascending, so rank 1 is the per-step best. A
+    sentence's margin is its mean NLL over the K actions minus its NLL
+    under the oracle action.
     """
-    def variants(oracle, predicting):
-        actions = np.tile(oracle, (k, 1))
-        actions[:, predicting] = np.arange(k)[:, None]
-        return [(row, None) for row in actions]
+    def variants(action, length):
+        return [(np.full(length, a), None) for a in range(k)]
 
-    per_sentence: list[np.ndarray] = []
-    oracle_nll: list[float] = []
-    ranks: list[int] = []
-    by_article: dict[str, list[int]] = {}
-    for article_id, action, nll in _sentence_scores(logit_fn, articles,
-                                                    window, variants):
-        oracle = nll[action]
-        by_article.setdefault(article_id, []).append(len(per_sentence))
-        per_sentence.append(np.sort(nll))
-        oracle_nll.append(float(oracle))
-        ranks.append(1 + int((nll < oracle).sum()))
-    if not per_sentence:
-        raise ValidationError("oracle_scan saw no scoreable sentences")
-
-    stacked = np.stack(per_sentence)          # (S, K) sorted rows
-    ppl_at_rank = np.exp(stacked.mean(axis=0))
-    oracle_ppl = float(np.exp(np.mean(oracle_nll)))
-    result = ScanResult(
+    owners, actions, nll = _sentence_scores(logit_fn, articles, variants)
+    oracle = nll[np.arange(len(nll)), actions]
+    ranked = np.sort(nll, axis=1)
+    ppl_at_rank = np.exp(ranked.mean(axis=0))
+    oracle_ppl = float(np.exp(oracle.mean()))
+    mine = {aid: owners == aid for aid in dict.fromkeys(owners.tolist())}
+    return ScanResult(
         ppl_at_rank=ppl_at_rank, oracle_ppl=oracle_ppl,
-        mean_oracle_rank=float(np.mean(ranks)),
+        mean_oracle_rank=float(np.mean(1 + (nll < oracle[:, None]).sum(1))),
+        mean_oracle_margin=float((nll - oracle[:, None]).mean(1).mean()),
         nearest_rank=int(np.abs(ppl_at_rank - oracle_ppl).argmin()) + 1,
-        n_sentences=len(oracle_nll))
-    for aid, rows in by_article.items():
-        result.per_article_rank1_ppl[aid] = float(
-            np.exp(stacked[rows, 0].mean()))
-        result.per_article_oracle_ppl[aid] = float(
-            np.exp(np.mean([oracle_nll[s] for s in rows])))
-    return result
+        per_article_rank1_ppl={aid: float(np.exp(ranked[m, 0].mean()))
+                               for aid, m in mine.items()},
+        per_article_oracle_ppl={aid: float(np.exp(oracle[m].mean()))
+                                for aid, m in mine.items()},
+        n_sentences=len(oracle))
 
 
 def noise_scan(logit_fn: LogitFn, articles: Sequence[ScanArticle],
-               n_variants: int, sigma: float, action_dim: int, window: int,
+               n_variants: int, sigma: float, action_dim: int,
                seed: int) -> np.ndarray:
     """Perplexity at each rank when every sentence is scored under Gaussian
     perturbations of its oracle action, ranks sorted ascending.
 
     Each variant draws one noise vector (shared across adapted layers) added
     to the oracle action embedding at the sentence's positions; conditioning
-    elsewhere stays oracle (the shared prefix cache of `_sentence_scores`).
-    The sentences draw their noise in order, before any row is scored.
+    elsewhere stays oracle (the article's `oracle_pass`, which
+    `_sentence_scores` continues). The sentences draw their noise in order,
+    before any row is scored.
     """
     rng = np.random.default_rng(seed)
 
-    def variants(oracle, predicting):
-        noise = np.zeros((n_variants, len(oracle), action_dim),
-                         dtype=np.float32)
-        draws = rng.normal(0.0, sigma, (n_variants, action_dim)).astype(
-            np.float32)
-        noise[:, predicting, :] = draws[:, None, :]
-        return [(oracle, row) for row in noise]
+    def variants(action, length):
+        draws = rng.normal(0.0, sigma, (n_variants, 1, action_dim))
+        return [(np.full(length, action),
+                 np.repeat(draw, length, axis=0).astype(np.float32))
+                for draw in draws]
 
-    per_sentence = [np.sort(nll) for _, _, nll in _sentence_scores(
-        logit_fn, articles, window, variants)]
-    if not per_sentence:
-        raise ValidationError("noise_scan saw no scoreable sentences")
-    return np.exp(np.stack(per_sentence).mean(axis=0))
+    _, _, nll = _sentence_scores(logit_fn, articles, variants)
+    return np.exp(np.sort(nll, axis=1).mean(axis=0))

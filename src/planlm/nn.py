@@ -111,32 +111,44 @@ class KVCache:
     forward writes its new positions right after them, in place. The
     columns past a row's length hold zeros or stale keys, which
     `attention_bias` masks; its bias depends only on distances, so keys stay
-    valid when `slide` drops older positions. A row is filled by extending a
-    one-row cache and `put`ting it, or its first positions, in its place.
+    valid when `slide` drops older positions. A row is filled by `put`ting
+    an extended one-row cache, or a view of it (`before`), in its place.
     """
 
     def __init__(self, rows: int):
         self.lengths = np.zeros(rows, dtype=np.int64)
         self.layers: list[list[np.ndarray]] = []
+        self.keep: int | None = None  # what the last `slide` kept of a row
 
-    def put(self, rows, part: "KVCache", length: int | None = None) -> None:
+    def put(self, rows, part: "KVCache") -> None:
         """Replace the rows `rows` by the rows of `part`, which holds no
-        layers when its rows hold no positions. With `length`, they take
-        only the first `length` positions of `part`'s rows, and the columns
-        after those keep what they held."""
+        layers when its rows hold no positions; the columns past `part`'s
+        keep what they held."""
         if part.layers and not self.layers:
             self.layers = [[np.zeros((len(self.lengths),) + a.shape[1:],
                                      dtype=a.dtype) for a in kv]
                            for kv in part.layers]
         for kv, part_kv in zip(self.layers, part.layers):
             for i, part_a in enumerate(part_kv):
-                n = part_a.shape[2] if length is None else length
-                kv[i] = _widened(kv[i], n)
-                kv[i][rows, :, :n] = part_a[:, :, :n]
-        self.lengths[rows] = part.lengths if length is None else length
+                kv[i] = _widened(kv[i], part_a.shape[2])
+                kv[i][rows, :, :part_a.shape[2]] = part_a
+        self.lengths[rows] = part.lengths
+
+    def before(self, end: int) -> "KVCache":
+        """A one-row view, not a copy, of what a forward of row 0's
+        positions from `end` on would keep of the earlier ones (`slide`):
+        its last `keep` positions before `end`, in buffers `keep + 1`
+        columns wide at most. `put` it: a forward would write into it."""
+        view = KVCache(1)
+        view.lengths[:] = n = min(end, self.keep)
+        view.layers = [[a[:1, :, end - n:end - n + self.keep + 1] for a in kv]
+                       for kv in self.layers]
+        return view
 
     def slide(self, keep: int) -> None:
-        """Move each row's last `keep` positions to its first columns."""
+        """Move each row's last `keep` positions to its first columns, and
+        remember `keep`."""
+        self.keep = keep
         rows = np.flatnonzero(self.lengths > keep)
         cols = (self.lengths[rows] - keep)[:, None] + np.arange(keep)
         for kv in self.layers:

@@ -32,9 +32,9 @@ from .corpus import (BOS_ID, Article, TokenStream, Vocabulary,
                      split_corpus, split_sentences, tokenize)
 from .encoder import EncoderConfig, SentenceEncoder, embed_corpus
 from .errors import MissingArtifactError, ValidationError, parsing
-from .evaluation import HmmCritic, ScoringItem, \
-    corpus_latent_perplexity, corpus_nll, hmm_fit, noise_scan, \
-    normalized_edit, oracle_scan, perplexity_from_nll, rouge2_f1
+from .evaluation import HmmCritic, ScoringItem, corpus_latent_perplexity, \
+    corpus_nll, hmm_fit, noise_scan, normalized_edit, oracle_pass, \
+    oracle_scan, perplexity_from_nll, rouge2_f1
 from .generation import GenerationConfig, Prefix, generate
 from .lm import (FIXED_ACTION_ID, ActionAdapter, AdapterConfig, BaseLM,
                  LmConfig, Regime, extend_for_insert, insert_style_sequence,
@@ -747,14 +747,14 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
         base, adapter = data.lm(Regime("oracle"))
 
         scorer = logit_fn(base, adapter)
-        articles = [(p.stream, p.oracle)
+        articles = [(p.stream, p.oracle,
+                     oracle_pass(scorer, p.stream, p.oracle))
                     for p in data.prepared(split, config.scan_articles)]
-        window = base.config.context_window
-        oracle_result = oracle_scan(scorer, articles, action_set.k, window)
+        oracle_result = oracle_scan(scorer, articles, action_set.k)
         n_variants = config.noise_variants or action_set.k
         sigma = adapter.embedding_std()
         noise_curve = noise_scan(scorer, articles, n_variants, sigma,
-                                 action_set.dim, window, seed=config.seed)
+                                 action_set.dim, seed=config.seed)
 
         def write_curve(name, ppl_at_rank):
             lines = ["rank,ppl"] + [f"{i + 1},{p:.6f}"
@@ -767,6 +767,7 @@ def step_scan_oracle(config: RunConfig, out_dir: Path,
         summary = {
             "oracle_ppl": oracle_result.oracle_ppl,
             "mean_oracle_rank": oracle_result.mean_oracle_rank,
+            "mean_oracle_margin": oracle_result.mean_oracle_margin,
             "nearest_rank": oracle_result.nearest_rank,
             "best_action_ppl": float(oracle_result.ppl_at_rank[0]),
             "best_noise_ppl": float(noise_curve[0]),

@@ -320,14 +320,28 @@ def test_predicted_oa_finetunes_without_a_planner(corpus_file, tmp_path,
     assert "train-planner" in capsys.readouterr().err
 
 
-def test_scan_oracle_outputs_curves(run_dir):
+def test_scan_oracle_outputs_curves(run_dir, monkeypatch):
+    """Both scans continue one B=1 pass of each scanned article, the only
+    forward from an empty cache."""
     assert main(args(run_dir, "finetune", "--regime", "oracle")) == 0
+    forward = BaseLM.forward
+    passes = []
+
+    def spy(self, ids, *rest, cache=None, **kwargs):
+        if cache is None or not cache.layers:
+            passes.append(ids.shape)
+        return forward(self, ids, *rest, cache=cache, **kwargs)
+
+    monkeypatch.setattr(BaseLM, "forward", spy)
     assert main(args(run_dir, "scan-oracle")) == 0
+    assert len(passes) == 2  # scan_articles
+    assert all(b == 1 for b, _ in passes)
     lines = (run_dir / "oracle_scan.csv").read_text().splitlines()
     assert lines[0] == "rank,ppl"
     assert len(lines) == 1 + 8  # k ranks
     summary = json.loads((run_dir / "scan_summary.json").read_text())
     assert summary["mean_oracle_rank"] >= 1.0
+    assert isinstance(summary["mean_oracle_margin"], float)
     ppls = [float(l.split(",")[1]) for l in lines[1:]]
     assert ppls == sorted(ppls)  # non-decreasing in rank
 

@@ -13,7 +13,8 @@ from planlm.corpus import TokenStream
 from planlm.evaluation import (HmmCritic, ScoringItem,
                                corpus_latent_perplexity, corpus_nll, hmm_fit,
                                levenshtein, noise_scan, normalized_edit,
-                               oracle_scan, perplexity_from_nll, rouge2_f1)
+                               oracle_pass, oracle_scan, perplexity_from_nll,
+                               rouge2_f1)
 from planlm.lm import (ActionAdapter, AdapterConfig, BaseLM, LmConfig,
                        logit_fn)
 
@@ -431,7 +432,7 @@ def test_fit_rejects_bad_symbols():
 # -- per-step action scans ---------------------------------------------------------
 
 
-SCAN_V, SCAN_K, SCAN_DIM = 7, 3, 4
+SCAN_V, SCAN_K, SCAN_DIM, SCAN_WINDOW = 7, 3, 4, 8
 
 
 def random_scan_articles(rng, k, sentence_lengths):
@@ -445,6 +446,12 @@ def random_scan_articles(rng, k, sentence_lengths):
         ids = np.concatenate([[1], rng.integers(2, SCAN_V, len(sidx) - 1)])
         articles.append((TokenStream(f"a{n}", ids, sidx), oracle))
     return articles
+
+
+def with_passes(logit_fn, articles):
+    """The scans' articles: each (stream, oracle) with its `oracle_pass`."""
+    return [(stream, oracle, oracle_pass(logit_fn, stream, oracle))
+            for stream, oracle in articles]
 
 
 def scan_items():
@@ -461,7 +468,11 @@ def scan_logit_fn(uses_actions):
 
     def logit_fn(ids, actions, noise, cache=None):
         # each position's logits depend on its own token and action alone,
-        # so a cache of earlier positions changes nothing
+        # so the cached positions change nothing; the call extends the
+        # cache's lengths, as an LM forward does
+        if cache is not None:
+            cache.slide(SCAN_WINDOW - 1)
+            cache.lengths = cache.lengths + ids.shape[1]
         if not uses_actions:
             return tok[ids]
         action_emb = emb[actions] if noise is None else emb[actions] + noise
@@ -471,12 +482,29 @@ def scan_logit_fn(uses_actions):
 
 
 def test_scan_of_an_action_blind_model_is_flat():
-    result = oracle_scan(scan_logit_fn(uses_actions=False), scan_items(),
-                         SCAN_K, window=8)
+    scorer = scan_logit_fn(uses_actions=False)
+    result = oracle_scan(scorer, with_passes(scorer, scan_items()), SCAN_K)
     np.testing.assert_allclose(result.ppl_at_rank, result.ppl_at_rank[0],
                                rtol=1e-12)
     assert result.mean_oracle_rank == 1
+    assert result.mean_oracle_margin == 0.0
     assert result.n_sentences == 7
+
+
+def test_scans_score_every_token_of_a_sentence_longer_than_the_window():
+    """A sentence of three windows' tokens counts every one of them: with a
+    model whose logits depend on the input token alone, its NLL is the mean
+    over all its tokens."""
+    scorer = scan_logit_fn(uses_actions=False)
+    articles = random_scan_articles(np.random.default_rng(22), SCAN_K,
+                                    ([2, 3 * SCAN_WINDOW, 3],))
+    result = oracle_scan(scorer, with_passes(scorer, articles), SCAN_K)
+    stream = articles[0][0]
+    ids, sidx = stream.token_ids, stream.sentence_index_of_token
+    nll = row_nll(scorer(ids[:-1], None, None), ids[1:])
+    want = [nll[sidx[1:] == j].mean() for j in range(3)]
+    assert result.n_sentences == 3
+    assert result.oracle_ppl == np.exp(np.mean(want))
 
 
 # -- the batched scorers against one LM call per row ----------------------------
@@ -527,34 +555,52 @@ def reference_corpus_nll(logit_fn, items):
     return float(total), sum(r[2] for r in rows)
 
 
-def reference_sentence_nll(logit_fn, article, window, variant):
-    """Mean NLL of each sentence's tokens for each variant, one call per
-    variant: `variant(actions, predicting)` edits the window's oracle actions
-    and returns (actions, noise or None)."""
-    stream, oracle = article
-    ids, pp_actions = stream.token_ids, oracle[stream.target_sentence]
-    out = []
-    for j in range(len(oracle)):
+def sentence_spans(stream):
+    """(j, first, last) of each sentence j that has a predicting position:
+    the first and last positions that predict its tokens."""
+    spans = []
+    for j in range(stream.sentence_index_of_token[-1] + 1):
         token_pos = np.flatnonzero(stream.sentence_index_of_token == j)
         token_pos = token_pos[token_pos >= 1]
-        if token_pos.size == 0:
-            continue
-        end = token_pos.max() + 1
-        start = max(0, end - window)
-        token_pos = token_pos[token_pos >= start + 1]
-        predicting = token_pos - 1 - start
+        if token_pos.size:
+            spans.append((j, int(token_pos[0]) - 1, int(token_pos[-1]) - 1))
+    return spans
+
+
+def continued_sentence_nll(logit_fn, article, variant):
+    """Mean NLL of each sentence's tokens for each variant, one call per
+    variant: a one-row cache holds the last min(first, W - 1) positions of
+    the article's pass before the sentence's first predicting position (a
+    copy of W of its columns from the first of them on, as window-wide as a
+    forward's own cache), and the call continues it over the sentence's
+    predicting positions. `variant(action, length)` gives each variant's
+    (actions, noise or None)."""
+    stream, oracle, cache = article
+    ids = stream.token_ids
+    out = []
+    for j, first, last in sentence_spans(stream):
+        lo = max(0, first - (REF_WINDOW - 1))
         nll = []
-        for actions, noise in variant(pp_actions[start:end], predicting):
-            logits = one_row(logit_fn, ids[start:end], actions, noise)
-            nll.append(row_nll(logits[predicting], ids[token_pos]).mean())
+        for actions, noise in variant(int(oracle[j]), last + 1 - first):
+            row_cache = evaluation.KVCache(1)
+            row_cache.layers = [[a[:, :, lo:lo + REF_WINDOW].copy()
+                                 for a in kv] for kv in cache.layers]
+            row_cache.lengths[:] = first - lo
+            logits = logit_fn(ids[None, first:last + 1], actions[None],
+                              None if noise is None else noise[None],
+                              cache=row_cache)[0]
+            nll.append(row_nll(logits, ids[first + 1:last + 2]).mean())
         out.append((stream.article_id, int(oracle[j]), np.asarray(nll)))
     return out
 
 
 def reference_items():
-    """Articles longer than the window, with one sentence longer than it."""
-    return random_scan_articles(np.random.default_rng(15), REF_K,
-                                ([4, 3, 5, 4], [3, 10, 3], [2, 2, 3]))
+    """Articles of up to six windows, one of them with a sentence longer
+    than the window (a1's 10 tokens, window 8), and several sentences whose
+    first predicting position is past the window's first W - 1 positions."""
+    return random_scan_articles(
+        np.random.default_rng(15), REF_K,
+        ([4, 3, 5, 4], [3, 10, 3], [2, 2, 3], [5, 4, 4, 11, 4, 3, 4, 6, 4]))
 
 
 def test_corpus_nll_matches_one_call_per_article():
@@ -600,33 +646,33 @@ def test_corpus_nll_scores_each_target_on_its_last_window_tokens():
 
 
 def test_oracle_scan_matches_one_call_per_action():
-    """The scan scores each variant's suffix on a shared oracle-prefix
-    cache; the reference forwards each variant's whole window uncached.
-    `reference_items` holds a sentence longer than the window (a1's 10
-    tokens, window 8) and sentences whose first predicting position is the
-    window's first (each article's first sentence, and a1's long one)."""
+    """The scan scores each variant's row batched with others; the
+    reference continues the article's pass on one call per action, from a
+    copy of the pass's last W - 1 positions at most. Each row's score
+    matches its reference bit for bit. `reference_items` holds a sentence
+    longer than the window and sentences whose first predicting position is
+    0 (each article's first sentence) or past W - 1."""
     logit_fn = tiny_lm()
-    items = reference_items()
+    items = with_passes(logit_fn, reference_items())
 
-    def each_action(actions, predicting):
-        for a in range(REF_K):
-            edited = actions.copy()
-            edited[predicting] = a
-            yield edited, None
+    def each_action(action, length):
+        return [(np.full(length, a), None) for a in range(REF_K)]
 
-    sentences = [s for item in items for s in reference_sentence_nll(
-        logit_fn, item, REF_WINDOW, each_action)]
+    sentences = [s for item in items for s in continued_sentence_nll(
+        logit_fn, item, each_action)]
     ranked = np.stack([np.sort(nll) for _, _, nll in sentences])
     oracle_nll = [nll[a] for _, a, nll in sentences]
     ppl_at_rank = np.exp(ranked.mean(axis=0))
     oracle_ppl = float(np.exp(np.mean(oracle_nll)))
     owners = [aid for aid, _, _ in sentences]
 
-    got = oracle_scan(logit_fn, items, REF_K, REF_WINDOW)
+    got = oracle_scan(logit_fn, items, REF_K)
     np.testing.assert_array_equal(got.ppl_at_rank, ppl_at_rank)
     assert got.oracle_ppl == oracle_ppl
     assert got.mean_oracle_rank == np.mean(
         [1 + (nll < nll[a]).sum() for _, a, nll in sentences])
+    assert got.mean_oracle_margin == np.mean(
+        [np.mean(nll - nll[a]) for _, a, nll in sentences])
     assert got.nearest_rank == 1 + np.abs(ppl_at_rank - oracle_ppl).argmin()
     assert got.n_sentences == len(sentences)
     assert got.per_article_rank1_ppl == {
@@ -641,77 +687,105 @@ def test_oracle_scan_matches_one_call_per_action():
 
 
 def test_noise_scan_matches_one_call_per_draw():
-    """As the oracle scan test, for noise variants: the cached suffixes
-    match whole uncached windows over the same `reference_items`, and the
-    draws come in the same order."""
+    """As the oracle scan test, for noise variants: the batched rows match
+    one continuation of the pass per draw, and the draws come in the same
+    order."""
     logit_fn = tiny_lm()
-    items = reference_items()
+    items = with_passes(logit_fn, reference_items())
     rng = np.random.default_rng(17)
 
-    def each_draw(actions, predicting):
+    def each_draw(action, length):
         draws = rng.normal(0.0, 0.3, (5, REF_DIM)).astype(np.float32)
-        for draw in draws:
-            noise = np.zeros((len(actions), REF_DIM), dtype=np.float32)
-            noise[predicting] = draw
-            yield actions, noise
+        return [(np.full(length, action), np.tile(draw, (length, 1)))
+                for draw in draws]
 
     ranked = np.stack([np.sort(nll) for item in items
-                       for _, _, nll in reference_sentence_nll(
-                           logit_fn, item, REF_WINDOW, each_draw)])
+                       for _, _, nll in continued_sentence_nll(
+                           logit_fn, item, each_draw)])
     got = noise_scan(logit_fn, items, n_variants=5, sigma=0.3,
-                     action_dim=REF_DIM, window=REF_WINDOW, seed=17)
+                     action_dim=REF_DIM, seed=17)
     np.testing.assert_array_equal(got, np.exp(ranked.mean(axis=0)))
 
 
-@pytest.mark.parametrize("scan", ["oracle", "noise"])
-def test_scans_prefill_once_per_window_start(scan, monkeypatch):
-    """One B=1 forward per item and window start caches the oracle prefix
-    before the sentences' latest first predicting position. Then each batch
-    of at most 64 variant suffixes of one length and one cached length takes
-    one call."""
+def test_scan_scores_each_sentence_as_the_whole_article_row():
+    """Under oracle actions, each sentence's NLL equals that of its tokens
+    in one uncached forward of the whole article, which is how `corpus_nll`
+    scores it: every token sees the band context, through both layers, also
+    in a1's sentence longer than the window. The two differ in rounding
+    only, since the whole row's softmax and `weights @ v` reduce over more
+    (masked) columns than a scan row's, so they agree to float32 precision,
+    not bit for bit."""
     logit_fn = tiny_lm()
-    items = reference_items()
-    calls = []  # (ids, cache lengths, cache has layers) as each forward starts
+    items = with_passes(logit_fn, reference_items())
+    _, _, got = evaluation._sentence_scores(
+        logit_fn, items, lambda action, length: [(np.full(length, action),
+                                                  None)])
+    want = []
+    for stream, oracle, _ in items:
+        ids = stream.token_ids
+        logits = one_row(logit_fn, ids[:-1],
+                         oracle[stream.target_sentence][:-1])
+        want += [row_nll(logits[first:last + 1], ids[first + 1:last + 2])
+                 .mean() for _, first, last in sentence_spans(stream)]
+    assert got.shape == (len(want), 1) and len(want) == 19
+    assert got[:, 0] == pytest.approx(want, rel=1e-6, abs=0)
+
+
+def test_both_scans_continue_one_pass_per_article(monkeypatch):
+    """Both scans make no forward of their own from an empty cache: each
+    continues the one B=1 pass per article over its tokens but the last.
+    Each suffix row holds the positions that predict its sentence, so none
+    forwards the sentence's last token, after at most W - 1 cached
+    positions, and no call's cache is wider than W columns however long
+    the article; at most 64 rows of one length and one cached length share
+    a call, so the rows of all sentences whose first predicting position
+    is at least W - 1 share their calls."""
+    logit_fn = tiny_lm()
+    calls = []  # (ids, cache lengths, cache columns) as each forward starts
     forward = BaseLM.forward
 
     def spy(self, ids, *args, cache=None, **kwargs):
-        calls.append((ids.copy(), cache.lengths.copy(), bool(cache.layers)))
+        columns = cache.layers[0][0].shape[2] if cache.layers else None
+        calls.append((ids.copy(), cache.lengths.copy(), columns))
         return forward(self, ids, *args, cache=cache, **kwargs)
 
     monkeypatch.setattr(BaseLM, "forward", spy)
-    if scan == "oracle":
-        n_variants = REF_K
-        oracle_scan(logit_fn, items, REF_K, REF_WINDOW)
-    else:
-        n_variants = 5
-        noise_scan(logit_fn, items, n_variants, sigma=0.3,
-                   action_dim=REF_DIM, window=REF_WINDOW, seed=17)
+    items = with_passes(logit_fn, reference_items())
+    assert len(calls) == len(items)
+    for (ids, lengths, columns), (stream, _, _) in zip(calls, items):
+        np.testing.assert_array_equal(ids, stream.token_ids[None, :-1])
+        assert lengths.tolist() == [0] and columns is None
+    del calls[:]
+    n_noise = 5
+    oracle_scan(logit_fn, items, REF_K)
+    noise_scan(logit_fn, items, n_noise, sigma=0.3, action_dim=REF_DIM,
+               seed=17)
 
-    want_prefills, suffix_rows = [], Counter()
-    for stream, oracle in items:
-        ends: dict[int, int] = {}
-        for j in range(len(oracle)):
-            token_pos = np.flatnonzero(stream.sentence_index_of_token == j)
-            end = token_pos.max() + 1
-            start = max(0, end - REF_WINDOW)
-            first = max(1, start + 1, token_pos.min()) - 1
-            ends[start] = max(ends.get(start, start), first)
-            suffix_rows[end - first, first - start] += n_variants
-        want_prefills += [stream.token_ids[None, start:end]
-                          for start, end in ends.items() if end > start]
-    want_suffixes = sorted((min(64, n - i), length)
-                           for (length, _), n in suffix_rows.items()
-                           for i in range(0, n, 64))
+    rows = Counter()  # (row ids, cached length) -> rows of both scans
+    sentences = Counter()  # (row length, cached length) -> sentences
+    for stream, _, _ in items:
+        for _, first, last in sentence_spans(stream):
+            cached = min(first, REF_WINDOW - 1)
+            rows[tuple(stream.token_ids[first:last + 1]), cached] += \
+                REF_K + n_noise
+            sentences[last + 1 - first, cached] += 1
+    got = Counter()
+    for ids, lengths, columns in calls:
+        assert columns is not None and columns <= REF_WINDOW
+        got.update(zip(map(tuple, ids), lengths.tolist()))
+    assert got == rows
 
-    prefills = [ids for ids, lengths, layers in calls
-                if len(ids) == 1 and not lengths.any() and not layers]
-    assert len(prefills) == len(want_prefills) == 5
-    for got, want in zip(prefills, want_prefills):
-        np.testing.assert_array_equal(got, want)
-    suffixes = sorted(ids.shape for ids, lengths, layers in calls
-                      if len(ids) > 1)
-    assert suffixes == want_suffixes
-    assert len(calls) == len(prefills) + len(suffixes)
+    want_calls = sorted((length, cached, min(64, n - i))
+                        for variants in (REF_K, n_noise)
+                        for (length, cached), count in sentences.items()
+                        for n in [count * variants]
+                        for i in range(0, n, 64))
+    assert sorted((ids.shape[1], int(lengths[0]), len(ids))
+                  for ids, lengths, _ in calls) == want_calls
+    # the rows of several sentences past the first W - 1 positions share
+    # a call
+    assert any(cached == REF_WINDOW - 1 and n > max(REF_K, n_noise)
+               for _, cached, n in want_calls)
 
 
 def test_scan_rows_of_mixed_cached_lengths_score_as_their_own_forwards():
@@ -728,7 +802,7 @@ def test_scan_rows_of_mixed_cached_lengths_score_as_their_own_forwards():
         if n:
             logit_fn(ids[None, :n], actions[None, :n], None, cache=prefix)
         rows.append(evaluation.Row(ids[n:], actions[n:], None,
-                                   np.arange(2), ids[n + 1:], (prefix, n)))
+                                   np.arange(2), ids[n + 1:], prefix))
     together = dict(evaluation._scored_rows(logit_fn, rows))
     for r, row in enumerate(rows):
         [(_, alone)] = evaluation._scored_rows(logit_fn, [row])

@@ -321,8 +321,9 @@ def test_rows_of_random_cached_lengths_step_like_their_own_forwards(
 @pytest.mark.parametrize("with_adapter", [False, True])
 def test_putting_a_caches_first_positions_matches_prefilling_only_those(
         with_adapter):
-    """Rows that take the first n positions of one longer cache, then step
-    together, give the logits of caches prefilled with only those n."""
+    """Rows that take the first n < W positions of one longer cache
+    (`KVCache.before`), then step together, give the logits of caches
+    prefilled with only those n."""
     base = make_base(seed=9)
     adapter = make_adapter(base, L=2, seed=10) if with_adapter else None
     ids, actions = random_inputs(np.random.default_rng(5), b=1, t=12)
@@ -336,7 +337,7 @@ def test_putting_a_caches_first_positions_matches_prefilling_only_those(
     firsts, t = (4, 0, 9), 3
     cache = nn.KVCache(len(firsts))
     for row, n in enumerate(firsts):
-        cache.put([row], longer, length=n)
+        cache.put([row], longer.before(n))
     assert cache.lengths.tolist() == list(firsts)
     step = base.forward(np.concatenate([ids[:, n:n + t] for n in firsts]),
                         adapter=adapter, cache=cache,

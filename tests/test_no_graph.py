@@ -147,12 +147,14 @@ def test_scoring_and_sampling_after_training_build_no_graph(graph_nodes):
     scorer = logit_fn(base, adapter)
     evaluation.corpus_nll(scorer, lm_items(2, seed=5))
     rng = np.random.default_rng(6)
-    articles = [(TokenStream(
+    stream = TokenStream(
         "a", np.concatenate([[BOS_ID], rng.integers(2, VOCAB.size, 15)]),
-        np.concatenate([[0], np.repeat(np.arange(3), 5)])), [0, 1, 0])]
-    evaluation.oracle_scan(scorer, articles, K, WINDOW)
+        np.concatenate([[0], np.repeat(np.arange(3), 5)]))
+    articles = [(stream, [0, 1, 0],
+                 evaluation.oracle_pass(scorer, stream, [0, 1, 0]))]
+    evaluation.oracle_scan(scorer, articles, K)
     evaluation.noise_scan(scorer, articles, n_variants=2, sigma=0.1,
-                          action_dim=DIM, window=WINDOW, seed=0)
+                          action_dim=DIM, seed=0)
     planner.next_action_logits([np.zeros((2, DIM), dtype=np.float32)])
     evaluate_planner(planner, plans(2, seed=7))
     generate(base, adapter, VOCAB, GenerationConfig(max_tokens=16), ENC,

@@ -103,7 +103,7 @@ def test_bench_pairs_pairs_head_with_itself(tmp_path):
 
 def test_run_regime_comparison_prints_a_seeds_metrics_and_ordering():
     """A canned report and scan summary, no training: each regime's line,
-    the scan's mean oracle rank and the ppl ordering."""
+    the scan's mean oracle rank and margin, and the ppl ordering."""
     spec = importlib.util.spec_from_file_location(
         "run_regime_comparison", ROOT / "scripts" / "run_regime_comparison.py")
     script = importlib.util.module_from_spec(spec)
@@ -116,14 +116,15 @@ def test_run_regime_comparison_prints_a_seeds_metrics_and_ordering():
         "oracle": {"ppl": 1.9},
         "predicted_pa": {"ppl": 2.0, "latent_ppl": 800.25,
                          "plan_following_rate": 0.1875}}}
-    lines = script.seed_lines(report, {"mean_oracle_rank": 1.375}, regimes)
+    scan = {"mean_oracle_rank": 1.375, "mean_oracle_margin": 0.0123456}
+    lines = script.seed_lines(report, scan, regimes)
     assert lines == [
         "  none                         ppl=   2.200",
         "  fixed                        ppl=   2.100 latent_ppl=900.5000",
         "  oracle                       ppl=   1.900",
         "  predicted_pa                 ppl=   2.000 latent_ppl=800.2500"
         " plan_following_rate=0.1875",
-        "  mean_oracle_rank=1.3750",
+        "  mean_oracle_rank=1.3750 mean_oracle_margin=0.012346",
         "  ppl order: oracle < predicted_pa < fixed < none",
     ]
     assert script.seed_lines(report, None, regimes[:2]) == [
