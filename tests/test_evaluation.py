@@ -731,15 +731,17 @@ def test_scan_scores_each_sentence_as_the_whole_article_row():
     assert got[:, 0] == pytest.approx(want, rel=1e-6, abs=0)
 
 
-def test_both_scans_continue_one_pass_per_article(monkeypatch):
-    """Both scans make no forward of their own from an empty cache: each
-    continues the one B=1 pass per article over its tokens but the last.
-    Each suffix row holds the positions that predict its sentence, so none
-    forwards the sentence's last token, after at most W - 1 cached
-    positions, and no call's cache is wider than W columns however long
-    the article; at most 64 rows of one length and one cached length share
-    a call, so the rows of all sentences whose first predicting position
-    is at least W - 1 share their calls."""
+@pytest.mark.parametrize("scan", ["oracle", "noise"])
+def test_scans_prefill_once_per_window_start(scan, monkeypatch):
+    """Each article has one window start, its first token: one B=1 pass per
+    article over its tokens but the last prefills the oracle prefix, and
+    the scan makes no forward of its own from an empty cache, so the oracle
+    and noise scans share the pass. Each suffix row holds the positions
+    that predict its sentence, so none forwards the sentence's last token,
+    after at most W - 1 cached positions, and no call's cache is wider than
+    W columns however long the article; at most 64 rows of one length and
+    one cached length share a call, so the rows of all sentences whose
+    first predicting position is at least W - 1 share their calls."""
     logit_fn = tiny_lm()
     calls = []  # (ids, cache lengths, cache columns) as each forward starts
     forward = BaseLM.forward
@@ -756,18 +758,21 @@ def test_both_scans_continue_one_pass_per_article(monkeypatch):
         np.testing.assert_array_equal(ids, stream.token_ids[None, :-1])
         assert lengths.tolist() == [0] and columns is None
     del calls[:]
-    n_noise = 5
-    oracle_scan(logit_fn, items, REF_K)
-    noise_scan(logit_fn, items, n_noise, sigma=0.3, action_dim=REF_DIM,
-               seed=17)
+    if scan == "oracle":
+        n_variants = REF_K
+        oracle_scan(logit_fn, items, REF_K)
+    else:
+        n_variants = 5
+        noise_scan(logit_fn, items, n_variants, sigma=0.3,
+                   action_dim=REF_DIM, seed=17)
 
-    rows = Counter()  # (row ids, cached length) -> rows of both scans
+    rows = Counter()  # (row ids, cached length) -> rows
     sentences = Counter()  # (row length, cached length) -> sentences
     for stream, _, _ in items:
         for _, first, last in sentence_spans(stream):
             cached = min(first, REF_WINDOW - 1)
             rows[tuple(stream.token_ids[first:last + 1]), cached] += \
-                REF_K + n_noise
+                n_variants
             sentences[last + 1 - first, cached] += 1
     got = Counter()
     for ids, lengths, columns in calls:
@@ -776,15 +781,14 @@ def test_both_scans_continue_one_pass_per_article(monkeypatch):
     assert got == rows
 
     want_calls = sorted((length, cached, min(64, n - i))
-                        for variants in (REF_K, n_noise)
                         for (length, cached), count in sentences.items()
-                        for n in [count * variants]
+                        for n in [count * n_variants]
                         for i in range(0, n, 64))
     assert sorted((ids.shape[1], int(lengths[0]), len(ids))
                   for ids, lengths, _ in calls) == want_calls
     # the rows of several sentences past the first W - 1 positions share
     # a call
-    assert any(cached == REF_WINDOW - 1 and n > max(REF_K, n_noise)
+    assert any(cached == REF_WINDOW - 1 and n > n_variants
                for _, cached, n in want_calls)
 
 
